@@ -1,6 +1,6 @@
-// Hot-path microbench: tracks the batched (structure-of-arrays) PMU engine
-// against the retained reference implementation, plus the allocation-free
-// GadgetRunner execute_once and a profiler-style full-database sweep.
+// Hot-path microbench: tracks the PMU accumulate path (the sparse group
+// kernel over pmu::ResponseMatrix), the allocation-free GadgetRunner
+// execute_once and a profiler-style full-database sweep.
 //
 // Emits machine-readable JSON (BENCH_hotpath.json) so perf regressions are
 // diffable across commits:
@@ -20,16 +20,13 @@
 #include "bench_common.hpp"
 #include "pmu/counter_file.hpp"
 #include "pmu/event_database.hpp"
-#include "pmu/simd_dispatch.hpp"
 #include "sim/gadget_runner.hpp"
 #include "telemetry/registry.hpp"
 
 namespace aegis::bench {
 namespace {
 
-using pmu::AccumulateEngine;
 using pmu::CounterRegisterFile;
-namespace simd = pmu::simd;
 
 double g_sink = 0.0;  // defeats dead-code elimination across timed loops
 
@@ -67,12 +64,11 @@ pmu::ExecutionStats gadget_like_stats() {
   return stats;
 }
 
-/// ns per accumulate() call with `ids` programmed, for one engine.
+/// ns per accumulate() call with `ids` programmed.
 double accumulate_ns(const pmu::EventDatabase& db,
-                     const std::vector<std::uint32_t>& ids,
-                     AccumulateEngine engine, int iters, int reps) {
+                     const std::vector<std::uint32_t>& ids, int iters,
+                     int reps) {
   CounterRegisterFile counters(db, 42);
-  counters.set_engine(engine);
   counters.program(ids);
   const pmu::ExecutionStats stats = gadget_like_stats();
   counters.tick(stats);  // touch everything once before timing
@@ -109,12 +105,11 @@ double execute_once_ns(const pmu::EventDatabase& db,
 
 /// Profiler-style sweep: program every event in groups of 4, tick a few
 /// slices, read all counts. Returns events/second.
-double sweep_events_per_sec(const pmu::EventDatabase& db,
-                            AccumulateEngine engine, int slices, int reps) {
+double sweep_events_per_sec(const pmu::EventDatabase& db, int slices,
+                            int reps) {
   const pmu::ExecutionStats stats = gadget_like_stats();
   const double secs = min_of(reps, [&] {
     CounterRegisterFile counters(db, 42);
-    counters.set_engine(engine);
     std::vector<std::uint32_t> group;
     for (std::uint32_t id = 0; id < db.size();) {
       group.clear();
@@ -130,16 +125,13 @@ double sweep_events_per_sec(const pmu::EventDatabase& db,
   return static_cast<double>(db.size()) / secs;
 }
 
-void emit(std::ostream& out, isa::CpuModel model, double acc4_ref,
-          double acc4_scalar, double acc4_bat, double sweep_ref,
-          double sweep_scalar, double sweep_bat, double exec_ns,
-          double exec_off_ns, double recorder_overhead_pct,
-          double sweep_eps_ref, double sweep_eps_bat) {
-  // The engine/cpu/backend fields record WHICH kernel and WHICH event
-  // database produced the batched numbers, so a regression diff across
-  // machines (or an AEGIS_FORCE_SCALAR / AEGIS_CPU run) is attributable
-  // instead of mysterious — bench_compare.py fails on a mismatch.
-  const simd::CpuFeatures cpu = simd::detect_cpu_features();
+void emit(std::ostream& out, isa::CpuModel model, double acc4_ns,
+          double sweep_ns, double exec_ns, double exec_off_ns,
+          double recorder_overhead_pct, double sweep_eps) {
+  // Provenance: WHICH event database, build type and compiler produced the
+  // numbers, so a regression diff across machines or configurations is
+  // attributable — bench_compare.py fails on a backend/cpu_model mismatch.
+  // AEGIS_BUILD_TYPE and AEGIS_COMPILER come from bench/CMakeLists.txt.
   char buf[2048];
   std::snprintf(
       buf, sizeof(buf),
@@ -147,23 +139,13 @@ void emit(std::ostream& out, isa::CpuModel model, double acc4_ref,
       "  \"bench\": \"hotpath\",\n"
       "  \"cpu_model\": \"%s\",\n"
       "  \"backend\": \"%s\",\n"
-      "  \"engine\": \"%s\",\n"
-      "  \"cpu\": {\n"
-      "    \"avx2\": %s,\n"
-      "    \"avx512\": %s,\n"
-      "    \"force_scalar\": %s\n"
-      "  },\n"
+      "  \"build_type\": \"%s\",\n"
+      "  \"compiler\": \"%s\",\n"
       "  \"accumulate_4_events\": {\n"
-      "    \"reference_ns\": %.2f,\n"
-      "    \"scalar_ns\": %.2f,\n"
-      "    \"batched_ns\": %.2f,\n"
-      "    \"speedup\": %.2f\n"
+      "    \"batched_ns\": %.2f\n"
       "  },\n"
       "  \"accumulate_sweep_1903_events\": {\n"
-      "    \"reference_ns\": %.2f,\n"
-      "    \"scalar_ns\": %.2f,\n"
-      "    \"batched_ns\": %.2f,\n"
-      "    \"speedup\": %.2f\n"
+      "    \"batched_ns\": %.2f\n"
       "  },\n"
       "  \"execute_once\": {\n"
       "    \"steady_state_ns\": %.2f\n"
@@ -174,20 +156,13 @@ void emit(std::ostream& out, isa::CpuModel model, double acc4_ref,
       "    \"recorder_overhead_pct\": %.2f\n"
       "  },\n"
       "  \"profiler_sweep\": {\n"
-      "    \"reference_events_per_sec\": %.0f,\n"
-      "    \"batched_events_per_sec\": %.0f,\n"
-      "    \"speedup\": %.2f\n"
+      "    \"batched_events_per_sec\": %.0f\n"
       "  }\n"
       "}\n",
       std::string(isa::to_token(model)).c_str(),
-      std::string(pmu::backend::backend_id(model)).c_str(),
-      simd::to_string(simd::best_isa()), cpu.avx2 ? "true" : "false",
-      cpu.avx512 ? "true" : "false",
-      simd::force_scalar_env() ? "true" : "false", acc4_ref, acc4_scalar,
-      acc4_bat, acc4_ref / acc4_bat, sweep_ref, sweep_scalar, sweep_bat,
-      sweep_ref / sweep_bat, exec_ns, exec_ns, exec_off_ns,
-      recorder_overhead_pct, sweep_eps_ref, sweep_eps_bat,
-      sweep_eps_bat / sweep_eps_ref);
+      std::string(pmu::backend::backend_id(model)).c_str(), AEGIS_BUILD_TYPE,
+      AEGIS_COMPILER, acc4_ns, sweep_ns, exec_ns, exec_ns, exec_off_ns,
+      recorder_overhead_pct, sweep_eps);
   out << buf;
 }
 
@@ -207,26 +182,11 @@ int run(int argc, char** argv) {
   std::vector<std::uint32_t> all_ids;
   for (std::uint32_t id = 0; id < db.size(); ++id) all_ids.push_back(id);
 
-  std::cerr << "bench_hot_path: engine " << simd::to_string(simd::best_isa())
-            << " (avx2=" << simd::detect_cpu_features().avx2
-            << " avx512=" << simd::detect_cpu_features().avx512
-            << " force_scalar=" << simd::force_scalar_env() << ")\n";
-
   std::cerr << "bench_hot_path: accumulate (4 events)...\n";
-  const double acc4_ref =
-      accumulate_ns(db, four, AccumulateEngine::kReference, iters, reps);
-  const double acc4_scalar =
-      accumulate_ns(db, four, AccumulateEngine::kScalar, iters, reps);
-  const double acc4_bat =
-      accumulate_ns(db, four, AccumulateEngine::kBatched, iters, reps);
+  const double acc4_ns = accumulate_ns(db, four, iters, reps);
 
   std::cerr << "bench_hot_path: accumulate (1903-event sweep mode)...\n";
-  const double sweep_ref = accumulate_ns(
-      db, all_ids, AccumulateEngine::kReference, sweep_iters, reps);
-  const double sweep_scalar = accumulate_ns(
-      db, all_ids, AccumulateEngine::kScalar, sweep_iters, reps);
-  const double sweep_bat =
-      accumulate_ns(db, all_ids, AccumulateEngine::kBatched, sweep_iters, reps);
+  const double sweep_ns = accumulate_ns(db, all_ids, sweep_iters, reps);
 
   // execute_once is measured twice: with the global flight recorder OFF and
   // ON (the GadgetRunner records a 1-in-8 sampled kHotExec wide event).
@@ -244,10 +204,7 @@ int run(int argc, char** argv) {
 
   std::cerr << "bench_hot_path: profiler sweep over " << db.size()
             << " events...\n";
-  const double eps_ref =
-      sweep_events_per_sec(db, AccumulateEngine::kReference, 8, reps);
-  const double eps_bat =
-      sweep_events_per_sec(db, AccumulateEngine::kBatched, 8, reps);
+  const double sweep_eps = sweep_events_per_sec(db, 8, reps);
 
   if (argc > 1) {
     std::ofstream out(argv[1]);
@@ -255,14 +212,12 @@ int run(int argc, char** argv) {
       std::cerr << "bench_hot_path: cannot open " << argv[1] << "\n";
       return 1;
     }
-    emit(out, model, acc4_ref, acc4_scalar, acc4_bat, sweep_ref, sweep_scalar,
-         sweep_bat, exec_ns, exec_off_ns, recorder_overhead_pct, eps_ref,
-         eps_bat);
+    emit(out, model, acc4_ns, sweep_ns, exec_ns, exec_off_ns,
+         recorder_overhead_pct, sweep_eps);
     std::cerr << "bench_hot_path: wrote " << argv[1] << "\n";
   } else {
-    emit(std::cout, model, acc4_ref, acc4_scalar, acc4_bat, sweep_ref,
-         sweep_scalar, sweep_bat, exec_ns, exec_off_ns, recorder_overhead_pct,
-         eps_ref, eps_bat);
+    emit(std::cout, model, acc4_ns, sweep_ns, exec_ns, exec_off_ns,
+         recorder_overhead_pct, sweep_eps);
   }
   if (g_sink == -1.0) std::cerr << "";  // keep the sink observable
   return 0;

@@ -23,13 +23,7 @@ Headline metrics (everything else in the JSON is informational):
             profiler_sweep.batched_events_per_sec     higher is better
   service   max over sweep of throughput_sessions_per_sec   higher is better
 
-When both sides of a hotpath comparison record the SIMD engine that
-produced them (the "engine" field), a mismatch is reported as a note:
-cross-engine deltas are attributable to dispatch, not to a code
-regression, but the numbers still gate — an accidental scalar fallback on
-a machine that used to run AVX2 IS a regression worth failing on.
-
-The PMU backend provenance fields ("backend", "cpu_model") gate harder:
+The PMU backend provenance fields ("backend", "cpu_model") gate hard:
 when both sides carry them and they disagree, the comparison FAILS in
 every mode — an AEGIS_CPU=intel run measured a different event database
 than the committed AMD baseline, so no delta between them is meaningful.
@@ -289,21 +283,12 @@ def compare_security(base_path, fresh_path):
     return regressions
 
 
-def note_engine_mismatch(baseline, fresh):
-    base_engine = baseline.get("engine")
-    fresh_engine = fresh.get("engine")
-    if base_engine and fresh_engine and base_engine != fresh_engine:
-        print(f"note  engine changed: baseline ran {base_engine!r}, fresh "
-              f"ran {fresh_engine!r} — deltas include the dispatch change")
-
-
 def check_backend_match(label, baseline, fresh):
     """Hard gate on the PMU backend provenance fields.
 
-    Unlike a SIMD engine swap (same numbers, different kernel), a backend
-    or cpu_model mismatch means the two artifacts measured DIFFERENT event
-    databases — an AEGIS_CPU=intel run diffed against the committed AMD
-    baseline compares nothing comparable, so it fails rather than notes.
+    A backend or cpu_model mismatch means the two artifacts measured
+    DIFFERENT event databases — an AEGIS_CPU=intel run diffed against the
+    committed AMD baseline compares nothing comparable, so it fails.
     Artifacts predating the backend layer carry neither field and are
     compared as before. Returns the number of regressions (0 or 1 per
     field).
@@ -312,7 +297,7 @@ def check_backend_match(label, baseline, fresh):
     for field in ("backend", "cpu_model"):
         base, new = baseline.get(field), fresh.get(field)
         if not isinstance(base, str) or not isinstance(new, str):
-            continue  # pre-backend artifact (or hotpath's "cpu" object)
+            continue  # pre-backend artifact
         if base != new:
             print(f"FAIL  {label} {field} mismatch: baseline measured "
                   f"{base!r}, fresh measured {new!r} — not comparable; "
@@ -414,7 +399,6 @@ def main(argv):
         return 0
     if len(argv) == 4 and argv[1] == "--hotpath":
         baseline, fresh = load(argv[2]), load(argv[3])
-        note_engine_mismatch(baseline, fresh)
         tol = tolerance()
         regressions = check_backend_match("hotpath", baseline, fresh)
         regressions += compare(HOTPATH_METRICS, baseline, fresh, tol)
@@ -433,7 +417,6 @@ def main(argv):
     tol = tolerance()
     baseline_hot, fresh_hot_doc = load(base_hot), load(fresh_hot)
     baseline_svc, fresh_svc_doc = load(base_svc), load(fresh_svc)
-    note_engine_mismatch(baseline_hot, fresh_hot_doc)
     regressions = 0
     regressions += check_backend_match("hotpath", baseline_hot, fresh_hot_doc)
     regressions += check_backend_match("service", baseline_svc, fresh_svc_doc)

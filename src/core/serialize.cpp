@@ -1,10 +1,11 @@
 #include "core/serialize.hpp"
 
+#include <charconv>
 #include <fstream>
 #include <iomanip>
 #include <limits>
-#include <sstream>
 #include <stdexcept>
+#include <vector>
 
 #include "pmu/backend/registry.hpp"
 
@@ -45,6 +46,49 @@ std::string read_line(std::istream& is, const char* context) {
   }
   throw std::runtime_error(std::string("load_offline_result: truncated input at ") +
                            context);
+}
+
+[[noreturn]] void malformed(const char* context, const std::string& text) {
+  throw std::runtime_error(std::string("load_offline_result: malformed ") +
+                           context + " '" + text + "'");
+}
+
+/// Splits a row on tabs into exactly `n` fields (the writer's format);
+/// any other field count is malformed. With `n` fields the last one takes
+/// the rest of the line, so event names may contain anything but a tab.
+std::vector<std::string> split_row(const std::string& line, std::size_t n,
+                                   const char* context) {
+  std::vector<std::string> fields;
+  std::size_t start = 0;
+  while (fields.size() + 1 < n) {
+    const std::size_t tab = line.find('\t', start);
+    if (tab == std::string::npos) malformed(context, line);
+    fields.push_back(line.substr(start, tab - start));
+    start = tab + 1;
+  }
+  fields.push_back(line.substr(start));
+  if (fields.back().find('\t') != std::string::npos) {
+    malformed(context, line);
+  }
+  return fields;
+}
+
+/// Parses a whole field as a number with std::from_chars: no whitespace,
+/// no '+', no trailing junk, no '-' for unsigned types, and no values out
+/// of the type's range.
+template <typename T>
+T parse_number(const std::string& field, const char* context) {
+  T value{};
+  const char* end = field.data() + field.size();
+  const auto [ptr, ec] = std::from_chars(field.data(), end, value);
+  if (field.empty() || ec != std::errc{} || ptr != end) {
+    malformed(context, field);
+  }
+  return value;
+}
+
+std::size_t parse_count(std::istream& is, const char* context) {
+  return parse_number<std::size_t>(read_line(is, context), context);
 }
 
 void expect_section(std::istream& is, const std::string& name) {
@@ -166,7 +210,7 @@ OfflineResult load_offline_result(std::istream& is,
 
   expect_section(is, "warmup");
   {
-    const std::size_t n = std::stoul(read_line(is, "warmup count"));
+    const std::size_t n = parse_count(is, "warmup count");
     result.warmup.total_events = db.size();
     for (std::size_t i = 0; i < n; ++i) {
       const std::uint32_t id =
@@ -179,45 +223,43 @@ OfflineResult load_offline_result(std::istream& is,
 
   expect_section(is, "ranking");
   {
-    const std::size_t n = std::stoul(read_line(is, "ranking count"));
+    const std::size_t n = parse_count(is, "ranking count");
     for (std::size_t i = 0; i < n; ++i) {
-      std::istringstream line(read_line(is, "ranking row"));
+      const std::vector<std::string> fields =
+          split_row(read_line(is, "ranking row"), 2, "ranking row");
       profiler::EventRank rank;
-      std::string name;
-      line >> rank.mutual_information;
-      std::getline(line >> std::ws, name);
-      rank.event_id = event_id_or_throw(db, name);
+      rank.mutual_information = parse_number<double>(fields[0], "ranking MI");
+      rank.event_id = event_id_or_throw(db, fields[1]);
       result.ranking.push_back(rank);
     }
   }
 
   expect_section(is, "gadgets");
   {
-    const std::size_t n = std::stoul(read_line(is, "gadget report count"));
+    const std::size_t n = parse_count(is, "gadget report count");
     for (std::size_t i = 0; i < n; ++i) {
-      std::istringstream header(read_line(is, "gadget report header"));
-      std::string rest;
-      // event-name may contain ':' but not tabs; parse by tabs.
-      std::getline(header, rest);
-      std::vector<std::string> fields;
-      std::stringstream ss(rest);
-      std::string field;
-      while (std::getline(ss, field, '\t')) fields.push_back(field);
-      if (fields.size() != 5) {
-        throw std::runtime_error("load_offline_result: bad gadget header");
-      }
+      // Fields: event name, gadget count, best reset/trigger uid, best delta.
+      const std::vector<std::string> fields = split_row(
+          read_line(is, "gadget report header"), 5, "gadget report header");
       fuzzer::EventFuzzReport report;
       report.event_id = event_id_or_throw(db, fields[0]);
-      const std::size_t gadget_count = std::stoul(fields[1]);
-      report.best.gadget.reset_uid = static_cast<std::uint32_t>(std::stoul(fields[2]));
-      report.best.gadget.trigger_uid = static_cast<std::uint32_t>(std::stoul(fields[3]));
-      report.best.median_delta = std::stod(fields[4]);
+      const auto gadget_count =
+          parse_number<std::size_t>(fields[1], "gadget count");
+      report.best.gadget.reset_uid =
+          parse_number<std::uint32_t>(fields[2], "gadget uid");
+      report.best.gadget.trigger_uid =
+          parse_number<std::uint32_t>(fields[3], "gadget uid");
+      report.best.median_delta = parse_number<double>(fields[4], "gadget delta");
       report.best.event_id = report.event_id;
       for (std::size_t g = 0; g < gadget_count; ++g) {
-        std::istringstream row(read_line(is, "gadget row"));
+        const std::vector<std::string> row =
+            split_row(read_line(is, "gadget row"), 3, "gadget row");
         fuzzer::ConfirmedGadget confirmed;
-        row >> confirmed.gadget.reset_uid >> confirmed.gadget.trigger_uid >>
-            confirmed.median_delta;
+        confirmed.gadget.reset_uid =
+            parse_number<std::uint32_t>(row[0], "gadget uid");
+        confirmed.gadget.trigger_uid =
+            parse_number<std::uint32_t>(row[1], "gadget uid");
+        confirmed.median_delta = parse_number<double>(row[2], "gadget delta");
         confirmed.event_id = report.event_id;
         report.confirmed.push_back(confirmed);
       }
@@ -228,25 +270,25 @@ OfflineResult load_offline_result(std::istream& is,
 
   expect_section(is, "cover");
   {
-    const std::size_t gadgets = std::stoul(read_line(is, "cover gadget count"));
+    const std::size_t gadgets = parse_count(is, "cover gadget count");
     for (std::size_t i = 0; i < gadgets; ++i) {
-      std::istringstream row(read_line(is, "cover gadget"));
+      const std::vector<std::string> row =
+          split_row(read_line(is, "cover gadget"), 2, "cover gadget");
       fuzzer::Gadget g;
-      row >> g.reset_uid >> g.trigger_uid;
+      g.reset_uid = parse_number<std::uint32_t>(row[0], "cover gadget uid");
+      g.trigger_uid = parse_number<std::uint32_t>(row[1], "cover gadget uid");
       result.cover.gadgets.push_back(g);
     }
-    const std::size_t effects = std::stoul(read_line(is, "cover effect count"));
+    const std::size_t effects = parse_count(is, "cover effect count");
     for (std::size_t i = 0; i < effects; ++i) {
-      std::istringstream row(read_line(is, "cover effect"));
-      double delta = 0.0;
-      std::string name;
-      row >> delta;
-      std::getline(row >> std::ws, name);
-      const std::uint32_t id = event_id_or_throw(db, name);
+      const std::vector<std::string> row =
+          split_row(read_line(is, "cover effect"), 2, "cover effect");
+      const double delta = parse_number<double>(row[0], "cover effect delta");
+      const std::uint32_t id = event_id_or_throw(db, row[1]);
       result.cover.segment_effect.emplace_back(id, delta);
       result.cover.covered_events.push_back(id);
     }
-    const std::size_t uncovered = std::stoul(read_line(is, "uncovered count"));
+    const std::size_t uncovered = parse_count(is, "uncovered count");
     for (std::size_t i = 0; i < uncovered; ++i) {
       result.cover.uncovered_events.push_back(
           event_id_or_throw(db, read_line(is, "uncovered event")));

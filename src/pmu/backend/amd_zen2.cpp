@@ -10,15 +10,6 @@ AmdZen2Backend::AmdZen2Backend(isa::CpuModel model) : PmuBackend(model) {
   }
 }
 
-bool AmdZen2Backend::fixed_counter_event(
-    std::string_view name) const noexcept {
-  // The generic aliases and their raw twins both land on the two
-  // fixed-function MSRs (IRPERF, APERF); with only two slots, the packer
-  // spills later claimants to the programmable bank.
-  return name == "INSTRUCTIONS" || name == "CPU-CYCLES" ||
-         name == "RETIRED_INSTRUCTIONS" || name == "CYCLES_NOT_IN_HALT";
-}
-
 std::vector<std::string_view> AmdZen2Backend::attack_event_names() const {
   return {kAmdAttackEvents.begin(), kAmdAttackEvents.end()};
 }

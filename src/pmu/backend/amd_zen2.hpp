@@ -12,14 +12,6 @@ class AmdZen2Backend final : public PmuBackend {
 
   std::string_view id() const noexcept override { return "amd-zen2"; }
 
-  /// IRPERF (retired instructions) + APERF (unhalted cycles).
-  std::size_t fixed_counter_budget() const noexcept override { return 2; }
-
-  /// Data-fabric counters.
-  std::size_t uncore_counter_budget() const noexcept override { return 4; }
-
-  bool fixed_counter_event(std::string_view name) const noexcept override;
-
   /// The paper's four Section III-B attack events, verbatim — pinned equal
   /// to pmu::kAmdAttackEvents so the seceval/bench defaults cannot drift.
   std::vector<std::string_view> attack_event_names() const override;

@@ -4,16 +4,6 @@
 
 namespace aegis::pmu::backend {
 
-std::string_view to_string(CounterTier tier) noexcept {
-  switch (tier) {
-    case CounterTier::kUniversal: return "universal";
-    case CounterTier::kStandard: return "standard";
-    case CounterTier::kExtended: return "extended";
-    case CounterTier::kUncore: return "uncore";
-  }
-  return "unknown";
-}
-
 PmuBackend::PmuBackend(isa::CpuModel model)
     // The backend is a VIEW over the unchanged generator: same seed, same
     // draw order, same bytes as every pre-backend call site produced.
@@ -23,38 +13,6 @@ PmuBackend::PmuBackend(isa::CpuModel model)
     : db_(EventDatabase::generate(model)) {}
 
 PmuBackend::~PmuBackend() = default;
-
-CounterTier PmuBackend::tier_of(std::uint32_t event_id) const {
-  const EventDescriptor& e = db_.by_id(event_id);
-  // Name-based refinements first: a fixed-counter alias is architectural
-  // wherever it appears, and the synthetic uncore events are identifiable
-  // by the generator's UNCORE_ name stem.
-  if (fixed_counter_event(e.name)) return CounterTier::kUniversal;
-  switch (e.type) {
-    case EventType::kHardware:
-      return CounterTier::kUniversal;
-    case EventType::kSoftware:
-    case EventType::kHwCache:
-    case EventType::kTracepoint:
-    case EventType::kOther:
-      return CounterTier::kStandard;
-    case EventType::kRawCpu:
-      return e.name.find("UNCORE_") != std::string::npos
-                 ? CounterTier::kUncore
-                 : CounterTier::kExtended;
-    case EventType::kCount:
-      break;
-  }
-  return CounterTier::kExtended;
-}
-
-std::array<std::size_t, kNumCounterTiers> PmuBackend::tier_counts() const {
-  std::array<std::size_t, kNumCounterTiers> counts{};
-  for (const EventDescriptor& e : db_.events()) {
-    ++counts[static_cast<std::size_t>(tier_of(e.id))];
-  }
-  return counts;
-}
 
 std::vector<std::uint32_t> PmuBackend::attack_events() const {
   std::vector<std::uint32_t> ids;

@@ -1,24 +1,20 @@
-// Multi-vendor PMU backend layer (see DESIGN.md "PMU backends & adaptive
-// grouping").
+// Multi-vendor PMU backend layer (see DESIGN.md "PMU backends").
 //
 // A PmuBackend bundles everything SKU-specific about one processor model:
 //   * the synthetic EventDatabase (paper Table I/II scale),
-//   * the counter topology — 4 programmable core counters on both paper
-//     testbeds, plus the vendor's fixed-counter bank and uncore bank,
-//   * a CounterTier per event (the faultline-style availability taxonomy:
-//     universal / standard / extended / uncore),
+//   * the counter budget — 4 programmable core counters on both paper
+//     testbeds,
 //   * per-SKU name overrides (the perf generic alias -> vendor raw event),
 //   * the default attack-event set the paper's attacks monitor on this
 //     vendor (Section III-B on AMD; the Intel equivalents on Xeon E5).
 //
 // Everything here is a pure function of the CpuModel: backends hold no
-// mutable state, tier classification consumes no RNG draws, and the
-// wrapped database is exactly EventDatabase::generate(model) — so routing
-// call sites through the backend changes no bytes anywhere (the AMD
-// goldens are pinned by tests/backend_test.cpp).
+// mutable state and the wrapped database is exactly
+// EventDatabase::generate(model) — so routing call sites through the
+// backend changes no bytes anywhere (the AMD goldens are pinned by
+// tests/backend_test.cpp).
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <string_view>
 #include <vector>
@@ -26,24 +22,6 @@
 #include "pmu/event_database.hpp"
 
 namespace aegis::pmu::backend {
-
-/// Availability tier of one event across a vendor's SKU range (model:
-/// SNIPPETS.md Snippet 3, faultline's CounterTier).
-enum class CounterTier : std::uint8_t {
-  kUniversal = 0,  // architectural: perf generic hardware events, present
-                   // (and fixed-counter servable) on every x86-64 SKU
-  kStandard,       // kernel-provided: software events, cache events,
-                   // tracepoints, probes — availability follows the kernel,
-                   // not the SKU
-  kExtended,       // vendor raw PMU events: per-family, programmable
-                   // counters only
-  kUncore,         // off-core (fabric/uncore) events: separate counter
-                   // bank, host-scoped
-};
-
-inline constexpr std::size_t kNumCounterTiers = 4;
-
-std::string_view to_string(CounterTier tier) noexcept;
 
 /// One processor model's PMU personality. Concrete implementations:
 /// AmdZen2Backend (EPYC 7252 / 7313P) and IntelXeonE5Backend (E5-1650 /
@@ -70,27 +48,6 @@ class PmuBackend {
   std::size_t counter_budget() const noexcept {
     return EventDatabase::kNumCounters;
   }
-
-  /// Fixed-function counter slots (Intel: INST_RETIRED / CPU_CLK /
-  /// REF_CLK = 3; AMD Zen2: IRPERF + APERF = 2). Events servable here do
-  /// not consume a programmable slot.
-  virtual std::size_t fixed_counter_budget() const noexcept = 0;
-
-  /// Uncore-bank counters per slice. Uncore events multiplex through this
-  /// bank concurrently with the core bank.
-  virtual std::size_t uncore_counter_budget() const noexcept = 0;
-
-  /// True when `name` can be served by a fixed-function counter on this
-  /// vendor (the generic alias and its raw twin both qualify).
-  virtual bool fixed_counter_event(std::string_view name) const noexcept = 0;
-
-  /// Availability tier of one event. Deterministic classification over
-  /// (type, name) only — never consumes randomness, so adding a backend
-  /// cannot perturb the generated database.
-  CounterTier tier_of(std::uint32_t event_id) const;
-
-  /// Events per tier over the whole database (golden-pinned per vendor).
-  std::array<std::size_t, kNumCounterTiers> tier_counts() const;
 
   /// Default attack-event names for this vendor (paper Section III-B on
   /// AMD; the Xeon E5 equivalents on Intel). Size == counter_budget().

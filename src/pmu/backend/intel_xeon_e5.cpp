@@ -11,14 +11,6 @@ IntelXeonE5Backend::IntelXeonE5Backend(isa::CpuModel model)
   }
 }
 
-bool IntelXeonE5Backend::fixed_counter_event(
-    std::string_view name) const noexcept {
-  // The three architectural fixed counters; INST_RETIRED:ANY is the raw
-  // spelling of the INSTRUCTIONS alias and shares its slot.
-  return name == "INSTRUCTIONS" || name == "CPU-CYCLES" ||
-         name == "REF-CYCLES" || name == "INST_RETIRED:ANY";
-}
-
 std::vector<std::string_view> IntelXeonE5Backend::attack_event_names() const {
   return {
       "MEM_LOAD_UOPS_RETIRED:L1_HIT",

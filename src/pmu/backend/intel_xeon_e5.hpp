@@ -12,15 +12,6 @@ class IntelXeonE5Backend final : public PmuBackend {
 
   std::string_view id() const noexcept override { return "intel-xeon-e5"; }
 
-  /// Architectural fixed counters: INST_RETIRED.ANY, CPU_CLK_UNHALTED,
-  /// CPU_CLK_UNHALTED.REF.
-  std::size_t fixed_counter_budget() const noexcept override { return 3; }
-
-  /// C-box/uncore PMON counters.
-  std::size_t uncore_counter_budget() const noexcept override { return 4; }
-
-  bool fixed_counter_event(std::string_view name) const noexcept override;
-
   /// The Xeon E5 defaults mirroring the paper's AMD picks (uops, loads,
   /// L1 activity, LLC refills), led by the event the paper itself names
   /// for Intel: MEM_LOAD_UOPS_RETIRED:L1_HIT (Section VIII extension).

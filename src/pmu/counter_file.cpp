@@ -1,6 +1,5 @@
 #include "pmu/counter_file.hpp"
 
-#include <atomic>
 #include <cmath>
 #include <stdexcept>
 
@@ -8,59 +7,12 @@
 
 namespace aegis::pmu {
 
-namespace {
-
-std::atomic<AccumulateEngine> g_default_engine{AccumulateEngine::kBatched};
-
-/// What a requested engine runs as after the once-per-program dispatch:
-/// unsupported pins (CPU without the ISA, or AEGIS_FORCE_SCALAR=1) degrade
-/// to scalar rather than crash, and resolved_isa() reports the truth.
-simd::SimdIsa resolve_isa(AccumulateEngine engine) noexcept {
-  switch (engine) {
-    case AccumulateEngine::kBatched:
-      return simd::best_isa();
-    case AccumulateEngine::kAvx2:
-      return simd::supported(simd::SimdIsa::kAvx2) ? simd::SimdIsa::kAvx2
-                                                   : simd::SimdIsa::kScalar;
-    case AccumulateEngine::kAvx512:
-      return simd::supported(simd::SimdIsa::kAvx512) ? simd::SimdIsa::kAvx512
-                                                     : simd::SimdIsa::kScalar;
-    case AccumulateEngine::kScalar:
-    case AccumulateEngine::kReference:
-      break;
-  }
-  return simd::SimdIsa::kScalar;
-}
-
-}  // namespace
-
-void CounterRegisterFile::set_default_engine(AccumulateEngine engine) noexcept {
-  g_default_engine.store(engine, std::memory_order_relaxed);
-}
-
-AccumulateEngine CounterRegisterFile::default_engine() noexcept {
-  return g_default_engine.load(std::memory_order_relaxed);
-}
-
 CounterRegisterFile::CounterRegisterFile(const EventDatabase& db,
                                          std::uint64_t noise_seed)
     : db_(&db),
       rng_(noise_seed),
-      engine_(default_engine()),
       accumulate_calls_(telemetry::Registry::global().metrics().counter(
-          "aegis_pmu_accumulate_total")),
-      engine_isa_gauge_(telemetry::Registry::global().metrics().gauge(
-          "aegis_pmu_engine_isa")) {
-  resolve_dispatch();
-}
-
-void CounterRegisterFile::resolve_dispatch() noexcept {
-  resolved_isa_ = resolve_isa(engine_);
-  group_kernel_ = resolved_isa_ == simd::SimdIsa::kScalar
-                      ? nullptr
-                      : simd::expected_group_kernel(resolved_isa_);
-  engine_isa_gauge_.set(static_cast<double>(resolved_isa_));
-}
+          "aegis_pmu_accumulate_total")) {}
 
 void CounterRegisterFile::program(std::vector<std::uint32_t> event_ids) {
   for (std::uint32_t id : event_ids) {
@@ -79,7 +31,6 @@ void CounterRegisterFile::program(std::vector<std::uint32_t> event_ids) {
   }
   active_group_ = 0;
   total_slices_ = 0;
-  resolve_dispatch();
 }
 
 void CounterRegisterFile::reset() noexcept {
@@ -94,10 +45,6 @@ void CounterRegisterFile::reset() noexcept {
 std::size_t CounterRegisterFile::group_count() const noexcept {
   const std::size_t c = EventDatabase::kNumCounters;
   return slots_.empty() ? 1 : (slots_.size() + c - 1) / c;
-}
-
-bool CounterRegisterFile::slot_active(std::size_t slot_index) const noexcept {
-  return slot_index / EventDatabase::kNumCounters == active_group_;
 }
 
 std::pair<std::size_t, std::size_t> CounterRegisterFile::active_range()
@@ -119,13 +66,12 @@ std::size_t CounterRegisterFile::slot_of(std::uint32_t event_id) const {
 // aegis-lint: noalloc
 void CounterRegisterFile::accumulate(const ExecutionStats& stats) {
   accumulate_calls_.inc();
-  if (engine_ == AccumulateEngine::kReference) {
-    accumulate_reference(stats);
-  } else {
-    accumulate_batched(stats);
-  }
+  accumulate_batched(stats);
 }
 
+// One group-kernel call computes the active group's expected counts; the
+// noise draws then run in per-slot order, so the RNG stream is a pure
+// function of (programming, slot index, slice count).
 // aegis-lint: noalloc
 // aegis-rng: stream(counter-file-accumulate-batched)
 void CounterRegisterFile::accumulate_batched(const ExecutionStats& stats) {
@@ -133,29 +79,13 @@ void CounterRegisterFile::accumulate_batched(const ExecutionStats& stats) {
   if (first >= last) return;
   double features[kStatsFeatureDim];
   flatten_stats(stats, features);
-  if (group_kernel_ != nullptr) {
-    // SIMD fast path: one kernel call computes the active group's 4
-    // expected counts from the blocked-sparse layout (bit-identical to the
-    // dense loop below); the noise draws then run in the identical per-slot
-    // order so the RNG stream is untouched by the engine choice.
-    alignas(32) double lanes[ResponseMatrix::kLanes];
-    const ResponseMatrix::GroupView view = matrix_.group_view(active_group_);
-    group_kernel_(view.lane_coeff, view.col_feat, view.cols, features, lanes);
-    for (std::size_t i = first; i < last; ++i) {
-      const double raw = lanes[i - first];
-      const double expected = raw < 0.0 ? 0.0 : raw;  // expected()'s clamp
-      double noisy = expected;
-      const float noise_rel = matrix_.noise_rel(i);
-      if (noise_rel > 0.0f && expected > 0.0) {
-        noisy += rng_.normal(0.0, noise_rel * expected);
-      }
-      if (noisy < 0.0) noisy = 0.0;
-      slots_[i].count += noisy;
-    }
-    return;
-  }
+  double lanes[ResponseMatrix::kLanes];
+  expected_group(matrix_.group_view(active_group_), features, lanes);
   for (std::size_t i = first; i < last; ++i) {
-    const double expected = matrix_.expected(i, features);
+    const double raw = lanes[i - first];
+    // Responses with negative coefficients (e.g. L1_HIT = reads - misses)
+    // never count below zero on real hardware.
+    const double expected = raw < 0.0 ? 0.0 : raw;
     double noisy = expected;
     const float noise_rel = matrix_.noise_rel(i);
     if (noise_rel > 0.0f && expected > 0.0) {
@@ -166,31 +96,8 @@ void CounterRegisterFile::accumulate_batched(const ExecutionStats& stats) {
   }
 }
 
-// The retained pre-batching implementation: per-slot EventDatabase::by_id
-// with scattered coefficient loads, over every slot. Kept verbatim as the
-// baseline the equivalence suite and bench_hot_path compare against.
-// aegis-lint: noalloc
-// aegis-rng: stream(counter-file-accumulate-reference)
-void CounterRegisterFile::accumulate_reference(const ExecutionStats& stats) {
-  for (std::size_t i = 0; i < slots_.size(); ++i) {
-    if (!slot_active(i)) continue;
-    const EventResponse& r = db_->by_id(slots_[i].event_id).response;
-    const double expected = r.expected_count(stats);
-    double noisy = expected;
-    if (r.noise_rel > 0.0f && expected > 0.0) {
-      noisy += rng_.normal(0.0, r.noise_rel * expected);
-    }
-    if (noisy < 0.0) noisy = 0.0;
-    slots_[i].count += noisy;
-  }
-}
-
 void CounterRegisterFile::end_slice() {
-  if (engine_ == AccumulateEngine::kReference) {
-    end_slice_reference();
-  } else {
-    end_slice_batched();
-  }
+  end_slice_batched();
   ++total_slices_;
   if (multiplexed()) {
     active_group_ = (active_group_ + 1) % group_count();
@@ -218,25 +125,6 @@ void CounterRegisterFile::end_slice_batched() {
     const float noise_abs = matrix_.noise_abs(i);
     if (noise_abs > 0.0f) {
       background += std::abs(rng_.normal(0.0, noise_abs));
-    }
-    slots_[i].count += background;
-    ++slots_[i].active_slices;
-  }
-}
-
-// aegis-lint: noalloc
-// aegis-rng: stream(counter-file-end-slice-reference)
-void CounterRegisterFile::end_slice_reference() {
-  for (std::size_t i = 0; i < slots_.size(); ++i) {
-    if (!slot_active(i)) continue;
-    const EventResponse& r = db_->by_id(slots_[i].event_id).response;
-    double background = 0.0;
-    if (r.host_background > 0.0f) {
-      background += static_cast<double>(
-          rng_.poisson(static_cast<double>(r.host_background)));
-    }
-    if (r.noise_abs > 0.0f) {
-      background += std::abs(rng_.normal(0.0, r.noise_abs));
     }
     slots_[i].count += background;
     ++slots_[i].active_slices;

@@ -7,21 +7,11 @@
 // This class reproduces both behaviours, plus the per-read measurement
 // noise that makes HPC values non-deterministic (C2).
 //
-// The accumulate engines share one observable behaviour (see DESIGN.md
-// "PMU hot path" and "SIMD kernels & superblock fusion"):
-//   * kBatched (default) — structure-of-arrays mat-vec over a coefficient
-//     matrix flattened at program() time (pmu::ResponseMatrix); touches
-//     only the active counter group, O(active) per call. Auto-dispatches to
-//     the widest supported SIMD kernel (AVX-512, then AVX2, then scalar) —
-//     the dispatch decision is made ONCE, at program()/set_engine() time,
-//     never per call.
-//   * kScalar / kAvx2 / kAvx512 — the batched engine pinned to one kernel
-//     (an unsupported pin falls back to scalar; resolved_isa() reports what
-//     actually runs). AEGIS_FORCE_SCALAR=1 clamps everything to scalar.
-//   * kReference — the original per-slot EventDatabase::by_id walk over
-//     every slot, retained as the equivalence/bench ground truth.
-// All engines draw measurement noise in the same per-slot order from the
-// same stream, so counter values are bit-identical across engines.
+// accumulate() evaluates only the active counter group through the sparse
+// 4-lane group kernel over pmu::ResponseMatrix, flattened once at program()
+// time (see DESIGN.md "PMU hot path"). Its counts are bit-identical to the
+// per-slot EventResponse::expected_count walk the kernel replaced; that
+// walk lives on as the oracle in tests/hotpath_test.cpp.
 #pragma once
 
 #include <cstdint>
@@ -31,32 +21,17 @@
 
 #include "pmu/event_database.hpp"
 #include "pmu/response_matrix.hpp"
-#include "pmu/simd_dispatch.hpp"
 #include "telemetry/metrics.hpp"
 #include "util/rng.hpp"
 
 namespace aegis::pmu {
-
-/// Selects the accumulate/end_slice implementation of a
-/// CounterRegisterFile. kReference is the retained pre-batching code path;
-/// production always runs kBatched (auto SIMD dispatch). The pinned
-/// engines exist for the differential suite and the bench.
-enum class AccumulateEngine : unsigned char {
-  kBatched = 0,  // batched layout, widest supported SIMD kernel
-  kReference,    // per-slot scattered walk (ground truth)
-  kScalar,       // batched layout, dense scalar math
-  kAvx2,         // batched layout, AVX2 group kernel
-  kAvx512,       // batched layout, AVX-512 group kernel
-};
 
 class CounterRegisterFile {
  public:
   CounterRegisterFile(const EventDatabase& db, std::uint64_t noise_seed);
 
   /// Programs the set of monitored events and zeroes all counts. More than
-  /// EventDatabase::kNumCounters ids enables multiplexing. Also resolves
-  /// the SIMD kernel dispatch for the current engine (never re-examined on
-  /// the per-call paths).
+  /// EventDatabase::kNumCounters ids enables multiplexing.
   void program(std::vector<std::uint32_t> event_ids);
 
   /// Zeroes counts and multiplexing bookkeeping, keeping the programming.
@@ -95,26 +70,6 @@ class CounterRegisterFile {
   }
   const std::vector<std::uint32_t>& programmed() const noexcept { return ids_; }
 
-  /// Engine used by this instance (captured from the process-wide default
-  /// at construction; tests can override per instance). Setting an engine
-  /// re-resolves the kernel dispatch immediately.
-  AccumulateEngine engine() const noexcept { return engine_; }
-  void set_engine(AccumulateEngine engine) noexcept {
-    engine_ = engine;
-    resolve_dispatch();
-  }
-
-  /// The ISA the batched engine actually runs after dispatch: requested pins
-  /// degrade to kScalar when the CPU (or AEGIS_FORCE_SCALAR) rules them
-  /// out. Always kScalar for kReference.
-  simd::SimdIsa resolved_isa() const noexcept { return resolved_isa_; }
-
-  /// Process-wide default engine for newly constructed register files. The
-  /// equivalence suite and bench flip this to run whole campaigns — which
-  /// construct their register files internally — through either engine.
-  static void set_default_engine(AccumulateEngine engine) noexcept;
-  static AccumulateEngine default_engine() noexcept;
-
  private:
   struct Slot {
     std::uint32_t event_id = 0;
@@ -123,21 +78,14 @@ class CounterRegisterFile {
   };
 
   std::size_t group_count() const noexcept;
-  bool slot_active(std::size_t slot_index) const noexcept;
   /// [first, last) slot range of the currently-active counter group (groups
   /// are contiguous by construction).
   std::pair<std::size_t, std::size_t> active_range() const noexcept;
   std::size_t slot_of(std::uint32_t event_id) const;
   double read_slot(std::size_t slot_index) const noexcept;
 
-  /// Resolves engine_ into a stored kernel pointer + ISA (cpuid runs here,
-  /// on the cold path, never inside accumulate — dispatch-once rule).
-  void resolve_dispatch() noexcept;
-
   void accumulate_batched(const ExecutionStats& stats);
-  void accumulate_reference(const ExecutionStats& stats);
   void end_slice_batched();
-  void end_slice_reference();
 
   const EventDatabase* db_;
   util::Rng rng_;
@@ -149,17 +97,9 @@ class CounterRegisterFile {
   ResponseMatrix matrix_;
   std::size_t active_group_ = 0;
   std::uint64_t total_slices_ = 0;
-  AccumulateEngine engine_;
-  /// Dispatch state, resolved once per program()/set_engine(); null kernel
-  /// means the dense scalar path.
-  simd::ExpectedGroupFn group_kernel_ = nullptr;
-  simd::SimdIsa resolved_isa_ = simd::SimdIsa::kScalar;
   /// Resolved once at construction (telemetry-handle rule): recording in the
   /// noalloc accumulate path is a lock-free shard increment.
   telemetry::Counter accumulate_calls_;
-  /// Last-resolved ISA, exported so aegis_top/CI logs show which kernel
-  /// actually runs (0 scalar, 1 avx2, 2 avx512).
-  telemetry::Gauge engine_isa_gauge_;
 };
 
 }  // namespace aegis::pmu

@@ -24,36 +24,37 @@ void flatten_stats(const ExecutionStats& s, double* out) noexcept {
 void ResponseMatrix::program(const EventDatabase& db,
                              std::span<const std::uint32_t> ids) {
   constexpr std::size_t kClasses = isa::kNumInstructionClasses;
-  coeff_.clear();
+  // Dense row-major staging rows, only needed to build the group blocks.
+  std::vector<double> dense;
+  dense.reserve(ids.size() * kStatsFeatureDim);
   noise_.clear();
-  coeff_.reserve(ids.size() * kStatsFeatureDim);
   noise_.reserve(ids.size());
   for (std::uint32_t id : ids) {
     const EventResponse& r = db.by_id(id).response;  // validates like program()
     for (std::size_t i = 0; i < kClasses; ++i) {
-      coeff_.push_back(static_cast<double>(r.class_weight.at_index(i)));
+      dense.push_back(static_cast<double>(r.class_weight.at_index(i)));
     }
     // Scalar coefficients in expected_count's term order (see flatten_stats).
-    coeff_.push_back(static_cast<double>(r.per_uop));
-    coeff_.push_back(static_cast<double>(r.per_l1_miss));
-    coeff_.push_back(static_cast<double>(r.per_llc_miss));
-    coeff_.push_back(static_cast<double>(r.per_l1_write));
-    coeff_.push_back(static_cast<double>(r.per_branch_miss));
-    coeff_.push_back(static_cast<double>(r.per_mem_read));
-    coeff_.push_back(static_cast<double>(r.per_mem_write));
-    coeff_.push_back(static_cast<double>(r.per_cycle));
-    coeff_.push_back(static_cast<double>(r.per_interrupt));
+    dense.push_back(static_cast<double>(r.per_uop));
+    dense.push_back(static_cast<double>(r.per_l1_miss));
+    dense.push_back(static_cast<double>(r.per_llc_miss));
+    dense.push_back(static_cast<double>(r.per_l1_write));
+    dense.push_back(static_cast<double>(r.per_branch_miss));
+    dense.push_back(static_cast<double>(r.per_mem_read));
+    dense.push_back(static_cast<double>(r.per_mem_write));
+    dense.push_back(static_cast<double>(r.per_cycle));
+    dense.push_back(static_cast<double>(r.per_interrupt));
     noise_.push_back(RowNoise{r.noise_rel, r.noise_abs, r.host_background});
   }
-  build_group_blocks();
+  build_group_blocks(dense);
 }
 
 // Builds the 4-lane group blocks from the dense rows: per group, the
 // ascending union of feature columns any lane responds to, packed as 4
 // lane coefficients per column into 64-byte-aligned storage. Rows past the
 // end pad their lanes with zeros. Exact-zero columns are pruned — a
-// bit-exact no-op under IEEE-754 for finite features (simd_dispatch.hpp).
-void ResponseMatrix::build_group_blocks() {
+// bit-exact no-op under IEEE-754 for finite features (response_matrix.hpp).
+void ResponseMatrix::build_group_blocks(const std::vector<double>& dense) {
   const std::size_t nrows = noise_.size();
   const std::size_t ngroups = (nrows + kLanes - 1) / kLanes;
   col_feat_.clear();
@@ -65,7 +66,7 @@ void ResponseMatrix::build_group_blocks() {
     for (std::uint32_t f = 0; f < kStatsFeatureDim; ++f) {
       bool any = false;
       for (std::size_t l = 0; l < lanes && !any; ++l) {
-        any = coeff_[(row0 + l) * kStatsFeatureDim + f] != 0.0;
+        any = dense[(row0 + l) * kStatsFeatureDim + f] != 0.0;
       }
       if (any) col_feat_.push_back(f);
     }
@@ -90,14 +91,13 @@ void ResponseMatrix::build_group_blocks() {
       const std::uint32_t f = col_feat_[c];
       for (std::size_t l = 0; l < lanes; ++l) {
         base[std::size_t{c} * kLanes + l] =
-            coeff_[(row0 + l) * kStatsFeatureDim + f];
+            dense[(row0 + l) * kStatsFeatureDim + f];
       }
     }
   }
 }
 
 void ResponseMatrix::clear() noexcept {
-  coeff_.clear();
   noise_.clear();
   lane_store_.clear();
   lane_coeff_ = nullptr;

@@ -8,30 +8,28 @@
 // EventDescriptor whose float coefficients interleave with its name and
 // type — costs a dependent load chain plus ~34 float->double conversions
 // per slot. ResponseMatrix flattens the programmed responses ONCE, at
-// program() time, into a dense row-major double matrix so that accumulate
-// becomes a small mat-vec against one flattened feature vector.
+// program() time, so that accumulate becomes a small sparse mat-vec against
+// one flattened feature vector.
 //
-// On top of the dense rows, program() builds a group-blocked column-sparse
-// layout for the SIMD engines (see DESIGN.md "SIMD kernels & superblock
-// fusion"): rows are blocked into groups of kLanes = 4 — exactly the
-// hardware counter groups accumulate touches — padded with zero rows to the
-// lane width and 64-byte aligned. Per group only the ascending union of
-// feature columns with a nonzero coefficient in ANY lane is kept, each
-// stored as 4 packed lane coefficients. Pruning exact-zero columns and
-// padding with zero lanes are both bit-exact no-ops (see
-// simd_dispatch.hpp), so kernels vectorize ACROSS rows while each lane
-// retains the scalar per-row term order. Event responses are archetype-
-// sparse (most rows have 1-3 nonzero coefficients), so the per-group union
-// is typically ~4-8 of the 34 columns — the short-row fast path the 4-event
-// attack configuration runs entirely inside one group.
+// The layout is group-blocked and column-sparse (see DESIGN.md "PMU hot
+// path"): rows are blocked into groups of kLanes = 4 — exactly the hardware
+// counter groups accumulate touches — padded with zero rows to the lane
+// width. Per group only the ascending union of feature columns with a
+// nonzero coefficient in ANY lane is kept, each stored as 4 packed lane
+// coefficients. Event responses are archetype-sparse (most rows have 1-3
+// nonzero coefficients), so the per-group union is typically ~4-8 of the 34
+// columns — the short-row fast path the 4-event attack configuration runs
+// entirely inside one group.
 //
-// Contract: expected(row, features) performs bit-identical arithmetic to
-// EventResponse::expected_count on the same ExecutionStats record — the
-// same terms, in the same order, at the same (double) precision — so the
-// batched engine is a drop-in replacement for the retained reference
-// implementation, and every SIMD kernel is bit-identical to expected().
-// tests/hotpath_test.cpp proves the equivalence end to end (fuzzing shard +
-// profiler ranking, bit-identical counters, per-group kernel sweeps).
+// Contract: expected_group() performs, per lane, bit-identical arithmetic
+// to EventResponse::expected_count on the same ExecutionStats record — the
+// same nonzero terms, in the same order, at the same (double) precision.
+// Pruning exact-zero columns and padding with zero lanes are both bit-exact
+// no-ops: with finite features the accumulator starts at +0.0, and a sum
+// can only become -0.0 from (-0)+(-0), so adding a zero product never
+// changes its bits. tests/hotpath_test.cpp proves the equivalence for every
+// group of the full database and end to end against a per-slot reference
+// register file.
 #pragma once
 
 #include <cstdint>
@@ -57,22 +55,22 @@ void flatten_stats(const ExecutionStats& s, double* out) noexcept;
 
 class ResponseMatrix {
  public:
-  /// Rows per group block == hardware counters per multiplex group == SIMD
-  /// lanes per kernel call.
+  /// Rows per group block == hardware counters per multiplex group == lanes
+  /// per expected_group call.
   static constexpr std::size_t kLanes = EventDatabase::kNumCounters;
 
   /// One group of the blocked column-sparse layout: `cols` sparse columns,
   /// each 4 packed lane coefficients at coeff[4*c .. 4*c+3] responding to
   /// feature col_feat[c]. Column order is ascending feature index.
   struct GroupView {
-    const double* lane_coeff = nullptr;  // 32-byte aligned, 4 doubles/column
+    const double* lane_coeff = nullptr;  // 64-byte aligned, 4 doubles/column
     const std::uint32_t* col_feat = nullptr;
     std::size_t cols = 0;
   };
 
   /// Flattens the EventResponse of each id into one dense coefficient row
-  /// (and caches the per-row noise terms used by end_slice), then builds
-  /// the aligned group-blocked sparse layout. Validates ids against the
+  /// (and caches the per-row noise terms used by end_slice), then packs the
+  /// rows into the aligned group-blocked sparse layout. Validates ids against the
   /// database exactly like the reference path (throws std::out_of_range on
   /// unknown ids).
   void program(const EventDatabase& db, std::span<const std::uint32_t> ids);
@@ -89,18 +87,6 @@ class ResponseMatrix {
     const std::uint32_t begin = group_off_[group];
     return GroupView{lane_coeff_ + std::size_t{begin} * kLanes,
                      col_feat_.data() + begin, group_off_[group + 1] - begin};
-  }
-
-  /// Expected (noise-free) count of row `row` for a feature vector produced
-  /// by flatten_stats. Bit-identical to EventResponse::expected_count.
-  // aegis-lint: noalloc
-  double expected(std::size_t row, const double* features) const noexcept {
-    const double* c = coeff_.data() + row * kStatsFeatureDim;
-    double count = 0.0;
-    for (std::size_t i = 0; i < kStatsFeatureDim; ++i) {
-      count += c[i] * features[i];
-    }
-    return count < 0.0 ? 0.0 : count;
   }
 
   float noise_rel(std::size_t row) const noexcept { return noise_[row].rel; }
@@ -123,13 +109,13 @@ class ResponseMatrix {
     float background = 0.0f;
   };
 
-  void build_group_blocks();
+  /// `dense` holds rows() x kStatsFeatureDim coefficients, row-major.
+  void build_group_blocks(const std::vector<double>& dense);
 
-  std::vector<double> coeff_;   // rows() x kStatsFeatureDim, row-major
   std::vector<RowNoise> noise_;
 
-  // Group-blocked column-sparse layout (built by program, consumed by the
-  // SIMD kernels through group_view). lane_coeff_ points at the first
+  // Group-blocked column-sparse layout (built by program, consumed by
+  // expected_group through group_view). lane_coeff_ points at the first
   // 64-byte-aligned double inside lane_store_.
   std::vector<double> lane_store_;
   const double* lane_coeff_ = nullptr;
@@ -137,5 +123,26 @@ class ResponseMatrix {
   std::vector<std::uint32_t> group_off_;  // groups()+1 column offsets
   std::vector<std::uint8_t> slice_noise_;  // per group: any abs/bg noise
 };
+
+/// Evaluates one 4-lane group of the blocked column-sparse layout:
+///   out_lanes[l] = sum over c of lane_coeff[4*c + l] * features[col_feat[c]]
+/// accumulated in ascending column order per lane (no reassociation). The
+/// caller applies expected_count's negative clamp. Features must be finite.
+inline void expected_group(const ResponseMatrix::GroupView& view,
+                           const double* features, double* out_lanes) noexcept {
+  double acc0 = 0.0, acc1 = 0.0, acc2 = 0.0, acc3 = 0.0;
+  for (std::size_t c = 0; c < view.cols; ++c) {
+    const double f = features[view.col_feat[c]];
+    const double* lane = view.lane_coeff + ResponseMatrix::kLanes * c;
+    acc0 += lane[0] * f;
+    acc1 += lane[1] * f;
+    acc2 += lane[2] * f;
+    acc3 += lane[3] * f;
+  }
+  out_lanes[0] = acc0;
+  out_lanes[1] = acc1;
+  out_lanes[2] = acc2;
+  out_lanes[3] = acc3;
+}
 
 }  // namespace aegis::pmu

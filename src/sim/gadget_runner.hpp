@@ -20,8 +20,8 @@
 // through slot indices resolved at program() time. Compiled blocks live in
 // a stable-address util::Arena so an unroll change rebuilds them in place
 // without growing memory. before/delta live in fixed member scratch sized
-// to the 4-register hardware limit (see DESIGN.md "SIMD kernels &
-// superblock fusion"; pinned by the instrumented-allocator test in
+// to the 4-register hardware limit (see DESIGN.md "Superblock
+// fusion in GadgetRunner"; pinned by the instrumented-allocator test in
 // tests/hotpath_test.cpp).
 #pragma once
 

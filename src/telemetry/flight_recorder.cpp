@@ -26,6 +26,9 @@ constexpr char kMagic[8] = {'A', 'E', 'G', 'I', 'S', 'F', 'R', '1'};
 constexpr std::uint32_t kDumpVersion = 1;
 constexpr std::uint32_t kRecordSize = 56;
 constexpr std::uint64_t kCountUntilEof = ~0ULL;
+/// Largest name table read_dump accepts; the writer's own table is
+/// FlightRecorder::kNameTableBytes (16 KiB).
+constexpr std::uint32_t kMaxNameTableBytes = 1u << 20;
 
 /// Process-wide thread ordinal for ring selection. Deliberately separate
 /// from metrics detail::thread_shard() so this TU stays standalone (the
@@ -476,6 +479,12 @@ std::optional<DumpDocument> read_dump(std::istream& is) {
   doc.dropped = get_u64(header + 24);
   const std::uint32_t table_len = get_u32(header + 32);
   const std::uint32_t table_count = get_u32(header + 36);
+  // Bound the header's claim before allocating for it: each entry is a u16
+  // length plus at most 65535 bytes.
+  if (table_len > std::uint64_t{table_count} * (2 + 0xFFFF) ||
+      table_len > kMaxNameTableBytes) {
+    return std::nullopt;
+  }
   std::vector<unsigned char> table(table_len);
   if (table_len > 0) {
     is.read(reinterpret_cast<char*>(table.data()), table_len);

@@ -1,11 +1,10 @@
 // PMU backend layer tests. Two jobs: (1) pin the bit-identity contract —
 // the AMD backend is a pure view over the same EventDatabase the seed
 // generated, so the golden AMD results cannot move; (2) pin the per-vendor
-// SKU metadata (tier census, attack defaults, fixed-counter sets, Table I
-// cross-SKU differentials) so a backend edit is a deliberate re-baseline.
+// SKU metadata (attack defaults, SKU overrides, Table I cross-SKU
+// differentials) so a backend edit is a deliberate re-baseline.
 #include <gtest/gtest.h>
 
-#include <array>
 #include <cstdint>
 #include <cstdlib>
 #include <optional>
@@ -84,51 +83,11 @@ TEST(Backend, WrongVendorConstructionThrows) {
 }
 
 // ---------------------------------------------------------------------------
-// Counter topology and tier census
+// Counter topology
 
 TEST(Backend, CounterBudgets) {
   for (CpuModel m : kAllModels) {
     EXPECT_EQ(backend_for(m).counter_budget(), 4u);
-    EXPECT_EQ(backend_for(m).uncore_counter_budget(), 4u);
-  }
-  EXPECT_EQ(backend_for(CpuModel::kAmdEpyc7252).fixed_counter_budget(), 2u);
-  EXPECT_EQ(backend_for(CpuModel::kIntelXeonE5_1650).fixed_counter_budget(),
-            3u);
-}
-
-TEST(Backend, TierCensusGoldens) {
-  using Census = std::array<std::size_t, kNumCounterTiers>;
-  const Census amd{26, 1780, 23, 74};
-  EXPECT_EQ(backend_for(CpuModel::kAmdEpyc7252).tier_counts(), amd);
-  EXPECT_EQ(backend_for(CpuModel::kAmdEpyc7313P).tier_counts(), amd);
-  EXPECT_EQ(backend_for(CpuModel::kIntelXeonE5_1650).tier_counts(),
-            (Census{25, 5664, 474, 3}));
-  EXPECT_EQ(backend_for(CpuModel::kIntelXeonE5_4617).tier_counts(),
-            (Census{25, 5670, 474, 3}));
-}
-
-TEST(Backend, TierCensusCoversTheWholeDatabase) {
-  for (CpuModel m : kAllModels) {
-    const PmuBackend& b = backend_for(m);
-    std::size_t sum = 0;
-    for (std::size_t n : b.tier_counts()) sum += n;
-    EXPECT_EQ(sum, b.database().size());
-  }
-}
-
-TEST(Backend, FixedCounterEventsResolveAndAreUniversal) {
-  for (CpuModel m : kAllModels) {
-    const PmuBackend& b = backend_for(m);
-    std::size_t fixed_servable = 0;
-    for (const EventDescriptor& e : b.database().events()) {
-      if (!b.fixed_counter_event(e.name)) continue;
-      ++fixed_servable;
-      EXPECT_EQ(b.tier_of(e.id), CounterTier::kUniversal)
-          << e.name << " on " << b.id();
-    }
-    // Aliases and their raw twins both qualify, so at least one name per
-    // fixed slot resolves in the database.
-    EXPECT_GE(fixed_servable, b.fixed_counter_budget()) << b.id();
   }
 }
 

@@ -283,6 +283,21 @@ TEST(FlightRecorderDump, BadMagicIsRejected) {
   EXPECT_FALSE(read_dump(is).has_value());
 }
 
+TEST(FlightRecorderDump, OversizedNameTableClaimIsRejectedBeforeAllocating) {
+  // A bare 40-byte header claiming a 4 GiB name table: the reader must
+  // refuse it from the header alone, not allocate the claim first.
+  std::string header = "AEGISFR1";
+  put_u32(header, 1);           // format version
+  put_u32(header, 56);          // record size
+  put_u64(header, 0);           // event count
+  put_u64(header, 0);           // dropped
+  put_u32(header, 0xFFFFFFFF);  // name table length
+  put_u32(header, 0);           // name table entries
+  ASSERT_EQ(header.size(), 40u);
+  std::istringstream is(header);
+  EXPECT_FALSE(read_dump(is).has_value());
+}
+
 TEST(FlightRecorderDump, SignalSafeDumpUsesUntilEofCountAndParses) {
   auto rec = golden_recorder();
   const std::string path = testing::TempDir() + "aegis_fr_fd_dump.frd";

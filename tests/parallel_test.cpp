@@ -322,41 +322,9 @@ TEST(ThreadPool, ResolveMapsZeroToHardwareConcurrency) {
   EXPECT_EQ(pool.size(), util::ThreadPool::resolve(0));
 }
 
-// ---------------------------------------------------------------------------
-// Speedup: only meaningful with real cores. On a single-core host the
-// engine still must be correct (proven above); the wall-clock claim is
-// checked where hardware allows it, and by bench_table3_fuzzing
-// (AEGIS_THREAD_SWEEP=1) elsewhere.
-
-TEST(ParallelSpeedup, GenerationScalesWithFourCores) {
-  if (std::thread::hardware_concurrency() < 4) {
-    GTEST_SKIP() << "needs >= 4 hardware threads, have "
-                 << std::thread::hardware_concurrency();
-  }
-  Fixture f;
-  FuzzerConfig config = f.small_config(1);
-  config.reset_sample = 32;
-  config.trigger_sample = 32;
-  const std::vector<std::uint32_t> events = f.events();
-
-  auto wall = [&](std::size_t threads) {
-    config.num_threads = threads;
-    EventFuzzer fuzzer(f.db, f.spec, config);
-    const auto t0 = std::chrono::steady_clock::now();
-    const FuzzResult r = fuzzer.run(events);
-    const double seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-            .count();
-    EXPECT_GT(r.executed_gadgets, 0u);
-    return seconds;
-  };
-  const double serial = wall(1);
-  const double parallel = wall(4);
-  // The acceptance bar is 2x at 4 threads; assert 1.7x to keep headroom
-  // against scheduler noise on shared CI machines.
-  EXPECT_LT(parallel, serial / 1.7)
-      << "serial " << serial << "s vs 4-thread " << parallel << "s";
-}
+// Speed-ups are bench numbers (bench_table3_fuzzing with
+// AEGIS_THREAD_SWEEP=1), not test verdicts: ctest makes no wall-clock
+// assertions.
 
 }  // namespace
 }  // namespace aegis

@@ -213,6 +213,83 @@ TEST(Serialize, RejectsFutureFormatVersionsWithAClearError) {
                std::runtime_error);
 }
 
+// A minimal hand-written v2 stream with one row of every kind; each
+// malformed-row test below garbles exactly one row of it.
+std::string minimal_stream(const std::string& ranking_row,
+                           const std::string& gadget_header,
+                           const std::string& gadget_row,
+                           const std::string& cover_gadget,
+                           const std::string& cover_effect) {
+  return "aegis-offline-result v2\ncpu AMD EPYC 7252\nbackend amd-zen2\n"
+         "[warmup]\n0\n[ranking]\n1\n" + ranking_row +
+         "\n[gadgets]\n1\n" + gadget_header + "\n" + gadget_row +
+         "\n[cover]\n1\n" + cover_gadget + "\n1\n" + cover_effect +
+         "\n0\n";
+}
+
+const char* const kRankingRow = "0.5\tRETIRED_UOPS";
+const char* const kGadgetHeader = "RETIRED_UOPS\t1\t3\t4\t2.5";
+const char* const kGadgetRow = "3\t4\t2.5";
+const char* const kCoverGadget = "3\t4";
+const char* const kCoverEffect = "2.5\tRETIRED_UOPS";
+
+OfflineResult load_text(const std::string& text) {
+  std::istringstream is(text);
+  return load_offline_result(
+      is, pmu::backend::backend_for(isa::CpuModel::kAmdEpyc7252).database());
+}
+
+TEST(SerializeMalformed, MinimalStreamLoads) {
+  const OfflineResult r = load_text(minimal_stream(
+      kRankingRow, kGadgetHeader, kGadgetRow, kCoverGadget, kCoverEffect));
+  ASSERT_EQ(r.ranking.size(), 1u);
+  EXPECT_EQ(r.ranking[0].mutual_information, 0.5);
+  ASSERT_EQ(r.fuzz.reports.size(), 1u);
+  ASSERT_EQ(r.fuzz.reports[0].confirmed.size(), 1u);
+  EXPECT_EQ(r.fuzz.reports[0].confirmed[0].gadget, (fuzzer::Gadget{3, 4}));
+  EXPECT_EQ(r.fuzz.reports[0].confirmed[0].median_delta, 2.5);
+  EXPECT_EQ(r.cover.gadgets, (std::vector<fuzzer::Gadget>{{3, 4}}));
+  ASSERT_EQ(r.cover.segment_effect.size(), 1u);
+  EXPECT_EQ(r.cover.segment_effect[0].second, 2.5);
+}
+
+TEST(SerializeMalformed, RankingRowWithoutTabSeparatorThrows) {
+  EXPECT_THROW((void)load_text(minimal_stream("0.5 RETIRED_UOPS", kGadgetHeader,
+                                              kGadgetRow, kCoverGadget,
+                                              kCoverEffect)),
+               std::runtime_error);
+}
+
+TEST(SerializeMalformed, GadgetHeaderWithTrailingJunkThrows) {
+  EXPECT_THROW(
+      (void)load_text(minimal_stream(kRankingRow, "RETIRED_UOPS\t1\t3x\t4\t2.5",
+                                     kGadgetRow, kCoverGadget, kCoverEffect)),
+      std::runtime_error);
+}
+
+TEST(SerializeMalformed, GarbledGadgetRowThrows) {
+  // Used to load as trigger uid 0.
+  EXPECT_THROW((void)load_text(minimal_stream(kRankingRow, kGadgetHeader,
+                                              "3\tfoo\t2.5", kCoverGadget,
+                                              kCoverEffect)),
+               std::runtime_error);
+}
+
+TEST(SerializeMalformed, GarbledCoverGadgetRowThrows) {
+  // Used to load as trigger uid 2^32 - 4.
+  EXPECT_THROW((void)load_text(minimal_stream(kRankingRow, kGadgetHeader,
+                                              kGadgetRow, "3\t-4",
+                                              kCoverEffect)),
+               std::runtime_error);
+}
+
+TEST(SerializeMalformed, CoverEffectRowWithExtraFieldThrows) {
+  EXPECT_THROW((void)load_text(minimal_stream(kRankingRow, kGadgetHeader,
+                                              kGadgetRow, kCoverGadget,
+                                              "2.5\t\tRETIRED_UOPS")),
+               std::runtime_error);
+}
+
 TEST(Serialize, FileRoundTrip) {
   auto& f = fixture();
   const std::string path = "/tmp/aegis_serialize_test.txt";

@@ -294,8 +294,8 @@ TEST(HostMonitor, AgentBlocksAreIndistinguishableInflation) {
 // ---------------------------------------------------------------------------
 // compile_block + execute_compiled must be bit-identical to execute_block:
 // GadgetRunner's fused superblocks rely on this to keep the whole fuzzing
-// pipeline's counter streams unchanged (see DESIGN.md "SIMD kernels &
-// superblock fusion").
+// pipeline's counter streams unchanged (see DESIGN.md "Superblock
+// fusion in GadgetRunner").
 
 void expect_stats_equal(const pmu::ExecutionStats& a,
                         const pmu::ExecutionStats& b, int step) {

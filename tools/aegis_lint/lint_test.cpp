@@ -577,69 +577,6 @@ TEST(TelemetryHandle, SuppressedWithReason) {
 }
 
 // ---------------------------------------------------------------------------
-// dispatch-once
-
-TEST(DispatchOnce, FeatureQueryInNoallocRegionFailsTheGate) {
-  const auto fs = run(
-      "// aegis-lint: noalloc\n"
-      "void CounterRegisterFile::accumulate(const ExecutionStats& stats) {\n"
-      "  if (__builtin_cpu_supports(\"avx2\")) {\n"
-      "    accumulate_avx2(stats);\n"
-      "  }\n"
-      "}\n");
-  EXPECT_TRUE(has_rule(fs, "dispatch-once")) << messages(fs);
-}
-
-TEST(DispatchOnce, KernelResolutionInNoallocRegionIsFlagged) {
-  const auto fs = run(
-      "// aegis-lint: noalloc-begin\n"
-      "auto kernel = simd::expected_group_kernel(simd::best_isa());\n"
-      "if (simd::supported(simd::SimdIsa::kAvx512)) { wide(); }\n"
-      "// aegis-lint: noalloc-end\n");
-  std::size_t count = 0;
-  for (const Finding& f : fs) {
-    if (f.rule == "dispatch-once") ++count;
-  }
-  // expected_group_kernel, best_isa, and simd::supported each re-run the
-  // dispatch decision.
-  EXPECT_EQ(count, 3u) << messages(fs);
-}
-
-TEST(DispatchOnce, CallingThroughTheStoredKernelPointerIsFine) {
-  // The required idiom: resolve_dispatch() ran at program() time (outside
-  // any noalloc region) and stored group_kernel_; the hot path only calls
-  // through the pointer.
-  const auto fs = run(
-      "void CounterRegisterFile::program(std::vector<std::uint32_t> ids) {\n"
-      "  resolve_dispatch();\n"
-      "}\n"
-      "// aegis-lint: noalloc\n"
-      "void CounterRegisterFile::accumulate(const ExecutionStats& stats) {\n"
-      "  group_kernel_(view.lane_coeff, view.col_feat, view.cols, f, lanes);\n"
-      "}\n");
-  EXPECT_TRUE(fs.empty()) << messages(fs);
-}
-
-TEST(DispatchOnce, UnqualifiedSupportedIsNotFlagged) {
-  // Plain `supported(...)` is too generic to claim; only the simd::
-  // qualified form re-runs feature detection.
-  const auto fs = run(
-      "// aegis-lint: noalloc\n"
-      "bool Policy::admit(const Request& r) { return supported(r.kind); }\n");
-  EXPECT_TRUE(fs.empty()) << messages(fs);
-}
-
-TEST(DispatchOnce, SuppressedWithReason) {
-  const auto fs = run(
-      "// aegis-lint: noalloc\n"
-      "void diagnose() {\n"
-      "  // aegis-lint: dispatch-ok(one-shot error report, not a hot loop)\n"
-      "  log_isa(simd::best_isa());\n"
-      "}\n");
-  EXPECT_TRUE(fs.empty()) << messages(fs);
-}
-
-// ---------------------------------------------------------------------------
 // backend-registry
 
 TEST(BackendRegistry, FlagsDirectGenerateCall) {

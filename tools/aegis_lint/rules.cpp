@@ -396,55 +396,6 @@ void rule_telemetry_handle(const LexOutput& file,
 }
 
 // ---------------------------------------------------------------------------
-// dispatch-once
-
-/// CPU-feature queries and kernel-dispatch resolvers that must never run on
-/// a hot path. The distinctive names are flagged anywhere in a noalloc
-/// region; the generic `supported(...)` only when qualified `simd::`.
-const std::set<std::string, std::less<>> kDispatchQueries = {
-    "__builtin_cpu_supports", "__builtin_cpu_init", "__get_cpuid",
-    "__get_cpuid_count",      "__cpuid",            "__cpuidex",
-    "detect_cpu_features",    "force_scalar_env",   "best_isa",
-    "expected_group_kernel",  "resolve_dispatch"};
-
-/// Inside a noalloc region, querying CPU features or resolving a SIMD
-/// kernel (`__builtin_cpu_supports`, `simd::detect_cpu_features()`,
-/// `simd::best_isa()`, ...) re-runs the dispatch decision per call. The
-/// decision is made ONCE, at program()/set_engine() time, and stored as a
-/// function pointer; hot paths call through the pointer (see DESIGN.md
-/// "SIMD kernels & superblock fusion").
-void rule_dispatch_once(const LexOutput& file,
-                        const std::vector<TokenRegion>& regions,
-                        std::vector<Finding>& out) {
-  const Tokens& t = file.tokens;
-  for (const TokenRegion& r : regions) {
-    for (std::size_t i = r.begin; i < r.end; ++i) {
-      if (t[i].kind != TokenKind::kIdent) continue;
-      if (i + 1 >= t.size() || !is_punct(t[i + 1], '(')) continue;
-      const std::string& w = t[i].text;
-      // Puncts are single chars, so `simd::supported` lexes as
-      // ident(simd) ':' ':' ident(supported).
-      const bool simd_qualified = i >= 3 && is_punct(t[i - 1], ':') &&
-                                  is_punct(t[i - 2], ':') &&
-                                  t[i - 3].kind == TokenKind::kIdent &&
-                                  t[i - 3].text == "simd";
-      if (kDispatchQueries.count(w) == 0 &&
-          !(w == "supported" && simd_qualified)) {
-        continue;
-      }
-      out.push_back(Finding{
-          "dispatch-once", t[i].line,
-          "'" + w +
-              "()' queries CPU features / resolves a kernel inside a "
-              "noalloc region; make the dispatch decision once at "
-              "program()/set_engine() time and call through the stored "
-              "kernel pointer",
-          "dispatch-ok"});
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
 // lock-order / blocking-in-lock
 
 }  // namespace
@@ -659,8 +610,8 @@ void rule_backend_registry(const Tokens& t, std::vector<Finding>& out) {
         Finding{"backend-registry", t[i].line,
                 "direct EventDatabase::generate() bypasses the PMU backend "
                 "layer; resolve the database through "
-                "pmu::backend::backend_for(model) so tier metadata, counter "
-                "budgets and attack defaults stay attached",
+                "pmu::backend::backend_for(model) so SKU metadata and "
+                "attack defaults stay attached",
                 "event-db-ok"});
   }
 }
@@ -687,10 +638,6 @@ std::vector<RuleInfo> rule_catalog() {
        "no by-name metric or flight-recorder lookup (counter/gauge/"
        "histogram/event_handle/record_named(\"...\")) inside noalloc "
        "regions; resolve handles once and record through them"},
-      {"dispatch-once", "dispatch-ok",
-       "no CPU-feature query or SIMD kernel resolution "
-       "(__builtin_cpu_supports/cpuid/detect_cpu_features/best_isa/...) "
-       "inside noalloc regions; dispatch once at program() time"},
       {"lock-order", "lock-ok",
        "mutexes with '// aegis-lint: lock-level(N)' must nest in strictly "
        "increasing level order"},
@@ -735,7 +682,6 @@ std::vector<Finding> run_rules(const LexOutput& file, const LexOutput* companion
   const std::vector<TokenRegion> regions = noalloc_regions(file, out);
   rule_noalloc(file, regions, out);
   rule_telemetry_handle(file, regions, out);
-  rule_dispatch_once(file, regions, out);
   rule_locks(file, companion, out);
 
   std::stable_sort(out.begin(), out.end(),

@@ -29,14 +29,6 @@
 //                      handles once at construction and record through
 //                      them (EventHandle::record is the sanctioned wait-
 //                      free path).           suppress: telemetry-ok(...)
-//   dispatch-once      inside the same noalloc regions: no CPU-feature query
-//                      or SIMD kernel resolution (__builtin_cpu_supports,
-//                      __get_cpuid*, detect_cpu_features, best_isa,
-//                      expected_group_kernel, simd::supported, ...). The
-//                      engine dispatch decision is made once, at
-//                      program()/set_engine() time, and stored as a function
-//                      pointer the hot path calls through.
-//                                               suppress: dispatch-ok(...)
 //   lock-order         mutexes declared `// aegis-lint: lock-level(N[,
 //                      noblock])` must be acquired in strictly increasing
 //                      level order when nested.      suppress: lock-ok(...)
@@ -47,8 +39,8 @@
 //   backend-registry   EventDatabase::generate() outside src/pmu/backend/
 //                      (which is exempt wholesale): every other component
 //                      resolves its database through
-//                      pmu::backend::backend_for(model), so SKU metadata,
-//                      tiers and attack defaults stay attached to it.
+//                      pmu::backend::backend_for(model), so SKU metadata
+//                      and attack defaults stay attached to it.
 //                                               suppress: event-db-ok(...)
 //
 // Rules are lexical by design: they see one file (plus its companion
@@ -91,7 +83,7 @@ struct RuleInfo {
 /// Bumped whenever a rule's behavior changes. Part of every incremental-
 /// cache key (a stale entry from an older rule set can never satisfy a
 /// lookup) and of the CI cache key, and reported as the SARIF tool version.
-inline constexpr std::string_view kRuleSetVersion = "aegis-lint-2.1";
+inline constexpr std::string_view kRuleSetVersion = "aegis-lint-2.2";
 
 // ---------------------------------------------------------------------------
 // Shared scan helpers. These power both the lexical rules in rules.cpp and

@@ -40,7 +40,7 @@ int main(int argc, char** argv) {
       auto agent = obf->session();
       for (std::size_t t = 0; t < slices; ++t) {
         agent(vm, t);
-        for (auto& b : source(t)) vm.submit(std::move(b));
+        vm.submit(source(t));
         (void)vm.run_slice();
       }
     }

@@ -30,7 +30,7 @@ RunCost run_once(const workload::Workload& app, const sim::SliceAgent& agent,
   std::size_t t = 0;
   for (; t < window; ++t) {
     if (agent) agent(vm, t);
-    for (auto& b : source(t)) vm.submit(std::move(b));
+    vm.submit(source(t));
     (void)vm.run_slice();
   }
   // The application (and the noise interleaved into its execution flow)

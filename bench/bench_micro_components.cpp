@@ -88,7 +88,7 @@ void BM_VmSliceWithWorkload(benchmark::State& state) {
   auto source = site.visit(9);
   std::size_t t = 0;
   for (auto _ : state) {
-    for (auto& b : source(t % 300)) vm.submit(std::move(b));
+    vm.submit(source(t % 300));
     benchmark::DoNotOptimize(vm.run_slice());
     ++t;
   }

@@ -4,6 +4,7 @@
 #include "util/stats.hpp"
 
 #include <algorithm>
+#include <stdexcept>
 #include <unordered_map>
 
 namespace aegis::core {
@@ -69,6 +70,11 @@ std::unique_ptr<obf::EventObfuscator> Aegis::make_obfuscator(
   }
   if (protected_events.empty()) {
     protected_events = analysis.cover.covered_events;
+  }
+  if (protected_events.empty()) {
+    throw std::invalid_argument(
+        "Aegis::make_obfuscator: the gadget cover reaches no events, so "
+        "there is no event to calibrate or protect");
   }
 
   const std::vector<obf::EventCalibration> calibration =

@@ -1,6 +1,10 @@
 #include "core/serialize.hpp"
 
+#include <unistd.h>
+
+#include <atomic>
 #include <charconv>
+#include <filesystem>
 #include <fstream>
 #include <iomanip>
 #include <limits>
@@ -297,11 +301,32 @@ OfflineResult load_offline_result(std::istream& is,
   return result;
 }
 
+// Writes a sibling temp file and renames it over `path`. A rename within
+// one directory is atomic on POSIX, so a reader — or another process
+// saving into the same template cache directory — sees the previous file
+// or the complete new one, never a torn prefix. A failed write removes the
+// temp file and leaves `path` as it was.
 void save_offline_result(const std::string& path, const OfflineResult& result,
                          const pmu::EventDatabase& db) {
-  std::ofstream os(path);
-  if (!os) throw std::runtime_error("save_offline_result: cannot open " + path);
-  save_offline_result(os, result, db);
+  static std::atomic<std::uint64_t> sequence{0};
+  const std::string tmp = path + ".tmp." + std::to_string(::getpid()) + "." +
+                          std::to_string(sequence.fetch_add(1));
+  try {
+    std::ofstream os(tmp, std::ios::trunc);
+    if (!os) {
+      throw std::runtime_error("save_offline_result: cannot open " + path);
+    }
+    save_offline_result(os, result, db);
+    os.close();
+    if (!os) {
+      throw std::runtime_error("save_offline_result: write failed for " + path);
+    }
+    std::filesystem::rename(tmp, path);
+  } catch (...) {
+    std::error_code ignored;
+    std::filesystem::remove(tmp, ignored);
+    throw;
+  }
 }
 
 OfflineResult load_offline_result(const std::string& path,

@@ -29,7 +29,9 @@ void save_offline_result(std::ostream& os, const OfflineResult& result,
 OfflineResult load_offline_result(std::istream& is,
                                   const pmu::EventDatabase& db);
 
-/// File-path convenience wrappers.
+/// File-path convenience wrappers. save_offline_result replaces `path`
+/// atomically (temp file + rename): on any failure it throws and leaves the
+/// previous file, if any, untouched.
 void save_offline_result(const std::string& path, const OfflineResult& result,
                          const pmu::EventDatabase& db);
 OfflineResult load_offline_result(const std::string& path,

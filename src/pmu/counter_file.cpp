@@ -120,7 +120,8 @@ void CounterRegisterFile::end_slice_batched() {
     const float host_background = matrix_.host_background(i);
     if (host_background > 0.0f) {
       background += static_cast<double>(
-          rng_.poisson(static_cast<double>(host_background)));
+          rng_.poisson(static_cast<double>(host_background),
+                       matrix_.host_background_limit(i)));
     }
     const float noise_abs = matrix_.noise_abs(i);
     if (noise_abs > 0.0f) {
@@ -154,10 +155,17 @@ double CounterRegisterFile::read_raw(std::uint32_t event_id) const {
 }
 
 std::vector<double> CounterRegisterFile::read_all() const {
-  std::vector<double> out;
-  out.reserve(slots_.size());
-  for (std::size_t i = 0; i < slots_.size(); ++i) out.push_back(read_slot(i));
+  std::vector<double> out(slots_.size());
+  read_all(out);
   return out;
+}
+
+// aegis-lint: noalloc
+void CounterRegisterFile::read_all(std::span<double> out) const {
+  if (out.size() != slots_.size()) {
+    throw std::invalid_argument("read_all: one value per programmed event");
+  }
+  for (std::size_t i = 0; i < slots_.size(); ++i) out[i] = read_slot(i);
 }
 
 }  // namespace aegis::pmu

@@ -15,6 +15,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -63,7 +64,13 @@ class CounterRegisterFile {
     return slots_[slot_index].count;
   }
 
+  /// read() of every programmed event, in programming order.
   std::vector<double> read_all() const;
+
+  /// The same values written into `out`, which must hold exactly one
+  /// element per programmed event (throws std::invalid_argument otherwise).
+  /// Lets a per-slice sampler reuse its buffers.
+  void read_all(std::span<double> out) const;
 
   bool multiplexed() const noexcept {
     return slots_.size() > EventDatabase::kNumCounters;

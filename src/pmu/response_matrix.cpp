@@ -1,5 +1,6 @@
 #include "pmu/response_matrix.hpp"
 
+#include <cmath>
 #include <cstdint>
 
 namespace aegis::pmu {
@@ -44,7 +45,9 @@ void ResponseMatrix::program(const EventDatabase& db,
     dense.push_back(static_cast<double>(r.per_mem_write));
     dense.push_back(static_cast<double>(r.per_cycle));
     dense.push_back(static_cast<double>(r.per_interrupt));
-    noise_.push_back(RowNoise{r.noise_rel, r.noise_abs, r.host_background});
+    noise_.push_back(
+        RowNoise{r.noise_rel, r.noise_abs, r.host_background,
+                 std::exp(-static_cast<double>(r.host_background))});
   }
   build_group_blocks(dense);
 }

@@ -94,6 +94,11 @@ class ResponseMatrix {
   float host_background(std::size_t row) const noexcept {
     return noise_[row].background;
   }
+  /// exp(-host_background(row)), the Poisson stopping limit of the row's
+  /// per-slice background draw, computed once at program() time.
+  double host_background_limit(std::size_t row) const noexcept {
+    return noise_[row].background_limit;
+  }
 
   /// True when any row of `group` draws end-of-slice noise (host background
   /// or absolute measurement noise). Groups of pure guest-visible events
@@ -107,6 +112,7 @@ class ResponseMatrix {
     float rel = 0.0f;
     float abs = 0.0f;
     float background = 0.0f;
+    double background_limit = 1.0;
   };
 
   /// `dense` holds rows() x kStatsFeatureDim coefficients, row-major.

@@ -9,7 +9,7 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
+#include <vector>
 
 #include "pmu/event_model.hpp"
 #include "sim/executor.hpp"
@@ -32,7 +32,12 @@ class VirtualMachine {
   VirtualMachine(VmConfig config, std::uint64_t seed);
 
   /// Queues a block for execution on the vCPU.
-  void submit(InstructionBlock block);
+  void submit(const InstructionBlock& block);
+
+  /// Queues `blocks` in order, as if each were submitted in turn. Takes a
+  /// vector the caller gives up (a BlockSource's per-slice result): a
+  /// drained queue adopts its buffer instead of copying the blocks.
+  void submit(std::vector<InstructionBlock>&& blocks);
 
   /// Runs one monitoring slice: executes queued blocks until the cycle
   /// budget is exhausted (unfinished work stays queued), delivers external
@@ -40,7 +45,7 @@ class VirtualMachine {
   pmu::ExecutionStats run_slice();
 
   /// True while queued work remains (used to measure completion latency).
-  bool pending() const noexcept { return !queue_.empty(); }
+  bool pending() const noexcept { return head_ < queue_.size(); }
 
   MicroArchState& uarch() noexcept { return uarch_; }
   const VmConfig& config() const noexcept { return config_; }
@@ -62,8 +67,16 @@ class VirtualMachine {
  private:
   VmConfig config_;
   util::Rng rng_;
+  /// exp(-interrupt_rate), the Poisson stopping limit of every slice's
+  /// interrupt draw (the rate is fixed at construction).
+  double interrupt_limit_;
   MicroArchState uarch_;
-  std::deque<InstructionBlock> queue_;
+  /// FIFO of pending blocks: queue_[head_..] are still to run. run_slice
+  /// executes them in place and drops the consumed prefix once it is at
+  /// least half the vector (always when the queue drains), so the buffer
+  /// keeps its capacity and run_slice itself never allocates.
+  std::vector<InstructionBlock> queue_;
+  std::size_t head_ = 0;
   pmu::ExecutionStats last_slice_stats_;
   std::uint64_t slices_run_ = 0;
   double total_busy_cycles_ = 0.0;

@@ -97,9 +97,12 @@ double Rng::laplace(double mu, double b) noexcept {
 bool Rng::bernoulli(double p) noexcept { return uniform() < p; }
 
 std::uint64_t Rng::poisson(double lambda) noexcept {
+  return poisson(lambda, std::exp(-lambda));
+}
+
+std::uint64_t Rng::poisson(double lambda, double limit) noexcept {
   if (lambda <= 0.0) return 0;
   if (lambda < 30.0) {
-    const double limit = std::exp(-lambda);
     std::uint64_t k = 0;
     double p = 1.0;
     do {

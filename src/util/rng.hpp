@@ -73,6 +73,12 @@ class Rng {
   /// Poisson-distributed count (Knuth for small lambda, normal approx above).
   std::uint64_t poisson(double lambda) noexcept;
 
+  /// The same draw with Knuth's stopping limit supplied by the caller:
+  /// `limit` must be std::exp(-lambda). Callers drawing at a constant rate
+  /// compute it once instead of once per draw; the draws and their bits
+  /// are those of poisson(lambda).
+  std::uint64_t poisson(double lambda, double limit) noexcept;
+
   /// Derive an independent child generator; used to give each simulated
   /// entity (site, VM, event) its own stream without cross-correlation.
   Rng fork() noexcept;

@@ -107,16 +107,21 @@ sim::BlockSource WebsiteWorkload::visit(std::uint64_t visit_seed) const {
 
   const std::size_t slices = slices_;
   return [rng, jittered, slices](std::size_t t) {
-    std::vector<InstructionBlock> blocks;
     const double frac = static_cast<double>(t) / static_cast<double>(slices);
+    auto active = [frac](const JitteredPhase& jp) {
+      return frac >= jp.start && frac < jp.end;
+    };
+    std::vector<InstructionBlock> blocks;
+    blocks.reserve(static_cast<std::size_t>(
+        std::count_if(jittered->begin(), jittered->end(), active)));
     for (const auto& jp : *jittered) {
-      if (frac < jp.start || frac >= jp.end) continue;
+      if (!active(jp)) continue;
       const double active_slices =
           std::max(1.0, (jp.end - jp.start) * static_cast<double>(slices));
       // Per-slice share of the phase's work, with slice-level noise.
       const double w = jp.scale * std::exp(rng->normal(0.0, 0.1)) * 10.0 /
                        active_slices * static_cast<double>(slices) / 300.0;
-      InstructionBlock b;
+      InstructionBlock& b = blocks.emplace_back();
       b.region = jp.phase.region;
       switch (jp.phase.kind) {
         case PhaseKind::kNetworkWait:
@@ -181,7 +186,6 @@ sim::BlockSource WebsiteWorkload::visit(std::uint64_t visit_seed) const {
         uops += b.class_counts.at_index(i);
       }
       b.uops = uops * 1.12;
-      blocks.push_back(std::move(b));
     }
     return blocks;
   };

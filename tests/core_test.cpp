@@ -5,6 +5,7 @@
 
 #include "attack/wfa.hpp"
 #include "core/aegis.hpp"
+#include "workload/website.hpp"
 
 namespace aegis::core {
 namespace {
@@ -155,6 +156,24 @@ TEST(Aegis, SubstrateMatchesCpu) {
   EXPECT_EQ(aegis.cpu(), isa::CpuModel::kIntelXeonE5_1650);
   EXPECT_EQ(aegis.database().size(), 6166u);
   EXPECT_EQ(aegis.specification().legal_count(), 3386u);
+}
+
+TEST(Aegis, MakeObfuscatorRejectsEmptyCover) {
+  // An analysis whose cover reaches no event (nothing ranked, nothing
+  // fuzzed) leaves no reference event to size the noise against.
+  const Aegis aegis(isa::CpuModel::kAmdEpyc7252);
+  const OfflineResult empty;
+  std::vector<std::unique_ptr<workload::Workload>> secrets;
+  secrets.push_back(std::make_unique<workload::WebsiteWorkload>(0, 40));
+  dp::MechanismConfig mechanism;
+  mechanism.kind = dp::MechanismKind::kLaplace;
+  try {
+    (void)aegis.make_obfuscator(empty, secrets, mechanism);
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("cover"), std::string::npos)
+        << e.what();
+  }
 }
 
 }  // namespace

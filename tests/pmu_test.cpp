@@ -326,6 +326,23 @@ TEST(CounterFile, ReadBeforeAnyCompletedSliceIsZero) {
   EXPECT_DOUBLE_EQ(counters.read(uops_id), 0.0);
 }
 
+TEST(CounterFile, ReadAllIntoBufferMatchesReadAll) {
+  const auto db = EventDatabase::generate(CpuModel::kAmdEpyc7252);
+  CounterRegisterFile counters(db, 9);
+  counters.program(eight_events_with_uops_at(db, 3));
+  ExecutionStats stats;
+  stats.uops = 1000;
+  stats.cycles = 700;
+  std::vector<double> buffer(8, -1.0);
+  for (int t = 0; t < 5; ++t) {
+    counters.tick(stats);
+    counters.read_all(buffer);
+    EXPECT_EQ(buffer, counters.read_all()) << "slice " << t;
+  }
+  std::vector<double> short_buffer(7);
+  EXPECT_THROW(counters.read_all(short_buffer), std::invalid_argument);
+}
+
 TEST(EventResponse, GuestVisibleIgnoresInterruptCoupling) {
   // Interrupt delivery is host-scheduled noise (C2): an event coupled only
   // to interrupts says nothing about guest activity and must not pass the

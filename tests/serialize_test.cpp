@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <filesystem>
+#include <fstream>
 #include <sstream>
 
 #include "attack/wfa.hpp"
@@ -298,6 +302,75 @@ TEST(Serialize, FileRoundTrip) {
   EXPECT_EQ(loaded.cover.gadgets, f.result.cover.gadgets);
   EXPECT_THROW((void)load_offline_result("/nonexistent/path", f.aegis.database()),
                std::runtime_error);
+}
+
+// save_offline_result(path) goes through a temp file and a rename; these
+// pin what a template cache directory looks like afterwards.
+class SerializeAtomicSave : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    dir_ = std::filesystem::temp_directory_path() /
+           ("aegis_serialize_atomic_" + std::to_string(::getpid()) + "_" +
+            ::testing::UnitTest::GetInstance()->current_test_info()->name());
+    std::filesystem::remove_all(dir_);
+    std::filesystem::create_directories(dir_);
+  }
+  void TearDown() override { std::filesystem::remove_all(dir_); }
+
+  std::vector<std::string> entries() const {
+    std::vector<std::string> names;
+    for (const auto& e : std::filesystem::directory_iterator(dir_)) {
+      names.push_back(e.path().filename().string());
+    }
+    return names;
+  }
+  static std::string contents(const std::string& path) {
+    std::ifstream is(path);
+    std::ostringstream os;
+    os << is.rdbuf();
+    return os.str();
+  }
+
+  std::filesystem::path dir_;
+};
+
+TEST_F(SerializeAtomicSave, OnlyTheTargetRemains) {
+  auto& f = fixture();
+  const std::string path = (dir_ / "template.txt").string();
+  save_offline_result(path, f.result, f.aegis.database());
+  EXPECT_EQ(entries(), std::vector<std::string>{"template.txt"});
+  EXPECT_EQ(load_offline_result(path, f.aegis.database()).cover.gadgets,
+            f.result.cover.gadgets);
+}
+
+TEST_F(SerializeAtomicSave, OverwritesAnExistingFile) {
+  auto& f = fixture();
+  const std::string path = (dir_ / "template.txt").string();
+  std::ofstream(path) << "stale contents from an older writer\n";
+  save_offline_result(path, f.result, f.aegis.database());
+  EXPECT_EQ(entries(), std::vector<std::string>{"template.txt"});
+  std::ostringstream expected;
+  save_offline_result(expected, f.result, f.aegis.database());
+  EXPECT_EQ(contents(path), expected.str());
+}
+
+TEST_F(SerializeAtomicSave, FailedWriteLeavesThePreviousFileIntact) {
+  auto& f = fixture();
+  const std::string path = (dir_ / "template.txt").string();
+  save_offline_result(path, f.result, f.aegis.database());
+  const std::string before = contents(path);
+  // An event id the database does not know makes serialization throw
+  // after the header is already written.
+  OfflineResult broken = f.result;
+  broken.ranking.push_back(profiler::EventRank{0xFFFFFFFFu, 1.0});
+  EXPECT_ANY_THROW(save_offline_result(path, broken, f.aegis.database()));
+  EXPECT_EQ(contents(path), before);
+  EXPECT_EQ(entries(), std::vector<std::string>{"template.txt"});
+  // A directory that does not exist fails at open and creates nothing.
+  EXPECT_THROW(save_offline_result((dir_ / "missing" / "t.txt").string(),
+                                   f.result, f.aegis.database()),
+               std::runtime_error);
+  EXPECT_EQ(entries(), std::vector<std::string>{"template.txt"});
 }
 
 }  // namespace

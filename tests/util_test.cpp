@@ -239,6 +239,21 @@ TEST(Rng, PoissonZeroLambdaIsZero) {
   for (int i = 0; i < 100; ++i) EXPECT_EQ(rng.poisson(0.0), 0u);
 }
 
+TEST(Rng, PoissonWithPrecomputedLimitIsTheSameDraw) {
+  // Both branches (Knuth below 30, the normal approximation above) and the
+  // zero rate: same values and the same generator state afterwards.
+  for (double lambda : {0.0, 0.3, 1.2, 17.5, 29.9, 30.0, 48.0}) {
+    Rng a(19);
+    Rng b(19);
+    const double limit = std::exp(-lambda);
+    for (int i = 0; i < 500; ++i) {
+      ASSERT_EQ(a.poisson(lambda), b.poisson(lambda, limit))
+          << "lambda " << lambda << " draw " << i;
+    }
+    EXPECT_EQ(a.next_u64(), b.next_u64()) << "lambda " << lambda;
+  }
+}
+
 TEST(Rng, ForkProducesIndependentStream) {
   Rng parent(18);
   Rng child = parent.fork();

@@ -8,11 +8,17 @@ namespace aegis::ml {
 
 void GaussianNbClassifier::fit(const FeatureMatrix& X, const Labels& y,
                                int num_classes) {
-  if (X.empty() || X.size() != y.size()) {
+  if (X.empty() || X.size() != y.size() || num_classes <= 0) {
     throw std::invalid_argument("GaussianNb::fit: bad inputs");
   }
   const std::size_t d = X.front().size();
   const std::size_t c = static_cast<std::size_t>(num_classes);
+  for (std::size_t i = 0; i < X.size(); ++i) {
+    if (X[i].size() != d) throw std::invalid_argument("GaussianNb::fit: ragged rows");
+    if (y[i] < 0 || y[i] >= num_classes) {
+      throw std::invalid_argument("GaussianNb::fit: label out of range");
+    }
+  }
   mu_.assign(c, std::vector<double>(d, 0.0));
   var_.assign(c, std::vector<double>(d, 0.0));
   std::vector<double> counts(c, 0.0);
@@ -63,6 +69,9 @@ int GaussianNbClassifier::predict(const std::vector<double>& x) const {
 }
 
 double GaussianNbClassifier::accuracy(const FeatureMatrix& X, const Labels& y) const {
+  if (X.size() != y.size()) {
+    throw std::invalid_argument("GaussianNb::accuracy: size mismatch");
+  }
   if (X.empty()) return 0.0;
   std::size_t correct = 0;
   for (std::size_t i = 0; i < X.size(); ++i) {

@@ -11,8 +11,12 @@ namespace aegis::ml {
 
 class GaussianNbClassifier {
  public:
+  /// Throws std::invalid_argument on empty or mismatched X/y, a
+  /// non-positive class count, ragged rows or a label outside
+  /// [0, num_classes).
   void fit(const FeatureMatrix& X, const Labels& y, int num_classes);
   int predict(const std::vector<double>& x) const;
+  /// Throws std::invalid_argument when X and y differ in size.
   double accuracy(const FeatureMatrix& X, const Labels& y) const;
 
  private:

@@ -7,8 +7,13 @@
 namespace aegis::ml {
 
 void KnnClassifier::fit(FeatureMatrix X, Labels y, int num_classes) {
-  if (X.size() != y.size() || X.empty()) {
+  if (X.size() != y.size() || X.empty() || num_classes <= 0) {
     throw std::invalid_argument("Knn::fit: bad inputs");
+  }
+  for (int label : y) {
+    if (label < 0 || label >= num_classes) {
+      throw std::invalid_argument("Knn::fit: label out of range");
+    }
   }
   X_ = std::move(X);
   y_ = std::move(y);
@@ -38,6 +43,7 @@ int KnnClassifier::predict(const std::vector<double>& x) const {
 }
 
 double KnnClassifier::accuracy(const FeatureMatrix& X, const Labels& y) const {
+  if (X.size() != y.size()) throw std::invalid_argument("Knn::accuracy: size mismatch");
   if (X.empty()) return 0.0;
   std::size_t correct = 0;
   for (std::size_t i = 0; i < X.size(); ++i) {

@@ -12,8 +12,11 @@ class KnnClassifier {
  public:
   explicit KnnClassifier(std::size_t k = 5) : k_(k) {}
 
+  /// Throws std::invalid_argument on empty or mismatched X/y, a
+  /// non-positive class count or a label outside [0, num_classes).
   void fit(FeatureMatrix X, Labels y, int num_classes);
   int predict(const std::vector<double>& x) const;
+  /// Throws std::invalid_argument when X and y differ in size.
   double accuracy(const FeatureMatrix& X, const Labels& y) const;
 
  private:

@@ -6,6 +6,9 @@
 // the evaluation shape: >90 % accuracy on clean traces, random-guess
 // accuracy under the DP defense. Training records per-epoch accuracy/loss
 // so the Fig. 1 training curves can be regenerated.
+//
+// Training and inference run on contiguous minibatch matrices through three
+// order-preserving kernels (DESIGN.md, "MLP training engine").
 #pragma once
 
 #include <cstdint>
@@ -39,16 +42,20 @@ struct EpochStats {
 
 class MlpClassifier {
  public:
+  /// Throws std::invalid_argument for zero classes or a zero batch size.
   MlpClassifier(std::size_t input_dim, std::size_t num_classes, MlpConfig config);
 
   /// Trains with minibatch SGD + momentum; returns the per-epoch history
   /// (train loss/accuracy and validation accuracy — the Fig. 1 curves).
+  /// Throws std::invalid_argument on mismatched X/y or X_val/y_val sizes, a
+  /// label outside [0, num_classes) or a row of the wrong width.
   std::vector<EpochStats> fit(const FeatureMatrix& X, const Labels& y,
                               const FeatureMatrix& X_val, const Labels& y_val);
 
   int predict(const std::vector<double>& x) const;
   /// Softmax class probabilities.
   std::vector<double> predict_proba(const std::vector<double>& x) const;
+  /// Throws std::invalid_argument when X and y differ in size.
   double accuracy(const FeatureMatrix& X, const Labels& y) const;
 
   std::size_t input_dim() const noexcept { return input_dim_; }
@@ -58,14 +65,25 @@ class MlpClassifier {
   struct Layer {
     std::size_t in = 0, out = 0;
     std::vector<double> w;   // out x in, row-major
+    std::vector<double> wt;  // in x out: w transposed, read by the forward pass
     std::vector<double> b;   // out
     std::vector<double> vw;  // momentum buffers
     std::vector<double> vb;
   };
 
-  /// Forward pass; fills per-layer activations (post-ReLU; last = logits).
-  void forward(const std::vector<double>& x,
-               std::vector<std::vector<double>>& activations) const;
+  /// Row-major activation matrices for up to `capacity` samples: acts[0]
+  /// holds the input rows, acts[l + 1] the output of layer l (post-ReLU on
+  /// hidden layers, logits on the last).
+  struct Batch {
+    std::size_t capacity = 0;
+    std::vector<std::vector<double>> acts;
+  };
+
+  Batch make_batch(std::size_t capacity) const;
+  /// Copies x into input row r; throws on a width mismatch.
+  void load_row(Batch& batch, std::size_t r, const std::vector<double>& x) const;
+  /// Forward pass over the first `rows` input rows.
+  void forward(Batch& batch, std::size_t rows) const;
 
   std::size_t input_dim_;
   std::size_t num_classes_;
@@ -74,7 +92,7 @@ class MlpClassifier {
   util::Rng rng_;
 };
 
-/// Softmax in place (numerically stable).
+/// Softmax in place (numerically stable); an empty vector is left alone.
 void softmax(std::vector<double>& logits) noexcept;
 
 }  // namespace aegis::ml

@@ -3,6 +3,7 @@
 #include "attack/ksa.hpp"
 #include "attack/mea.hpp"
 #include "attack/wfa.hpp"
+#include "util/hash.hpp"
 
 namespace aegis::attack {
 namespace {
@@ -131,6 +132,46 @@ TEST(Mea, ExtractReturnsPlausibleSequence) {
     EXPECT_GE(label, 0);
     EXPECT_LT(label, workload::kBlankLabel);  // blank never appears decoded
   }
+}
+
+/// FNV-1a over every double bit of a training history. The pinned values
+/// below were captured while the MLP still trained one sample at a time.
+std::uint64_t digest(const std::vector<ml::EpochStats>& history) {
+  std::uint64_t h =
+      util::hash_combine(util::kFnvOffset, std::uint64_t{history.size()});
+  for (const ml::EpochStats& s : history) {
+    h = util::hash_combine(h, std::uint64_t{s.epoch});
+    h = util::hash_combine(h, s.train_loss);
+    h = util::hash_combine(h, s.train_accuracy);
+    h = util::hash_combine(h, s.val_accuracy);
+  }
+  return h;
+}
+
+TEST(AttackDigest, ClassificationAttackHistoryPinned) {
+  const auto db = pmu::EventDatabase::generate(isa::CpuModel::kAmdEpyc7252);
+  WfaScale scale;
+  scale.sites = 4;
+  scale.traces_per_site = 6;
+  scale.epochs = 4;
+  scale.slices = 80;
+  const auto secrets = make_wfa_secrets(scale);
+  ClassificationAttack wfa(db, make_wfa_config(attack_events(db), scale));
+  const std::uint64_t h = digest(wfa.train(secrets));
+  EXPECT_EQ(h, 0x3fe912795ff38ac2ULL) << std::hex << "history 0x" << h;
+}
+
+TEST(AttackDigest, MeaAttackHistoryPinned) {
+  const auto db = pmu::EventDatabase::generate(isa::CpuModel::kAmdEpyc7252);
+  MeaConfig config;
+  config.event_ids = attack_events(db);
+  config.scale.models = 3;
+  config.scale.traces_per_model = 4;
+  config.scale.epochs = 4;
+  config.scale.slices = 100;
+  MeaAttack mea(db, config);
+  const std::uint64_t h = digest(mea.train());
+  EXPECT_EQ(h, 0x332bf97dc8bfd2d1ULL) << std::hex << "history 0x" << h;
 }
 
 TEST(Mea, ThrowsBeforeTraining) {

@@ -7,6 +7,7 @@
 #include "ml/metrics.hpp"
 #include "ml/mlp.hpp"
 #include "ml/sequence_model.hpp"
+#include "util/hash.hpp"
 #include "util/rng.hpp"
 
 namespace aegis::ml {
@@ -41,6 +42,12 @@ TEST(Softmax, StableForLargeLogits) {
   softmax(logits);
   EXPECT_TRUE(std::isfinite(logits[0]));
   EXPECT_GT(logits[0], logits[1]);
+}
+
+TEST(Softmax, EmptyIsLeftAlone) {
+  std::vector<double> logits;
+  softmax(logits);
+  EXPECT_TRUE(logits.empty());
 }
 
 class MlpBlobsTest : public ::testing::TestWithParam<std::size_t> {};
@@ -122,6 +129,121 @@ TEST(Mlp, InputNoiseRegularizerStillLearns) {
   MlpClassifier mlp(2, 3, config);
   const auto history = mlp.fit(X, y, Xv, yv);
   EXPECT_GT(history.back().val_accuracy, 0.85);
+}
+
+// ---------------------------------------------------------------------------
+// MlpDigest: FNV-1a digests over every double bit of fit()'s history (loss,
+// train accuracy, validation accuracy) and of predict_proba over a fixed
+// probe set. The digests were captured while fit still ran its forward and
+// backward passes one sample at a time, so the batched engine has to keep
+// every sum's order, every RNG draw and every update bit for bit.
+
+/// `classes` Gaussian clusters in `dim` dimensions, centres drawn from the
+/// same stream, labels interleaved so every batch mixes classes.
+void make_task(std::size_t n, std::size_t dim, std::size_t classes,
+               std::uint64_t seed, FeatureMatrix& X, Labels& y) {
+  util::Rng rng(seed);
+  std::vector<std::vector<double>> centres(classes, std::vector<double>(dim));
+  for (auto& c : centres) {
+    for (double& v : c) v = rng.normal(0.0, 1.5);
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::size_t label = i % classes;
+    std::vector<double> row(dim);
+    for (std::size_t j = 0; j < dim; ++j) {
+      row[j] = rng.normal(centres[label][j], 1.0);
+    }
+    X.push_back(std::move(row));
+    y.push_back(static_cast<int>(label));
+  }
+}
+
+std::uint64_t digest(const std::vector<EpochStats>& history) {
+  std::uint64_t h =
+      util::hash_combine(util::kFnvOffset, std::uint64_t{history.size()});
+  for (const EpochStats& s : history) {
+    h = util::hash_combine(h, std::uint64_t{s.epoch});
+    h = util::hash_combine(h, s.train_loss);
+    h = util::hash_combine(h, s.train_accuracy);
+    h = util::hash_combine(h, s.val_accuracy);
+  }
+  return h;
+}
+
+struct DigestCase {
+  std::size_t dim;
+  std::size_t classes;
+  std::size_t train;
+  std::size_t val;
+  MlpConfig config;
+};
+
+/// Trains one model and returns {history digest, probe digest}; the probe
+/// digest covers predict_proba's bits and predict's labels on 24 fresh rows.
+std::pair<std::uint64_t, std::uint64_t> train_and_digest(const DigestCase& c) {
+  FeatureMatrix X, Xv, probes;
+  Labels y, yv, probe_labels;
+  make_task(c.train, c.dim, c.classes, 21, X, y);
+  make_task(c.val, c.dim, c.classes, 22, Xv, yv);
+  make_task(24, c.dim, c.classes, 23, probes, probe_labels);
+  MlpClassifier mlp(c.dim, c.classes, c.config);
+  const std::uint64_t history = digest(mlp.fit(X, y, Xv, yv));
+  std::uint64_t probe = util::kFnvOffset;
+  for (const auto& x : probes) {
+    for (double p : mlp.predict_proba(x)) probe = util::hash_combine(probe, p);
+    probe = util::hash_combine(probe, std::uint64_t(mlp.predict(x)));
+  }
+  probe = util::hash_combine(probe, mlp.accuracy(probes, probe_labels));
+  return {history, probe};
+}
+
+MlpConfig digest_config(std::vector<std::size_t> hidden, std::size_t batch) {
+  MlpConfig config;
+  config.hidden = std::move(hidden);
+  config.batch_size = batch;
+  config.epochs = 4;
+  config.seed = 0xD16E57ULL;
+  return config;
+}
+
+void expect_digests(const DigestCase& c, std::uint64_t history,
+                    std::uint64_t probe) {
+  const auto [h, p] = train_and_digest(c);
+  EXPECT_EQ(h, history) << std::hex << "history 0x" << h;
+  EXPECT_EQ(p, probe) << std::hex << "probe 0x" << p;
+}
+
+TEST(MlpDigest, MeaShapePinned) {
+  // The MEA frame classifier: 5 frames x 4 events in, {64, 32}, batch 64.
+  MlpConfig config = digest_config({64, 32}, 64);
+  config.learning_rate = 0.02;
+  expect_digests({20, 7, 640, 128, config}, 0xf6516a9992202a2aULL, 0x94bbe27afbc911ebULL);
+}
+
+TEST(MlpDigest, WfaShapePinned) {
+  // The WFA classifier: 24 windows x 4 events in, {96, 48}, batch 32.
+  expect_digests({96, 10, 320, 80, digest_config({96, 48}, 32)}, 0xfc66143a7d92e61eULL,
+                 0x61bd587a251a1794ULL);
+}
+
+TEST(MlpDigest, PartialLastBatchPinned) {
+  // 203 = 6 x 32 + 11: every epoch ends on an 11-sample batch.
+  expect_digests({12, 4, 203, 41, digest_config({24, 12}, 32)}, 0xdef328a23a92ac34ULL,
+                 0x4766c68732eed8e5ULL);
+}
+
+TEST(MlpDigest, InputNoisePinned) {
+  MlpConfig config = digest_config({32, 16}, 32);
+  config.input_noise = 0.25;
+  expect_digests({10, 3, 150, 30, config}, 0xb3383aabf51820b7ULL, 0xef0f95b98574c18eULL);
+}
+
+TEST(MlpDigest, SingleHiddenLayerPinned) {
+  expect_digests({5, 4, 100, 20, digest_config({16}, 32)}, 0x3b63f876409b446aULL, 0x8fa5d3b51861b740ULL);
+}
+
+TEST(MlpDigest, SingleClassPinned) {
+  expect_digests({6, 1, 50, 10, digest_config({8, 4}, 16)}, 0xcf2e2074b87c3701ULL, 0x110f5da24d7e88b8ULL);
 }
 
 TEST(GaussianNb, ClassifiesBlobs) {
@@ -292,6 +414,38 @@ TEST(SequenceModel, GreedyAndBeamAgreeOnCleanData) {
   FrameSequence probe;
   probe.frames = make_sequence({0, 2, 1, 3}, blank, rng).frames;
   EXPECT_EQ(model.decode_greedy(probe), model.decode_beam(probe));
+}
+
+TEST(SequenceModel, DecodeBeamDigestPinned) {
+  util::Rng rng(14);
+  const int blank = 4;
+  SequenceModelConfig config;
+  config.blank_label = blank;
+  config.context = 1;
+  config.mlp.epochs = 6;
+  config.mlp.hidden = {16, 8};
+  FrameSequenceModel model(config);
+  std::vector<FrameSequence> train, val;
+  for (int i = 0; i < 12; ++i) {
+    std::vector<int> tokens;
+    for (int k = 0; k < 4; ++k) {
+      tokens.push_back(static_cast<int>(rng.uniform_index(4)));
+    }
+    (i < 9 ? train : val).push_back(make_sequence(tokens, blank, rng));
+  }
+  const std::uint64_t history = digest(model.fit(train, val, blank + 1));
+  std::uint64_t decoded = util::kFnvOffset;
+  for (int i = 0; i < 4; ++i) {
+    FrameSequence probe;
+    probe.frames = make_sequence({3, 1, 1, 0, 2}, blank, rng).frames;
+    const std::vector<int> labels = model.decode_beam(probe);
+    decoded = util::hash_combine(decoded, std::uint64_t{labels.size()});
+    for (int label : labels) {
+      decoded = util::hash_combine(decoded, std::uint64_t(label));
+    }
+  }
+  EXPECT_EQ(history, 0x836bf337665e6d53ULL) << std::hex << "history 0x" << history;
+  EXPECT_EQ(decoded, 0x5348812e7e704c4aULL) << std::hex << "decoded 0x" << decoded;
 }
 
 TEST(SequenceModel, ThrowsBeforeTraining) {

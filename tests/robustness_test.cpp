@@ -9,6 +9,8 @@
 #include "attack/wfa.hpp"
 #include "core/serialize.hpp"
 #include "fuzzer/fuzzer.hpp"
+#include "ml/gaussian_nb.hpp"
+#include "ml/knn.hpp"
 #include "obf/noise_calculator.hpp"
 #include "profiler/profiler.hpp"
 #include "workload/idle.hpp"
@@ -130,6 +132,65 @@ TEST(Robustness, MlpEmptyFitReturnsEmptyHistory) {
   ml::MlpClassifier mlp(2, 2, ml::MlpConfig{});
   EXPECT_TRUE(mlp.fit({}, {}, {}, {}).empty());
   EXPECT_EQ(mlp.accuracy({}, {}), 0.0);
+}
+
+// Classifier inputs are rejected loudly instead of read or written out of
+// bounds: X/y of different sizes, labels outside [0, num_classes), ragged
+// rows, and a model with no classes.
+
+TEST(Robustness, ClassifierAccuracyRejectsSizeMismatch) {
+  const ml::FeatureMatrix X = {{0.0, 0.0}, {1.0, 1.0}};
+  const ml::Labels y = {0, 1};
+  const ml::Labels short_y = {0};
+  ml::MlpClassifier mlp(2, 2, ml::MlpConfig{});
+  EXPECT_THROW((void)mlp.accuracy(X, short_y), std::invalid_argument);
+  ml::KnnClassifier knn(1);
+  knn.fit(X, y, 2);
+  EXPECT_THROW((void)knn.accuracy(X, short_y), std::invalid_argument);
+  ml::GaussianNbClassifier nb;
+  nb.fit(X, y, 2);
+  EXPECT_THROW((void)nb.accuracy(X, short_y), std::invalid_argument);
+}
+
+TEST(Robustness, MlpFitRejectsValidationSizeMismatch) {
+  ml::MlpClassifier mlp(2, 2, ml::MlpConfig{});
+  EXPECT_THROW(mlp.fit({{0.0, 0.0}}, {0}, {{1.0, 1.0}, {2.0, 2.0}}, {1}),
+               std::invalid_argument);
+}
+
+TEST(Robustness, MlpFitRejectsOutOfRangeLabels) {
+  ml::MlpClassifier mlp(2, 3, ml::MlpConfig{});
+  EXPECT_THROW(mlp.fit({{0.0, 0.0}}, {3}, {}, {}), std::invalid_argument);
+  EXPECT_THROW(mlp.fit({{0.0, 0.0}}, {-1}, {}, {}), std::invalid_argument);
+}
+
+TEST(Robustness, MlpRejectsZeroClassesAndZeroBatch) {
+  EXPECT_THROW(ml::MlpClassifier(2, 0, ml::MlpConfig{}), std::invalid_argument);
+  ml::MlpConfig config;
+  config.batch_size = 0;
+  EXPECT_THROW(ml::MlpClassifier(2, 2, config), std::invalid_argument);
+}
+
+TEST(Robustness, MlpRejectsRowsOfTheWrongWidth) {
+  ml::MlpClassifier mlp(2, 2, ml::MlpConfig{});
+  EXPECT_THROW(mlp.fit({{0.0, 0.0}, {1.0}}, {0, 1}, {}, {}), std::invalid_argument);
+  EXPECT_THROW((void)mlp.accuracy({{0.0, 0.0, 0.0}}, {0}), std::invalid_argument);
+  EXPECT_THROW((void)mlp.predict_proba({0.0}), std::invalid_argument);
+}
+
+TEST(Robustness, GaussianNbFitRejectsBadLabelsAndRaggedRows) {
+  ml::GaussianNbClassifier nb;
+  EXPECT_THROW(nb.fit({{0.0, 0.0}, {1.0, 1.0}}, {0, 2}, 2), std::invalid_argument);
+  EXPECT_THROW(nb.fit({{0.0, 0.0}, {1.0, 1.0}}, {-1, 0}, 2), std::invalid_argument);
+  EXPECT_THROW(nb.fit({{0.0, 0.0}, {1.0}}, {0, 1}, 2), std::invalid_argument);
+  EXPECT_THROW(nb.fit({{0.0}}, {0}, 0), std::invalid_argument);
+}
+
+TEST(Robustness, KnnFitRejectsOutOfRangeLabels) {
+  ml::KnnClassifier knn(1);
+  EXPECT_THROW(knn.fit({{0.0}, {1.0}}, {0, 2}, 2), std::invalid_argument);
+  EXPECT_THROW(knn.fit({{0.0}, {1.0}}, {-1, 1}, 2), std::invalid_argument);
+  EXPECT_THROW(knn.fit({{0.0}}, {0}, 0), std::invalid_argument);
 }
 
 TEST(Robustness, EventDatabaseFindEmptyName) {

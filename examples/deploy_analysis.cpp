@@ -41,7 +41,7 @@ int main() {
     const auto key =
         service::make_template_key(template_server.cpu(), *secrets[0], config);
     const auto analysis = cache.get_or_analyze(
-        key, template_server.database(),
+        key, template_server,
         [&] { return template_server.analyze(*secrets[0], secrets, config); });
     const auto stats = cache.stats();
     std::cout << "[template] analyzed " << analysis->warmup.surviving.size()
@@ -55,7 +55,7 @@ int main() {
   auto secrets = attack::make_wfa_secrets(scale);
   service::TemplateCache cache({cache_dir});
   const auto key = service::make_template_key(victim.cpu(), *secrets[0], config);
-  const auto analysis = cache.get_or_analyze(key, victim.database(), [&]() {
+  const auto analysis = cache.get_or_analyze(key, victim, [&]() {
     std::cerr << "BUG: warm start failed, re-running the offline analysis\n";
     return victim.analyze(*secrets[0], secrets, config);
   });

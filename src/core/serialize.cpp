@@ -91,6 +91,23 @@ T parse_number(const std::string& field, const char* context) {
   return value;
 }
 
+/// Parses a gadget uid and checks it against the spec. An unknown uid would
+/// surface only at the first session, and a faulting variant's uid would
+/// be injected, so both are rejected at load.
+std::uint32_t parse_uid(const std::string& field,
+                        const isa::IsaSpecification& spec,
+                        const char* context) {
+  const auto uid = parse_number<std::uint32_t>(field, context);
+  const auto& variants = spec.variants();
+  if (uid >= variants.size() || variants[uid].uid != uid ||
+      !variants[uid].legal()) {
+    throw std::runtime_error(std::string("load_offline_result: ") + context +
+                             " " + field + " is not a legal variant of " +
+                             std::string(isa::to_string(spec.model())));
+  }
+  return uid;
+}
+
 std::size_t parse_count(std::istream& is, const char* context) {
   return parse_number<std::size_t>(read_line(is, context), context);
 }
@@ -151,7 +168,8 @@ void save_offline_result(std::ostream& os, const OfflineResult& result,
 }
 
 OfflineResult load_offline_result(std::istream& is,
-                                  const pmu::EventDatabase& db) {
+                                  const pmu::EventDatabase& db,
+                                  const isa::IsaSpecification& spec) {
   OfflineResult result;
   unsigned version = 0;
   {
@@ -249,20 +267,16 @@ OfflineResult load_offline_result(std::istream& is,
       report.event_id = event_id_or_throw(db, fields[0]);
       const auto gadget_count =
           parse_number<std::size_t>(fields[1], "gadget count");
-      report.best.gadget.reset_uid =
-          parse_number<std::uint32_t>(fields[2], "gadget uid");
-      report.best.gadget.trigger_uid =
-          parse_number<std::uint32_t>(fields[3], "gadget uid");
+      report.best.gadget.reset_uid = parse_uid(fields[2], spec, "gadget uid");
+      report.best.gadget.trigger_uid = parse_uid(fields[3], spec, "gadget uid");
       report.best.median_delta = parse_number<double>(fields[4], "gadget delta");
       report.best.event_id = report.event_id;
       for (std::size_t g = 0; g < gadget_count; ++g) {
         const std::vector<std::string> row =
             split_row(read_line(is, "gadget row"), 3, "gadget row");
         fuzzer::ConfirmedGadget confirmed;
-        confirmed.gadget.reset_uid =
-            parse_number<std::uint32_t>(row[0], "gadget uid");
-        confirmed.gadget.trigger_uid =
-            parse_number<std::uint32_t>(row[1], "gadget uid");
+        confirmed.gadget.reset_uid = parse_uid(row[0], spec, "gadget uid");
+        confirmed.gadget.trigger_uid = parse_uid(row[1], spec, "gadget uid");
         confirmed.median_delta = parse_number<double>(row[2], "gadget delta");
         confirmed.event_id = report.event_id;
         report.confirmed.push_back(confirmed);
@@ -279,8 +293,8 @@ OfflineResult load_offline_result(std::istream& is,
       const std::vector<std::string> row =
           split_row(read_line(is, "cover gadget"), 2, "cover gadget");
       fuzzer::Gadget g;
-      g.reset_uid = parse_number<std::uint32_t>(row[0], "cover gadget uid");
-      g.trigger_uid = parse_number<std::uint32_t>(row[1], "cover gadget uid");
+      g.reset_uid = parse_uid(row[0], spec, "cover gadget uid");
+      g.trigger_uid = parse_uid(row[1], spec, "cover gadget uid");
       result.cover.gadgets.push_back(g);
     }
     const std::size_t effects = parse_count(is, "cover effect count");
@@ -330,10 +344,11 @@ void save_offline_result(const std::string& path, const OfflineResult& result,
 }
 
 OfflineResult load_offline_result(const std::string& path,
-                                  const pmu::EventDatabase& db) {
+                                  const pmu::EventDatabase& db,
+                                  const isa::IsaSpecification& spec) {
   std::ifstream is(path);
   if (!is) throw std::runtime_error("load_offline_result: cannot open " + path);
-  return load_offline_result(is, db);
+  return load_offline_result(is, db, spec);
 }
 
 }  // namespace aegis::core

@@ -25,9 +25,11 @@ void save_offline_result(std::ostream& os, const OfflineResult& result,
                          const pmu::EventDatabase& db);
 
 /// Reads an analysis back. Throws std::runtime_error on malformed input,
-/// unknown event names, or a CPU family mismatch.
+/// unknown event names, a CPU family mismatch, or a gadget uid that is not
+/// a legal variant of `spec` (the loading CPU's ISA specification).
 OfflineResult load_offline_result(std::istream& is,
-                                  const pmu::EventDatabase& db);
+                                  const pmu::EventDatabase& db,
+                                  const isa::IsaSpecification& spec);
 
 /// File-path convenience wrappers. save_offline_result replaces `path`
 /// atomically (temp file + rename): on any failure it throws and leaves the
@@ -35,6 +37,7 @@ OfflineResult load_offline_result(std::istream& is,
 void save_offline_result(const std::string& path, const OfflineResult& result,
                          const pmu::EventDatabase& db);
 OfflineResult load_offline_result(const std::string& path,
-                                  const pmu::EventDatabase& db);
+                                  const pmu::EventDatabase& db,
+                                  const isa::IsaSpecification& spec);
 
 }  // namespace aegis::core

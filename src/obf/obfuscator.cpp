@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "sim/group_sweep.hpp"
 #include "telemetry/registry.hpp"
 #include "util/stats.hpp"
 
@@ -22,41 +23,50 @@ std::vector<EventCalibration> calibrate_events(
     const std::vector<std::unique_ptr<workload::Workload>>& secrets,
     std::size_t runs_per_secret, std::uint64_t seed,
     const sim::VmConfig& vm_config) {
-  util::Rng rng(seed);
-  std::vector<EventCalibration> calibrations;
-  calibrations.reserve(event_ids.size());
-  constexpr std::size_t kGroup = pmu::EventDatabase::kNumCounters;
-
-  for (std::size_t base = 0; base < event_ids.size(); base += kGroup) {
-    std::vector<std::uint32_t> group(
-        event_ids.begin() + static_cast<std::ptrdiff_t>(base),
-        event_ids.begin() +
-            static_cast<std::ptrdiff_t>(std::min(event_ids.size(), base + kGroup)));
-    std::vector<std::vector<double>> samples(group.size());
-    for (const auto& secret : secrets) {
-      for (std::size_t run = 0; run < runs_per_secret; ++run) {
-        sim::VirtualMachine vm(vm_config, rng.next_u64());
-        sim::HostMonitor monitor(db, rng.next_u64());
-        const sim::MonitorResult result =
-            monitor.monitor(vm, secret->visit(rng.next_u64()), group,
-                            secret->trace_slices());
-        for (const auto& row : result.samples) {
-          for (std::size_t e = 0; e < group.size(); ++e) {
-            samples[e].push_back(row[e]);
-          }
-        }
-      }
-    }
-    for (std::size_t e = 0; e < group.size(); ++e) {
-      EventCalibration cal;
-      cal.event_id = group[e];
-      cal.mean = util::mean(samples[e]);
-      cal.stddev = util::stddev(samples[e]);
-      cal.peak = util::max_value(samples[e]);
-      calibrations.push_back(cal);
+  const std::vector<sim::SweepJob> jobs =
+      sim::secret_jobs(secrets, runs_per_secret, "calibrate_events");
+  // One serial Rng(seed) stream: group g starts where group g - 1's draws
+  // ended, so the groups could run on any pool.
+  std::vector<util::Rng> starts(sim::sweep_group_count(event_ids.size()),
+                                util::Rng(seed));
+  for (std::size_t g = 1; g < starts.size(); ++g) {
+    starts[g] = starts[g - 1];
+    for (std::size_t d = 0; d < sim::kSweepDrawsPerJob * jobs.size(); ++d) {
+      starts[g].next_u64();
     }
   }
-  return calibrations;
+
+  return sim::sweep_groups(
+      db, event_ids, jobs, [&](std::size_t g) { return starts[g]; },
+      [](const sim::MonitorResult& run) {
+        // Per-event columns of the run's per-slice deltas.
+        std::vector<std::vector<double>> columns(run.totals.size());
+        for (const auto& row : run.samples) {
+          for (std::size_t e = 0; e < row.size(); ++e) {
+            columns[e].push_back(row[e]);
+          }
+        }
+        return columns;
+      },
+      [](const std::vector<std::uint32_t>& group,
+         const std::vector<std::vector<std::vector<double>>>& runs) {
+        std::vector<std::vector<double>> samples(group.size());
+        for (const auto& columns : runs) {
+          for (std::size_t e = 0; e < group.size(); ++e) {
+            samples[e].insert(samples[e].end(), columns[e].begin(),
+                              columns[e].end());
+          }
+        }
+        std::vector<EventCalibration> calibrations(group.size());
+        for (std::size_t e = 0; e < group.size(); ++e) {
+          calibrations[e].event_id = group[e];
+          calibrations[e].mean = util::mean(samples[e]);
+          calibrations[e].stddev = util::stddev(samples[e]);
+          calibrations[e].peak = util::max_value(samples[e]);
+        }
+        return calibrations;
+      },
+      {vm_config});
 }
 
 EventObfuscator::EventObfuscator(const pmu::EventDatabase& db,

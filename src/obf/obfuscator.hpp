@@ -72,6 +72,13 @@ struct EventCalibration {
 /// BudgetGovernor accounts for.
 sim::SliceAgent coarsen_agent(sim::SliceAgent inner, std::size_t granularity);
 
+/// Calibrates `event_ids` over the secret set: one group sweep
+/// (sim::sweep_groups) of secrets x runs_per_secret runs per 4-event group,
+/// pooling every per-slice delta per event. All groups draw from one serial
+/// Rng(seed) stream (each group starts where the previous group's draws
+/// left off), and the sweep runs on the caller's thread: SecurityHarness
+/// and SessionManager call this from inside their own pool tasks. Throws
+/// std::invalid_argument if `secrets` is empty or runs_per_secret is 0.
 std::vector<EventCalibration> calibrate_events(
     const pmu::EventDatabase& db, const std::vector<std::uint32_t>& event_ids,
     const std::vector<std::unique_ptr<workload::Workload>>& secrets,

@@ -3,8 +3,11 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <numeric>
+#include <stdexcept>
 #include <utility>
 
+#include "sim/group_sweep.hpp"
 #include "telemetry/registry.hpp"
 #include "telemetry/span_tracer.hpp"
 #include "trace/pca.hpp"
@@ -30,67 +33,57 @@ ApplicationProfiler::ApplicationProfiler(const pmu::EventDatabase& db,
 
 // aegis-rng: stream(profiler-warmup)
 WarmupReport ApplicationProfiler::warmup(const workload::Workload& application) {
+  if (config_.warmup_repeats == 0) {
+    throw std::invalid_argument(
+        "ApplicationProfiler::warmup: warmup_repeats must be at least 1");
+  }
   // aegis-lint: clock-ok(reporting-only: WarmupReport::wall_seconds)
   const auto start = std::chrono::steady_clock::now();
   WarmupReport report;
   report.total_events = db_->size();
   report.before_by_type = db_->count_by_type();
 
+  std::vector<std::uint32_t> all_events(db_->size());
+  std::iota(all_events.begin(), all_events.end(), 0u);
+  // Repeat the idle/active comparison; the median change decides, which
+  // averages out interrupt noise and host background (C2).
   const workload::IdleWorkload idle(config_.warmup_slices);
-  constexpr std::size_t kGroup = pmu::EventDatabase::kNumCounters;
-  const std::size_t group_count = (db_->size() + kGroup - 1) / kGroup;
-
-  // One shard per counter group; survivors land in index-keyed slots and
-  // are merged in group order, so the report is identical for any worker
-  // count (and identical to a serial run).
-  std::vector<std::vector<std::uint32_t>> surviving(group_count);
-  telemetry::Registry& tel = telemetry::resolve(config_.telemetry);
-  telemetry::ScopedSpan stage(tel.spans(), "profiler.warmup", "profiler", 0,
-                              group_count);
-  util::ThreadPool pool(config_.num_threads);
-  pool.parallel_for(group_count, [&](std::size_t g) {
-    telemetry::ScopedSpan span(tel.spans(), "profiler.warmup.group",
-                               "profiler", static_cast<std::uint32_t>(g));
-    util::Rng rng(util::split_mix64(config_.seed ^ kWarmupSalt, g));
-    std::vector<std::uint32_t> group;
-    const std::uint32_t base = static_cast<std::uint32_t>(g * kGroup);
-    for (std::uint32_t id = base; id < db_->size() && id < base + kGroup; ++id) {
-      group.push_back(id);
-    }
-    // Repeat the idle/active comparison; the median change decides, which
-    // averages out interrupt noise and host background (C2).
-    std::vector<std::vector<double>> rel_changes(group.size());
-    std::vector<std::vector<double>> abs_changes(group.size());
-    for (std::size_t rep = 0; rep < config_.warmup_repeats; ++rep) {
-      sim::VirtualMachine idle_vm(config_.vm, rng.next_u64());
-      sim::HostMonitor idle_monitor(*db_, rng.next_u64());
-      const std::vector<double> idle_counts = idle_monitor.totals(
-          idle_vm, idle.visit(rng.next_u64()), group, config_.warmup_slices);
-
-      sim::VirtualMachine active_vm(config_.vm, rng.next_u64());
-      sim::HostMonitor active_monitor(*db_, rng.next_u64());
-      const std::vector<double> active_counts = active_monitor.totals(
-          active_vm, application.visit(rng.next_u64()), group,
-          config_.warmup_slices);
-
-      for (std::size_t e = 0; e < group.size(); ++e) {
-        const double diff = std::abs(active_counts[e] - idle_counts[e]);
-        const double base_count = std::max(idle_counts[e], 1.0);
-        rel_changes[e].push_back(diff / base_count);
-        abs_changes[e].push_back(diff);
-      }
-    }
-    for (std::size_t e = 0; e < group.size(); ++e) {
-      if (util::median(rel_changes[e]) > config_.warmup_rel_change &&
-          util::median(abs_changes[e]) > config_.warmup_abs_change) {
-        surviving[g].push_back(group[e]);
-      }
-    }
-  });
-  for (const auto& shard : surviving) {
-    report.surviving.insert(report.surviving.end(), shard.begin(), shard.end());
+  std::vector<sim::SweepJob> jobs;
+  for (std::size_t rep = 0; rep < config_.warmup_repeats; ++rep) {
+    jobs.push_back({&idle, config_.warmup_slices});
+    jobs.push_back({&application, config_.warmup_slices});
   }
 
+  telemetry::Registry& tel = telemetry::resolve(config_.telemetry);
+  telemetry::ScopedSpan stage(tel.spans(), "profiler.warmup", "profiler", 0,
+                              sim::sweep_group_count(all_events.size()));
+  util::ThreadPool pool(config_.num_threads);
+  report.surviving = sim::sweep_groups(
+      *db_, all_events, jobs,
+      [&](std::size_t g) {
+        return util::Rng(util::split_mix64(config_.seed ^ kWarmupSalt, g));
+      },
+      [](sim::MonitorResult& run) { return std::move(run.totals); },
+      [&](const std::vector<std::uint32_t>& group,
+          const std::vector<std::vector<double>>& totals) {
+        std::vector<std::uint32_t> surviving;
+        for (std::size_t e = 0; e < group.size(); ++e) {
+          std::vector<double> rel_changes;
+          std::vector<double> abs_changes;
+          for (std::size_t r = 0; r < totals.size(); r += 2) {
+            const double idle_count = totals[r][e];
+            const double diff = std::abs(totals[r + 1][e] - idle_count);
+            rel_changes.push_back(diff / std::max(idle_count, 1.0));
+            abs_changes.push_back(diff);
+          }
+          if (util::median(rel_changes) > config_.warmup_rel_change &&
+              util::median(abs_changes) > config_.warmup_abs_change) {
+            surviving.push_back(group[e]);
+          }
+        }
+        return surviving;
+      },
+      {config_.vm, &pool, &tel.spans(), "profiler.warmup.group", "profiler"});
   for (std::uint32_t id : report.surviving) {
     ++report.after_by_type[static_cast<std::size_t>(db_->by_id(id).type)];
   }
@@ -105,74 +98,60 @@ WarmupReport ApplicationProfiler::warmup(const workload::Workload& application) 
 std::vector<EventRank> ApplicationProfiler::rank(
     const std::vector<std::unique_ptr<workload::Workload>>& secrets,
     const std::vector<std::uint32_t>& event_ids) {
-  constexpr std::size_t kGroup = pmu::EventDatabase::kNumCounters;
-  const std::size_t group_count = (event_ids.size() + kGroup - 1) / kGroup;
-  std::vector<std::vector<EventRank>> per_group(group_count);
+  // No events: an empty ranking (no jobs needed, so none are checked).
+  const std::size_t runs = config_.ranking_runs_per_secret;
+  const std::vector<sim::SweepJob> jobs =
+      event_ids.empty()
+          ? std::vector<sim::SweepJob>{}
+          : sim::secret_jobs(secrets, runs, "ApplicationProfiler::rank");
 
   telemetry::Registry& tel = telemetry::resolve(config_.telemetry);
   telemetry::ScopedSpan stage(tel.spans(), "profiler.rank", "profiler", 0,
-                              group_count);
+                              sim::sweep_group_count(event_ids.size()));
   util::ThreadPool pool(config_.num_threads);
-  pool.parallel_for(group_count, [&](std::size_t g) {
-    telemetry::ScopedSpan span(tel.spans(), "profiler.rank.group", "profiler",
-                               static_cast<std::uint32_t>(g));
-    util::Rng rng(util::split_mix64(config_.seed ^ kRankSalt, g));
-    const std::size_t base = g * kGroup;
-    std::vector<std::uint32_t> group(
-        event_ids.begin() + static_cast<std::ptrdiff_t>(base),
-        event_ids.begin() +
-            static_cast<std::ptrdiff_t>(std::min(event_ids.size(), base + kGroup)));
-
-    // One run yields a trace for all 4 events of the group at once.
-    // pooled[e][s] = per-run pooled series for event e under secret s.
-    std::vector<std::vector<std::vector<std::vector<double>>>> pooled(
-        group.size(),
-        std::vector<std::vector<std::vector<double>>>(secrets.size()));
-    for (std::size_t s = 0; s < secrets.size(); ++s) {
-      for (std::size_t run = 0; run < config_.ranking_runs_per_secret; ++run) {
-        sim::VirtualMachine vm(config_.vm, rng.next_u64());
-        sim::HostMonitor monitor(*db_, rng.next_u64());
-        sim::MonitorResult r =
-            monitor.monitor(vm, secrets[s]->visit(rng.next_u64()), group,
-                            secrets[s]->trace_slices());
+  std::vector<EventRank> ranks = sim::sweep_groups(
+      *db_, event_ids, jobs,
+      [&](std::size_t g) {
+        return util::Rng(util::split_mix64(config_.seed ^ kRankSalt, g));
+      },
+      [&](sim::MonitorResult& run) {
+        // One run yields a trace for all 4 events of the group at once.
         trace::Trace t;
-        t.samples = std::move(r.samples);  // last use; avoids a deep copy
-        const std::vector<double> all =
-            t.window_features(config_.feature_windows);
-        const std::size_t w = all.size() / group.size();
+        t.samples = std::move(run.samples);  // avoids a deep copy
+        return t.window_features(config_.feature_windows);
+      },
+      [&](const std::vector<std::uint32_t>& group,
+          const std::vector<std::vector<double>>& pooled) {
+        // features[e][j] = job j's pooled series for event e; jobs are
+        // secret-major, so job j belongs to secret j / runs.
+        std::vector<std::vector<std::vector<double>>> features(group.size());
+        for (const std::vector<double>& all : pooled) {
+          const std::size_t w = all.size() / group.size();
+          for (std::size_t e = 0; e < group.size(); ++e) {
+            features[e].emplace_back(
+                all.begin() + static_cast<std::ptrdiff_t>(e * w),
+                all.begin() + static_cast<std::ptrdiff_t>((e + 1) * w));
+          }
+        }
+
+        std::vector<EventRank> group_ranks;
         for (std::size_t e = 0; e < group.size(); ++e) {
-          pooled[e][s].emplace_back(all.begin() + static_cast<std::ptrdiff_t>(e * w),
-                                    all.begin() + static_cast<std::ptrdiff_t>((e + 1) * w));
+          // PCA over every run of this event, then per-secret Gaussian fits.
+          trace::Pca pca;
+          pca.fit(features[e], 1);
+          std::vector<std::vector<double>> values_by_secret(secrets.size());
+          for (std::size_t j = 0; j < features[e].size(); ++j) {
+            values_by_secret[j / runs].push_back(
+                pca.first_component(features[e][j]));
+          }
+          const trace::SecretGaussianModel model =
+              trace::SecretGaussianModel::fit(values_by_secret);
+          group_ranks.push_back(
+              EventRank{group[e], trace::mutual_information_eq1(model)});
         }
-      }
-    }
-
-    for (std::size_t e = 0; e < group.size(); ++e) {
-      // PCA over every run of this event, then per-secret Gaussian fits.
-      std::vector<std::vector<double>> flat;
-      for (const auto& per_secret : pooled[e]) {
-        flat.insert(flat.end(), per_secret.begin(), per_secret.end());
-      }
-      trace::Pca pca;
-      pca.fit(flat, 1);
-      std::vector<std::vector<double>> values_by_secret(secrets.size());
-      for (std::size_t s = 0; s < secrets.size(); ++s) {
-        for (const auto& feat : pooled[e][s]) {
-          values_by_secret[s].push_back(pca.first_component(feat));
-        }
-      }
-      const trace::SecretGaussianModel model =
-          trace::SecretGaussianModel::fit(values_by_secret);
-      per_group[g].push_back(
-          EventRank{group[e], trace::mutual_information_eq1(model)});
-    }
-  });
-
-  std::vector<EventRank> ranks;
-  ranks.reserve(event_ids.size());
-  for (const auto& shard : per_group) {
-    ranks.insert(ranks.end(), shard.begin(), shard.end());
-  }
+        return group_ranks;
+      },
+      {config_.vm, &pool, &tel.spans(), "profiler.rank.group", "profiler"});
   std::sort(ranks.begin(), ranks.end(), [](const EventRank& a, const EventRank& b) {
     return a.mutual_information > b.mutual_information;
   });

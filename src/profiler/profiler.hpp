@@ -36,9 +36,9 @@ struct ProfilerConfig {
   std::size_t feature_windows = 24;     // pre-PCA temporal pooling
   std::uint64_t seed = 11;
   sim::VmConfig vm;
-  /// Workers for warm-up and ranking trace collection (0 = hardware
-  /// concurrency). One shard per 4-event counter group; each shard derives
-  /// its RNG stream from split_mix64(seed, group), so reports are
+  /// Workers for the warm-up and ranking group sweeps (sim::sweep_groups;
+  /// 0 = hardware concurrency). One shard per 4-event counter group; each
+  /// group draws from split_mix64(seed ^ stage salt, group), so reports are
   /// bit-identical for every thread count.
   std::size_t num_threads = 0;
   /// Span/metric sink for warm-up and ranking (null = telemetry::Registry::
@@ -65,11 +65,13 @@ class ApplicationProfiler {
   ApplicationProfiler(const pmu::EventDatabase& db, ProfilerConfig config);
 
   /// Warm-up filtering of the full event list against one representative
-  /// application run.
+  /// application run. Throws std::invalid_argument if warmup_repeats is 0.
   WarmupReport warmup(const workload::Workload& application);
 
   /// Ranks `event_ids` by Eq. 1 mutual information against the secret set
-  /// (one workload per secret). Sorted descending.
+  /// (one workload per secret). Sorted descending. No events: an empty
+  /// ranking. Throws std::invalid_argument for events with no secrets or
+  /// ranking_runs_per_secret == 0.
   std::vector<EventRank> rank(
       const std::vector<std::unique_ptr<workload::Workload>>& secrets,
       const std::vector<std::uint32_t>& event_ids);

@@ -60,7 +60,7 @@ std::size_t ProtectionService::register_template(
                              "service", 0, key.workload_fingerprint);
   // Always consult the cache so its lookup/hit/single-flight accounting
   // reflects every tenant registration, not just the first.
-  auto analysis = cache_.get_or_analyze(key, engine.database(), [&] {
+  auto analysis = cache_.get_or_analyze(key, engine, [&] {
     return engine.analyze(application, secrets, offline);
   });
 

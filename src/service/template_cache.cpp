@@ -107,7 +107,7 @@ std::string TemplateCache::disk_path(const TemplateKey& key) const {
 }
 
 std::shared_ptr<const core::OfflineResult> TemplateCache::get_or_analyze(
-    const TemplateKey& key, const pmu::EventDatabase& db,
+    const TemplateKey& key, const core::Aegis& engine,
     const AnalyzeFn& analyze) {
   std::shared_ptr<Entry> entry;
   bool leader = false;
@@ -152,7 +152,8 @@ std::shared_ptr<const core::OfflineResult> TemplateCache::get_or_analyze(
       warm_starts_.inc();
       try {
         result = std::make_shared<const core::OfflineResult>(
-            core::load_offline_result(is, db));
+            core::load_offline_result(is, engine.database(),
+                                      engine.specification()));
       } catch (const std::exception&) {
         result.reset();  // stale/corrupt file: fall through to analysis
         failed_loads_.inc();
@@ -171,7 +172,7 @@ std::shared_ptr<const core::OfflineResult> TemplateCache::get_or_analyze(
     }
     if (result && !path.empty()) {
       try {
-        core::save_offline_result(path, *result, db);
+        core::save_offline_result(path, *result, engine.database());
       } catch (const std::exception&) {
         // Best-effort persistence: a read-only cache dir degrades to
         // memory-only behavior rather than failing the tenant.

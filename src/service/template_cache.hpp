@@ -88,9 +88,12 @@ class TemplateCache {
   /// for a miss: disk warm-start (if configured), then `analyze` (whose
   /// result is persisted back to disk, best-effort). If the leader's
   /// analysis throws, every waiter receives the error and the entry is
-  /// evicted so a later call can retry.
+  /// evicted so a later call can retry. A disk file loads against
+  /// `engine`'s event database and ISA specification; a file that fails to
+  /// load (malformed, or naming an unknown or faulting gadget variant)
+  /// counts as a failed load and falls back to `analyze`.
   std::shared_ptr<const core::OfflineResult> get_or_analyze(
-      const TemplateKey& key, const pmu::EventDatabase& db,
+      const TemplateKey& key, const core::Aegis& engine,
       const AnalyzeFn& analyze);
 
   /// Path the given key persists to ("" when the cache is memory-only).

@@ -1,6 +1,7 @@
 #include "sim/host_monitor.hpp"
 
 #include <cmath>
+#include <utility>
 
 namespace aegis::sim {
 
@@ -33,7 +34,8 @@ MonitorResult HostMonitor::monitor(VirtualMachine& vm, const BlockSource& source
   MonitorResult result;
   result.samples.reserve(slices);
   // Cumulative reads of the previous and current slice; swapped, never
-  // reallocated. Each slice allocates only the delta row it returns.
+  // reallocated. Each slice allocates only the delta row it returns; the
+  // last read becomes the run's totals.
   std::vector<double> prev(event_ids.size(), 0.0);
   std::vector<double> now(event_ids.size());
   const double busy_before = vm.total_busy_cycles();
@@ -46,6 +48,7 @@ MonitorResult HostMonitor::monitor(VirtualMachine& vm, const BlockSource& source
     result.samples.push_back(clamped_delta(now, prev));
     prev.swap(now);
   }
+  result.totals = std::move(prev);
   result.slices = slices;
   result.busy_cycles = vm.total_busy_cycles() - busy_before;
   return result;
@@ -87,23 +90,10 @@ MonitorResult HostMonitor::monitor_stepped(
     prev.swap(now);
     ++sample;
   }
+  result.totals = std::move(prev);
   result.slices = result.samples.size();
   result.busy_cycles = vm.total_busy_cycles() - busy_before;
   return result;
-}
-
-// aegis-rng: stream(host-monitor-totals)
-std::vector<double> HostMonitor::totals(VirtualMachine& vm,
-                                        const BlockSource& source,
-                                        const std::vector<std::uint32_t>& event_ids,
-                                        std::size_t slices) {
-  pmu::CounterRegisterFile counters(*db_, rng_.next_u64());
-  counters.program(event_ids);
-  for (std::size_t t = 0; t < slices; ++t) {
-    if (source) vm.submit(source(t));
-    counters.tick(vm.run_slice());
-  }
-  return counters.read_all();
 }
 
 // aegis-rng: stream(host-monitor-monitor-occupancy)

@@ -39,6 +39,10 @@ using SlicePlanner =
 struct MonitorResult {
   /// samples[t][e] = count delta of programmed event e during slice t.
   std::vector<std::vector<double>> samples;
+  /// totals[e] = cumulative count of event e over the whole run (the final
+  /// counter read), for warm-up profiling where only aggregate activity
+  /// matters. Empty for monitor_occupancy, which reads no counters.
+  std::vector<double> totals;
   std::uint64_t slices = 0;
   double busy_cycles = 0.0;
 };
@@ -66,12 +70,6 @@ class HostMonitor {
                                 std::size_t base_slices,
                                 const SlicePlanner& planner,
                                 const SliceAgent& agent = nullptr);
-
-  /// Total (cumulative) counts over a run, for warm-up profiling where only
-  /// aggregate activity matters.
-  std::vector<double> totals(VirtualMachine& vm, const BlockSource& source,
-                             const std::vector<std::uint32_t>& event_ids,
-                             std::size_t slices);
 
   /// Cache-occupancy channel: instead of HPC registers, a co-resident probe
   /// sweeps its buffer once per slice and records its own miss count

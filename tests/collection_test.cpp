@@ -4,22 +4,31 @@
 //
 //   * CollectionDigest: FNV-1a digests over every double bit the collection
 //     entry points return (monitor for each workload, with and without an
-//     obfuscator agent; monitor_stepped with a planner; totals;
-//     obf::calibrate_events). The digests were captured before the slice
-//     loop stopped copying blocks and recomputing Poisson limits, so any
-//     change to a draw, a block order or an accumulation order fails here.
+//     obfuscator agent; monitor_stepped with a planner; monitor's totals;
+//     obf::calibrate_events; the profiler's warm-up survivors). The digests
+//     were captured before the slice loop stopped copying blocks and
+//     recomputing Poisson limits (warm-up: before the group sweep replaced
+//     the profiler's own loops), so any change to a draw, a block order or
+//     an accumulation order fails here.
+//   * GroupSweep: the shared group-sweep engine's contract — in-order
+//     4-event groups with a short tail, three draws per job, nothing run
+//     for an empty event list, identical results on 1 and 4 workers.
 //   * VmQueue: the VM's FIFO contract — carry-over across slices, forward
 //     progress for oversized blocks, submits into a partly drained queue,
 //     and pending() tracking the drain exactly.
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "obf/obfuscator.hpp"
+#include "profiler/profiler.hpp"
+#include "sim/group_sweep.hpp"
 #include "sim/host_monitor.hpp"
 #include "sim/virtual_machine.hpp"
 #include "util/hash.hpp"
+#include "util/thread_pool.hpp"
 #include "workload/crypto.hpp"
 #include "workload/dnn.hpp"
 #include "workload/idle.hpp"
@@ -210,9 +219,9 @@ TEST(CollectionDigest, TotalsPinned) {
   // Two back-to-back runs on one VM: the second starts with the first's
   // leftover queue and warmed micro-architectural state.
   const std::vector<double> first =
-      monitor.totals(vm, model.visit(402), f.events(), kSlices);
+      monitor.monitor(vm, model.visit(402), f.events(), kSlices).totals;
   const std::vector<double> second =
-      monitor.totals(vm, model.visit(403), f.events(), kSlices / 2);
+      monitor.monitor(vm, model.visit(403), f.events(), kSlices / 2).totals;
   EXPECT_EQ(digest(first), 0x7601fc7ba482f3a3ULL);
   EXPECT_EQ(digest(second), 0x0214b8c0dcf25951ULL);
 }
@@ -226,6 +235,168 @@ TEST(CollectionDigest, CalibrateEventsPinned) {
   const auto cals = obf::calibrate_events(f.db, f.events(), secrets, 2, 500);
   ASSERT_EQ(cals.size(), f.events().size());
   EXPECT_EQ(digest(cals), 0xf945ce10679b8b3bULL);
+}
+
+TEST(CollectionDigest, WarmupPinned) {
+  const Fixture f;
+  profiler::ProfilerConfig config;
+  config.seed = 7;
+  config.warmup_slices = 30;
+  config.warmup_repeats = 2;
+  config.num_threads = 0;
+  const workload::WebsiteWorkload app(0, config.warmup_slices);
+  // Default thresholds plus two tighter pairs: a shifted draw moves some
+  // event across one of the three cut-offs.
+  struct Cut {
+    double rel;
+    double abs;
+    std::uint64_t pinned;
+  };
+  const Cut cuts[] = {{0.30, 30.0, 0x6e9cac3bc2cb9377ULL},    // 133 events
+                      {10.0, 3000.0, 0x9e3129136feb701bULL},   // 87
+                      {3.0, 30000.0, 0xd23993006bd551e6ULL}};  // 33
+  for (const Cut& cut : cuts) {
+    config.warmup_rel_change = cut.rel;
+    config.warmup_abs_change = cut.abs;
+    const profiler::WarmupReport report =
+        profiler::ApplicationProfiler(f.db, config).warmup(app);
+    EXPECT_EQ(report.total_events, f.db.size());
+    std::uint64_t h = util::hash_combine(
+        util::kFnvOffset, std::uint64_t{report.surviving.size()});
+    for (std::uint32_t id : report.surviving) {
+      h = util::hash_combine(h, std::uint64_t{id});
+    }
+    for (std::size_t n : report.after_by_type) {
+      h = util::hash_combine(h, std::uint64_t{n});
+    }
+    EXPECT_EQ(h, cut.pinned) << "rel " << cut.rel << " abs " << cut.abs;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Group sweep contract.
+
+/// The sweep's map step keeping each job's whole MonitorResult.
+constexpr auto kKeepResult = [](sim::MonitorResult& r) { return std::move(r); };
+
+/// Runs the sweep over `events` with two workloads x two runs and returns
+/// one digest per group (of its events and every result), in group order.
+std::vector<std::uint64_t> sweep_digests(
+    const Fixture& f, const std::vector<std::uint32_t>& events,
+    util::ThreadPool* pool) {
+  const workload::WebsiteWorkload site(4, 30);
+  const workload::DnnWorkload model(2, 20);
+  const std::vector<sim::SweepJob> jobs = {
+      {&site, 30}, {&site, 30}, {&model, 20}, {&model, 20}};
+  return sim::sweep_groups(
+      f.db, events, jobs,
+      [](std::size_t g) { return util::Rng(util::split_mix64(77, g)); },
+      kKeepResult,
+      [](const std::vector<std::uint32_t>& group,
+         const std::vector<sim::MonitorResult>& results) {
+        std::uint64_t h = util::kFnvOffset;
+        for (std::uint32_t id : group) {
+          h = util::hash_combine(h, std::uint64_t{id});
+        }
+        for (const sim::MonitorResult& r : results) {
+          h = util::hash_combine(h, digest(r));
+          h = util::hash_combine(h, digest(r.totals));
+        }
+        return std::vector<std::uint64_t>{h};
+      },
+      {sim::VmConfig{}, pool});
+}
+
+TEST(GroupSweep, SplitsEventsInOrderWithAShortTailGroup) {
+  const Fixture f;
+  const std::vector<std::uint32_t> events = f.events();  // 6 = 4 + 2
+  const workload::IdleWorkload idle(25);
+  const std::vector<sim::SweepJob> jobs = {{&idle, 25}, {&idle, 10}};
+  EXPECT_EQ(sim::sweep_group_count(events.size()), 2u);
+  // Each group's slot holds its events, then one event per result (their
+  // run lengths); the slots concatenate in group order.
+  const std::vector<std::uint32_t> out = sim::sweep_groups(
+      f.db, events, jobs, [](std::size_t g) { return util::Rng(g); },
+      kKeepResult,
+      [&](const std::vector<std::uint32_t>& group,
+          const std::vector<sim::MonitorResult>& results) {
+        std::vector<std::uint32_t> slot = group;
+        for (const sim::MonitorResult& r : results) {
+          EXPECT_EQ(r.samples.front().size(), group.size());
+          EXPECT_EQ(r.totals.size(), group.size());
+          slot.push_back(static_cast<std::uint32_t>(r.samples.size()));
+        }
+        return slot;
+      });
+  std::vector<std::uint32_t> expected(events.begin(), events.begin() + 4);
+  expected.insert(expected.end(), {25, 10});
+  expected.insert(expected.end(), events.begin() + 4, events.end());
+  expected.insert(expected.end(), {25, 10});
+  EXPECT_EQ(out, expected);
+}
+
+TEST(GroupSweep, EachJobDrawsVmMonitorAndVisitSeedsInOrder) {
+  const Fixture f;
+  const std::vector<std::uint32_t> events = f.events();
+  const workload::WebsiteWorkload site(4, 30);
+  const std::vector<sim::SweepJob> jobs = {{&site, 30}, {&site, 30}};
+  // Both groups draw from the same stream; keep the tail group's digests.
+  const std::vector<std::uint64_t> swept = sim::sweep_groups(
+      f.db, events, jobs, [](std::size_t) { return util::Rng(5); },
+      kKeepResult,
+      [](const std::vector<std::uint32_t>& group,
+         const std::vector<sim::MonitorResult>& results) {
+        std::vector<std::uint64_t> slot;
+        if (group.size() == 4) return slot;
+        for (const auto& r : results) slot.push_back(digest(r));
+        return slot;
+      });
+  ASSERT_EQ(swept.size(), jobs.size());
+  // The tail group replayed by hand from the same stream.
+  const std::vector<std::uint32_t> tail(events.begin() + 4, events.end());
+  util::Rng rng(5);
+  for (std::size_t j = 0; j < jobs.size(); ++j) {
+    sim::VirtualMachine vm(sim::VmConfig{}, rng.next_u64());
+    sim::HostMonitor monitor(f.db, rng.next_u64());
+    EXPECT_EQ(digest(monitor.monitor(vm, site.visit(rng.next_u64()), tail, 30)),
+              swept[j])
+        << "job " << j;
+  }
+}
+
+TEST(GroupSweep, EmptyEventListRunsNoJobAndNoReduction) {
+  const Fixture f;
+  const workload::IdleWorkload idle(10);
+  std::size_t streams = 0;
+  std::size_t reductions = 0;
+  const std::vector<int> out = sim::sweep_groups(
+      f.db, {}, {{&idle, 10}},
+      [&](std::size_t g) {
+        ++streams;
+        return util::Rng(g);
+      },
+      kKeepResult,
+      [&](const std::vector<std::uint32_t>&,
+          const std::vector<sim::MonitorResult>&) {
+        ++reductions;
+        return std::vector<int>{1};
+      });
+  EXPECT_TRUE(out.empty());
+  EXPECT_EQ(streams, 0u);
+  EXPECT_EQ(reductions, 0u);
+}
+
+TEST(GroupSweep, IdenticalOnOneAndFourWorkers) {
+  const Fixture f;
+  // 11 events: three groups, the last one short.
+  std::vector<std::uint32_t> events = f.events();
+  for (std::uint32_t id = 0; events.size() < 11; ++id) events.push_back(id);
+  const std::vector<std::uint64_t> serial = sweep_digests(f, events, nullptr);
+  ASSERT_EQ(serial.size(), 3u);
+  util::ThreadPool one(1);
+  util::ThreadPool four(4);
+  EXPECT_EQ(sweep_digests(f, events, &one), serial);
+  EXPECT_EQ(sweep_digests(f, events, &four), serial);
 }
 
 // ---------------------------------------------------------------------------

@@ -5,12 +5,14 @@
 
 #include <cmath>
 #include <sstream>
+#include <string>
 
 #include "attack/wfa.hpp"
 #include "core/serialize.hpp"
 #include "fuzzer/fuzzer.hpp"
 #include "ml/gaussian_nb.hpp"
 #include "ml/knn.hpp"
+#include "obf/obfuscator.hpp"
 #include "obf/noise_calculator.hpp"
 #include "profiler/profiler.hpp"
 #include "workload/idle.hpp"
@@ -104,6 +106,70 @@ TEST(Robustness, ProfilerRankWithNoEventsOrSecrets) {
   std::vector<std::unique_ptr<workload::Workload>> secrets;
   secrets.push_back(std::make_unique<workload::IdleWorkload>(40));
   EXPECT_TRUE(profiler.rank(secrets, {}).empty());
+}
+
+/// A secret whose visit fails the test: the degenerate-sweep checks must
+/// reject their input before any run is simulated.
+class NeverVisited final : public workload::Workload {
+ public:
+  sim::BlockSource visit(std::uint64_t) const override {
+    ADD_FAILURE() << "a run was simulated before the input was rejected";
+    return nullptr;
+  }
+  std::size_t trace_slices() const override { return 10; }
+  std::string name() const override { return "never visited"; }
+};
+
+/// Expects `call` to throw std::invalid_argument naming `who`.
+template <typename Call>
+void expect_rejected_by(const Call& call, const std::string& who) {
+  try {
+    call();
+    ADD_FAILURE() << "expected " << who << " to reject its input";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(who), std::string::npos) << e.what();
+  }
+}
+
+TEST(Robustness, ProfilerRankRejectsEventsWithoutSecretsOrRuns) {
+  const auto db = pmu::EventDatabase::generate(isa::CpuModel::kAmdEpyc7252);
+  profiler::ProfilerConfig config;
+  config.ranking_runs_per_secret = 2;
+  std::vector<std::unique_ptr<workload::Workload>> none;
+  profiler::ApplicationProfiler profiler(db, config);
+  expect_rejected_by([&] { (void)profiler.rank(none, {0, 1}); },
+                     "ApplicationProfiler::rank");
+  // Nothing to rank and nothing to rank against: still an empty result.
+  EXPECT_TRUE(profiler.rank(none, {}).empty());
+
+  std::vector<std::unique_ptr<workload::Workload>> secrets;
+  secrets.push_back(std::make_unique<NeverVisited>());
+  config.ranking_runs_per_secret = 0;
+  profiler::ApplicationProfiler no_runs(db, config);
+  expect_rejected_by([&] { (void)no_runs.rank(secrets, {0, 1}); },
+                     "ApplicationProfiler::rank");
+}
+
+TEST(Robustness, ProfilerWarmupRejectsZeroRepeats) {
+  const auto db = pmu::EventDatabase::generate(isa::CpuModel::kAmdEpyc7252);
+  profiler::ProfilerConfig config;
+  config.warmup_repeats = 0;
+  const NeverVisited app;
+  expect_rejected_by(
+      [&] { (void)profiler::ApplicationProfiler(db, config).warmup(app); },
+      "ApplicationProfiler::warmup");
+}
+
+TEST(Robustness, CalibrateEventsRejectsNoSecretsOrNoRuns) {
+  const auto db = pmu::EventDatabase::generate(isa::CpuModel::kAmdEpyc7252);
+  std::vector<std::unique_ptr<workload::Workload>> secrets;
+  expect_rejected_by(
+      [&] { (void)obf::calibrate_events(db, {0, 1}, secrets, 2, 1); },
+      "calibrate_events");
+  secrets.push_back(std::make_unique<NeverVisited>());
+  expect_rejected_by(
+      [&] { (void)obf::calibrate_events(db, {0, 1}, secrets, 0, 1); },
+      "calibrate_events");
 }
 
 TEST(Robustness, TraceFeaturesOnEmptyTrace) {
@@ -203,7 +269,8 @@ TEST(Robustness, SerializeEmptyResultRoundTrips) {
   core::OfflineResult empty;
   std::stringstream stream;
   core::save_offline_result(stream, empty, db);
-  const core::OfflineResult loaded = core::load_offline_result(stream, db);
+  const core::OfflineResult loaded = core::load_offline_result(
+      stream, db, isa::IsaSpecification::generate(isa::CpuModel::kAmdEpyc7252));
   EXPECT_TRUE(loaded.ranking.empty());
   EXPECT_TRUE(loaded.cover.gadgets.empty());
   EXPECT_TRUE(loaded.fuzz.reports.empty());

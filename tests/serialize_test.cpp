@@ -5,6 +5,7 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <string>
 
 #include "attack/wfa.hpp"
 #include "core/serialize.hpp"
@@ -40,7 +41,8 @@ TEST(Serialize, RoundTripsEveryComponent) {
   std::stringstream stream;
   save_offline_result(stream, f.result, f.aegis.database());
   const OfflineResult loaded =
-      load_offline_result(stream, f.aegis.database());
+      load_offline_result(stream, f.aegis.database(),
+                          f.aegis.specification());
 
   EXPECT_EQ(loaded.warmup.surviving, f.result.warmup.surviving);
   ASSERT_EQ(loaded.ranking.size(), f.result.ranking.size());
@@ -71,7 +73,8 @@ TEST(Serialize, LoadedResultBuildsAWorkingObfuscator) {
   auto& f = fixture();
   std::stringstream stream;
   save_offline_result(stream, f.result, f.aegis.database());
-  const OfflineResult loaded = load_offline_result(stream, f.aegis.database());
+  const OfflineResult loaded = load_offline_result(stream, f.aegis.database(),
+                                                   f.aegis.specification());
 
   dp::MechanismConfig mech;
   mech.kind = dp::MechanismKind::kLaplace;
@@ -91,9 +94,9 @@ TEST(Serialize, LoadsAcrossFamilyMembers) {
   std::stringstream stream;
   save_offline_result(stream, f.result, f.aegis.database());
   // The 7313P shares the 7252's event list (Table I): the analysis ports.
-  const auto& sibling =
-      pmu::backend::backend_for(isa::CpuModel::kAmdEpyc7313P).database();
-  const OfflineResult loaded = load_offline_result(stream, sibling);
+  const Aegis sibling{isa::CpuModel::kAmdEpyc7313P};
+  const OfflineResult loaded = load_offline_result(
+      stream, sibling.database(), sibling.specification());
   EXPECT_EQ(loaded.warmup.surviving.size(), f.result.warmup.surviving.size());
 }
 
@@ -101,9 +104,10 @@ TEST(Serialize, RejectsCrossVendorLoads) {
   auto& f = fixture();
   std::stringstream stream;
   save_offline_result(stream, f.result, f.aegis.database());
-  const auto& intel =
-      pmu::backend::backend_for(isa::CpuModel::kIntelXeonE5_1650).database();
-  EXPECT_THROW((void)load_offline_result(stream, intel), std::runtime_error);
+  const Aegis intel{isa::CpuModel::kIntelXeonE5_1650};
+  EXPECT_THROW((void)load_offline_result(stream, intel.database(),
+                                         intel.specification()),
+               std::runtime_error);
 }
 
 TEST(Serialize, IntelResultsPortWithinTheXeonE5Family) {
@@ -126,14 +130,15 @@ TEST(Serialize, IntelResultsPortWithinTheXeonE5Family) {
   const std::string text = stream.str();
   EXPECT_NE(text.find("backend intel-xeon-e5\n"), std::string::npos);
 
-  const auto& sibling =
-      pmu::backend::backend_for(isa::CpuModel::kIntelXeonE5_4617).database();
+  const Aegis sibling{isa::CpuModel::kIntelXeonE5_4617};
   std::stringstream again(text);
-  const OfflineResult loaded = load_offline_result(again, sibling);
+  const OfflineResult loaded = load_offline_result(
+      again, sibling.database(), sibling.specification());
   EXPECT_EQ(loaded.warmup.surviving.size(), result.warmup.surviving.size());
 
   std::stringstream cross(text);
-  EXPECT_THROW((void)load_offline_result(cross, f.aegis.database()),
+  EXPECT_THROW((void)load_offline_result(cross, f.aegis.database(),
+                                         f.aegis.specification()),
                std::runtime_error);
 }
 
@@ -152,7 +157,8 @@ TEST(Serialize, LoadsVersion1StreamsWithoutABackendLine) {
   text.erase(pos, backend_line.size());
   text.replace(0, header.size(), "aegis-offline-result v1\n");
   std::stringstream v1(text);
-  const OfflineResult loaded = load_offline_result(v1, f.aegis.database());
+  const OfflineResult loaded = load_offline_result(v1, f.aegis.database(),
+                                                   f.aegis.specification());
   EXPECT_EQ(loaded.warmup.surviving, f.result.warmup.surviving);
 }
 
@@ -169,7 +175,8 @@ TEST(Serialize, RejectsBackendMismatchInVersion2Streams) {
                "backend intel-xeon-e5");
   std::stringstream tampered(text);
   try {
-    (void)load_offline_result(tampered, f.aegis.database());
+    (void)load_offline_result(tampered, f.aegis.database(),
+                              f.aegis.specification());
     FAIL() << "backend-mismatched stream must not load";
   } catch (const std::runtime_error& e) {
     EXPECT_NE(std::string(e.what()).find("backend mismatch"),
@@ -180,11 +187,13 @@ TEST(Serialize, RejectsBackendMismatchInVersion2Streams) {
 TEST(Serialize, RejectsGarbage) {
   auto& f = fixture();
   std::stringstream bad("not an aegis file\n");
-  EXPECT_THROW((void)load_offline_result(bad, f.aegis.database()),
+  EXPECT_THROW((void)load_offline_result(bad, f.aegis.database(),
+                                         f.aegis.specification()),
                std::runtime_error);
   std::stringstream truncated(
       "aegis-offline-result v2\ncpu AMD EPYC 7252\nbackend amd-zen2\n");
-  EXPECT_THROW((void)load_offline_result(truncated, f.aegis.database()),
+  EXPECT_THROW((void)load_offline_result(truncated, f.aegis.database(),
+                                         f.aegis.specification()),
                std::runtime_error);
 }
 
@@ -201,7 +210,8 @@ TEST(Serialize, RejectsFutureFormatVersionsWithAClearError) {
   text.replace(0, header.size(), "aegis-offline-result v7");
   std::stringstream future(text);
   try {
-    (void)load_offline_result(future, f.aegis.database());
+    (void)load_offline_result(future, f.aegis.database(),
+                              f.aegis.specification());
     FAIL() << "future-version stream must not load";
   } catch (const std::runtime_error& e) {
     EXPECT_NE(std::string(e.what()).find("v7"), std::string::npos);
@@ -210,10 +220,12 @@ TEST(Serialize, RejectsFutureFormatVersionsWithAClearError) {
 
   // Versions that are merely garbage are rejected as malformed.
   std::stringstream junk("aegis-offline-result vQ\n");
-  EXPECT_THROW((void)load_offline_result(junk, f.aegis.database()),
+  EXPECT_THROW((void)load_offline_result(junk, f.aegis.database(),
+                                         f.aegis.specification()),
                std::runtime_error);
   std::stringstream zero("aegis-offline-result v0\n");
-  EXPECT_THROW((void)load_offline_result(zero, f.aegis.database()),
+  EXPECT_THROW((void)load_offline_result(zero, f.aegis.database(),
+                                         f.aegis.specification()),
                std::runtime_error);
 }
 
@@ -237,10 +249,17 @@ const char* const kGadgetRow = "3\t4\t2.5";
 const char* const kCoverGadget = "3\t4";
 const char* const kCoverEffect = "2.5\tRETIRED_UOPS";
 
+const isa::IsaSpecification& amd_spec() {
+  static const isa::IsaSpecification spec =
+      isa::IsaSpecification::generate(isa::CpuModel::kAmdEpyc7252);
+  return spec;
+}
+
 OfflineResult load_text(const std::string& text) {
   std::istringstream is(text);
   return load_offline_result(
-      is, pmu::backend::backend_for(isa::CpuModel::kAmdEpyc7252).database());
+      is, pmu::backend::backend_for(isa::CpuModel::kAmdEpyc7252).database(),
+      amd_spec());
 }
 
 TEST(SerializeMalformed, MinimalStreamLoads) {
@@ -294,13 +313,80 @@ TEST(SerializeMalformed, CoverEffectRowWithExtraFieldThrows) {
                std::runtime_error);
 }
 
+// Gadget uids cross the warm-start trust boundary: each uid field must name
+// a legal variant of the loading CPU's spec. One uid past the spec's end
+// and one faulting variant per field.
+struct BadUids {
+  std::string out_of_range = std::to_string(amd_spec().total_count());
+  std::string faulting = [] {
+    for (const auto& v : amd_spec().variants()) {
+      if (!v.legal()) return std::to_string(v.uid);
+    }
+    throw std::runtime_error("no faulting variant");
+  }();
+};
+
+void expect_uid_rejected(const std::string& text, const std::string& uid) {
+  try {
+    (void)load_text(text);
+    ADD_FAILURE() << "uid " << uid << " loaded";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("not a legal variant"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(SerializeMalformed, BestGadgetUidOutsideTheSpecThrows) {
+  const BadUids bad;
+  for (const std::string& uid : {bad.out_of_range, bad.faulting}) {
+    expect_uid_rejected(minimal_stream(kRankingRow,
+                                       "RETIRED_UOPS\t1\t" + uid + "\t4\t2.5",
+                                       kGadgetRow, kCoverGadget, kCoverEffect),
+                        uid);
+    expect_uid_rejected(minimal_stream(kRankingRow,
+                                       "RETIRED_UOPS\t1\t3\t" + uid + "\t2.5",
+                                       kGadgetRow, kCoverGadget, kCoverEffect),
+                        uid);
+  }
+}
+
+TEST(SerializeMalformed, ConfirmedGadgetUidOutsideTheSpecThrows) {
+  const BadUids bad;
+  for (const std::string& uid : {bad.out_of_range, bad.faulting}) {
+    expect_uid_rejected(minimal_stream(kRankingRow, kGadgetHeader,
+                                       uid + "\t4\t2.5", kCoverGadget,
+                                       kCoverEffect),
+                        uid);
+    expect_uid_rejected(minimal_stream(kRankingRow, kGadgetHeader,
+                                       "3\t" + uid + "\t2.5", kCoverGadget,
+                                       kCoverEffect),
+                        uid);
+  }
+}
+
+TEST(SerializeMalformed, CoverGadgetUidOutsideTheSpecThrows) {
+  const BadUids bad;
+  for (const std::string& uid : {bad.out_of_range, bad.faulting}) {
+    expect_uid_rejected(minimal_stream(kRankingRow, kGadgetHeader, kGadgetRow,
+                                       uid + "\t4", kCoverEffect),
+                        uid);
+    expect_uid_rejected(minimal_stream(kRankingRow, kGadgetHeader, kGadgetRow,
+                                       "3\t" + uid, kCoverEffect),
+                        uid);
+  }
+}
+
 TEST(Serialize, FileRoundTrip) {
   auto& f = fixture();
   const std::string path = "/tmp/aegis_serialize_test.txt";
   save_offline_result(path, f.result, f.aegis.database());
-  const OfflineResult loaded = load_offline_result(path, f.aegis.database());
+  const OfflineResult loaded = load_offline_result(path, f.aegis.database(),
+                                                   f.aegis.specification());
   EXPECT_EQ(loaded.cover.gadgets, f.result.cover.gadgets);
-  EXPECT_THROW((void)load_offline_result("/nonexistent/path", f.aegis.database()),
+  EXPECT_THROW((void)load_offline_result("/nonexistent/path",
+                                         f.aegis.database(),
+                                         f.aegis.specification()),
                std::runtime_error);
 }
 
@@ -339,7 +425,8 @@ TEST_F(SerializeAtomicSave, OnlyTheTargetRemains) {
   const std::string path = (dir_ / "template.txt").string();
   save_offline_result(path, f.result, f.aegis.database());
   EXPECT_EQ(entries(), std::vector<std::string>{"template.txt"});
-  EXPECT_EQ(load_offline_result(path, f.aegis.database()).cover.gadgets,
+  EXPECT_EQ(load_offline_result(path, f.aegis.database(),
+                                f.aegis.specification()).cover.gadgets,
             f.result.cover.gadgets);
 }
 

@@ -5,6 +5,8 @@
 #include <deque>
 #include <filesystem>
 #include <fstream>
+#include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -131,7 +133,7 @@ TEST(TemplateCacheTest, ColdStartOfManyTenantsRunsExactlyOneAnalysis) {
   std::vector<std::thread> tenants;
   for (std::size_t t = 0; t < kTenants; ++t) {
     tenants.emplace_back([&, t] {
-      results[t] = cache.get_or_analyze(key, f.aegis.database(), [&] {
+      results[t] = cache.get_or_analyze(key, f.aegis, [&] {
         ++analyses;
         // Hold the in-flight window open long enough that every other
         // tenant joins it instead of racing past.
@@ -163,14 +165,13 @@ TEST(TemplateCacheTest, WarmStartsFromDiskWithoutReanalysis) {
 
   {
     TemplateCache writer({dir});
-    (void)writer.get_or_analyze(key, f.aegis.database(),
-                                [&] { return *f.analysis; });
+    (void)writer.get_or_analyze(key, f.aegis, [&] { return *f.analysis; });
     EXPECT_EQ(writer.stats().analyses_run, 1u);
     EXPECT_TRUE(std::filesystem::exists(writer.disk_path(key)));
   }
 
   TemplateCache cold({dir});  // a restarted service instance
-  const auto loaded = cold.get_or_analyze(key, f.aegis.database(), [&]() {
+  const auto loaded = cold.get_or_analyze(key, f.aegis, [&]() {
     ADD_FAILURE() << "warm start must not re-run the analysis";
     return *f.analysis;
   });
@@ -182,6 +183,38 @@ TEST(TemplateCacheTest, WarmStartsFromDiskWithoutReanalysis) {
   EXPECT_EQ(stats.analyses_run, 0u);
 }
 
+TEST(TemplateCacheTest, FaultingGadgetUidCountsFailedLoadAndReanalyzes) {
+  auto& f = fixture();
+  const std::string dir = fresh_dir("faulting-uid");
+  const TemplateKey key =
+      make_template_key(f.aegis.cpu(), *f.secrets[0], f.config);
+  std::uint32_t faulting = 0;
+  while (f.aegis.specification().by_uid(faulting).legal()) ++faulting;
+
+  {
+    TemplateCache writer({dir});
+    (void)writer.get_or_analyze(key, f.aegis, [&] { return *f.analysis; });
+    // Swap the first cover gadget's reset uid for a faulting variant: a
+    // well-formed file that must still not load.
+    std::ifstream in(writer.disk_path(key));
+    std::stringstream text;
+    text << in.rdbuf();
+    std::string body = text.str();
+    const std::size_t row = body.find('\n', body.find("[cover]\n") + 8) + 1;
+    body.replace(row, body.find('\t', row) - row, std::to_string(faulting));
+    std::ofstream(writer.disk_path(key), std::ios::trunc) << body;
+  }
+
+  TemplateCache cold({dir});
+  const auto result =
+      cold.get_or_analyze(key, f.aegis, [&] { return *f.analysis; });
+  EXPECT_EQ(result->cover.gadgets, f.analysis->cover.gadgets);
+  const TemplateCacheStats stats = cold.stats();
+  EXPECT_EQ(stats.warm_starts, 1u);
+  EXPECT_EQ(stats.failed_loads, 1u);
+  EXPECT_EQ(stats.analyses_run, 1u);
+}
+
 TEST(TemplateCacheTest, CorruptDiskFileCountsFailedLoadAndReanalyzes) {
   auto& f = fixture();
   const std::string dir = fresh_dir("corrupt");
@@ -190,8 +223,7 @@ TEST(TemplateCacheTest, CorruptDiskFileCountsFailedLoadAndReanalyzes) {
 
   {
     TemplateCache writer({dir});
-    (void)writer.get_or_analyze(key, f.aegis.database(),
-                                [&] { return *f.analysis; });
+    (void)writer.get_or_analyze(key, f.aegis, [&] { return *f.analysis; });
     // Truncate the persisted template: the next instance finds the file,
     // attempts the load, fails, and falls back to a fresh analysis.
     std::ofstream corrupt(writer.disk_path(key), std::ios::trunc);
@@ -199,8 +231,8 @@ TEST(TemplateCacheTest, CorruptDiskFileCountsFailedLoadAndReanalyzes) {
   }
 
   TemplateCache cold({dir});
-  const auto result = cold.get_or_analyze(key, f.aegis.database(),
-                                          [&] { return *f.analysis; });
+  const auto result =
+      cold.get_or_analyze(key, f.aegis, [&] { return *f.analysis; });
   EXPECT_EQ(result->cover.gadgets, f.analysis->cover.gadgets);
   const TemplateCacheStats stats = cold.stats();
   EXPECT_EQ(stats.lookups, 1u);
@@ -220,16 +252,16 @@ TEST(TemplateCacheTest, StatsIdentityHoldsAcrossColdWarmAndFailedPaths) {
       make_template_key(f.aegis.cpu(), *f.secrets[0], f.config);
 
   TemplateCache cache({dir});
-  (void)cache.get_or_analyze(key, f.aegis.database(),
+  (void)cache.get_or_analyze(key, f.aegis,
                              [&] { return *f.analysis; });  // cold miss
-  (void)cache.get_or_analyze(key, f.aegis.database(),
+  (void)cache.get_or_analyze(key, f.aegis,
                              [&] { return *f.analysis; });  // hit
   // A second key whose analysis throws: still a miss + an analysis run.
   core::OfflineConfig other = f.config;
   other.fuzz_top_events += 1;
   const TemplateKey key2 = make_template_key(f.aegis.cpu(), *f.secrets[0], other);
   EXPECT_THROW((void)cache.get_or_analyze(
-                   key2, f.aegis.database(),
+                   key2, f.aegis,
                    []() -> core::OfflineResult {
                      throw std::runtime_error("injected failure");
                    }),
@@ -251,14 +283,14 @@ TEST(TemplateCacheTest, FailedAnalysisPropagatesAndAllowsRetry) {
   const TemplateKey key =
       make_template_key(f.aegis.cpu(), *f.secrets[0], f.config);
   EXPECT_THROW((void)cache.get_or_analyze(
-                   key, f.aegis.database(),
+                   key, f.aegis,
                    []() -> core::OfflineResult {
                      throw std::runtime_error("injected failure");
                    }),
                std::runtime_error);
   EXPECT_EQ(cache.size(), 0u);  // evicted: the next caller may retry
-  const auto retried = cache.get_or_analyze(key, f.aegis.database(),
-                                            [&] { return *f.analysis; });
+  const auto retried =
+      cache.get_or_analyze(key, f.aegis, [&] { return *f.analysis; });
   EXPECT_EQ(retried->cover.gadgets, f.analysis->cover.gadgets);
 }
 
@@ -649,7 +681,7 @@ TEST(ProtectionServiceTest, ConcurrentRegistrationsShareOneTemplate) {
     TemplateCache seeded({dir});
     (void)seeded.get_or_analyze(
         make_template_key(f.aegis.cpu(), *f.secrets[0], f.config),
-        f.aegis.database(), [&] { return *f.analysis; });
+        f.aegis, [&] { return *f.analysis; });
   }
 
   ServiceConfig config;

@@ -261,8 +261,14 @@ TEST(HostMonitor, TotalsMatchSummedDeltas) {
   };
   VirtualMachine vm(VmConfig{}, 8);
   HostMonitor monitor(db, 9);
-  const std::vector<double> totals = monitor.totals(vm, source, {uops_id}, 40);
+  const MonitorResult result = monitor.monitor(vm, source, {uops_id}, 40);
+  const std::vector<double>& totals = result.totals;
   ASSERT_EQ(totals.size(), 1u);
+  // One event never multiplexes, so no delta is clamped: the deltas sum
+  // back to the final read (up to rounding).
+  double summed = 0.0;
+  for (const auto& row : result.samples) summed += row[0];
+  EXPECT_NEAR(summed, totals[0], 1e-6 * totals[0]);
   // Guest work plus interrupt-handler uops (~1.2 IRQ/slice x 900 uops).
   EXPECT_GT(totals[0], 3000.0 * 40 * 0.9);
   EXPECT_LT(totals[0], (3000.0 + 2500.0) * 40);
@@ -283,7 +289,7 @@ TEST(HostMonitor, AgentBlocksAreIndistinguishableInflation) {
   };
   VirtualMachine vm1(VmConfig{}, 10), vm2(VmConfig{}, 10);
   HostMonitor m1(db, 11), m2(db, 11);
-  const double clean = m1.totals(vm1, source, {uops_id}, 40)[0];
+  const double clean = m1.monitor(vm1, source, {uops_id}, 40).totals[0];
   VirtualMachine vm3(VmConfig{}, 10);
   const MonitorResult defended = m2.monitor(vm3, source, {uops_id}, 40, agent);
   double defended_total = 0.0;

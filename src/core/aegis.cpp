@@ -1,9 +1,11 @@
 #include "core/aegis.hpp"
 
+#include "dp/mechanism.hpp"
 #include "pmu/backend/registry.hpp"
 #include "util/stats.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
 #include <unordered_map>
 
@@ -54,6 +56,19 @@ std::unique_ptr<obf::EventObfuscator> Aegis::make_obfuscator(
     const std::vector<std::unique_ptr<workload::Workload>>& secrets,
     dp::MechanismConfig mechanism, ObfuscatorBuildOptions options,
     std::uint64_t seed) const {
+  // Invalid defence parameters fail here, before any calibration run, not
+  // at the first session(): a NaN pooling factor makes unit_reps NaN and a
+  // negative clip bound inverts the injector's clamp.
+  if (!(std::isfinite(options.clip_sigma) && options.clip_sigma > 0.0) ||
+      !(std::isfinite(options.pooling_factor) &&
+        options.pooling_factor > 0.0)) {
+    throw std::invalid_argument(
+        "Aegis::make_obfuscator: clip_sigma and pooling_factor must be "
+        "finite and > 0");
+  }
+  // The mechanism checks its own epsilon, sensitivity, bound or level.
+  (void)dp::make_mechanism(mechanism);
+
   // The protected events: the top-MI events the cover actually reaches,
   // in ranking order (the attacker monitors the top-ranked ones).
   const std::size_t protect_limit = options.protect_top_events == 0

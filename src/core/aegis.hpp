@@ -69,6 +69,9 @@ class Aegis {
   /// Online defense: an obfuscator bound to the analyzed gadget cover.
   /// `mechanism` picks Laplace / d* / baseline and the privacy budget; the
   /// per-event noise units are calibrated by running the secret set.
+  /// Throws std::invalid_argument before any calibration run for a
+  /// non-finite or non-positive clip_sigma or pooling_factor, or a
+  /// mechanism parameter its mechanism rejects (dp::make_mechanism).
   std::unique_ptr<obf::EventObfuscator> make_obfuscator(
       const OfflineResult& analysis,
       const std::vector<std::unique_ptr<workload::Workload>>& secrets,

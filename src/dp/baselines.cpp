@@ -1,6 +1,7 @@
 #include "dp/baselines.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
 
 #include "dp/dstar.hpp"
@@ -10,8 +11,9 @@ namespace aegis::dp {
 
 UniformRandomMechanism::UniformRandomMechanism(double bound, std::uint64_t seed)
     : bound_(bound), rng_(seed) {
-  if (bound < 0.0) {
-    throw std::invalid_argument("UniformRandomMechanism: bound must be >= 0");
+  if (!(std::isfinite(bound) && bound >= 0.0)) {
+    throw std::invalid_argument(
+        "UniformRandomMechanism: bound must be finite and >= 0");
   }
 }
 
@@ -20,7 +22,12 @@ double UniformRandomMechanism::noisy_value(double x_t) {
   return x_t + rng_.uniform(0.0, bound_);
 }
 
-ConstantOutputMechanism::ConstantOutputMechanism(double level) : level_(level) {}
+ConstantOutputMechanism::ConstantOutputMechanism(double level) : level_(level) {
+  if (!std::isfinite(level)) {
+    throw std::invalid_argument(
+        "ConstantOutputMechanism: level must be finite");
+  }
+}
 
 double ConstantOutputMechanism::noisy_value(double x_t) {
   return std::max(x_t, level_);

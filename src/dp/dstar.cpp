@@ -18,8 +18,9 @@ std::uint64_t dstar_parent(std::uint64_t t) noexcept {
 
 DStarMechanism::DStarMechanism(double epsilon, std::uint64_t seed)
     : epsilon_(epsilon), rng_(seed) {
-  if (epsilon <= 0.0) {
-    throw std::invalid_argument("DStarMechanism: epsilon must be > 0");
+  if (!(std::isfinite(epsilon) && epsilon > 0.0)) {
+    throw std::invalid_argument(
+        "DStarMechanism: epsilon must be finite and > 0");
   }
   reset();
 }

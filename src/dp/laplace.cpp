@@ -1,5 +1,6 @@
 #include "dp/laplace.hpp"
 
+#include <cmath>
 #include <stdexcept>
 
 namespace aegis::dp {
@@ -17,8 +18,10 @@ std::string_view to_string(MechanismKind k) noexcept {
 LaplaceMechanism::LaplaceMechanism(double epsilon, double sensitivity,
                                    std::uint64_t seed)
     : epsilon_(epsilon), sensitivity_(sensitivity), rng_(seed) {
-  if (epsilon <= 0.0 || sensitivity <= 0.0) {
-    throw std::invalid_argument("LaplaceMechanism: epsilon and sensitivity must be > 0");
+  if (!(std::isfinite(epsilon) && epsilon > 0.0) ||
+      !(std::isfinite(sensitivity) && sensitivity > 0.0)) {
+    throw std::invalid_argument(
+        "LaplaceMechanism: epsilon and sensitivity must be finite and > 0");
   }
 }
 

@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 
 #include "sim/group_sweep.hpp"
 #include "telemetry/registry.hpp"
-#include "util/stats.hpp"
 
 namespace aegis::obf {
 
@@ -17,6 +17,30 @@ sim::SliceAgent coarsen_agent(sim::SliceAgent inner, std::size_t granularity) {
   };
 }
 
+namespace {
+
+/// Streamed mean, sample variance (Welford) and peak of one event's
+/// per-slice deltas.
+struct Moments {
+  std::size_t n = 0;
+  double mean = 0.0;
+  double m2 = 0.0;
+  double peak = 0.0;  // deltas are clamped at zero, so 0 is the empty max
+
+  void add(double x) noexcept {
+    ++n;
+    const double d = x - mean;
+    mean += d / static_cast<double>(n);
+    m2 += d * (x - mean);
+    peak = std::max(peak, x);
+  }
+  double stddev() const noexcept {
+    return n < 2 ? 0.0 : std::sqrt(m2 / static_cast<double>(n - 1));
+  }
+};
+
+}  // namespace
+
 // aegis-rng: stream(obfuscator-calibrate-events)
 std::vector<EventCalibration> calibrate_events(
     const pmu::EventDatabase& db, const std::vector<std::uint32_t>& event_ids,
@@ -25,48 +49,56 @@ std::vector<EventCalibration> calibrate_events(
     const sim::VmConfig& vm_config) {
   const std::vector<sim::SweepJob> jobs =
       sim::secret_jobs(secrets, runs_per_secret, "calibrate_events");
-  // One serial Rng(seed) stream: group g starts where group g - 1's draws
-  // ended, so the groups could run on any pool.
-  std::vector<util::Rng> starts(sim::sweep_group_count(event_ids.size()),
-                                util::Rng(seed));
-  for (std::size_t g = 1; g < starts.size(); ++g) {
-    starts[g] = starts[g - 1];
-    for (std::size_t d = 0; d < sim::kSweepDrawsPerJob * jobs.size(); ++d) {
-      starts[g].next_u64();
+  if (event_ids.empty()) return {};
+  constexpr std::size_t kGroup = pmu::EventDatabase::kNumCounters;
+
+  std::vector<Moments> moments(event_ids.size());
+  // Cumulative reads of every event, group after group, for the previous
+  // and the current slice.
+  std::vector<double> prev(event_ids.size());
+  std::vector<double> now(event_ids.size());
+  std::vector<pmu::CounterRegisterFile> counters;
+  counters.reserve(sim::sweep_group_count(event_ids.size()));
+  util::Rng rng(seed);
+  for (const sim::SweepJob& job : jobs) {
+    sim::VirtualMachine vm(vm_config, rng.next_u64());
+    const sim::BlockSource source = job.workload->visit(rng.next_u64());
+    // One register file per 4-event group reads the same run.
+    counters.clear();
+    for (std::size_t base = 0; base < event_ids.size(); base += kGroup) {
+      const auto first = event_ids.begin() + static_cast<std::ptrdiff_t>(base);
+      const auto last = first + static_cast<std::ptrdiff_t>(
+                                    std::min(kGroup, event_ids.size() - base));
+      counters.emplace_back(db, rng.next_u64());
+      counters.back().program(std::vector<std::uint32_t>(first, last));
+    }
+    std::fill(prev.begin(), prev.end(), 0.0);
+    for (std::size_t t = 0; t < job.slices; ++t) {
+      if (source) vm.submit(source(t));
+      const pmu::ExecutionStats stats = vm.run_slice();
+      std::size_t base = 0;
+      for (pmu::CounterRegisterFile& file : counters) {
+        file.tick(stats);
+        const std::size_t width = file.programmed().size();
+        file.read_all(std::span<double>(now).subspan(base, width));
+        base += width;
+      }
+      for (std::size_t e = 0; e < now.size(); ++e) {
+        // Clamped at zero, as HostMonitor::monitor records it.
+        moments[e].add(std::max(now[e] - prev[e], 0.0));
+      }
+      prev.swap(now);
     }
   }
 
-  return sim::sweep_groups(
-      db, event_ids, jobs, [&](std::size_t g) { return starts[g]; },
-      [](const sim::MonitorResult& run) {
-        // Per-event columns of the run's per-slice deltas.
-        std::vector<std::vector<double>> columns(run.totals.size());
-        for (const auto& row : run.samples) {
-          for (std::size_t e = 0; e < row.size(); ++e) {
-            columns[e].push_back(row[e]);
-          }
-        }
-        return columns;
-      },
-      [](const std::vector<std::uint32_t>& group,
-         const std::vector<std::vector<std::vector<double>>>& runs) {
-        std::vector<std::vector<double>> samples(group.size());
-        for (const auto& columns : runs) {
-          for (std::size_t e = 0; e < group.size(); ++e) {
-            samples[e].insert(samples[e].end(), columns[e].begin(),
-                              columns[e].end());
-          }
-        }
-        std::vector<EventCalibration> calibrations(group.size());
-        for (std::size_t e = 0; e < group.size(); ++e) {
-          calibrations[e].event_id = group[e];
-          calibrations[e].mean = util::mean(samples[e]);
-          calibrations[e].stddev = util::stddev(samples[e]);
-          calibrations[e].peak = util::max_value(samples[e]);
-        }
-        return calibrations;
-      },
-      {vm_config});
+  std::vector<EventCalibration> calibrations(event_ids.size());
+  for (std::size_t e = 0; e < event_ids.size(); ++e) {
+    calibrations[e].event_id = event_ids[e];
+    calibrations[e].mean = moments[e].mean;
+    calibrations[e].stddev = moments[e].stddev();
+    calibrations[e].peak = moments[e].peak;
+  }
+  return calibrations;
 }
 
 EventObfuscator::EventObfuscator(const pmu::EventDatabase& db,

@@ -72,12 +72,16 @@ struct EventCalibration {
 /// BudgetGovernor accounts for.
 sim::SliceAgent coarsen_agent(sim::SliceAgent inner, std::size_t granularity);
 
-/// Calibrates `event_ids` over the secret set: one group sweep
-/// (sim::sweep_groups) of secrets x runs_per_secret runs per 4-event group,
-/// pooling every per-slice delta per event. All groups draw from one serial
-/// Rng(seed) stream (each group starts where the previous group's draws
-/// left off), and the sweep runs on the caller's thread: SecurityHarness
-/// and SessionManager call this from inside their own pool tasks. Throws
+/// Calibrates `event_ids` over the secret set: secrets x runs_per_secret
+/// runs (sim::secret_jobs), each simulated once in a fresh VirtualMachine
+/// and read through one fresh CounterRegisterFile per 4-event group, so a
+/// run is executed once however many groups read it. Per event, the mean,
+/// sample stddev (n - 1) and peak of every clamped per-slice delta are
+/// accumulated as a stream; no per-slice rows are stored. One Rng(seed)
+/// stream, per job in job order: the VM seed, the visit seed, then one
+/// counter-noise seed per group. Runs on the caller's thread:
+/// SecurityHarness and SessionManager call this from inside their own pool
+/// tasks. No events: nothing runs and the result is empty. Throws
 /// std::invalid_argument if `secrets` is empty or runs_per_secret is 0.
 std::vector<EventCalibration> calibrate_events(
     const pmu::EventDatabase& db, const std::vector<std::uint32_t>& event_ids,

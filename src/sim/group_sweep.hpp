@@ -1,8 +1,10 @@
-// Group sweep: the one trace-collection procedure behind warm-up
-// filtering, MI ranking and noise calibration. A run monitors at most four
-// events (paper Section V-B), so each stage runs its job list once per
-// 4-event group, every job in a fresh VirtualMachine under a fresh
-// HostMonitor (DESIGN.md "Group sweep").
+// Group sweep: the trace-collection procedure behind warm-up filtering and
+// MI ranking. A run monitors at most four events (paper Section V-B), so
+// each stage runs its job list once per 4-event group, every job in a fresh
+// VirtualMachine under a fresh HostMonitor (DESIGN.md "Group sweep").
+// Noise calibration keeps only the job list (secret_jobs): it runs each job
+// once and reads it through every group's register file
+// (obf::calibrate_events).
 #pragma once
 
 #include <algorithm>
@@ -29,9 +31,6 @@ struct SweepJob {
   const workload::Workload* workload = nullptr;
   std::size_t slices = 0;
 };
-
-/// next_u64 draws per job from its group's stream: VM, monitor, visit seed.
-inline constexpr std::size_t kSweepDrawsPerJob = 3;
 
 /// `runs` jobs per secret, secret-major, at each secret's trace_slices().
 /// Throws std::invalid_argument naming `caller` for no secret or no run.
@@ -65,12 +64,13 @@ inline std::size_t sweep_group_count(std::size_t event_count) noexcept {
 
 /// Splits `event_ids` into groups of EventDatabase::kNumCounters in order
 /// (the last may be short). Group g draws only from the util::Rng
-/// `stream(g)`, kSweepDrawsPerJob values per job in job order. `map(result)`
-/// keeps what the stage needs of each job's MonitorResult (it may move from
-/// it), so a group holds no more than that; `reduce(group_events, mapped)`
-/// turns the mapped values, in job order, into group g's slot, a
-/// std::vector. Slots concatenate in group order, so the output is the same
-/// on any pool. No events: nothing runs and `reduce` is never called.
+/// `stream(g)`: per job, in job order, the VM, monitor and visit seeds.
+/// `map(result)` keeps what the stage needs of each job's MonitorResult (it
+/// may move from it), so a group holds no more than that;
+/// `reduce(group_events, mapped)` turns the mapped values, in job order,
+/// into group g's slot, a std::vector. Slots concatenate in group order, so
+/// the output is the same on any pool. No events: nothing runs and `reduce`
+/// is never called.
 // aegis-rng: stream(group-sweep)
 template <typename Stream, typename Map, typename Reduce>
 auto sweep_groups(const pmu::EventDatabase& db,

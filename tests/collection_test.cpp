@@ -1,6 +1,7 @@
 // Trace-collection guards: the workload -> VirtualMachine -> HostMonitor ->
-// CounterRegisterFile slice loop that every attack, the profiler's ranking
-// and the obfuscator's calibration run through.
+// CounterRegisterFile slice loop that every attack and the profiler's
+// ranking run through, and the obfuscator's calibration, which reads each
+// run through one register file per 4-event group.
 //
 //   * CollectionDigest: FNV-1a digests over every double bit the collection
 //     entry points return (monitor for each workload, with and without an
@@ -8,8 +9,9 @@
 //     obf::calibrate_events; the profiler's warm-up survivors). The digests
 //     were captured before the slice loop stopped copying blocks and
 //     recomputing Poisson limits (warm-up: before the group sweep replaced
-//     the profiler's own loops), so any change to a draw, a block order or
-//     an accumulation order fails here.
+//     the profiler's own loops; calibration: when it started simulating
+//     each run once for every group), so any change to a draw, a block
+//     order or an accumulation order fails here.
 //   * GroupSweep: the shared group-sweep engine's contract — in-order
 //     4-event groups with a short tail, three draws per job, nothing run
 //     for an empty event list, identical results on 1 and 4 workers.
@@ -234,7 +236,7 @@ TEST(CollectionDigest, CalibrateEventsPinned) {
   }
   const auto cals = obf::calibrate_events(f.db, f.events(), secrets, 2, 500);
   ASSERT_EQ(cals.size(), f.events().size());
-  EXPECT_EQ(digest(cals), 0xf945ce10679b8b3bULL);
+  EXPECT_EQ(digest(cals), 0xae4de5f3b661fe77ULL);
 }
 
 TEST(CollectionDigest, WarmupPinned) {

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "dp/baselines.hpp"
 #include "dp/dstar.hpp"
@@ -9,6 +10,8 @@
 
 namespace aegis::dp {
 namespace {
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
 
 TEST(Laplace, NoiseIsZeroCenteredWithCorrectScale) {
   LaplaceMechanism mech(0.5, 1.0, 1);
@@ -27,6 +30,10 @@ TEST(Laplace, ScaleTracksEpsilonAndSensitivity) {
 TEST(Laplace, RejectsInvalidParameters) {
   EXPECT_THROW(LaplaceMechanism(0.0, 1.0, 1), std::invalid_argument);
   EXPECT_THROW(LaplaceMechanism(1.0, -1.0, 1), std::invalid_argument);
+  // NaN fails every comparison, so it must be rejected explicitly.
+  EXPECT_THROW(LaplaceMechanism(std::nan(""), 1.0, 1), std::invalid_argument);
+  EXPECT_THROW(LaplaceMechanism(1.0, std::nan(""), 1), std::invalid_argument);
+  EXPECT_THROW(LaplaceMechanism(kInf, 1.0, 1), std::invalid_argument);
 }
 
 /// Numerical verification of Theorem 1: for adjacent inputs x, x' with
@@ -161,6 +168,8 @@ TEST(DStar, NoiseIsCorrelatedAcrossTime) {
 
 TEST(DStar, RejectsInvalidEpsilon) {
   EXPECT_THROW(DStarMechanism(0.0, 1), std::invalid_argument);
+  EXPECT_THROW(DStarMechanism(std::nan(""), 1), std::invalid_argument);
+  EXPECT_THROW(DStarMechanism(kInf, 1), std::invalid_argument);
 }
 
 TEST(Baselines, UniformRandomWithinBound) {
@@ -181,6 +190,13 @@ TEST(Baselines, UniformRandomMeanIsHalfBound) {
 
 TEST(Baselines, UniformRandomRejectsNegativeBound) {
   EXPECT_THROW(UniformRandomMechanism(-1.0, 1), std::invalid_argument);
+  EXPECT_THROW(UniformRandomMechanism(std::nan(""), 1), std::invalid_argument);
+  EXPECT_THROW(UniformRandomMechanism(kInf, 1), std::invalid_argument);
+}
+
+TEST(Baselines, ConstantOutputRejectsNonFiniteLevel) {
+  EXPECT_THROW(ConstantOutputMechanism{std::nan("")}, std::invalid_argument);
+  EXPECT_THROW(ConstantOutputMechanism{kInf}, std::invalid_argument);
 }
 
 TEST(Baselines, ConstantOutputPadsToLevel) {

@@ -1,5 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <memory>
+#include <string>
+#include <vector>
+
 #include "dp/accountant.hpp"
 #include "fuzzer/set_cover.hpp"
 #include "obf/injector.hpp"
@@ -251,6 +257,115 @@ TEST(Calibration, ComputesSpreadAcrossSecrets) {
   }
   EXPECT_EQ(cals[0].event_id, uops);
   EXPECT_EQ(cals[1].event_id, ls);
+}
+
+/// Counts the runs calibration simulates of the wrapped secret.
+class CountingWorkload final : public workload::Workload {
+ public:
+  CountingWorkload(std::size_t site, std::size_t* visits)
+      : inner_(site, 40), visits_(visits) {}
+  sim::BlockSource visit(std::uint64_t seed) const override {
+    ++*visits_;
+    return inner_.visit(seed);
+  }
+  std::size_t trace_slices() const override { return inner_.trace_slices(); }
+  std::string name() const override { return inner_.name(); }
+
+ private:
+  workload::WebsiteWorkload inner_;
+  std::size_t* visits_;
+};
+
+std::vector<std::uint32_t> first_events(const pmu::EventDatabase& db,
+                                        std::size_t n) {
+  std::vector<std::uint32_t> ids;
+  for (std::size_t i = 0; i < n; ++i) ids.push_back(db.events()[i].id);
+  return ids;
+}
+
+TEST(Calibration, VisitsEachRunOnce) {
+  Fixture f;
+  std::size_t visits = 0;
+  std::vector<std::unique_ptr<workload::Workload>> secrets;
+  for (std::size_t site = 0; site < 3; ++site) {
+    secrets.push_back(std::make_unique<CountingWorkload>(site, &visits));
+  }
+  constexpr std::size_t kRuns = 2;
+  // One group, one full group, and two full groups plus a short tail: the
+  // groups read each run instead of re-running it.
+  for (std::size_t n : {1u, 4u, 9u}) {
+    visits = 0;
+    const auto cals =
+        calibrate_events(f.db, first_events(f.db, n), secrets, kRuns, 21);
+    EXPECT_EQ(cals.size(), n);
+    EXPECT_EQ(visits, secrets.size() * kRuns) << n << " events";
+  }
+  visits = 0;
+  EXPECT_TRUE(calibrate_events(f.db, {}, secrets, kRuns, 21).empty());
+  EXPECT_EQ(visits, 0u);
+}
+
+TEST(Calibration, StreamedMomentsMatchReference) {
+  Fixture f;
+  std::vector<std::unique_ptr<workload::Workload>> secrets;
+  secrets.push_back(std::make_unique<workload::WebsiteWorkload>(2, 50));
+  secrets.push_back(std::make_unique<workload::WebsiteWorkload>(5, 50));
+  const std::vector<std::uint32_t> events = first_events(f.db, 9);
+  constexpr std::size_t kRuns = 2;
+  constexpr std::uint64_t kSeed = 77;
+  const sim::VmConfig vm_config;
+
+  // Reference: the same stream (per job the VM seed, the visit seed, then
+  // one counter seed per 4-event group), every per-slice delta stored.
+  constexpr std::size_t kGroup = pmu::EventDatabase::kNumCounters;
+  std::vector<std::vector<double>> columns(events.size());
+  util::Rng rng(kSeed);
+  for (const auto& secret : secrets) {
+    for (std::size_t run = 0; run < kRuns; ++run) {
+      sim::VirtualMachine vm(vm_config, rng.next_u64());
+      const sim::BlockSource source = secret->visit(rng.next_u64());
+      std::vector<pmu::CounterRegisterFile> counters;
+      for (std::size_t base = 0; base < events.size(); base += kGroup) {
+        counters.emplace_back(f.db, rng.next_u64());
+        counters.back().program(std::vector<std::uint32_t>(
+            events.begin() + static_cast<std::ptrdiff_t>(base),
+            events.begin() + static_cast<std::ptrdiff_t>(
+                                 std::min(events.size(), base + kGroup))));
+      }
+      std::vector<double> prev(events.size(), 0.0);
+      for (std::size_t t = 0; t < secret->trace_slices(); ++t) {
+        vm.submit(source(t));
+        const pmu::ExecutionStats stats = vm.run_slice();
+        std::vector<double> now;
+        for (auto& file : counters) {
+          file.tick(stats);
+          const std::vector<double> read = file.read_all();
+          now.insert(now.end(), read.begin(), read.end());
+        }
+        for (std::size_t e = 0; e < events.size(); ++e) {
+          columns[e].push_back(std::max(now[e] - prev[e], 0.0));
+        }
+        prev = now;
+      }
+    }
+  }
+
+  const auto cals =
+      calibrate_events(f.db, events, secrets, kRuns, kSeed, vm_config);
+  ASSERT_EQ(cals.size(), events.size());
+  const auto near = [](double got, double want) {
+    return std::abs(got - want) <= 1e-9 * std::max(std::abs(want), 1e-300);
+  };
+  for (std::size_t e = 0; e < events.size(); ++e) {
+    ASSERT_EQ(columns[e].size(), secrets.size() * kRuns * 50);
+    EXPECT_EQ(cals[e].event_id, events[e]);
+    EXPECT_TRUE(near(cals[e].mean, util::mean(columns[e])))
+        << e << ": " << cals[e].mean << " vs " << util::mean(columns[e]);
+    EXPECT_TRUE(near(cals[e].stddev, util::stddev(columns[e])))
+        << e << ": " << cals[e].stddev << " vs " << util::stddev(columns[e]);
+    EXPECT_TRUE(near(cals[e].peak, util::max_value(columns[e])))
+        << e << ": " << cals[e].peak << " vs " << util::max_value(columns[e]);
+  }
 }
 
 TEST(RotatingPlan, ScheduleIsPeriodicAndCoversEveryVariant) {

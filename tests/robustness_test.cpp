@@ -4,10 +4,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <memory>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "attack/wfa.hpp"
+#include "core/aegis.hpp"
 #include "core/serialize.hpp"
 #include "fuzzer/fuzzer.hpp"
 #include "ml/gaussian_nb.hpp"
@@ -170,6 +174,74 @@ TEST(Robustness, CalibrateEventsRejectsNoSecretsOrNoRuns) {
   expect_rejected_by(
       [&] { (void)obf::calibrate_events(db, {0, 1}, secrets, 0, 1); },
       "calibrate_events");
+}
+
+/// A cover that reaches one event, so make_obfuscator would calibrate it
+/// against `secrets` if it accepted its parameters.
+core::OfflineResult one_event_analysis() {
+  core::OfflineResult analysis;
+  analysis.cover.covered_events = {0};
+  return analysis;
+}
+
+TEST(Robustness, MakeObfuscatorRejectsInvalidBuildOptionsBeforeCalibrating) {
+  const core::Aegis aegis(isa::CpuModel::kAmdEpyc7252);
+  const core::OfflineResult analysis = one_event_analysis();
+  std::vector<std::unique_ptr<workload::Workload>> secrets;
+  secrets.push_back(std::make_unique<NeverVisited>());
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (double bad : {nan, inf, -1.0, 0.0}) {
+    core::ObfuscatorBuildOptions clip;
+    clip.clip_sigma = bad;
+    expect_rejected_by(
+        [&] { (void)aegis.make_obfuscator(analysis, secrets, {}, clip); },
+        "Aegis::make_obfuscator");
+    core::ObfuscatorBuildOptions pooling;
+    pooling.pooling_factor = bad;
+    expect_rejected_by(
+        [&] { (void)aegis.make_obfuscator(analysis, secrets, {}, pooling); },
+        "Aegis::make_obfuscator");
+  }
+}
+
+TEST(Robustness, MakeObfuscatorRejectsInvalidMechanismBeforeCalibrating) {
+  const core::Aegis aegis(isa::CpuModel::kAmdEpyc7252);
+  const core::OfflineResult analysis = one_event_analysis();
+  std::vector<std::unique_ptr<workload::Workload>> secrets;
+  secrets.push_back(std::make_unique<NeverVisited>());
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const auto rejected = [&](const dp::MechanismConfig& mechanism,
+                            const std::string& who) {
+    expect_rejected_by(
+        [&] { (void)aegis.make_obfuscator(analysis, secrets, mechanism); },
+        who);
+  };
+  for (double bad : {nan, inf, -1.0, 0.0}) {
+    dp::MechanismConfig laplace;
+    laplace.epsilon = bad;
+    rejected(laplace, "LaplaceMechanism");
+    laplace.epsilon = 1.0;
+    laplace.sensitivity = bad;
+    rejected(laplace, "LaplaceMechanism");
+    dp::MechanismConfig dstar;
+    dstar.kind = dp::MechanismKind::kDStar;
+    dstar.epsilon = bad;
+    rejected(dstar, "DStarMechanism");
+  }
+  for (double bad : {nan, inf, -1.0}) {
+    dp::MechanismConfig uniform;
+    uniform.kind = dp::MechanismKind::kUniformRandom;
+    uniform.uniform_bound = bad;
+    rejected(uniform, "UniformRandomMechanism");
+  }
+  for (double bad : {nan, inf}) {
+    dp::MechanismConfig constant;
+    constant.kind = dp::MechanismKind::kConstantOutput;
+    constant.constant_level = bad;
+    rejected(constant, "ConstantOutputMechanism");
+  }
 }
 
 TEST(Robustness, TraceFeaturesOnEmptyTrace) {

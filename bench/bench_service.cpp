@@ -15,10 +15,10 @@
 //
 // Telemetry dumps (combinable with --smoke or the sweep; every run shares
 // one wall-clock telemetry registry threaded through ServiceConfig):
-//   --trace FILE     chrome://tracing / Perfetto trace_event JSON
 //   --prom FILE      Prometheus text exposition of the final metrics
 //   --stats FILE     JSON snapshot (the tools/aegis_top input format)
-//   --recorder FILE  flight-recorder binary dump (aegis_top --recorder)
+//   --recorder FILE  flight-recorder binary dump; `aegis_top --recorder FILE
+//                    --trace OUT.json` turns it into a chrome://tracing file
 //
 // AEGIS_SCALE scales per-session slice counts; AEGIS_THREADS sets the
 // session-pool worker count (0 = hardware concurrency).
@@ -33,7 +33,6 @@
 #include "service/protection_service.hpp"
 #include "telemetry/exporters.hpp"
 #include "telemetry/registry.hpp"
-#include "telemetry/time_source.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 
@@ -81,23 +80,24 @@ struct Scenario {
 
 double ms(double seconds) { return seconds * 1e3; }
 
-// One registry + wall clock per fleet point: ServiceStats are derived from
-// registry counters, so sharing a registry across points would make the
-// per-point figures cumulative. The dump flags export the LAST point run.
-struct TelemetrySink {
-  telemetry::WallTimeSource wall;
-  telemetry::Registry registry{&wall};
-};
+// One registry per fleet point: ServiceStats are derived from registry
+// counters, so sharing a registry across points would make the per-point
+// figures cumulative. The dump flags export the LAST point run. Its clock is
+// the wall clock, so trace durations mean real time.
+std::unique_ptr<telemetry::Registry> wall_clock_registry() {
+  const auto epoch = std::chrono::steady_clock::now();
+  return std::make_unique<telemetry::Registry>([epoch] {
+    return static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
+            std::chrono::steady_clock::now() - epoch)
+            .count());
+  });
+}
 
 struct DumpOptions {
-  const char* trace = nullptr;
   const char* prom = nullptr;
   const char* stats = nullptr;
   const char* recorder = nullptr;
-  bool any() const {
-    return trace != nullptr || prom != nullptr || stats != nullptr ||
-           recorder != nullptr;
-  }
 };
 
 template <typename Fn>
@@ -119,31 +119,26 @@ bool emit_telemetry_file(const char* path, const char* what, Fn&& fn) {
   return true;
 }
 
-bool dump_telemetry(const DumpOptions& dump, const TelemetrySink& sink) {
+bool dump_telemetry(const DumpOptions& dump, telemetry::Registry& registry) {
   bool ok = true;
-  if (dump.trace != nullptr) {
-    ok &= emit_telemetry_file(dump.trace, "trace", [&](std::ostream& os) {
-      telemetry::write_trace_json(sink.registry, os);
-    });
-  }
   if (dump.prom != nullptr) {
     ok &= emit_telemetry_file(dump.prom, "prometheus", [&](std::ostream& os) {
-      telemetry::write_prometheus(sink.registry.metrics().snapshot(), os);
+      telemetry::write_prometheus(registry.metrics().snapshot(), os);
     });
   }
   if (dump.stats != nullptr) {
     ok &= emit_telemetry_file(dump.stats, "snapshot", [&](std::ostream& os) {
-      telemetry::write_json_snapshot(sink.registry, os);
+      telemetry::write_json_snapshot(registry.metrics().snapshot(), os);
     });
   }
   if (dump.recorder != nullptr) {
     ok &= emit_telemetry_file(
         dump.recorder, "flight-recorder dump", [&](std::ostream& os) {
-          sink.registry.recorder().write_dump(os);
+          registry.recorder().write_dump(os);
         });
     std::cerr << "bench_service: recorder captured "
-              << sink.registry.recorder().drain().size() << " events, dropped "
-              << sink.registry.recorder().dropped() << "\n";
+              << registry.recorder().drain().size() << " events, dropped "
+              << registry.recorder().dropped() << "\n";
   }
   return ok;
 }
@@ -251,8 +246,8 @@ void emit_json(std::ostream& out, const std::vector<SweepPoint>& sweep,
 
 int run_smoke(const Scenario& scenario, const DumpOptions& dump) {
   print_header("bench_service --smoke");
-  TelemetrySink sink;
-  const SweepPoint point = run_fleet_size(scenario, 8, &sink.registry);
+  const auto registry = wall_clock_registry();
+  const SweepPoint point = run_fleet_size(scenario, 8, registry.get());
   std::cout << "tenants 8: " << util::fmt_f(point.throughput, 1)
             << " sessions/s, p50 " << util::fmt_f(point.p50_latency_ms, 1)
             << " ms, p99 " << util::fmt_f(point.p99_latency_ms, 1)
@@ -277,7 +272,7 @@ int run_smoke(const Scenario& scenario, const DumpOptions& dump) {
   }
   // Telemetry dumps double as the smoke check that the exporters produce
   // non-empty output from a real service run.
-  if (!dump_telemetry(dump, sink)) {
+  if (!dump_telemetry(dump, *registry)) {
     std::cerr << "SMOKE FAIL: telemetry dump empty or unwritable\n";
     ok = false;
   }
@@ -309,8 +304,6 @@ int run(int argc, char** argv) {
     };
     if (arg == "--smoke") {
       smoke = true;
-    } else if (arg == "--trace") {
-      dump.trace = flag_value("--trace");
     } else if (arg == "--prom") {
       dump.prom = flag_value("--prom");
     } else if (arg == "--stats") {
@@ -328,10 +321,10 @@ int run(int argc, char** argv) {
 
   print_header("bench_service: multi-tenant fleet sweep");
   std::vector<SweepPoint> sweep;
-  std::unique_ptr<TelemetrySink> sink;
+  std::unique_ptr<telemetry::Registry> registry;
   for (std::size_t tenants : {1, 4, 8, 16, 32, 48}) {
-    sink = std::make_unique<TelemetrySink>();
-    const SweepPoint point = run_fleet_size(scenario, tenants, &sink->registry);
+    registry = wall_clock_registry();
+    const SweepPoint point = run_fleet_size(scenario, tenants, registry.get());
     std::cout << "tenants " << point.tenants << ": "
               << util::fmt_f(point.throughput, 1) << " sessions/s, p50 "
               << util::fmt_f(point.p50_latency_ms, 1) << " ms, p99 "
@@ -354,7 +347,7 @@ int run(int argc, char** argv) {
   } else {
     emit_json(std::cout, sweep, scenario);
   }
-  if (!dump_telemetry(dump, *sink)) return 1;
+  if (!dump_telemetry(dump, *registry)) return 1;
   return 0;
 }
 

@@ -33,10 +33,9 @@ std::vector<std::uint32_t> ParallelCampaign::cleanup() const {
   std::vector<std::vector<std::uint32_t>> kept(shard_count);
 
   telemetry::Registry& tel = telemetry::resolve(config_->telemetry);
-  telemetry::ScopedSpan stage(tel.spans(), "fuzz.cleanup", "fuzzer", 0,
-                              shard_count);
+  telemetry::ScopedSpan stage(tel.spans(), "fuzz.cleanup", 0, shard_count);
   pool_->parallel_for(shard_count, [&](std::size_t shard) {
-    telemetry::ScopedSpan span(tel.spans(), "fuzz.cleanup.shard", "fuzzer",
+    telemetry::ScopedSpan span(tel.spans(), "fuzz.cleanup.shard",
                                static_cast<std::uint32_t>(shard));
     // Variants that fault (#UD / #GP) are excluded; the simulator faults
     // exactly where the spec says real hardware would.
@@ -82,10 +81,9 @@ GenerationOutput ParallelCampaign::generate(
   std::vector<std::vector<std::vector<Gadget>>> hits(shard_count);
 
   telemetry::Registry& tel = telemetry::resolve(config_->telemetry);
-  telemetry::ScopedSpan stage(tel.spans(), "fuzz.generate", "fuzzer", 0,
-                              shard_count);
+  telemetry::ScopedSpan stage(tel.spans(), "fuzz.generate", 0, shard_count);
   pool_->parallel_for(shard_count, [&](std::size_t shard) {
-    telemetry::ScopedSpan span(tel.spans(), "fuzz.generate.shard", "fuzzer",
+    telemetry::ScopedSpan span(tel.spans(), "fuzz.generate.shard",
                                static_cast<std::uint32_t>(shard));
     const std::size_t group_index = shard / resets.size();
     const std::uint32_t reset = resets[shard % resets.size()];
@@ -137,11 +135,11 @@ std::vector<std::vector<ConfirmedGadget>> ParallelCampaign::confirm(
   params.delta_threshold = config_->delta_threshold;
 
   telemetry::Registry& tel = telemetry::resolve(config_->telemetry);
-  telemetry::ScopedSpan stage(tel.spans(), "fuzz.confirm", "fuzzer", 0,
+  telemetry::ScopedSpan stage(tel.spans(), "fuzz.confirm", 0,
                               event_ids.size());
   std::vector<std::vector<ConfirmedGadget>> stable(event_ids.size());
   pool_->parallel_for(event_ids.size(), [&](std::size_t e) {
-    telemetry::ScopedSpan span(tel.spans(), "fuzz.confirm.shard", "fuzzer",
+    telemetry::ScopedSpan span(tel.spans(), "fuzz.confirm.shard",
                                static_cast<std::uint32_t>(e),
                                candidates[e].size());
     sim::GadgetRunner runner(
@@ -185,11 +183,11 @@ std::vector<std::vector<ConfirmedGadget>> ParallelCampaign::confirm(
 std::vector<FilterOutcome> ParallelCampaign::filter(
     const std::vector<std::vector<ConfirmedGadget>>& confirmed) const {
   telemetry::Registry& tel = telemetry::resolve(config_->telemetry);
-  telemetry::ScopedSpan stage(tel.spans(), "fuzz.filter", "fuzzer", 0,
+  telemetry::ScopedSpan stage(tel.spans(), "fuzz.filter", 0,
                               confirmed.size());
   std::vector<FilterOutcome> outcomes(confirmed.size());
   pool_->parallel_for(confirmed.size(), [&](std::size_t e) {
-    telemetry::ScopedSpan span(tel.spans(), "fuzz.filter.shard", "fuzzer",
+    telemetry::ScopedSpan span(tel.spans(), "fuzz.filter.shard",
                                static_cast<std::uint32_t>(e),
                                confirmed[e].size());
     outcomes[e] = filter_gadgets(confirmed[e], *spec_);

@@ -55,7 +55,7 @@ WarmupReport ApplicationProfiler::warmup(const workload::Workload& application) 
   }
 
   telemetry::Registry& tel = telemetry::resolve(config_.telemetry);
-  telemetry::ScopedSpan stage(tel.spans(), "profiler.warmup", "profiler", 0,
+  telemetry::ScopedSpan stage(tel.spans(), "profiler.warmup", 0,
                               sim::sweep_group_count(all_events.size()));
   util::ThreadPool pool(config_.num_threads);
   report.surviving = sim::sweep_groups(
@@ -83,7 +83,7 @@ WarmupReport ApplicationProfiler::warmup(const workload::Workload& application) 
         }
         return surviving;
       },
-      {config_.vm, &pool, &tel.spans(), "profiler.warmup.group", "profiler"});
+      {config_.vm, &pool, &tel.spans(), "profiler.warmup.group"});
   for (std::uint32_t id : report.surviving) {
     ++report.after_by_type[static_cast<std::size_t>(db_->by_id(id).type)];
   }
@@ -106,7 +106,7 @@ std::vector<EventRank> ApplicationProfiler::rank(
           : sim::secret_jobs(secrets, runs, "ApplicationProfiler::rank");
 
   telemetry::Registry& tel = telemetry::resolve(config_.telemetry);
-  telemetry::ScopedSpan stage(tel.spans(), "profiler.rank", "profiler", 0,
+  telemetry::ScopedSpan stage(tel.spans(), "profiler.rank", 0,
                               sim::sweep_group_count(event_ids.size()));
   util::ThreadPool pool(config_.num_threads);
   std::vector<EventRank> ranks = sim::sweep_groups(
@@ -151,7 +151,7 @@ std::vector<EventRank> ApplicationProfiler::rank(
         }
         return group_ranks;
       },
-      {config_.vm, &pool, &tel.spans(), "profiler.rank.group", "profiler"});
+      {config_.vm, &pool, &tel.spans(), "profiler.rank.group"});
   std::sort(ranks.begin(), ranks.end(), [](const EventRank& a, const EventRank& b) {
     return a.mutual_information > b.mutual_information;
   });

@@ -217,7 +217,7 @@ FrontierResult SecurityHarness::run(const std::vector<CellSpec>& cells) const {
   std::vector<CellResult> results(cells.size());
   util::ThreadPool pool(config_.num_threads);
   pool.parallel_for(cells.size(), [&](std::size_t i) {
-    telemetry::ScopedSpan span(reg.spans(), "seceval.cell", "seceval", 0,
+    telemetry::ScopedSpan span(reg.spans(), "seceval.cell", 0,
                                static_cast<std::uint64_t>(i));
     results[i] = run_cell(cells[i]);
     cells_done.inc();

@@ -18,11 +18,13 @@ std::string tenant_metric(const char* base, std::uint64_t tenant_id) {
   return std::string(base) + "{tenant=\"" + std::to_string(tenant_id) + "\"}";
 }
 
-/// Outcome code carried in kAdmission wide events (field `a`); "reset" uses
-/// 3 (it has no Admission enumerator).
+/// Outcome code carried in kAdmission wide events (field `a`): the
+/// Admission value, or kResetCode for a budget reset.
 std::uint64_t outcome_code(Admission a) noexcept {
   return static_cast<std::uint64_t>(a);
 }
+
+constexpr std::uint64_t kResetCode = 3;
 
 std::uint64_t double_bits(double v) noexcept {
   std::uint64_t bits = 0;
@@ -54,8 +56,14 @@ BudgetGovernor::Tenant& BudgetGovernor::tenant_for(std::uint64_t tenant_id) {
   Tenant& tenant = it->second;
   if (inserted) {
     tenant.epsilon_cap = config_.default_epsilon_cap;
-    // Registration takes the registry's level-50 lock while we hold the
+    // Registration takes the registry's level-52 lock while we hold the
     // level-15 governor lock: ascending, so lock-order clean.
+    tenant.admitted = telemetry_->metrics().counter(
+        tenant_metric("aegis_tenant_admitted_total", tenant_id));
+    tenant.degraded = telemetry_->metrics().counter(
+        tenant_metric("aegis_tenant_degraded_total", tenant_id));
+    tenant.refused = telemetry_->metrics().counter(
+        tenant_metric("aegis_tenant_refused_total", tenant_id));
     tenant.epsilon_gauge = telemetry_->metrics().gauge(
         tenant_metric("aegis_tenant_epsilon_advanced", tenant_id));
     tenant.remaining_gauge = telemetry_->metrics().gauge(
@@ -87,7 +95,7 @@ AdmissionDecision BudgetGovernor::request_window(std::uint64_t tenant_id,
     // series-level and pre-paid) is always admitted at full granularity.
     decision.outcome = Admission::kAdmit;
     decision.epsilon_after = tenant.accountant.advanced_epsilon(config_.delta);
-    ++tenant.admitted;
+    tenant.admitted.inc();
     record_decision(tenant_id, tenant, decision);
     return decision;
   }
@@ -118,11 +126,7 @@ AdmissionDecision BudgetGovernor::request_window(std::uint64_t tenant_id,
       decision.granularity = g;
       decision.releases = releases;
       decision.epsilon_after = after;
-      if (g == 1) {
-        ++tenant.admitted;
-      } else {
-        ++tenant.degraded;
-      }
+      (g == 1 ? tenant.admitted : tenant.degraded).inc();
       record_decision(tenant_id, tenant, decision);
       return decision;
     }
@@ -132,7 +136,7 @@ AdmissionDecision BudgetGovernor::request_window(std::uint64_t tenant_id,
   decision.granularity = 0;
   decision.releases = 0;
   decision.epsilon_after = tenant.accountant.advanced_epsilon(config_.delta);
-  ++tenant.refused;
+  tenant.refused.inc();
   record_decision(tenant_id, tenant, decision);
   if (config_.dump_on_refuse) {
     // Budget gate breach: snapshot the flight recorder so forensics can see
@@ -142,22 +146,26 @@ AdmissionDecision BudgetGovernor::request_window(std::uint64_t tenant_id,
   return decision;
 }
 
-// Caller holds mu_ (level 15); timeline/gauge sinks are higher levels, so
-// the order is ascending. The ε timeline gets one event per decision and
-// the per-tenant gauges track the post-decision spend.
+// Caller holds mu_ (level 15); the forecaster (17) and metric sinks sit
+// above it, so the order is ascending. One clock read, one wide event and
+// one forecaster point per decision, all in submission order.
 void BudgetGovernor::record_decision(std::uint64_t tenant_id,
                                      const Tenant& tenant,
-                                     const AdmissionDecision& decision) {
-  const telemetry::BudgetEvent event = telemetry_->budget().stamp(
-      tenant_id, to_string(decision.outcome),
-      static_cast<std::uint32_t>(decision.granularity), decision.releases,
-      decision.epsilon_after, tenant.epsilon_cap);
-  // Mirror into the flight recorder (wait-free) with the timeline's stamp,
-  // and feed the online forecaster, both in submission order.
-  decision_event_.record(event.t_ns, outcome_code(decision.outcome),
-                         decision.granularity, decision.releases,
-                         double_bits(decision.epsilon_after),
-                         static_cast<std::uint32_t>(tenant_id));
+                                     const AdmissionDecision& decision,
+                                     bool reset) {
+  telemetry::BudgetEvent event;
+  event.seq = next_seq_++;
+  event.t_ns = telemetry_->now_ns();
+  event.tenant_id = tenant_id;
+  event.outcome = reset ? "reset" : to_string(decision.outcome);
+  event.granularity = static_cast<std::uint32_t>(decision.granularity);
+  event.releases = decision.releases;
+  event.epsilon_after = decision.epsilon_after;
+  event.epsilon_cap = tenant.epsilon_cap;
+  decision_event_.record(
+      event.t_ns, reset ? kResetCode : outcome_code(decision.outcome),
+      event.granularity, event.releases, double_bits(event.epsilon_after),
+      static_cast<std::uint32_t>(tenant_id));
   if (config_.forecaster != nullptr) {
     config_.forecaster->ingest(event);
   }
@@ -179,18 +187,9 @@ void BudgetGovernor::reset_tenant(std::uint64_t tenant_id) {
   const auto it = tenants_.find(tenant_id);
   if (it == tenants_.end()) return;
   it->second.accountant.reset();
-  it->second.admitted = 0;
-  it->second.degraded = 0;
-  it->second.refused = 0;
-  const telemetry::BudgetEvent event = telemetry_->budget().stamp(
-      tenant_id, "reset", 0, 0, 0.0, it->second.epsilon_cap);
-  decision_event_.record(event.t_ns, /*outcome=*/3, 0, 0, double_bits(0.0),
-                         static_cast<std::uint32_t>(tenant_id));
-  if (config_.forecaster != nullptr) {
-    config_.forecaster->ingest(event);
-  }
-  it->second.epsilon_gauge.set(0.0);
-  it->second.remaining_gauge.set(it->second.epsilon_cap);
+  AdmissionDecision reset;
+  reset.granularity = 0;
+  record_decision(tenant_id, it->second, reset, /*reset=*/true);
 }
 
 TenantBudgetStats BudgetGovernor::snapshot(std::uint64_t id,
@@ -201,9 +200,9 @@ TenantBudgetStats BudgetGovernor::snapshot(std::uint64_t id,
   stats.basic_epsilon = t.accountant.basic_epsilon();
   stats.advanced_epsilon = t.accountant.advanced_epsilon(config_.delta);
   stats.epsilon_cap = t.epsilon_cap;
-  stats.admitted = t.admitted;
-  stats.degraded = t.degraded;
-  stats.refused = t.refused;
+  stats.admitted = t.admitted.value();
+  stats.degraded = t.degraded.value();
+  stats.refused = t.refused.value();
   return stats;
 }
 

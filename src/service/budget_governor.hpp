@@ -54,9 +54,10 @@ struct GovernorConfig {
   double default_epsilon_cap = 8.0;  // lifetime advanced-composition cap
   double delta = 1e-6;               // advanced-composition slack
   std::size_t max_granularity = 64;  // coarsest degrade step offered
-  /// Sink for the epsilon-spend timeline and per-tenant gauges (null =
-  /// telemetry::Registry::global()). TenantBudgetStats stays computed from
-  /// the governor's own accountants either way.
+  /// Sink for the admission wide events and per-tenant metrics (null =
+  /// telemetry::Registry::global()). TenantBudgetStats reads the ε spend from
+  /// the governor's own accountants and the outcome tallies from the
+  /// per-tenant counters.
   telemetry::Registry* telemetry = nullptr;
   /// Online ε-exhaustion forecaster (telemetry/anomaly.hpp). When set, the
   /// governor feeds it every decision AND consults it for PROACTIVE
@@ -102,11 +103,12 @@ class BudgetGovernor {
   struct Tenant {
     dp::PrivacyAccountant accountant;
     double epsilon_cap = 0.0;
-    std::size_t admitted = 0;
-    std::size_t degraded = 0;
-    std::size_t refused = 0;
-    // Labeled gauges registered when the tenant first appears; decisions
-    // then only touch lock-free handles (plus the timeline append).
+    // Labeled metrics registered when the tenant first appears; decisions
+    // then only touch lock-free handles. The tallies count every decision
+    // over the tenant's lifetime (reset_tenant forgets spend, not history).
+    telemetry::Counter admitted;
+    telemetry::Counter degraded;
+    telemetry::Counter refused;
     telemetry::Gauge epsilon_gauge;
     telemetry::Gauge remaining_gauge;
   };
@@ -115,10 +117,11 @@ class BudgetGovernor {
   /// Caller holds mu_.
   Tenant& tenant_for(std::uint64_t tenant_id);
 
-  /// Appends the decision to the ε timeline and refreshes the tenant's
-  /// gauges. Caller holds mu_.
+  /// Stamps the decision (or the budget reset) from the registry clock,
+  /// records it as a kAdmission wide event, feeds the forecaster and
+  /// refreshes the tenant's gauges. Caller holds mu_.
   void record_decision(std::uint64_t tenant_id, const Tenant& tenant,
-                       const AdmissionDecision& decision);
+                       const AdmissionDecision& decision, bool reset = false);
 
   TenantBudgetStats snapshot(std::uint64_t id, const Tenant& t) const;
 
@@ -130,6 +133,7 @@ class BudgetGovernor {
   // aegis-lint: lock-level(15, noblock)
   mutable std::mutex mu_;
   std::map<std::uint64_t, Tenant> tenants_;  // ordered for stable snapshots
+  std::uint64_t next_seq_ = 0;               // decision sequence number
 };
 
 }  // namespace aegis::service

@@ -57,7 +57,7 @@ std::size_t ProtectionService::register_template(
     core::ObfuscatorBuildOptions options, std::uint64_t seed) {
   const TemplateKey key = make_template_key(engine.cpu(), application, offline);
   telemetry::ScopedSpan span(telemetry_->spans(), "service.register_template",
-                             "service", 0, key.workload_fingerprint);
+                             0, key.workload_fingerprint);
   // Always consult the cache so its lookup/hit/single-flight accounting
   // reflects every tenant registration, not just the first.
   auto analysis = cache_.get_or_analyze(key, engine, [&] {
@@ -130,7 +130,7 @@ void ProtectionService::dispatch_loop() {
     if (batch.empty()) return;  // closed and drained
     queue_depth_.set(static_cast<double>(queue_.size()));
     telemetry::ScopedSpan batch_span(telemetry_->spans(), "service.dispatch",
-                                     "service", 0, batch.size());
+                                     0, batch.size());
 
     // A batch may mix templates; group contiguously by template id so each
     // fleet call shares one ProtectionTemplate.

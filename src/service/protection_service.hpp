@@ -39,10 +39,11 @@ struct ServiceConfig {
   std::size_t batch_size = 16;
   GovernorConfig governor;
   TemplateCacheConfig cache;
-  /// Shared telemetry sink for the whole service (metrics, phase spans,
-  /// ε timeline). Null = the service owns a private registry, so
-  /// per-instance stats stay exact; the cache/governor/manager sinks are
-  /// overridden to point at the resolved registry either way.
+  /// Shared telemetry sink for the whole service (metrics; phase spans and
+  /// admission decisions in its flight recorder). Null = the service owns a
+  /// private registry, so per-instance stats stay exact; the cache/governor/
+  /// manager sinks are overridden to point at the resolved registry either
+  /// way.
   telemetry::Registry* telemetry = nullptr;
   /// Online anomaly layer (telemetry/anomaly.hpp). The ε-exhaustion
   /// forecaster is always constructed and fed every governor decision —

@@ -45,6 +45,8 @@ struct TenantBudgetStats {
   double basic_epsilon = 0.0;      // sequential-composition spend
   double advanced_epsilon = 0.0;   // advanced-composition spend
   double epsilon_cap = 0.0;
+  // Lifetime decision tallies, read back from the per-tenant counters
+  // aegis_tenant_{admitted,degraded,refused}_total{tenant="N"}.
   std::size_t admitted = 0;        // windows granted at full granularity
   std::size_t degraded = 0;        // windows granted at coarser granularity
   std::size_t refused = 0;         // windows rejected (budget exhausted)

@@ -59,17 +59,19 @@ SessionResult run_protected_session(const ProtectionTemplate& tpl,
   sim::SliceAgent agent = obf::coarsen_agent(obfuscator.session(), granularity);
   if (telemetry != nullptr) {
     // Injection-window spans, stamped from the session's virtual clock (the
-    // slice index) rather than the TimeSource: each noise-refresh fire
-    // covers the granularity-wide window it protects. The wrapper draws no
-    // randomness, so traces stay bit-identical with telemetry attached.
+    // slice index) rather than the registry clock: each noise-refresh fire
+    // covers the granularity-wide window it protects. The stream is resolved
+    // here, once per session, so the per-slice wrapper only records; it
+    // draws no randomness, so traces stay bit-identical with telemetry
+    // attached.
     telemetry::SpanTracer* tracer = &telemetry->spans();
+    const telemetry::SpanStream stream = tracer->stream("inject.window");
     const std::uint64_t tenant = request.tenant_id;
     const std::size_t window = granularity == 0 ? 1 : granularity;
-    agent = [inner = std::move(agent), tracer, tenant,
+    agent = [inner = std::move(agent), tracer, stream, tenant,
              window](sim::VirtualMachine& vm, std::size_t t) {
       if (t % window == 0) {
-        tracer->record_complete("inject.window", "obf", t * kSliceNs,
-                                (t + window) * kSliceNs,
+        tracer->record_complete(stream, t * kSliceNs, (t + window) * kSliceNs,
                                 static_cast<std::uint32_t>(tenant), tenant);
       }
       inner(vm, t);
@@ -115,8 +117,8 @@ std::vector<SessionResult> SessionManager::run_fleet(
   // shared per tenant, so decision order must not depend on scheduling.
   std::vector<std::size_t> granted(requests.size(), 0);
   {
-    telemetry::ScopedSpan admission(telemetry_->spans(), "fleet.admission",
-                                    "service", 0, requests.size());
+    telemetry::ScopedSpan admission(telemetry_->spans(), "fleet.admission", 0,
+                                    requests.size());
     for (std::size_t i = 0; i < requests.size(); ++i) {
       const SessionRequest& request = requests[i];
       const AdmissionDecision decision = governor_->request_window(
@@ -141,7 +143,7 @@ std::vector<SessionResult> SessionManager::run_fleet(
     if (granted[i] == 0) return;  // refused
     started_.inc();
     active_.add(1.0);
-    telemetry::ScopedSpan span(telemetry_->spans(), "fleet.session", "service",
+    telemetry::ScopedSpan span(telemetry_->spans(), "fleet.session",
                                static_cast<std::uint32_t>(i),
                                requests[i].tenant_id);
     // RNG-stream checkpoint: the request seed plus the derived stream seeds

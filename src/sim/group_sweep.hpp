@@ -54,7 +54,6 @@ struct SweepOptions {
   util::ThreadPool* pool = nullptr;  // null: groups run on the caller's thread
   telemetry::SpanTracer* spans = nullptr;  // set: one span per group, track g
   std::string_view group_span = {};
-  std::string_view span_category = {};
 };
 
 inline std::size_t sweep_group_count(std::size_t event_count) noexcept {
@@ -86,7 +85,7 @@ auto sweep_groups(const pmu::EventDatabase& db,
   const auto run_group = [&](std::size_t g) {
     std::optional<telemetry::ScopedSpan> span;
     if (options.spans != nullptr) {
-      span.emplace(*options.spans, options.group_span, options.span_category,
+      span.emplace(*options.spans, options.group_span,
                    static_cast<std::uint32_t>(g));
     }
     const std::size_t base = g * kGroup;

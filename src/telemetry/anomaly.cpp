@@ -120,10 +120,6 @@ void BudgetForecaster::ingest(const BudgetEvent& event) {
   }
 }
 
-void BudgetForecaster::ingest(const std::vector<BudgetEvent>& events) {
-  for (const BudgetEvent& e : events) ingest(e);
-}
-
 BudgetForecast BudgetForecaster::forecast(std::uint64_t tenant_id) const {
   std::lock_guard<std::mutex> lock(mu_);
   const auto it = tenants_.find(tenant_id);

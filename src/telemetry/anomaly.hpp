@@ -1,12 +1,12 @@
 // Online anomaly layer on top of the telemetry plane (ROADMAP items 3/5):
 //
 //   * BudgetForecaster — per-tenant ε-exhaustion ETA from the slope of the
-//     BudgetTimeline's (t_ns, epsilon_after) series. Exposed as gauges
-//     (aegis_tenant_eta_ns / aegis_tenant_eps_burn_per_s) and consumed by
-//     BudgetGovernor as a proactive-degradation hint: a tenant forecast to
-//     exhaust inside the configured horizon is degraded one granularity
-//     step BEFORE the accountant forces it, trading temporal resolution
-//     early for admission continuity later.
+//     (t_ns, epsilon_after) series of the governor's admission decisions.
+//     Exposed as gauges (aegis_tenant_eta_ns / aegis_tenant_eps_burn_per_s)
+//     and consumed by BudgetGovernor as a proactive-degradation hint: a
+//     tenant forecast to exhaust inside the configured horizon is degraded
+//     one granularity step BEFORE the accountant forces it, trading
+//     temporal resolution early for admission continuity later.
 //   * AttackProbabilityMonitor — online score of how attacker-like a
 //     session's counter-read behaviour is, from event-set overlap with the
 //     backend's attack set, read-cadence regularity and single-stepping
@@ -23,9 +23,9 @@
 #include <deque>
 #include <map>
 #include <mutex>
+#include <string>
 #include <vector>
 
-#include "telemetry/budget_timeline.hpp"
 #include "telemetry/flight_recorder.hpp"
 #include "telemetry/metrics.hpp"
 
@@ -37,6 +37,25 @@ class Registry;
 enum class AlertKind : std::uint64_t {
   kBudgetExhaustionSoon = 1,
   kAttackSuspected = 2,
+};
+
+/// One admission decision (admit / degrade / refuse) or budget reset, as
+/// BudgetGovernor hands it to the forecaster. The governor also records it
+/// as a kAdmission wide event; nothing keeps a copy.
+struct BudgetEvent {
+  /// Decision sequence number (stable tiebreak for equal timestamps).
+  std::uint64_t seq = 0;
+  std::uint64_t t_ns = 0;
+  std::uint64_t tenant_id = 0;
+  /// "admit" | "degrade" | "refuse" | "reset".
+  std::string outcome;
+  /// Granularity granted for this window (0 for refuse/reset).
+  std::uint32_t granularity = 0;
+  /// Releases charged by this decision (0 for refuse/reset).
+  std::uint64_t releases = 0;
+  /// Advanced-composition ε after the decision was applied.
+  double epsilon_after = 0.0;
+  double epsilon_cap = 0.0;
 };
 
 struct BudgetForecast {
@@ -79,9 +98,6 @@ class BudgetForecaster {
   /// name groups of the wait-free hot-path recording ops for the
   /// interprocedural linter.
   void ingest(const BudgetEvent& event);
-
-  /// Bulk replay, e.g. from BudgetTimeline::events() at attach time.
-  void ingest(const std::vector<BudgetEvent>& events);
 
   BudgetForecast forecast(std::uint64_t tenant_id) const;
 

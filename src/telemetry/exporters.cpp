@@ -1,6 +1,7 @@
 #include "telemetry/exporters.hpp"
 
 #include <cinttypes>
+#include <cmath>
 #include <cstdio>
 #include <set>
 #include <string>
@@ -16,6 +17,12 @@ std::string fmt_double(double v) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.10g", v);
   return std::string(buf);
+}
+
+/// JSON has no infinity or NaN (a forecaster ETA gauge is +inf until the
+/// burn slope turns positive); the snapshot writes them as null.
+std::string fmt_json_double(double v) {
+  return std::isfinite(v) ? fmt_double(v) : std::string("null");
 }
 
 std::string fmt_u64(std::uint64_t v) {
@@ -169,10 +176,7 @@ void write_prometheus(const MetricsSnapshot& snap, std::ostream& os) {
   }
 }
 
-void write_json_snapshot(const Registry& reg, std::ostream& os) {
-  const MetricsSnapshot snap = reg.metrics().snapshot();
-  const std::vector<BudgetEvent> events = reg.budget().events();
-
+void write_json_snapshot(const MetricsSnapshot& snap, std::ostream& os) {
   os << "{\n  \"counters\": {";
   for (std::size_t i = 0; i < snap.counters.size(); ++i) {
     os << (i == 0 ? "\n" : ",\n") << "    \""
@@ -185,7 +189,7 @@ void write_json_snapshot(const Registry& reg, std::ostream& os) {
   for (std::size_t i = 0; i < snap.gauges.size(); ++i) {
     os << (i == 0 ? "\n" : ",\n") << "    \""
        << json_escape(snap.gauges[i].name)
-       << "\": " << fmt_double(snap.gauges[i].value);
+       << "\": " << fmt_json_double(snap.gauges[i].value);
   }
   os << (snap.gauges.empty() ? "},\n" : "\n  },\n");
 
@@ -195,62 +199,17 @@ void write_json_snapshot(const Registry& reg, std::ostream& os) {
     os << (i == 0 ? "\n" : ",\n") << "    \"" << json_escape(h.name)
        << "\": {\"bounds\": [";
     for (std::size_t j = 0; j < h.bounds.size(); ++j) {
-      os << (j == 0 ? "" : ", ") << fmt_double(h.bounds[j]);
+      os << (j == 0 ? "" : ", ") << fmt_json_double(h.bounds[j]);
     }
     os << "], \"buckets\": [";
     for (std::size_t j = 0; j < h.buckets.size(); ++j) {
       os << (j == 0 ? "" : ", ") << fmt_u64(h.buckets[j]);
     }
     os << "], \"count\": " << fmt_u64(h.count)
-       << ", \"sum\": " << fmt_double(h.sum) << '}';
+       << ", \"sum\": " << fmt_json_double(h.sum) << '}';
   }
-  os << (snap.histograms.empty() ? "},\n" : "\n  },\n");
-
-  os << "  \"budget_timeline\": [";
-  for (std::size_t i = 0; i < events.size(); ++i) {
-    const auto& e = events[i];
-    os << (i == 0 ? "\n" : ",\n") << "    {\"seq\": " << fmt_u64(e.seq)
-       << ", \"t_ns\": " << fmt_u64(e.t_ns)
-       << ", \"tenant\": " << fmt_u64(e.tenant_id) << ", \"outcome\": \""
-       << json_escape(e.outcome) << "\", \"granularity\": " << e.granularity
-       << ", \"releases\": " << fmt_u64(e.releases)
-       << ", \"epsilon_after\": " << fmt_double(e.epsilon_after)
-       << ", \"epsilon_cap\": " << fmt_double(e.epsilon_cap) << '}';
-  }
-  os << (events.empty() ? "]\n" : "\n  ]\n");
+  os << (snap.histograms.empty() ? "}\n" : "\n  }\n");
   os << "}\n";
-}
-
-void write_trace_json(const Registry& reg, std::ostream& os) {
-  const std::vector<Span> spans = reg.spans().completed();
-  const std::vector<BudgetEvent> events = reg.budget().events();
-
-  os << "{\"traceEvents\": [";
-  bool first = true;
-  for (const auto& s : spans) {
-    os << (first ? "\n" : ",\n");
-    first = false;
-    // trace_event ts/dur are microseconds (doubles, so sub-µs survives).
-    os << "  {\"name\": \"" << json_escape(s.name) << "\", \"cat\": \""
-       << json_escape(s.category) << "\", \"ph\": \"X\", \"ts\": "
-       << fmt_double(static_cast<double>(s.begin_ns) / 1000.0)
-       << ", \"dur\": "
-       << fmt_double(static_cast<double>(s.end_ns - s.begin_ns) / 1000.0)
-       << ", \"pid\": 1, \"tid\": " << s.track << ", \"args\": {\"id\": "
-       << fmt_u64(s.id) << ", \"parent\": " << fmt_u64(s.parent)
-       << ", \"arg\": " << fmt_u64(s.arg) << "}}";
-  }
-  for (const auto& e : events) {
-    os << (first ? "\n" : ",\n");
-    first = false;
-    os << "  {\"name\": \"epsilon tenant " << fmt_u64(e.tenant_id)
-       << "\", \"cat\": \"budget\", \"ph\": \"C\", \"ts\": "
-       << fmt_double(static_cast<double>(e.t_ns) / 1000.0)
-       << ", \"pid\": 1, \"tid\": 0, \"args\": {\"epsilon\": "
-       << fmt_double(e.epsilon_after) << ", \"remaining\": "
-       << fmt_double(e.epsilon_cap - e.epsilon_after) << "}}";
-  }
-  os << (first ? "]" : "\n]") << ", \"displayTimeUnit\": \"ms\"}\n";
 }
 
 }  // namespace aegis::telemetry

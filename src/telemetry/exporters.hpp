@@ -1,16 +1,15 @@
-// Exporters: Prometheus text exposition, JSON snapshot (aegis_top input),
-// and chrome://tracing trace_event JSON.
+// Metric exporters: Prometheus text exposition and the JSON snapshot
+// (aegis_top input). Spans and admission decisions live in the flight
+// recorder; write_recorder_trace_json (flight_recorder.hpp) renders them.
 //
-// All three are deterministic given deterministic inputs: metrics iterate in
-// name order, spans in (begin_ns, id) order, budget events in seq order, and
-// doubles print via a fixed %.10g format — the exporter golden tests pin the
-// bytes.
+// Both are deterministic given deterministic inputs: metrics iterate in name
+// order and doubles print via a fixed %.10g format — the exporter golden
+// tests pin the bytes.
 #pragma once
 
 #include <ostream>
 
 #include "telemetry/metrics.hpp"
-#include "telemetry/registry.hpp"
 
 namespace aegis::telemetry {
 
@@ -25,14 +24,7 @@ namespace aegis::telemetry {
 void write_prometheus(const MetricsSnapshot& snap, std::ostream& os);
 
 /// One JSON object: {"counters": {...}, "gauges": {...},
-/// "histograms": {...}, "budget_timeline": [...]}. This is the wire format
-/// tools/aegis_top consumes.
-void write_json_snapshot(const Registry& reg, std::ostream& os);
-
-/// chrome://tracing / Perfetto trace_event JSON: each completed span becomes
-/// a `"ph":"X"` complete event (ts/dur in microseconds, pid 1, tid = track),
-/// and each budget event becomes a `"ph":"C"` counter sample on an
-/// "epsilon tenant N" track so ε burn-down renders as a stacked area chart.
-void write_trace_json(const Registry& reg, std::ostream& os);
+/// "histograms": {...}}. This is the wire format tools/aegis_top consumes.
+void write_json_snapshot(const MetricsSnapshot& snap, std::ostream& os);
 
 }  // namespace aegis::telemetry

@@ -5,25 +5,28 @@
 
 #include <algorithm>
 #include <cinttypes>
+#include <cmath>
 #include <csignal>
 #include <cstdio>
 #include <cstring>
 #include <exception>
 #include <istream>
+#include <map>
 #include <ostream>
 
 namespace aegis::telemetry {
 
 namespace {
 
-// Dump format v1. Header (40 bytes, little-endian):
+// Dump format v2 (span events name their span by stream and carry its arg;
+// read_dump rejects every other version). Header (40 bytes, little-endian):
 //   magic[8]="AEGISFR1", u32 version, u32 record_size, u64 count,
 //   u64 dropped, u32 name_table_len, u32 name_table_count
 // then name_table_len bytes of (u16 length + bytes) stream names, then
 // `count` 56-byte records (count == ~0 means "until EOF" — the crash path
 // cannot know the count up front without a second pass it may not survive).
 constexpr char kMagic[8] = {'A', 'E', 'G', 'I', 'S', 'F', 'R', '1'};
-constexpr std::uint32_t kDumpVersion = 1;
+constexpr std::uint32_t kDumpVersion = 2;
 constexpr std::uint32_t kRecordSize = 56;
 constexpr std::uint64_t kCountUntilEof = ~0ULL;
 /// Largest name table read_dump accepts; the writer's own table is
@@ -121,6 +124,16 @@ std::string fmt_double(double v) {
   std::snprintf(buf, sizeof(buf), "%.10g", v);
   return std::string(buf);
 }
+
+/// A double from a payload word; a dump may carry any bits, and JSON has no
+/// NaN or infinity.
+std::string fmt_payload_double(std::uint64_t bits) {
+  double v = 0.0;
+  std::memcpy(&v, &bits, sizeof(v));
+  return std::isfinite(v) ? fmt_double(v) : std::string("null");
+}
+
+double us(std::uint64_t ns) { return static_cast<double>(ns) / 1000.0; }
 
 std::string json_escape(std::string_view s) {
   std::string out;
@@ -533,28 +546,84 @@ std::optional<DumpDocument> read_dump_file(const char* path) {
   return read_dump(is);
 }
 
+std::vector<CompletedSpan> completed_spans(
+    const std::vector<DrainedEvent>& events) {
+  constexpr auto kBegin = static_cast<std::uint16_t>(WideEventType::kSpanBegin);
+  constexpr auto kEnd = static_cast<std::uint16_t>(WideEventType::kSpanEnd);
+  std::map<std::uint64_t, std::size_t> open;  // span id -> begin index
+  std::vector<CompletedSpan> spans;
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    const DrainedEvent& ev = events[i];
+    if (ev.type == kBegin) {
+      open.try_emplace(ev.a, i);
+      continue;
+    }
+    if (ev.type != kEnd) continue;
+    const auto it = open.find(ev.a);
+    if (it == open.end() || events[it->second].stream != ev.stream) continue;
+    const DrainedEvent& begin = events[it->second];
+    CompletedSpan span;
+    span.id = begin.a;
+    span.parent = begin.c;
+    span.arg = begin.b;
+    span.begin_ns = begin.t_ns;
+    span.end_ns = std::max(begin.t_ns, ev.t_ns);
+    span.track = static_cast<std::uint32_t>(begin.d);
+    span.stream = begin.stream;
+    span.begin_index = it->second;
+    span.end_index = i;
+    spans.push_back(span);
+    open.erase(it);
+  }
+  std::sort(spans.begin(), spans.end(),
+            [](const CompletedSpan& x, const CompletedSpan& y) {
+              return x.begin_index < y.begin_index;
+            });
+  return spans;
+}
+
 void write_recorder_trace_json(const DumpDocument& doc, std::ostream& os) {
+  const auto name_of = [&doc](std::uint16_t stream) {
+    if (stream < doc.streams.size()) return json_escape(doc.streams[stream]);
+    return "stream#" + std::to_string(stream);
+  };
+  const std::vector<CompletedSpan> spans = completed_spans(doc.events);
+  std::vector<char> paired_end(doc.events.size(), 0);
+  for (const CompletedSpan& span : spans) paired_end[span.end_index] = 1;
+  auto next_span = spans.begin();
+
   os << "{\"traceEvents\": [";
   bool first = true;
-  for (const DrainedEvent& ev : doc.events) {
-    std::string name;
-    if (ev.stream < doc.streams.size()) {
-      name = json_escape(doc.streams[ev.stream]);
-    } else {
-      char buf[32];
-      std::snprintf(buf, sizeof(buf), "stream#%u",
-                    static_cast<unsigned>(ev.stream));
-      name = buf;
-    }
+  for (std::size_t i = 0; i < doc.events.size(); ++i) {
+    if (paired_end[i] != 0) continue;
+    const DrainedEvent& ev = doc.events[i];
     os << (first ? "\n" : ",\n");
     first = false;
-    os << "  {\"name\": \"" << name << "\", \"cat\": \""
-       << to_string(static_cast<WideEventType>(ev.type))
-       << "\", \"ph\": \"i\", \"s\": \"t\", \"ts\": "
-       << fmt_double(static_cast<double>(ev.t_ns) / 1000.0)
-       << ", \"pid\": 1, \"tid\": " << ev.ring << ", \"args\": {\"a\": " << ev.a
-       << ", \"b\": " << ev.b << ", \"c\": " << ev.c << ", \"d\": " << ev.d
-       << ", \"tenant\": " << ev.tenant << ", \"seq\": " << ev.seq << "}}";
+    if (next_span != spans.end() && next_span->begin_index == i) {
+      const CompletedSpan& span = *next_span++;
+      os << "  {\"name\": \"" << name_of(span.stream)
+         << "\", \"cat\": \"span\", \"ph\": \"X\", \"ts\": "
+         << fmt_double(us(span.begin_ns))
+         << ", \"dur\": " << fmt_double(us(span.end_ns - span.begin_ns))
+         << ", \"pid\": 1, \"tid\": " << span.track
+         << ", \"args\": {\"id\": " << span.id << ", \"parent\": "
+         << span.parent << ", \"arg\": " << span.arg << "}}";
+    } else if (ev.type ==
+               static_cast<std::uint16_t>(WideEventType::kAdmission)) {
+      os << "  {\"name\": \"epsilon tenant " << ev.tenant
+         << "\", \"cat\": \"admission\", \"ph\": \"C\", \"ts\": "
+         << fmt_double(us(ev.t_ns))
+         << ", \"pid\": 1, \"tid\": 0, \"args\": {\"epsilon\": "
+         << fmt_payload_double(ev.d) << "}}";
+    } else {
+      os << "  {\"name\": \"" << name_of(ev.stream) << "\", \"cat\": \""
+         << to_string(static_cast<WideEventType>(ev.type))
+         << "\", \"ph\": \"i\", \"s\": \"t\", \"ts\": "
+         << fmt_double(us(ev.t_ns)) << ", \"pid\": 1, \"tid\": " << ev.ring
+         << ", \"args\": {\"a\": " << ev.a << ", \"b\": " << ev.b
+         << ", \"c\": " << ev.c << ", \"d\": " << ev.d
+         << ", \"tenant\": " << ev.tenant << ", \"seq\": " << ev.seq << "}}";
+    }
   }
   os << (first ? "]" : "\n]") << ", \"displayTimeUnit\": \"ms\"}\n";
 }

@@ -52,8 +52,9 @@ class FlightRecorder;
 /// (version header below): append new kinds, never renumber.
 enum class WideEventType : std::uint16_t {
   kNone = 0,
-  kSpanBegin = 1,      // a=span id, b=fnv1a(name), c=parent id, d=track
-  kSpanEnd = 2,        // a=span id, b=fnv1a(name), c=0, d=track
+  kSpanBegin = 1,      // a=span id, b=arg, c=parent id, d=track; the
+                       // stream is the span name
+  kSpanEnd = 2,        // a=span id, b=0, c=0, d=track
   kMetricDelta = 3,    // a/b/c/d free-form (site-defined deltas)
   kAdmission = 4,      // a=outcome code, b=granularity, c=releases,
                        // d=epsilon_after bits (memcpy'd double)
@@ -94,7 +95,7 @@ class EventHandle {
 
   /// Records one wide event. `t_ns` is CALLER-supplied: hot paths stamp a
   /// local ordinal (no shared-clock cache traffic), service paths stamp the
-  /// registry TimeSource, virtual-clock sites stamp slice indices. The
+  /// registry clock, virtual-clock sites stamp slice indices. The
   /// recorder never consults a clock itself, which keeps recording off the
   /// determinism/bit-identity critical path.
   void record(std::uint64_t t_ns, std::uint64_t a = 0, std::uint64_t b = 0,
@@ -102,6 +103,7 @@ class EventHandle {
               std::uint32_t tenant = 0) const noexcept;
 
   constexpr bool attached() const noexcept { return recorder_ != nullptr; }
+  constexpr std::uint16_t stream() const noexcept { return stream_; }
 
  private:
   FlightRecorder* recorder_ = nullptr;
@@ -231,9 +233,8 @@ class FlightRecorder {
   std::unique_ptr<Ring[]> rings_;
   mutable std::atomic<std::uint64_t> torn_{0};
 
-  // Registration slow path. Level sits between the metrics registry (52)
-  // and the span tracer (55): spans record through pre-resolved handles, so
-  // the recorder lock is never taken while a span/timeline lock is held.
+  // Registration slow path, the highest telemetry lock: it sits above the
+  // metrics registry (52), and ScopedSpan takes it to resolve its stream.
   // aegis-lint: lock-level(53, noblock)
   mutable std::mutex mu_;
   std::vector<std::string> stream_names_;
@@ -254,9 +255,36 @@ class FlightRecorder {
 std::optional<DumpDocument> read_dump(std::istream& is);
 std::optional<DumpDocument> read_dump_file(const char* path);
 
-/// chrome://tracing conversion: each wide event becomes a "ph":"i" instant
-/// event (ts in µs, tid = ring) named by its stream, payload in args.
-/// Deterministic: events emit in document order.
+/// One span, paired from its begin and end events.
+struct CompletedSpan {
+  std::uint64_t id = 0;
+  std::uint64_t parent = 0;  // 0 = no parent
+  std::uint64_t arg = 0;
+  std::uint64_t begin_ns = 0;
+  std::uint64_t end_ns = 0;  // never before begin_ns
+  std::uint32_t track = 0;
+  std::uint16_t stream = 0;  // the span name (DumpDocument::streams)
+  /// Positions of the two events in the list they were paired from.
+  std::size_t begin_index = 0;
+  std::size_t end_index = 0;
+};
+
+/// Pairs span begin and end events by id, in begin-event order. An end pairs
+/// with the open begin of the same id and stream; a begin whose id is
+/// already open, an end with no open begin, and a begin never ended (still
+/// open, or its end overwritten) stay unpaired. An end stamped before its
+/// begin is clamped to it.
+std::vector<CompletedSpan> completed_spans(
+    const std::vector<DrainedEvent>& events);
+
+/// chrome://tracing conversion, in document order (ts in µs, pid 1):
+///   * each paired span becomes a "ph":"X" event named by its stream, on
+///     tid = track, at its begin event;
+///   * each kAdmission event becomes a "ph":"C" sample on an
+///     "epsilon tenant N" counter track;
+///   * every other event, unpaired span events included, becomes a "ph":"i"
+///     instant event (tid = ring) with its raw payload in args.
+/// Any parsed document renders to valid JSON.
 void write_recorder_trace_json(const DumpDocument& doc, std::ostream& os);
 
 }  // namespace aegis::telemetry

@@ -1,39 +1,25 @@
 #include "telemetry/registry.hpp"
 
 #include <cstdlib>
+#include <utility>
 
 namespace aegis::telemetry {
 
 namespace {
 
-/// Resolves the span mirror handles once per registry: spans record
-/// begin/end wide events through these (wait-free), never by name.
-void wire_spans(FlightRecorder& recorder, SpanTracer& spans) {
-  spans.set_recorder(
-      recorder.event_handle("span", WideEventType::kSpanBegin),
-      recorder.event_handle("span", WideEventType::kSpanEnd));
-}
+/// One tick renders as 1 µs, keeping distinct reads visibly apart in trace
+/// viewers.
+constexpr std::uint64_t kTickNs = 1000;
 
 }  // namespace
 
 Registry::Registry()
-    : owned_time_(std::make_unique<TickTimeSource>()),
-      time_(owned_time_.get()),
-      spans_(time_),
-      budget_(time_) {
-  wire_spans(recorder_, spans_);
-}
+    : Registry([this] {
+        return ticks_.fetch_add(1, std::memory_order_relaxed) * kTickNs;
+      }) {}
 
-Registry::Registry(TimeSource* time_source)
-    : time_(time_source), spans_(time_), budget_(time_) {
-  wire_spans(recorder_, spans_);
-}
-
-void Registry::set_time_source(TimeSource* time_source) {
-  time_ = time_source;
-  spans_.set_time_source(time_source);
-  budget_.set_time_source(time_source);
-}
+Registry::Registry(Clock clock)
+    : clock_(std::move(clock)), spans_(recorder_, clock_) {}
 
 Registry& Registry::global() {
   static Registry instance;

@@ -1,61 +1,59 @@
-// Telemetry hub: one MetricsRegistry + SpanTracer + BudgetTimeline sharing a
-// TimeSource.
+// Telemetry hub: one MetricsRegistry + FlightRecorder + SpanTracer sharing a
+// clock.
 //
 // Ownership model:
 //   * Library hot paths (GadgetRunner, CounterRegisterFile, NoiseInjector,
 //     measure_path) record into Registry::global() — a process-wide instance
-//     with the deterministic TickTimeSource — so instrumentation works with
-//     zero plumbing and zero behavioral effect.
+//     on the deterministic tick clock — so instrumentation works with zero
+//     plumbing and zero behavioral effect.
 //   * Service-layer objects accept an optional Registry* via their configs.
 //     When null they create a PRIVATE registry, keeping per-instance stats
 //     exact (tests construct several caches/services in one process).
 //     Benches/daemons inject one shared Registry to get a unified trace.
+//
+// The clock stamps spans and admission decisions. Aegis bans wall-clock
+// reads outside reporting-only sites (aegis-lint banned-clock), so the
+// default is a tick: each read advances a per-registry counter by 1 µs, a
+// deterministic ordinal with no wall-clock dependency. Tests pass a lambda
+// over a variable they set; benches pass a steady-clock lambda.
 #pragma once
 
-#include <memory>
+#include <atomic>
+#include <cstdint>
 
-#include "telemetry/budget_timeline.hpp"
 #include "telemetry/flight_recorder.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/span_tracer.hpp"
-#include "telemetry/time_source.hpp"
 
 namespace aegis::telemetry {
 
 class Registry {
  public:
-  /// Uses an internally owned deterministic TickTimeSource.
+  /// Stamps with the registry's own tick.
   Registry();
-  /// Uses the caller's TimeSource (not owned; must outlive the registry).
-  explicit Registry(TimeSource* time_source);
+  /// Stamps with `clock`, which must be safe to call from any thread that
+  /// records telemetry.
+  explicit Registry(Clock clock);
   Registry(const Registry&) = delete;
   Registry& operator=(const Registry&) = delete;
 
   MetricsRegistry& metrics() noexcept { return metrics_; }
   const MetricsRegistry& metrics() const noexcept { return metrics_; }
   SpanTracer& spans() noexcept { return spans_; }
-  const SpanTracer& spans() const noexcept { return spans_; }
-  BudgetTimeline& budget() noexcept { return budget_; }
-  const BudgetTimeline& budget() const noexcept { return budget_; }
   FlightRecorder& recorder() noexcept { return recorder_; }
   const FlightRecorder& recorder() const noexcept { return recorder_; }
-  TimeSource& time_source() noexcept { return *time_; }
 
-  /// Rewires tracer + timeline to a new source (not owned).
-  void set_time_source(TimeSource* time_source);
+  std::uint64_t now_ns() const { return clock_(); }
 
   /// Process-wide registry used by components with no injection point.
   static Registry& global();
 
  private:
-  std::unique_ptr<TimeSource> owned_time_;
-  TimeSource* time_;
+  std::atomic<std::uint64_t> ticks_{0};
+  Clock clock_;
   MetricsRegistry metrics_;
-  // Declared before the tracer: spans mirror begin/end wide events into the
-  // recorder through handles resolved at construction.
   FlightRecorder recorder_;
   SpanTracer spans_;
-  BudgetTimeline budget_;
 };
 
 /// `reg ? *reg : Registry::global()` — the idiom for optional config plumbing.

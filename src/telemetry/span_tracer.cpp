@@ -2,107 +2,56 @@
 
 #include <algorithm>
 
-#include "util/hash.hpp"
-
 namespace aegis::telemetry {
 
 namespace {
 
-/// Innermost open ScopedSpan per thread, for parent inference.
-thread_local std::vector<std::uint64_t> t_span_stack;
+/// Innermost open ScopedSpan on this thread, for parent inference.
+thread_local ScopedSpan* t_innermost = nullptr;
 
 }  // namespace
 
-void SpanTracer::set_time_source(TimeSource* time_source) {
-  std::lock_guard<std::mutex> lock(mu_);
-  time_ = time_source;
+SpanStream SpanTracer::stream(std::string_view name) {
+  const EventHandle begin =
+      recorder_->event_handle(name, WideEventType::kSpanBegin);
+  return {begin, EventHandle(recorder_, WideEventType::kSpanEnd,
+                             begin.stream())};
 }
 
-std::uint64_t SpanTracer::begin(std::string_view name,
-                                std::string_view category, std::uint32_t track,
-                                std::uint64_t arg, std::uint64_t parent) {
-  std::lock_guard<std::mutex> lock(mu_);
-  Span s;
-  s.id = next_id_++;
-  s.parent = parent;
-  s.name.assign(name);
-  s.category.assign(category);
-  s.begin_ns = time_ != nullptr ? time_->now_ns() : 0;
-  s.track = track;
-  s.arg = arg;
-  const std::uint64_t id = s.id;
-  begin_event_.record(s.begin_ns, id, util::fnv1a(name), parent, track);
-  open_.emplace(id, std::move(s));
+std::uint64_t SpanTracer::record_complete(const SpanStream& stream,
+                                          std::uint64_t begin_ns,
+                                          std::uint64_t end_ns,
+                                          std::uint32_t track,
+                                          std::uint64_t arg,
+                                          std::uint64_t parent) noexcept {
+  const std::uint64_t id = next_id();
+  stream.begin.record(begin_ns, id, arg, parent, track);
+  stream.end.record(std::max(begin_ns, end_ns), id, 0, 0, track);
   return id;
 }
 
-void SpanTracer::end(std::uint64_t id) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = open_.find(id);
-  if (it == open_.end()) return;
-  it->second.end_ns = time_ != nullptr ? time_->now_ns() : 0;
-  if (it->second.end_ns < it->second.begin_ns) {
-    it->second.end_ns = it->second.begin_ns;
-  }
-  end_event_.record(it->second.end_ns, id, util::fnv1a(it->second.name), 0,
-                    it->second.track);
-  completed_.push_back(std::move(it->second));
-  open_.erase(it);
-}
-
-void SpanTracer::record_complete(std::string_view name,
-                                 std::string_view category,
-                                 std::uint64_t begin_ns, std::uint64_t end_ns,
-                                 std::uint32_t track, std::uint64_t arg,
-                                 std::uint64_t parent) {
-  std::lock_guard<std::mutex> lock(mu_);
-  Span s;
-  s.id = next_id_++;
-  s.parent = parent;
-  s.name.assign(name);
-  s.category.assign(category);
-  s.begin_ns = begin_ns;
-  s.end_ns = end_ns < begin_ns ? begin_ns : end_ns;
-  s.track = track;
-  s.arg = arg;
-  const std::uint64_t name_hash = util::fnv1a(name);
-  begin_event_.record(s.begin_ns, s.id, name_hash, parent, track);
-  end_event_.record(s.end_ns, s.id, name_hash, 0, track);
-  completed_.push_back(std::move(s));
-}
-
-std::vector<Span> SpanTracer::completed() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<Span> out = completed_;
-  std::sort(out.begin(), out.end(), [](const Span& a, const Span& b) {
-    if (a.begin_ns != b.begin_ns) return a.begin_ns < b.begin_ns;
-    return a.id < b.id;
-  });
-  return out;
-}
-
-void SpanTracer::clear() {
-  std::lock_guard<std::mutex> lock(mu_);
-  open_.clear();
-  completed_.clear();
-  next_id_ = 1;
-}
-
 ScopedSpan::ScopedSpan(SpanTracer& tracer, std::string_view name,
-                       std::string_view category, std::uint32_t track,
-                       std::uint64_t arg)
-    : tracer_(&tracer) {
-  const std::uint64_t parent =
-      t_span_stack.empty() ? 0 : t_span_stack.back();
-  id_ = tracer_->begin(name, category, track, arg, parent);
-  t_span_stack.push_back(id_);
+                       std::uint32_t track, std::uint64_t arg)
+    : tracer_(&tracer),
+      id_(tracer.next_id()),
+      track_(track),
+      enclosing_(t_innermost) {
+  std::uint64_t parent = 0;
+  for (const ScopedSpan* s = enclosing_; s != nullptr; s = s->enclosing_) {
+    if (s->tracer_ == tracer_) {
+      parent = s->id_;
+      break;
+    }
+  }
+  const SpanStream stream = tracer.stream(name);
+  end_ = stream.end;
+  stream.begin.record(tracer.now_ns(), id_, arg, parent, track);
+  t_innermost = this;
 }
 
 ScopedSpan::~ScopedSpan() {
-  if (!t_span_stack.empty() && t_span_stack.back() == id_) {
-    t_span_stack.pop_back();
-  }
-  tracer_->end(id_);
+  if (t_innermost == this) t_innermost = enclosing_;
+  end_.record(tracer_->now_ns(), id_, 0, 0, track_);
 }
 
 }  // namespace aegis::telemetry

@@ -1,96 +1,74 @@
-// Span-based phase tracer.
+// Phase spans as flight-recorder events.
 //
 // A span is a named interval with a parent link, a track (rendered as a
-// thread row in chrome://tracing) and one free-form integer argument.
-// Timestamps come from the attached TimeSource, so traces are deterministic
-// under TickTimeSource/ManualTimeSource and real-time under WallTimeSource.
+// thread row in chrome://tracing) and one free-form integer argument. It is
+// recorded as two wide events in the registry's flight recorder — the span
+// name is the event stream, begin and end share the span id — and nothing
+// else: no heap copy, no lock. Retention is therefore bounded by the
+// recorder's rings, and `completed_spans` (flight_recorder.hpp) pairs the
+// drained events back into intervals.
 //
-// Recording takes a short mutex (level 55, above every data-plane lock) and
-// appends to a vector — fine for phase-granularity events (campaign stages,
-// per-shard work items, admission windows), NOT for per-gadget-execution
-// granularity; that is what counters are for.
+// Timestamps come from the registry clock, so traces are deterministic under
+// the default tick clock and real-time under a steady-clock lambda.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
-#include <map>
-#include <mutex>
-#include <string>
+#include <functional>
 #include <string_view>
-#include <vector>
 
 #include "telemetry/flight_recorder.hpp"
-#include "telemetry/time_source.hpp"
 
 namespace aegis::telemetry {
 
-struct Span {
-  std::uint64_t id = 0;
-  std::uint64_t parent = 0;  // 0 = no parent
-  std::string name;
-  std::string category;
-  std::uint64_t begin_ns = 0;
-  std::uint64_t end_ns = 0;
-  /// Rendered as the "thread" row in trace viewers; shard/worker index.
-  std::uint32_t track = 0;
-  /// One free-form argument (tenant id, batch size, shard count, ...).
-  std::uint64_t arg = 0;
+/// A monotonic nanosecond reading; the registry stamps telemetry with it.
+using Clock = std::function<std::uint64_t()>;
+
+/// The pre-resolved begin and end handles of one span name.
+struct SpanStream {
+  EventHandle begin;  // a=span id, b=arg, c=parent id, d=track
+  EventHandle end;    // a=span id, d=track
 };
 
 class SpanTracer {
  public:
-  explicit SpanTracer(TimeSource* time_source) : time_(time_source) {}
+  /// Both must outlive the tracer (Registry owns all three).
+  SpanTracer(FlightRecorder& recorder, const Clock& clock)
+      : recorder_(&recorder), clock_(&clock) {}
   SpanTracer(const SpanTracer&) = delete;
   SpanTracer& operator=(const SpanTracer&) = delete;
 
-  void set_time_source(TimeSource* time_source);
+  /// SLOW PATH (recorder registration mutex): resolves `name` to its stream.
+  /// Resolve once, outside any per-slice loop.
+  SpanStream stream(std::string_view name);
 
-  /// Mirrors span begin/end into the flight recorder through pre-resolved
-  /// handles (Registry wires this at construction). Wide events carry
-  /// (t, span id, fnv1a(name), parent, track) so the crash dump shows what
-  /// phases were in flight without the tracer's heap-backed span map.
-  void set_recorder(EventHandle begin_event, EventHandle end_event) {
-    begin_event_ = begin_event;
-    end_event_ = end_event;
+  /// Fresh span id, never 0.
+  std::uint64_t next_id() noexcept {
+    return next_id_.fetch_add(1, std::memory_order_relaxed);
   }
 
-  /// Opens a span stamped with the current time; returns its id (never 0).
-  std::uint64_t begin(std::string_view name, std::string_view category,
-                      std::uint32_t track = 0, std::uint64_t arg = 0,
-                      std::uint64_t parent = 0);
-
-  /// Closes an open span; unknown ids are ignored.
-  void end(std::uint64_t id);
+  std::uint64_t now_ns() const { return (*clock_)(); }
 
   /// Records an already-timed interval (e.g. stamped from the simulator's
-  /// virtual clock) without consulting the TimeSource.
-  void record_complete(std::string_view name, std::string_view category,
-                       std::uint64_t begin_ns, std::uint64_t end_ns,
-                       std::uint32_t track = 0, std::uint64_t arg = 0,
-                       std::uint64_t parent = 0);
-
-  /// Completed spans sorted by (begin_ns, id) — deterministic given a
-  /// deterministic TimeSource.
-  std::vector<Span> completed() const;
-
-  void clear();
+  /// virtual clock) without reading the clock: two wait-free handle
+  /// records. Returns the span id.
+  std::uint64_t record_complete(const SpanStream& stream,
+                                std::uint64_t begin_ns, std::uint64_t end_ns,
+                                std::uint32_t track = 0, std::uint64_t arg = 0,
+                                std::uint64_t parent = 0) noexcept;
 
  private:
-  // aegis-lint: lock-level(55, noblock)
-  mutable std::mutex mu_;
-  TimeSource* time_;
-  EventHandle begin_event_;  // wait-free; safe to fire while holding mu_
-  EventHandle end_event_;
-  std::uint64_t next_id_ = 1;
-  std::map<std::uint64_t, Span> open_;
-  std::vector<Span> completed_;
+  FlightRecorder* recorder_;
+  const Clock* clock_;
+  std::atomic<std::uint64_t> next_id_{1};
 };
 
-/// RAII span with automatic parent inference: nested ScopedSpans on the same
-/// thread link to the innermost enclosing one via a thread-local stack.
+/// RAII span. Its parent is the innermost enclosing ScopedSpan of the SAME
+/// tracer on this thread, so a span on one registry never adopts a span of
+/// another registry as its parent.
 class ScopedSpan {
  public:
-  ScopedSpan(SpanTracer& tracer, std::string_view name,
-             std::string_view category, std::uint32_t track = 0,
+  ScopedSpan(SpanTracer& tracer, std::string_view name, std::uint32_t track = 0,
              std::uint64_t arg = 0);
   ~ScopedSpan();
   ScopedSpan(const ScopedSpan&) = delete;
@@ -100,7 +78,12 @@ class ScopedSpan {
 
  private:
   SpanTracer* tracer_;
+  EventHandle end_;
   std::uint64_t id_;
+  std::uint32_t track_;
+  /// The span that was innermost on this thread when this one opened; the
+  /// links form an allocation-free per-thread stack.
+  ScopedSpan* enclosing_;
 };
 
 }  // namespace aegis::telemetry

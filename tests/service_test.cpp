@@ -2,9 +2,11 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstring>
 #include <deque>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -348,9 +350,10 @@ TEST(SessionFleet, TelemetryAttachmentDoesNotPerturbResults) {
 
   // Every noise-refresh window was recorded from the VIRTUAL clock: one
   // span per granularity-2 window, stamped in slice-index nanoseconds.
-  const auto spans = registry.spans().completed();
+  const auto spans = telemetry::completed_spans(registry.recorder().drain());
   ASSERT_EQ(spans.size(), (req.slices + 1) / 2);
-  EXPECT_EQ(spans[0].name, "inject.window");
+  EXPECT_EQ(registry.recorder().streams().at(spans[0].stream),
+            "inject.window");
   EXPECT_EQ(spans[0].begin_ns, 0u);
   EXPECT_EQ(spans[0].end_ns, 2000u);  // 2 slices x 1000 ns/slice
   EXPECT_EQ(spans[0].arg, req.tenant_id);
@@ -379,20 +382,34 @@ TEST(SessionFleet, SharedRegistryCollectsFleetCountersAndBudgetTimeline) {
   EXPECT_EQ(counter_value("aegis_sessions_started_total"), kTenants);
   EXPECT_EQ(counter_value("aegis_sessions_completed_total"), kTenants);
 
-  // One ε-timeline event per admission decision, in submission order.
-  const auto events = registry.budget().events();
-  ASSERT_EQ(events.size(), kTenants);
+  const std::vector<telemetry::DrainedEvent> events =
+      registry.recorder().drain();
+  const std::vector<std::string> streams = registry.recorder().streams();
+
+  // One kAdmission event per decision, in submission order: outcome code
+  // admit (0), a positive ε after, tenant in the tenant field.
+  std::vector<const telemetry::DrainedEvent*> decisions;
+  for (const auto& e : events) {
+    if (e.type ==
+        static_cast<std::uint16_t>(telemetry::WideEventType::kAdmission)) {
+      decisions.push_back(&e);
+    }
+  }
+  ASSERT_EQ(decisions.size(), kTenants);
   for (std::size_t t = 0; t < kTenants; ++t) {
-    EXPECT_EQ(events[t].tenant_id, t);
-    EXPECT_EQ(events[t].outcome, "admit");
-    EXPECT_GT(events[t].epsilon_after, 0.0);
+    EXPECT_EQ(streams.at(decisions[t]->stream), "governor.decision");
+    EXPECT_EQ(decisions[t]->tenant, t);
+    EXPECT_EQ(decisions[t]->a, 0u);
+    double epsilon_after = 0.0;
+    std::memcpy(&epsilon_after, &decisions[t]->d, sizeof(epsilon_after));
+    EXPECT_GT(epsilon_after, 0.0);
   }
 
   // The fleet phases traced: one admission span + one span per session.
   std::size_t admission = 0, sessions = 0;
-  for (const auto& s : registry.spans().completed()) {
-    if (s.name == "fleet.admission") ++admission;
-    if (s.name == "fleet.session") ++sessions;
+  for (const auto& s : telemetry::completed_spans(events)) {
+    if (streams.at(s.stream) == "fleet.admission") ++admission;
+    if (streams.at(s.stream) == "fleet.session") ++sessions;
   }
   EXPECT_EQ(admission, 1u);
   EXPECT_EQ(sessions, kTenants);
@@ -706,6 +723,78 @@ TEST(ProtectionServiceTest, ConcurrentRegistrationsShareOneTemplate) {
   EXPECT_EQ(stats.cache.misses, 1u);
   EXPECT_EQ(stats.cache.warm_starts, 1u);
   EXPECT_EQ(stats.cache.analyses_run, 0u);
+}
+
+TEST(ProtectionServiceTest, TelemetryRetentionIsBoundedAndLossIsCounted) {
+  auto& f = fixture();
+  // Pre-populate a disk cache so registration runs no analysis.
+  const std::string dir = fresh_dir("retention");
+  {
+    TemplateCache seeded({dir});
+    (void)seeded.get_or_analyze(
+        make_template_key(f.aegis.cpu(), *f.secrets[0], f.config),
+        f.aegis, [&] { return *f.analysis; });
+  }
+  telemetry::Registry registry;
+  ServiceConfig config;
+  config.num_threads = 1;  // sessions on one worker ring, admission on another
+  config.cache.cache_dir = dir;
+  config.governor.default_epsilon_cap = 1e9;  // ample: every window admits
+  config.telemetry = &registry;
+  ProtectionService svc(config);
+  const std::size_t tpl_id = svc.register_template(
+      f.aegis, *f.secrets[0], f.secrets, f.config, f.mechanism(), {},
+      0xFEEDULL);
+
+  // One session per dispatch batch (submit, then drain), so the number of
+  // events each session records is fixed:
+  //   service.dispatch + fleet.admission + fleet.session spans   3 x 2
+  //   inject.window spans, one per slice                        60 x 2
+  //   governor.decision and session.rng                              2
+  // plus one anomaly.attack alert per session that scores above the
+  // threshold, and the service.register_template span (2) once.
+  constexpr std::size_t kSlices = 60;
+  constexpr std::uint64_t kEventsPerSession = 3 * 2 + kSlices * 2 + 2;
+  std::size_t served = 0;
+  const auto serve = [&](std::size_t sessions) {
+    for (std::size_t s = 0; s < sessions; ++s, ++served) {
+      SessionSubmission sub;
+      sub.template_id = tpl_id;
+      sub.request = f.request(served % 4, kSlices);
+      ASSERT_TRUE(svc.submit(sub));
+      svc.drain();
+      (void)svc.take_completed();
+    }
+  };
+
+  serve(10);
+  const std::size_t streams_after_10 = registry.recorder().streams().size();
+  serve(990);
+  EXPECT_EQ(registry.recorder().streams().size(), streams_after_10)
+      << "span names must not mint a stream per session";
+
+  const std::vector<telemetry::DrainedEvent> events =
+      registry.recorder().drain();
+  const std::uint64_t recorded = 2 + served * kEventsPerSession +
+                                 svc.attack_monitor().alerts();
+  EXPECT_EQ(events.size() + registry.recorder().dropped(), recorded);
+  EXPECT_LE(events.size(), registry.recorder().ring_capacity() *
+                               registry.recorder().ring_count());
+
+  // Every ring the sessions wrote to wrapped (only the registering thread's
+  // ring holds just its one span): the newest ring_capacity events survive,
+  // and the loss is counted above.
+  std::map<std::uint32_t, std::uint64_t> ring_head;
+  for (const auto& e : events) {
+    ring_head[e.ring] = std::max(ring_head[e.ring], e.seq + 1);
+  }
+  const std::vector<std::string> streams = registry.recorder().streams();
+  for (const auto& e : events) {
+    if (streams.at(e.stream) == "service.register_template") continue;
+    EXPECT_GT(ring_head[e.ring], registry.recorder().ring_capacity())
+        << "ring " << e.ring << " never wrapped";
+  }
+  EXPECT_GT(registry.recorder().dropped(), 0u);
 }
 
 }  // namespace

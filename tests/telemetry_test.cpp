@@ -1,20 +1,24 @@
 // Telemetry subsystem tests: histogram bucket semantics, snapshot merge
-// determinism, byte-stable exporter golden files under a fixed TimeSource,
-// span parentage, the ε timeline, the JSON reader, and a threaded registry
-// stress intended for the TSan config of the CI matrix.
+// determinism, byte-stable exporter golden files under a fixed clock, span
+// parentage read back from the flight recorder, the JSON reader, and a
+// threaded registry stress intended for the TSan config of the CI matrix.
 #include <gtest/gtest.h>
 
 #include <array>
+#include <cstring>
+#include <limits>
+#include <optional>
 #include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "telemetry/exporters.hpp"
+#include "telemetry/flight_recorder.hpp"
 #include "telemetry/json_reader.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/registry.hpp"
 #include "telemetry/span_tracer.hpp"
-#include "telemetry/time_source.hpp"
 
 namespace aegis::telemetry {
 namespace {
@@ -182,54 +186,85 @@ TEST(Metrics, ThreadedRegistryStress) {
 }
 
 // ---------------------------------------------------------------------------
-// Spans
+// Spans — recorded only as flight-recorder events, read back by pairing
+
+/// A registry whose clock reads `now`, which the test sets.
+struct ManualClockRegistry {
+  std::uint64_t now = 0;
+  Registry reg{[this] { return now; }};
+};
+
+std::vector<CompletedSpan> spans_of(const Registry& reg) {
+  return completed_spans(reg.recorder().drain());
+}
+
+std::string span_name(const Registry& reg, const CompletedSpan& span) {
+  return reg.recorder().streams().at(span.stream);
+}
 
 TEST(Spans, ScopedSpanInfersParentOnOneThread) {
-  ManualTimeSource clock;
-  SpanTracer tracer(&clock);
+  ManualClockRegistry m;
   {
-    ScopedSpan outer(tracer, "outer", "test");
-    clock.advance_ns(100);
-    { ScopedSpan inner(tracer, "inner", "test"); clock.advance_ns(50); }
-    clock.advance_ns(25);
+    ScopedSpan outer(m.reg.spans(), "outer");
+    m.now += 100;
+    {
+      ScopedSpan inner(m.reg.spans(), "inner");
+      m.now += 50;
+    }
+    m.now += 25;
   }
-  const std::vector<Span> spans = tracer.completed();
+  const std::vector<CompletedSpan> spans = spans_of(m.reg);
   ASSERT_EQ(spans.size(), 2u);
-  // Sorted by (begin_ns, id): outer begins at 0, inner at 100.
-  EXPECT_EQ(spans[0].name, "outer");
+  // Begin-event order: outer begins at 0, inner at 100.
+  EXPECT_EQ(span_name(m.reg, spans[0]), "outer");
   EXPECT_EQ(spans[0].parent, 0u);
-  EXPECT_EQ(spans[1].name, "inner");
+  EXPECT_EQ(span_name(m.reg, spans[1]), "inner");
   EXPECT_EQ(spans[1].parent, spans[0].id);
   EXPECT_EQ(spans[1].begin_ns, 100u);
   EXPECT_EQ(spans[1].end_ns, 150u);
   EXPECT_EQ(spans[0].end_ns, 175u);
 }
 
+TEST(Spans, ParentComesOnlyFromTheSameRegistry) {
+  // A span on registry B nested in a span on registry A (as
+  // engine.analyze's global-registry profiler spans nest in the service's
+  // service.register_template) must not adopt A's span as its parent.
+  ManualClockRegistry a;
+  ManualClockRegistry b;
+  {
+    ScopedSpan outer_a(a.reg.spans(), "outer");
+    ScopedSpan inner_b(b.reg.spans(), "inner");
+    ScopedSpan innermost_a(a.reg.spans(), "innermost");
+  }
+  const std::vector<CompletedSpan> in_b = spans_of(b.reg);
+  ASSERT_EQ(in_b.size(), 1u);
+  EXPECT_EQ(in_b[0].parent, 0u);
+  const std::vector<CompletedSpan> in_a = spans_of(a.reg);
+  ASSERT_EQ(in_a.size(), 2u);
+  EXPECT_EQ(in_a[1].parent, in_a[0].id)
+      << "a span skips the other registry's span to find its own parent";
+}
+
 TEST(Spans, RecordCompleteBypassesTheClock) {
-  ManualTimeSource clock;
-  clock.set_ns(999999);
-  SpanTracer tracer(&clock);
-  tracer.record_complete("virtual", "sim", 1000, 3000, 7, 42);
-  const std::vector<Span> spans = tracer.completed();
+  ManualClockRegistry m;
+  m.now = 999999;
+  const SpanStream stream = m.reg.spans().stream("virtual");
+  m.reg.spans().record_complete(stream, 1000, 3000, 7, 42);
+  const std::vector<CompletedSpan> spans = spans_of(m.reg);
   ASSERT_EQ(spans.size(), 1u);
+  EXPECT_EQ(span_name(m.reg, spans[0]), "virtual");
   EXPECT_EQ(spans[0].begin_ns, 1000u);
   EXPECT_EQ(spans[0].end_ns, 3000u);
   EXPECT_EQ(spans[0].track, 7u);
   EXPECT_EQ(spans[0].arg, 42u);
 }
 
-TEST(Spans, EndOfUnknownIdIsIgnored) {
-  ManualTimeSource clock;
-  SpanTracer tracer(&clock);
-  tracer.end(12345);
-  EXPECT_TRUE(tracer.completed().empty());
-}
-
 // ---------------------------------------------------------------------------
-// Exporter golden files — byte-stable under a fixed TimeSource.
+// Exporter golden files — byte-stable under a fixed clock.
 
-/// One deterministic registry used by all three exporter golden tests.
-void populate_golden(Registry& reg, ManualTimeSource& clock) {
+/// One deterministic registry used by all the exporter golden tests.
+void populate_golden(ManualClockRegistry& m) {
+  Registry& reg = m.reg;
   reg.metrics().counter("aegis_demo_total").inc(3);
   reg.metrics().gauge("aegis_demo_depth").set(2.5);
   const std::array<double, 2> bounds = {1.0, 10.0};
@@ -238,21 +273,37 @@ void populate_golden(Registry& reg, ManualTimeSource& clock) {
   h.observe(5.0);
   h.observe(50.0);
 
-  clock.set_ns(1000);
-  const std::uint64_t id = reg.spans().begin("phase", "test", 1, 9);
-  clock.set_ns(4000);
-  reg.spans().end(id);
-  reg.spans().record_complete("window", "sim", 2000, 2500, 3, 7);
+  m.now = 1000;
+  {
+    ScopedSpan phase(reg.spans(), "phase", 1, 9);
+    m.now = 4000;
+  }
+  reg.spans().record_complete(reg.spans().stream("window"), 2000, 2500, 3, 7);
 
-  reg.budget().stamp(5, "admit", 1, 60, 2.25, 8.0);
+  // An admission decision as BudgetGovernor records it: tenant 5 admitted
+  // at granularity 1 for 60 releases, ε after = 2.25.
+  const double epsilon_after = 2.25;
+  std::uint64_t bits = 0;
+  std::memcpy(&bits, &epsilon_after, sizeof(bits));
+  reg.recorder().record_named("governor.decision", WideEventType::kAdmission,
+                              m.now, 0, 1, 60, bits, 5);
+}
+
+/// The registry's recorder as aegis_top reads it: written, then parsed.
+DumpDocument dump_of(const Registry& reg) {
+  std::ostringstream os;
+  reg.recorder().write_dump(os);
+  std::istringstream is(os.str());
+  std::optional<DumpDocument> doc = read_dump(is);
+  EXPECT_TRUE(doc.has_value());
+  return doc.value_or(DumpDocument{});
 }
 
 TEST(Exporters, PrometheusGolden) {
-  ManualTimeSource clock;
-  Registry reg(&clock);
-  populate_golden(reg, clock);
+  ManualClockRegistry m;
+  populate_golden(m);
   std::ostringstream os;
-  write_prometheus(reg.metrics().snapshot(), os);
+  write_prometheus(m.reg.metrics().snapshot(), os);
   EXPECT_EQ(os.str(),
             "# TYPE aegis_demo_total counter\n"
             "aegis_demo_total 3\n"
@@ -303,11 +354,10 @@ TEST(Exporters, PrometheusLabelValuesEscapeQuoteBackslashAndNewline) {
 }
 
 TEST(Exporters, JsonSnapshotGolden) {
-  ManualTimeSource clock;
-  Registry reg(&clock);
-  populate_golden(reg, clock);
+  ManualClockRegistry m;
+  populate_golden(m);
   std::ostringstream os;
-  write_json_snapshot(reg, os);
+  write_json_snapshot(m.reg.metrics().snapshot(), os);
   EXPECT_EQ(os.str(),
             "{\n"
             "  \"counters\": {\n"
@@ -319,44 +369,49 @@ TEST(Exporters, JsonSnapshotGolden) {
             "  \"histograms\": {\n"
             "    \"aegis_demo_reps\": {\"bounds\": [1, 10], \"buckets\": "
             "[1, 1, 1], \"count\": 3, \"sum\": 55.5}\n"
-            "  },\n"
-            "  \"budget_timeline\": [\n"
-            "    {\"seq\": 0, \"t_ns\": 4000, \"tenant\": 5, \"outcome\": "
-            "\"admit\", \"granularity\": 1, \"releases\": 60, "
-            "\"epsilon_after\": 2.25, \"epsilon_cap\": 8}\n"
-            "  ]\n"
+            "  }\n"
             "}\n");
 }
 
-TEST(Exporters, TraceJsonGolden) {
-  ManualTimeSource clock;
-  Registry reg(&clock);
-  populate_golden(reg, clock);
+TEST(Exporters, JsonSnapshotWritesNonFiniteGaugesAsNull) {
+  // A forecaster ETA gauge is +inf until the burn slope turns positive;
+  // JSON has no infinity, and aegis_top must still parse the snapshot.
+  MetricsRegistry metrics;
+  metrics.gauge("aegis_tenant_eta_ns{tenant=\"0\"}")
+      .set(std::numeric_limits<double>::infinity());
   std::ostringstream os;
-  write_trace_json(reg, os);
+  write_json_snapshot(metrics.snapshot(), os);
+  const JsonValue doc = parse_json(os.str());
+  EXPECT_TRUE(doc.at("gauges").at("aegis_tenant_eta_ns{tenant=\"0\"}").is_null());
+}
+
+TEST(Exporters, TraceJsonGolden) {
+  ManualClockRegistry m;
+  populate_golden(m);
+  std::ostringstream os;
+  write_recorder_trace_json(dump_of(m.reg), os);
   EXPECT_EQ(os.str(),
             "{\"traceEvents\": [\n"
-            "  {\"name\": \"phase\", \"cat\": \"test\", \"ph\": \"X\", "
+            "  {\"name\": \"phase\", \"cat\": \"span\", \"ph\": \"X\", "
             "\"ts\": 1, \"dur\": 3, \"pid\": 1, \"tid\": 1, \"args\": "
             "{\"id\": 1, \"parent\": 0, \"arg\": 9}},\n"
-            "  {\"name\": \"window\", \"cat\": \"sim\", \"ph\": \"X\", "
+            "  {\"name\": \"window\", \"cat\": \"span\", \"ph\": \"X\", "
             "\"ts\": 2, \"dur\": 0.5, \"pid\": 1, \"tid\": 3, \"args\": "
             "{\"id\": 2, \"parent\": 0, \"arg\": 7}},\n"
-            "  {\"name\": \"epsilon tenant 5\", \"cat\": \"budget\", "
+            "  {\"name\": \"epsilon tenant 5\", \"cat\": \"admission\", "
             "\"ph\": \"C\", \"ts\": 4, \"pid\": 1, \"tid\": 0, \"args\": "
-            "{\"epsilon\": 2.25, \"remaining\": 5.75}}\n"
+            "{\"epsilon\": 2.25}}\n"
             "], \"displayTimeUnit\": \"ms\"}\n");
 }
 
 TEST(Exporters, GoldenOutputIsByteStableAcrossRuns) {
   auto render = [] {
-    ManualTimeSource clock;
-    Registry reg(&clock);
-    populate_golden(reg, clock);
+    ManualClockRegistry m;
+    populate_golden(m);
     std::ostringstream prom, snap, trace;
-    write_prometheus(reg.metrics().snapshot(), prom);
-    write_json_snapshot(reg, snap);
-    write_trace_json(reg, trace);
+    write_prometheus(m.reg.metrics().snapshot(), prom);
+    write_json_snapshot(m.reg.metrics().snapshot(), snap);
+    write_recorder_trace_json(dump_of(m.reg), trace);
     return prom.str() + snap.str() + trace.str();
   };
   EXPECT_EQ(render(), render());
@@ -366,11 +421,10 @@ TEST(Exporters, GoldenOutputIsByteStableAcrossRuns) {
 // JSON reader
 
 TEST(JsonReader, RoundTripsASnapshot) {
-  ManualTimeSource clock;
-  Registry reg(&clock);
-  populate_golden(reg, clock);
+  ManualClockRegistry m;
+  populate_golden(m);
   std::ostringstream os;
-  write_json_snapshot(reg, os);
+  write_json_snapshot(m.reg.metrics().snapshot(), os);
 
   const JsonValue doc = parse_json(os.str());
   ASSERT_TRUE(doc.is_object());
@@ -379,10 +433,7 @@ TEST(JsonReader, RoundTripsASnapshot) {
   const JsonValue& hist = doc.at("histograms").at("aegis_demo_reps");
   ASSERT_TRUE(hist.at("buckets").is_array());
   EXPECT_EQ(hist.at("buckets").array.size(), 3u);
-  const JsonValue& timeline = doc.at("budget_timeline");
-  ASSERT_EQ(timeline.array.size(), 1u);
-  EXPECT_EQ(timeline.array[0].at("outcome").string, "admit");
-  EXPECT_DOUBLE_EQ(timeline.array[0].at("epsilon_cap").number, 8.0);
+  EXPECT_DOUBLE_EQ(hist.at("sum").number, 55.5);
 }
 
 TEST(JsonReader, MissingKeyYieldsSharedNull) {
@@ -424,20 +475,12 @@ TEST(Registry, GlobalIsStable) {
   EXPECT_EQ(&Registry::global(), &Registry::global());
 }
 
-TEST(Registry, SetTimeSourceRewiresSpansAndBudget) {
-  Registry reg;  // starts on the internal TickTimeSource
-  ManualTimeSource manual;
-  manual.set_ns(777);
-  reg.set_time_source(&manual);
-  const std::uint64_t id = reg.spans().begin("s", "t");
-  reg.spans().end(id);
-  reg.budget().stamp(1, "admit", 1, 1, 0.5, 8.0);
-  const auto spans = reg.spans().completed();
-  ASSERT_EQ(spans.size(), 1u);
-  EXPECT_EQ(spans[0].begin_ns, 777u);
-  const auto events = reg.budget().events();
-  ASSERT_EQ(events.size(), 1u);
-  EXPECT_EQ(events[0].t_ns, 777u);
+TEST(Registry, DefaultClockTicksOncePerRead) {
+  Registry reg;
+  const std::uint64_t first = reg.now_ns();
+  EXPECT_EQ(reg.now_ns(), first + 1000);
+  Registry other;  // each registry owns its tick
+  EXPECT_EQ(other.now_ns(), 0u);
 }
 
 }  // namespace

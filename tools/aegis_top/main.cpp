@@ -3,8 +3,9 @@
 // Reads the file written by telemetry::write_json_snapshot (e.g.
 // `bench_service --stats FILE` or any daemon embedding the registry) and
 // renders the service at a glance: session counters, queue depth, template
-// cache effectiveness, and a per-tenant privacy-budget table derived from
-// the ε-spend timeline.
+// cache effectiveness, and a per-tenant privacy-budget table built from the
+// governor's per-tenant metrics (the admit/degrade/refuse counters and the
+// two ε gauges).
 //
 //   aegis_top SNAPSHOT.json             render once
 //   aegis_top SNAPSHOT.json --watch N   re-read and re-render every N seconds
@@ -12,12 +13,14 @@
 // It also reads flight-recorder binary dumps (telemetry/flight_recorder.hpp;
 // written at shutdown, on a crash, or by a budget-gate breach):
 //
-//   aegis_top --recorder DUMP.frd            stream table + alerts + last 20
+//   aegis_top --recorder DUMP.frd            stream table, alerts, recent
+//                                            admission decisions, last 20
 //   aegis_top --recorder DUMP.frd --tail N   show the last N events
 //   aegis_top --recorder DUMP.frd --trace OUT.json   chrome://tracing export
 //
 // Exits non-zero on a missing or malformed snapshot. Lives in tools/ (not
 // linted, not part of the library): presentation only, no simulation state.
+#include <charconv>
 #include <chrono>
 #include <cinttypes>
 #include <cstdio>
@@ -26,8 +29,10 @@
 #include <fstream>
 #include <iostream>
 #include <map>
+#include <optional>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -39,13 +44,11 @@ namespace {
 using aegis::telemetry::JsonValue;
 
 struct TenantRow {
-  std::uint64_t tenant_id = 0;
   std::uint64_t admitted = 0;
   std::uint64_t degraded = 0;
   std::uint64_t refused = 0;
-  double epsilon_after = 0.0;
-  double epsilon_cap = 0.0;
-  std::string last_outcome;
+  double epsilon_spent = 0.0;
+  double epsilon_remaining = 0.0;
 };
 
 std::uint64_t counter(const JsonValue& snap, const char* name) {
@@ -56,22 +59,44 @@ double gauge(const JsonValue& snap, const char* name) {
   return snap.at("gauges").at(name).number;
 }
 
-/// Folds the ε timeline into one row per tenant: outcome tallies plus the
-/// budget position after the latest event (events arrive in seq order).
+/// The N of a `base{tenant="N"}` metric name; nullopt for any other name.
+std::optional<std::uint64_t> tenant_of(std::string_view name,
+                                       std::string_view base) {
+  constexpr std::string_view kLabel = "{tenant=\"";
+  if (!name.starts_with(base)) return std::nullopt;
+  name.remove_prefix(base.size());
+  if (!name.starts_with(kLabel)) return std::nullopt;
+  name.remove_prefix(kLabel.size());
+  if (!name.ends_with("\"}")) return std::nullopt;
+  name.remove_suffix(2);
+  std::uint64_t id = 0;
+  const char* end = name.data() + name.size();
+  const auto [ptr, ec] = std::from_chars(name.data(), end, id);
+  if (ec != std::errc() || ptr != end) return std::nullopt;
+  return id;
+}
+
+/// One row per tenant from the governor's per-tenant metrics.
 std::map<std::uint64_t, TenantRow> tenant_rows(const JsonValue& snap) {
   std::map<std::uint64_t, TenantRow> rows;
-  for (const JsonValue& e : snap.at("budget_timeline").array) {
-    const std::uint64_t id = e.at("tenant").as_u64();
-    TenantRow& row = rows[id];
-    row.tenant_id = id;
-    const std::string& outcome = e.at("outcome").string;
-    if (outcome == "admit") ++row.admitted;
-    if (outcome == "degrade") ++row.degraded;
-    if (outcome == "refuse") ++row.refused;
-    row.epsilon_after = e.at("epsilon_after").number;
-    row.epsilon_cap = e.at("epsilon_cap").number;
-    row.last_outcome = outcome;
-  }
+  const auto fold = [&](const char* section, std::string_view base,
+                        auto&& apply) {
+    for (const auto& [name, value] : snap.at(section).object) {
+      if (const auto id = tenant_of(name, base)) apply(rows[*id], value);
+    }
+  };
+  fold("counters", "aegis_tenant_admitted_total",
+       [](TenantRow& r, const JsonValue& v) { r.admitted = v.as_u64(); });
+  fold("counters", "aegis_tenant_degraded_total",
+       [](TenantRow& r, const JsonValue& v) { r.degraded = v.as_u64(); });
+  fold("counters", "aegis_tenant_refused_total",
+       [](TenantRow& r, const JsonValue& v) { r.refused = v.as_u64(); });
+  fold("gauges", "aegis_tenant_epsilon_advanced",
+       [](TenantRow& r, const JsonValue& v) { r.epsilon_spent = v.number; });
+  fold("gauges", "aegis_tenant_epsilon_remaining",
+       [](TenantRow& r, const JsonValue& v) {
+         r.epsilon_remaining = v.number;
+       });
   return rows;
 }
 
@@ -115,18 +140,17 @@ void render(const JsonValue& snap, std::ostream& os) {
 
   const auto rows = tenant_rows(snap);
   if (rows.empty()) {
-    os << "\n(no budget timeline events)\n";
+    os << "\n(no per-tenant budget metrics)\n";
     return;
   }
-  os << "\ntenant   admit  degrade  refuse   eps spent    eps remaining  last\n";
-  os << "------   -----  -------  ------   ---------    -------------  ----\n";
+  os << "\ntenant   admit  degrade  refuse   eps spent    eps remaining\n";
+  os << "------   -----  -------  ------   ---------    -------------\n";
   for (const auto& [id, row] : rows) {
     std::snprintf(line, sizeof(line),
                   "%6" PRIu64 "   %5" PRIu64 "  %7" PRIu64 "  %6" PRIu64
-                  "   %9.4f    %13.4f  %s\n",
+                  "   %9.4f    %13.4f\n",
                   id, row.admitted, row.degraded, row.refused,
-                  row.epsilon_after, row.epsilon_cap - row.epsilon_after,
-                  row.last_outcome.c_str());
+                  row.epsilon_spent, row.epsilon_remaining);
     os << line;
   }
 }
@@ -159,6 +183,17 @@ int render_file(const std::string& path, bool clear_screen) {
 const char* stream_name(const aegis::telemetry::DumpDocument& doc,
                         std::uint16_t stream) {
   if (stream < doc.streams.size()) return doc.streams[stream].c_str();
+  return "?";
+}
+
+/// Outcome code of a kAdmission event (BudgetGovernor).
+const char* outcome_name(std::uint64_t code) {
+  switch (code) {
+    case 0: return "admit";
+    case 1: return "degrade";
+    case 2: return "refuse";
+    case 3: return "reset";
+  }
   return "?";
 }
 
@@ -219,6 +254,33 @@ int render_recorder(const std::string& path, std::size_t tail,
       std::snprintf(line, sizeof(line),
                     "  t=%-12" PRIu64 " %-16s tenant=%u kind=%" PRIu64 "\n",
                     e.t_ns, stream_name(*doc, e.stream), e.tenant, e.a);
+      std::cout << line;
+    }
+  }
+
+  // Recent admission decisions, newest last (the governor's kAdmission
+  // events: a=outcome code, b=granularity, c=releases, d=ε bits).
+  std::vector<const aegis::telemetry::DrainedEvent*> decisions;
+  for (const auto& e : doc->events) {
+    if (e.type == static_cast<std::uint16_t>(
+                      aegis::telemetry::WideEventType::kAdmission)) {
+      decisions.push_back(&e);
+    }
+  }
+  if (!decisions.empty()) {
+    const std::size_t shown = std::min(tail, decisions.size());
+    std::cout << "\nrecent decisions (" << shown << " of " << decisions.size()
+              << ")\n";
+    std::cout << "t             tenant  outcome  granularity  releases"
+                 "  eps after\n";
+    for (std::size_t i = decisions.size() - shown; i < decisions.size(); ++i) {
+      const auto& e = *decisions[i];
+      double epsilon = 0.0;
+      std::memcpy(&epsilon, &e.d, sizeof(epsilon));
+      std::snprintf(line, sizeof(line),
+                    "%-12" PRIu64 "  %6u  %-7s  %11" PRIu64 "  %8" PRIu64
+                    "  %9.4f\n",
+                    e.t_ns, e.tenant, outcome_name(e.a), e.b, e.c, epsilon);
       std::cout << line;
     }
   }

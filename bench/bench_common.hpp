@@ -54,22 +54,17 @@ inline void print_header(const std::string& title) {
   std::cout << "\n=== " << title << " ===\n";
 }
 
-/// Bench CPU model: env AEGIS_CPU ("amd", "intel", or a model token),
-/// default the paper's AMD EPYC 7252 testbed. The CI Intel leg steers the
-/// bench smoke through the Intel backend with this.
-inline isa::CpuModel cpu_from_env() {
-  return pmu::backend::model_from_env(isa::CpuModel::kAmdEpyc7252);
-}
-
 /// The backend's default attack-event set for `model` (kAmdAttackEvents on
 /// AMD; the Xeon E5 equivalents on Intel).
 inline std::vector<std::uint32_t> attack_events(isa::CpuModel model) {
   return pmu::backend::backend_for(model).attack_events();
 }
 
-/// The offline pipeline at bench scale: shared by the defense benches.
+/// The offline pipeline at bench scale: shared by the defense benches. The
+/// CPU comes from AEGIS_CPU ("amd", "intel" or a model token), default the
+/// paper's AMD EPYC 7252 testbed.
 struct OfflineSetup {
-  core::Aegis aegis{cpu_from_env()};
+  core::Aegis aegis{pmu::backend::model_from_env()};
   core::OfflineResult result;
 
   explicit OfflineSetup(

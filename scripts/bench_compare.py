@@ -1,49 +1,16 @@
 #!/usr/bin/env python3
-"""Compare fresh bench JSON against committed baselines; fail on regression.
+"""Diff fresh gate artifacts against their committed baselines.
 
 Usage:
-    scripts/bench_compare.py BASELINE_hotpath.json FRESH_hotpath.json \
-                             BASELINE_service.json FRESH_service.json
-    scripts/bench_compare.py --hotpath BASELINE_hotpath.json \
-                             FRESH_hotpath.json
-    scripts/bench_compare.py --service BASELINE_service.json \
-                             FRESH_service.json
     scripts/bench_compare.py --security BASELINE_security.json \
                              FRESH_security.json
     scripts/bench_compare.py --lint BENCH_lint.json FRESH_lint.json
 
-The 4-argument form gates hotpath + service together (the CI perf leg);
---hotpath / --service gate one artifact each (--hotpath is what
-scripts/check.sh runs locally, where the service bench is too slow).
+Timing of the pipeline itself is gated by e2ebench (BENCHMARK.json), which
+runs each change against its parent on the same host; this script gates
+only the two artifacts that a committed baseline can judge.
 
-Headline metrics (everything else in the JSON is informational):
-  hotpath   accumulate_4_events.batched_ns            lower is better
-            accumulate_sweep_1903_events.batched_ns   lower is better
-            execute_once.steady_state_ns              lower is better
-            profiler_sweep.batched_events_per_sec     higher is better
-  service   max over sweep of throughput_sessions_per_sec   higher is better
-
-The PMU backend provenance fields ("backend", "cpu_model") gate hard:
-when both sides carry them and they disagree, the comparison FAILS in
-every mode — an AEGIS_CPU=intel run measured a different event database
-than the committed AMD baseline, so no delta between them is meaningful.
-Artifacts predating the backend layer omit the fields and compare as
-before.
-
-Hotpath artifacts that carry a "flight_recorder" section additionally gate
-recorder_overhead_pct — the execute_once cost of the always-on flight
-recorder — against an ABSOLUTE ceiling (default 2%, override with
-AEGIS_RECORDER_OVERHEAD_PCT): unlike the relative metrics, a slow baseline
-can never grandfather in a slow recorder. Older artifacts without the
-section skip the check.
-
-A metric regresses when it is worse than the baseline by more than the
-tolerance (default 15%, override with AEGIS_BENCH_TOLERANCE, a fraction).
-The tolerance is deliberately loose: shared CI runners jitter, and only a
-real hot-path or throughput cliff should block a merge. Improvements are
-reported but never fail. Exit status: 0 ok, 1 regression, 2 usage/IO error.
-
---security mode diffs BENCH_security.json frontiers instead. The metric is
+--security mode diffs BENCH_security.json frontiers. The metric is
 directional per cell keyed by (attacker, defense, epsilon): fresh attack
 accuracy may not RISE more than 2 points absolute over the committed
 baseline (override with AEGIS_SECURITY_TOLERANCE, a fraction of 1.0, e.g.
@@ -51,8 +18,13 @@ baseline (override with AEGIS_SECURITY_TOLERANCE, a fraction of 1.0, e.g.
 must exist in the baseline — the smoke subset is a strict subset of the
 committed full frontier, so an unmatched cell means the matrix drifted and
 the gate would otherwise pass vacuously. The harness is bit-deterministic,
-so unlike the perf gates this needs no jitter allowance; the tolerance
-only absorbs intentional small reshapes of shared attack fixtures.
+so the gate needs no jitter allowance; the tolerance only absorbs
+intentional small reshapes of shared attack fixtures.
+
+The PMU backend provenance fields ("backend", "cpu_model") gate hard: when
+both sides carry them and they disagree, the comparison FAILS — an
+AEGIS_CPU=intel run measured a different event database than the committed
+AMD baseline, so no delta between them is meaningful.
 
 --lint mode gates the analyzer's own runtime: aegis_lint --time-json
 writes {ruleset, files_analyzed, cache_hits, wall_ms}, and a fresh COLD
@@ -73,55 +45,8 @@ import os
 import sys
 
 
-DEFAULT_TOLERANCE = 0.15
 DEFAULT_SECURITY_TOLERANCE = 0.02  # 2 accuracy points, absolute
 DEFAULT_LINT_TOLERANCE = 2.0  # fresh cold wall time may not exceed 2x base
-
-
-class MetricError(Exception):
-    pass
-
-
-def dig(doc, path):
-    node = doc
-    for key in path.split("."):
-        if not isinstance(node, dict) or key not in node:
-            raise MetricError(f"missing key {path!r}")
-        node = node[key]
-    if not isinstance(node, (int, float)) or isinstance(node, bool):
-        raise MetricError(f"{path!r} is not a number")
-    return float(node)
-
-
-def peak_throughput(doc):
-    sweep = doc.get("sweep")
-    if not isinstance(sweep, list) or not sweep:
-        raise MetricError("missing or empty 'sweep'")
-    values = [
-        p["throughput_sessions_per_sec"]
-        for p in sweep
-        if isinstance(p, dict) and "throughput_sessions_per_sec" in p
-    ]
-    if not values:
-        raise MetricError("sweep has no throughput_sessions_per_sec")
-    return float(max(values))
-
-
-# (label, extractor, higher_is_better)
-HOTPATH_METRICS = [
-    ("hotpath accumulate_4_events.batched_ns",
-     lambda d: dig(d, "accumulate_4_events.batched_ns"), False),
-    ("hotpath accumulate_sweep_1903_events.batched_ns",
-     lambda d: dig(d, "accumulate_sweep_1903_events.batched_ns"), False),
-    ("hotpath execute_once.steady_state_ns",
-     lambda d: dig(d, "execute_once.steady_state_ns"), False),
-    ("hotpath profiler_sweep.batched_events_per_sec",
-     lambda d: dig(d, "profiler_sweep.batched_events_per_sec"), True),
-]
-
-SERVICE_METRICS = [
-    ("service peak throughput_sessions_per_sec", peak_throughput, True),
-]
 
 
 def load(path):
@@ -131,23 +56,6 @@ def load(path):
     except (OSError, json.JSONDecodeError) as e:
         print(f"bench_compare: cannot read {path}: {e}", file=sys.stderr)
         sys.exit(2)
-
-
-def tolerance():
-    raw = os.environ.get("AEGIS_BENCH_TOLERANCE", "")
-    if not raw:
-        return DEFAULT_TOLERANCE
-    try:
-        value = float(raw)
-    except ValueError:
-        print(f"bench_compare: bad AEGIS_BENCH_TOLERANCE {raw!r}",
-              file=sys.stderr)
-        sys.exit(2)
-    if value <= 0:
-        print("bench_compare: AEGIS_BENCH_TOLERANCE must be positive",
-              file=sys.stderr)
-        sys.exit(2)
-    return value
 
 
 def security_tolerance():
@@ -306,80 +214,6 @@ def check_backend_match(label, baseline, fresh):
     return regressions
 
 
-def check_recorder_overhead(fresh):
-    """Absolute gate on the flight recorder's execute_once overhead.
-
-    The recorder is always-on in production, so its cost is gated against a
-    fixed ceiling (default 2% on execute_once), not against the baseline:
-    a slow baseline must not grandfather in a slow recorder. Artifacts
-    predating the flight_recorder section pass untouched. The raw
-    measurement is an on-minus-off delta of two short runs, so it can be
-    negative (noise); only the positive direction gates.
-    """
-    section = fresh.get("flight_recorder")
-    if not isinstance(section, dict):
-        return 0  # pre-recorder artifact
-    try:
-        pct = float(section["recorder_overhead_pct"])
-    except (KeyError, TypeError, ValueError):
-        print("FAIL  hotpath flight_recorder section is malformed "
-              "(recorder_overhead_pct missing or non-numeric)")
-        return 1
-    ceiling = 2.0
-    raw = os.environ.get("AEGIS_RECORDER_OVERHEAD_PCT", "")
-    if raw:
-        try:
-            ceiling = float(raw)
-        except ValueError:
-            print(f"bench_compare: bad AEGIS_RECORDER_OVERHEAD_PCT {raw!r}",
-                  file=sys.stderr)
-            sys.exit(2)
-    verdict = "FAIL" if pct > ceiling else "  ok"
-    print(f"{verdict}  hotpath recorder_overhead_pct: {pct:+.2f}% on "
-          f"execute_once (absolute ceiling {ceiling:g}%)")
-    return 1 if pct > ceiling else 0
-
-
-def compare(metrics, baseline, fresh, tol):
-    """Returns the number of regressions, printing one line per metric."""
-    regressions = 0
-    for label, extract, higher_is_better in metrics:
-        try:
-            base = extract(baseline)
-            new = extract(fresh)
-        except MetricError as e:
-            # A missing metric is a hard failure: silently skipping it would
-            # make the gate pass vacuously after a rename.
-            print(f"FAIL  {label}: {e}")
-            regressions += 1
-            continue
-        if base <= 0:
-            print(f"skip  {label}: non-positive baseline {base}")
-            continue
-        # ratio > 0 means worse, as a fraction of the baseline.
-        if higher_is_better:
-            ratio = (base - new) / base
-        else:
-            ratio = (new - base) / base
-        verdict = "FAIL" if ratio > tol else ("  ok" if ratio >= 0 else "good")
-        print(f"{verdict}  {label}: baseline {base:.2f} -> {new:.2f} "
-              f"({'-' if ratio > 0 else '+'}{abs(ratio) * 100:.1f}% "
-              f"{'worse' if ratio > 0 else 'better'}, tolerance "
-              f"{tol * 100:.0f}%)")
-        if ratio > tol:
-            regressions += 1
-    return regressions
-
-
-def finish(regressions, tol):
-    if regressions:
-        print(f"bench_compare: {regressions} metric(s) regressed beyond "
-              f"{tol * 100:.0f}%", file=sys.stderr)
-        return 1
-    print("bench_compare: all headline metrics within tolerance")
-    return 0
-
-
 def main(argv):
     if len(argv) == 4 and argv[1] == "--security":
         regressions = check_backend_match("security", load(argv[2]),
@@ -397,33 +231,8 @@ def main(argv):
             return 1
         print("bench_compare: lint runtime within budget")
         return 0
-    if len(argv) == 4 and argv[1] == "--hotpath":
-        baseline, fresh = load(argv[2]), load(argv[3])
-        tol = tolerance()
-        regressions = check_backend_match("hotpath", baseline, fresh)
-        regressions += compare(HOTPATH_METRICS, baseline, fresh, tol)
-        regressions += check_recorder_overhead(fresh)
-        return finish(regressions, tol)
-    if len(argv) == 4 and argv[1] == "--service":
-        tol = tolerance()
-        baseline, fresh = load(argv[2]), load(argv[3])
-        regressions = check_backend_match("service", baseline, fresh)
-        regressions += compare(SERVICE_METRICS, baseline, fresh, tol)
-        return finish(regressions, tol)
-    if len(argv) != 5:
-        print(__doc__.strip(), file=sys.stderr)
-        return 2
-    base_hot, fresh_hot, base_svc, fresh_svc = argv[1:5]
-    tol = tolerance()
-    baseline_hot, fresh_hot_doc = load(base_hot), load(fresh_hot)
-    baseline_svc, fresh_svc_doc = load(base_svc), load(fresh_svc)
-    regressions = 0
-    regressions += check_backend_match("hotpath", baseline_hot, fresh_hot_doc)
-    regressions += check_backend_match("service", baseline_svc, fresh_svc_doc)
-    regressions += compare(HOTPATH_METRICS, baseline_hot, fresh_hot_doc, tol)
-    regressions += compare(SERVICE_METRICS, baseline_svc, fresh_svc_doc, tol)
-    regressions += check_recorder_overhead(fresh_hot_doc)
-    return finish(regressions, tol)
+    print(__doc__.strip(), file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

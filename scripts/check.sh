@@ -8,11 +8,10 @@
 # a broken lint build fails the check rather than silently skipping the
 # gate, and runs clang-tidy when available. A seceval stage runs the smoke
 # security frontier and fails if any attack accuracy rose over the
-# committed BENCH_security.json baseline. A hotpath stage runs the
-# Release-mode hot-path microbench at reduced scale and fails if any
-# headline ns metric regressed >15% against the committed
-# BENCH_hotpath.json (AEGIS_HOTPATH_SCALE overrides the scale;
-# AEGIS_BENCH_TOLERANCE the threshold).
+# committed BENCH_security.json baseline. scripts/bench_compare.py gates
+# both committed artifacts (--lint, --security); timing is gated by
+# e2ebench (`python3 e2ebench/run.py`), which runs each change against its
+# parent on the same host.
 #
 # Usage: scripts/check.sh [--fast]
 #   --fast   sanitizer passes run only the concurrency-relevant suites
@@ -117,27 +116,9 @@ run_seceval() {
     BENCH_security.json /tmp/aegis_seceval_smoke.json
 }
 
-# Hot-path perf regression gate: run bench_hot_path in a Release build (the
-# committed baseline is Release numbers; a RelWithDebInfo run would trip the
-# gate on optimization level, not on code). Reduced scale keeps the stage
-# under a minute; min-of-N timing still holds the jitter below the 15%
-# tolerance.
-run_hotpath() {
-  local dir="build-bench"
-  echo "=== hotpath: build bench_hot_path (Release) ==="
-  cmake -B "${dir}" -S . -DCMAKE_BUILD_TYPE=Release >/dev/null
-  cmake --build "${dir}" -j "${JOBS}" --target bench_hot_path >/dev/null
-  echo "=== hotpath: bench + regression gate ==="
-  AEGIS_SCALE="${AEGIS_HOTPATH_SCALE:-0.25}" \
-    "${dir}/bench/bench_hot_path" /tmp/aegis_hotpath_fresh.json
-  python3 scripts/bench_compare.py --hotpath \
-    BENCH_hotpath.json /tmp/aegis_hotpath_fresh.json
-}
-
 run_lint
 run_suite "default" build ""
 run_seceval
-run_hotpath
 run_suite "tsan" build-tsan thread
 run_suite "asan" build-asan address
 run_suite "ubsan" build-ubsan undefined

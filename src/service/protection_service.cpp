@@ -1,7 +1,6 @@
 #include "service/protection_service.hpp"
 
 #include <algorithm>
-#include <fstream>
 #include <stdexcept>
 
 #include "telemetry/registry.hpp"
@@ -190,13 +189,6 @@ void ProtectionService::shutdown() {
   }
   queue_.close();
   if (dispatcher_.joinable()) dispatcher_.join();
-  if (!config_.shutdown_dump_path.empty()) {
-    // Post-drain flight-recorder snapshot: every worker has finished, so
-    // the merged dump holds the complete, deterministic event history of
-    // this service's registry.
-    std::ofstream out(config_.shutdown_dump_path, std::ios::binary);
-    if (out) telemetry_->recorder().write_dump(out);
-  }
 }
 
 ServiceStats ProtectionService::stats() const {

@@ -19,7 +19,6 @@
 #pragma once
 
 #include <chrono>
-#include <string>
 #include <thread>
 
 #include "service/bounded_queue.hpp"
@@ -54,9 +53,6 @@ struct ServiceConfig {
   /// (PmuBackend::attack_events()).
   telemetry::ForecasterConfig forecaster;
   telemetry::AttackMonitorConfig attack_monitor;
-  /// When non-empty, shutdown() writes the merged flight-recorder binary
-  /// dump of the service registry here after the dispatcher drains.
-  std::string shutdown_dump_path;
 };
 
 struct SessionSubmission {

@@ -112,8 +112,7 @@ class GadgetRunner {
   telemetry::Counter executions_;
   /// Flight-recorder hot-path record point, also resolved at construction.
   /// Sampled 1-in-8 executions and stamped with a LOCAL ordinal (no shared
-  /// clock traffic); bench_hot_path gates the enabled-vs-disabled overhead
-  /// on execute_once at <= 2%.
+  /// clock traffic).
   telemetry::EventHandle exec_event_;
   std::uint64_t exec_count_ = 0;
 };

@@ -211,7 +211,6 @@ void EventHandle::record(std::uint64_t t_ns, std::uint64_t a, std::uint64_t b,
 }
 
 FlightRecorder::FlightRecorder(RecorderConfig config) {
-  enabled_.store(config.enabled, std::memory_order_relaxed);
   capacity_ = round_up_pow2(std::max<std::size_t>(config.ring_capacity, 2));
   mask_ = capacity_ - 1;
   ring_count_ = std::max<std::size_t>(config.rings, 1);
@@ -275,7 +274,6 @@ void FlightRecorder::record_raw(std::uint16_t type, std::uint16_t stream,
                                 std::uint64_t b, std::uint64_t c,
                                 std::uint64_t d,
                                 std::uint32_t tenant) noexcept {
-  if (!enabled_.load(std::memory_order_relaxed)) return;
   Ring& ring = rings_[fr_thread_ordinal() % ring_count_];
   const std::uint64_t idx = ring.head.fetch_add(1, std::memory_order_relaxed);
   Slot& slot = ring.slots[idx & mask_];

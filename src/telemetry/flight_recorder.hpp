@@ -9,8 +9,7 @@
 //      by-name registration (`event_handle`) which takes a mutex and may
 //      allocate; the returned EventHandle is a trivially-copyable pointer
 //      wrapper whose record() is a claim-index fetch_add plus seven relaxed
-//      atomic word stores — no locks, no branches on "is telemetry on"
-//      beyond one relaxed enabled load.
+//      atomic word stores — no locks and no "is telemetry on" branch.
 //   2. Flight-recorder drop policy: rings OVERWRITE OLDEST. A crash dump
 //      answers "what happened just before", so the newest events win and a
 //      slow drain can never back-pressure the hot path. Overwritten events
@@ -119,8 +118,6 @@ struct RecorderConfig {
   /// multi-producer). Rings are preallocated at construction; memory is
   /// rings * ring_capacity * 56 bytes.
   std::size_t rings = 32;
-  /// Construction-time master switch (set_enabled flips it later).
-  bool enabled = true;
 };
 
 /// Binary dump, parsed form. `events` preserve file order (write_dump sorts
@@ -157,13 +154,6 @@ class FlightRecorder {
   void record_raw(std::uint16_t type, std::uint16_t stream, std::uint64_t t_ns,
                   std::uint64_t a, std::uint64_t b, std::uint64_t c,
                   std::uint64_t d, std::uint32_t tenant) noexcept;
-
-  void set_enabled(bool enabled) noexcept {
-    enabled_.store(enabled, std::memory_order_relaxed);
-  }
-  bool enabled() const noexcept {
-    return enabled_.load(std::memory_order_relaxed);
-  }
 
   /// Coordinated drain: snapshots every ring (tolerating concurrent
   /// writers; torn slots count as drops) and merges them into one list
@@ -226,7 +216,6 @@ class FlightRecorder {
   std::uint64_t snapshot_ring(std::uint32_t ring_index,
                               std::vector<DrainedEvent>& out) const;
 
-  std::atomic<bool> enabled_{true};
   std::size_t capacity_ = 0;  // power of two
   std::uint64_t mask_ = 0;
   std::size_t ring_count_ = 0;

@@ -116,17 +116,6 @@ TEST(FlightRecorder, OverwriteOldestKeepsTheNewestAndCountsDrops) {
   EXPECT_EQ(rec.dropped(), 6u);
 }
 
-TEST(FlightRecorder, DisabledRecorderRecordsNothing) {
-  FlightRecorder rec(small_config(8, 1));
-  EventHandle h = rec.event_handle("gated", WideEventType::kMetricDelta);
-  rec.set_enabled(false);
-  h.record(1);
-  EXPECT_TRUE(rec.drain().empty());
-  rec.set_enabled(true);
-  h.record(2);
-  EXPECT_EQ(rec.drain().size(), 1u);
-}
-
 TEST(FlightRecorder, NullHandleIsANoop) {
   EventHandle h;
   EXPECT_FALSE(h.attached());

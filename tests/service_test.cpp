@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdlib>
 #include <cstring>
 #include <deque>
 #include <filesystem>
@@ -13,7 +14,10 @@
 #include <vector>
 
 #include "attack/wfa.hpp"
+#include "pmu/backend/registry.hpp"
 #include "service/protection_service.hpp"
+#include "telemetry/exporters.hpp"
+#include "telemetry/json_reader.hpp"
 #include "telemetry/registry.hpp"
 #include "util/rng.hpp"
 
@@ -795,6 +799,68 @@ TEST(ProtectionServiceTest, TelemetryRetentionIsBoundedAndLossIsCounted) {
         << "ring " << e.ring << " never wrapped";
   }
   EXPECT_GT(registry.recorder().dropped(), 0u);
+}
+
+TEST(ProtectionServiceTest, AegisTopRendersAServiceRun) {
+  auto& f = fixture();
+  // AEGIS_CPU picks the backend, so the Intel CI leg serves these sessions
+  // on the Xeon E5 database; registration analyses afresh on it.
+  const core::Aegis aegis(pmu::backend::model_from_env());
+  telemetry::Registry registry;
+  {
+    ServiceConfig config;
+    config.num_threads = 2;
+    config.governor.default_epsilon_cap = 64.0;  // ample: nothing refused
+    config.telemetry = &registry;
+    ProtectionService svc(config);
+    const std::size_t tpl_id =
+        svc.register_template(aegis, *f.secrets[0], f.secrets, f.config,
+                              f.mechanism(), {}, 0xFEEDULL);
+    constexpr std::size_t kSessions = 4;
+    for (std::size_t s = 0; s < kSessions; ++s) {
+      SessionSubmission sub;
+      sub.template_id = tpl_id;
+      sub.request = f.request(s, 60);
+      ASSERT_TRUE(svc.submit(sub));
+    }
+    svc.drain();
+    ASSERT_EQ(svc.stats().sessions_completed, kSessions);
+  }  // joins the service's threads before aegis_top is forked below
+
+  const std::string dir = fresh_dir("telemetry");
+  const std::string prom = dir + "/metrics.prom";
+  const std::string snapshot = dir + "/snapshot.json";
+  const std::string dump = dir + "/run.frd";
+  const std::string trace = dir + "/trace.json";
+  {
+    std::ofstream out(prom);
+    telemetry::write_prometheus(registry.metrics().snapshot(), out);
+  }
+  {
+    std::ofstream out(snapshot);
+    telemetry::write_json_snapshot(registry.metrics().snapshot(), out);
+  }
+  {
+    std::ofstream out(dump, std::ios::binary);
+    registry.recorder().write_dump(out);
+  }
+  for (const std::string& path : {prom, snapshot, dump}) {
+    EXPECT_GT(std::filesystem::file_size(path), 0u) << path;
+  }
+
+  const auto aegis_top = [&](const std::string& args, const char* log) {
+    const std::string command = std::string("\"") + AEGIS_TOP_PATH + "\" " +
+                                args + " > \"" + dir + "/" + log + "\" 2>&1";
+    return std::system(command.c_str());
+  };
+  EXPECT_EQ(aegis_top("\"" + snapshot + "\"", "top.txt"), 0);
+  EXPECT_EQ(aegis_top("--recorder \"" + dump + "\" --trace \"" + trace + "\"",
+                      "recorder.txt"),
+            0);
+  std::ifstream in(trace);
+  std::stringstream text;
+  text << in.rdbuf();
+  EXPECT_NO_THROW((void)telemetry::parse_json(text.str()));
 }
 
 }  // namespace

@@ -1,8 +1,8 @@
 // aegis_top: text dashboard over a telemetry JSON snapshot.
 //
-// Reads the file written by telemetry::write_json_snapshot (e.g.
-// `bench_service --stats FILE` or any daemon embedding the registry) and
-// renders the service at a glance: session counters, queue depth, template
+// Reads the file written by telemetry::write_json_snapshot (by any process
+// embedding the registry; tests/service_test.cpp renders a real service run)
+// and renders the service at a glance: session counters, queue depth, template
 // cache effectiveness, and a per-tenant privacy-budget table built from the
 // governor's per-tenant metrics (the admit/degrade/refuse counters and the
 // two ε gauges).
@@ -11,7 +11,8 @@
 //   aegis_top SNAPSHOT.json --watch N   re-read and re-render every N seconds
 //
 // It also reads flight-recorder binary dumps (telemetry/flight_recorder.hpp;
-// written at shutdown, on a crash, or by a budget-gate breach):
+// written by FlightRecorder::write_dump, on a crash, or by a budget-gate
+// breach):
 //
 //   aegis_top --recorder DUMP.frd            stream table, alerts, recent
 //                                            admission decisions, last 20

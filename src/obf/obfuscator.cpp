@@ -34,9 +34,33 @@ struct Moments {
     m2 += d * (x - mean);
     peak = std::max(peak, x);
   }
+  /// Pools `other`'s samples into these (Chan et al.'s pairwise update).
+  void merge(const Moments& other) noexcept {
+    if (other.n == 0) return;
+    if (n == 0) {
+      *this = other;
+      return;
+    }
+    const double total = static_cast<double>(n + other.n);
+    const double d = other.mean - mean;
+    mean += d * static_cast<double>(other.n) / total;
+    m2 += other.m2 +
+          d * d * static_cast<double>(n) * static_cast<double>(other.n) / total;
+    n += other.n;
+    peak = std::max(peak, other.peak);
+  }
   double stddev() const noexcept {
     return n < 2 ? 0.0 : std::sqrt(m2 / static_cast<double>(n - 1));
   }
+};
+
+/// One run's moments per event.
+struct RunMoments {
+  std::vector<Moments> events;
+  void slice(std::size_t, std::span<const double> delta) noexcept {
+    for (std::size_t e = 0; e < delta.size(); ++e) events[e].add(delta[e]);
+  }
+  void finish(std::span<const double>) const noexcept {}
 };
 
 }  // namespace
@@ -49,54 +73,22 @@ std::vector<EventCalibration> calibrate_events(
     const sim::VmConfig& vm_config) {
   const std::vector<sim::SweepJob> jobs =
       sim::secret_jobs(secrets, runs_per_secret, "calibrate_events");
-  if (event_ids.empty()) return {};
-  constexpr std::size_t kGroup = pmu::EventDatabase::kNumCounters;
-
-  std::vector<Moments> moments(event_ids.size());
-  // Cumulative reads of every event, group after group, for the previous
-  // and the current slice.
-  std::vector<double> prev(event_ids.size());
-  std::vector<double> now(event_ids.size());
-  std::vector<pmu::CounterRegisterFile> counters;
-  counters.reserve(sim::sweep_group_count(event_ids.size()));
-  util::Rng rng(seed);
-  for (const sim::SweepJob& job : jobs) {
-    sim::VirtualMachine vm(vm_config, rng.next_u64());
-    const sim::BlockSource source = job.workload->visit(rng.next_u64());
-    // One register file per 4-event group reads the same run.
-    counters.clear();
-    for (std::size_t base = 0; base < event_ids.size(); base += kGroup) {
-      const auto first = event_ids.begin() + static_cast<std::ptrdiff_t>(base);
-      const auto last = first + static_cast<std::ptrdiff_t>(
-                                    std::min(kGroup, event_ids.size() - base));
-      counters.emplace_back(db, rng.next_u64());
-      counters.back().program(std::vector<std::uint32_t>(first, last));
-    }
-    std::fill(prev.begin(), prev.end(), 0.0);
-    for (std::size_t t = 0; t < job.slices; ++t) {
-      if (source) vm.submit(source(t));
-      const pmu::ExecutionStats stats = vm.run_slice();
-      std::size_t base = 0;
-      for (pmu::CounterRegisterFile& file : counters) {
-        file.tick(stats);
-        const std::size_t width = file.programmed().size();
-        file.read_all(std::span<double>(now).subspan(base, width));
-        base += width;
-      }
-      for (std::size_t e = 0; e < now.size(); ++e) {
-        // Clamped at zero, as HostMonitor::monitor records it.
-        moments[e].add(std::max(now[e] - prev[e], 0.0));
-      }
-      prev.swap(now);
-    }
-  }
+  const std::vector<RunMoments> runs = sim::sweep_groups(
+      db, event_ids, jobs, util::Rng(seed),
+      [&](std::size_t) {
+        return RunMoments{std::vector<Moments>(event_ids.size())};
+      },
+      {vm_config});
+  if (runs.empty()) return {};
 
   std::vector<EventCalibration> calibrations(event_ids.size());
   for (std::size_t e = 0; e < event_ids.size(); ++e) {
+    Moments pooled;
+    for (const RunMoments& run : runs) pooled.merge(run.events[e]);
     calibrations[e].event_id = event_ids[e];
-    calibrations[e].mean = moments[e].mean;
-    calibrations[e].stddev = moments[e].stddev();
-    calibrations[e].peak = moments[e].peak;
+    calibrations[e].mean = pooled.mean;
+    calibrations[e].stddev = pooled.stddev();
+    calibrations[e].peak = pooled.peak;
   }
   return calibrations;
 }

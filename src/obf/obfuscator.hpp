@@ -73,16 +73,16 @@ struct EventCalibration {
 sim::SliceAgent coarsen_agent(sim::SliceAgent inner, std::size_t granularity);
 
 /// Calibrates `event_ids` over the secret set: secrets x runs_per_secret
-/// runs (sim::secret_jobs), each simulated once in a fresh VirtualMachine
-/// and read through one fresh CounterRegisterFile per 4-event group, so a
-/// run is executed once however many groups read it. Per event, the mean,
-/// sample stddev (n - 1) and peak of every clamped per-slice delta are
-/// accumulated as a stream; no per-slice rows are stored. One Rng(seed)
-/// stream, per job in job order: the VM seed, the visit seed, then one
-/// counter-noise seed per group. Runs on the caller's thread:
-/// SecurityHarness and SessionManager call this from inside their own pool
-/// tasks. No events: nothing runs and the result is empty. Throws
-/// std::invalid_argument if `secrets` is empty or runs_per_secret is 0.
+/// runs (sim::secret_jobs) through sim::sweep_groups, so each run is
+/// simulated once and read through one register file per 4-event group.
+/// Per event and run, the mean, sample variance (Welford) and peak of every
+/// clamped per-slice delta are streamed; no per-slice rows are stored. The
+/// runs' moments are then pooled in job order. The stream is Rng(seed), per
+/// job in job order: the VM seed, the visit seed, then one counter-noise
+/// seed per group. Runs on the caller's thread: SecurityHarness and
+/// SessionManager call this from inside their own pool tasks. No events:
+/// nothing runs and the result is empty. Throws std::invalid_argument if
+/// `secrets` is empty or runs_per_secret is 0.
 std::vector<EventCalibration> calibrate_events(
     const pmu::EventDatabase& db, const std::vector<std::uint32_t>& event_ids,
     const std::vector<std::unique_ptr<workload::Workload>>& secrets,

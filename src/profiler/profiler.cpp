@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cmath>
 #include <numeric>
+#include <span>
 #include <stdexcept>
 #include <utility>
 
@@ -20,10 +21,37 @@ namespace aegis::profiler {
 
 namespace {
 
-// Domain-separation salts for the per-group shard streams (see the
-// determinism contract in DESIGN.md "Parallel campaign").
+// Domain-separation salts for the sweep streams (see the determinism
+// contract in DESIGN.md "Parallel campaign").
 constexpr std::uint64_t kWarmupSalt = 0x3A2250F11E2ULL;
 constexpr std::uint64_t kRankSalt = 0x4A11ULL;
+
+// Ranking sweeps its events in chunks of this many. PCA reads every run of
+// an event, so a sweep keeps every job's window features until it ends:
+// with 450 jobs and 24 windows a 128-event chunk (32 register groups) holds
+// about 11 MB, where all 729 Intel warm-up survivors at once would hold
+// about 63 MB. Each chunk re-simulates the same runs (same seeds), so the
+// ranking does not depend on this constant. A multiple of the group size.
+constexpr std::size_t kRankChunkEvents = 128;
+static_assert(kRankChunkEvents % pmu::EventDatabase::kNumCounters == 0);
+
+/// Warm-up keeps a run's final cumulative reads.
+struct FinalReads {
+  std::vector<double> totals;
+  void slice(std::size_t, std::span<const double>) const noexcept {}
+  void finish(std::span<const double> reads) {
+    totals.assign(reads.begin(), reads.end());
+  }
+};
+
+/// Ranking keeps a run's window means (Trace::window_features).
+struct WindowMeans {
+  trace::WindowPooler pooler;
+  void slice(std::size_t t, std::span<const double> delta) noexcept {
+    pooler.add(t, delta);
+  }
+  void finish(std::span<const double>) const noexcept {}
+};
 
 }  // namespace
 
@@ -58,32 +86,25 @@ WarmupReport ApplicationProfiler::warmup(const workload::Workload& application) 
   telemetry::ScopedSpan stage(tel.spans(), "profiler.warmup", 0,
                               sim::sweep_group_count(all_events.size()));
   util::ThreadPool pool(config_.num_threads);
-  report.surviving = sim::sweep_groups(
-      *db_, all_events, jobs,
-      [&](std::size_t g) {
-        return util::Rng(util::split_mix64(config_.seed ^ kWarmupSalt, g));
-      },
-      [](sim::MonitorResult& run) { return std::move(run.totals); },
-      [&](const std::vector<std::uint32_t>& group,
-          const std::vector<std::vector<double>>& totals) {
-        std::vector<std::uint32_t> surviving;
-        for (std::size_t e = 0; e < group.size(); ++e) {
-          std::vector<double> rel_changes;
-          std::vector<double> abs_changes;
-          for (std::size_t r = 0; r < totals.size(); r += 2) {
-            const double idle_count = totals[r][e];
-            const double diff = std::abs(totals[r + 1][e] - idle_count);
-            rel_changes.push_back(diff / std::max(idle_count, 1.0));
-            abs_changes.push_back(diff);
-          }
-          if (util::median(rel_changes) > config_.warmup_rel_change &&
-              util::median(abs_changes) > config_.warmup_abs_change) {
-            surviving.push_back(group[e]);
-          }
-        }
-        return surviving;
-      },
-      {config_.vm, &pool, &tel.spans(), "profiler.warmup.group"});
+  const std::vector<FinalReads> runs = sim::sweep_groups(
+      *db_, all_events, jobs, util::Rng(config_.seed ^ kWarmupSalt),
+      [](std::size_t) { return FinalReads{}; }, {config_.vm, &pool});
+  std::vector<double> rel_changes;
+  std::vector<double> abs_changes;
+  for (std::size_t e = 0; e < all_events.size(); ++e) {
+    rel_changes.clear();
+    abs_changes.clear();
+    for (std::size_t r = 0; r < runs.size(); r += 2) {
+      const double idle_count = runs[r].totals[e];
+      const double diff = std::abs(runs[r + 1].totals[e] - idle_count);
+      rel_changes.push_back(diff / std::max(idle_count, 1.0));
+      abs_changes.push_back(diff);
+    }
+    if (util::median(rel_changes) > config_.warmup_rel_change &&
+        util::median(abs_changes) > config_.warmup_abs_change) {
+      report.surviving.push_back(all_events[e]);
+    }
+  }
   for (std::uint32_t id : report.surviving) {
     ++report.after_by_type[static_cast<std::size_t>(db_->by_id(id).type)];
   }
@@ -99,59 +120,61 @@ std::vector<EventRank> ApplicationProfiler::rank(
     const std::vector<std::unique_ptr<workload::Workload>>& secrets,
     const std::vector<std::uint32_t>& event_ids) {
   // No events: an empty ranking (no jobs needed, so none are checked).
+  if (event_ids.empty()) return {};
   const std::size_t runs = config_.ranking_runs_per_secret;
   const std::vector<sim::SweepJob> jobs =
-      event_ids.empty()
-          ? std::vector<sim::SweepJob>{}
-          : sim::secret_jobs(secrets, runs, "ApplicationProfiler::rank");
+      sim::secret_jobs(secrets, runs, "ApplicationProfiler::rank");
 
   telemetry::Registry& tel = telemetry::resolve(config_.telemetry);
   telemetry::ScopedSpan stage(tel.spans(), "profiler.rank", 0,
                               sim::sweep_group_count(event_ids.size()));
   util::ThreadPool pool(config_.num_threads);
-  std::vector<EventRank> ranks = sim::sweep_groups(
-      *db_, event_ids, jobs,
-      [&](std::size_t g) {
-        return util::Rng(util::split_mix64(config_.seed ^ kRankSalt, g));
-      },
-      [&](sim::MonitorResult& run) {
-        // One run yields a trace for all 4 events of the group at once.
-        trace::Trace t;
-        t.samples = std::move(run.samples);  // avoids a deep copy
-        return t.window_features(config_.feature_windows);
-      },
-      [&](const std::vector<std::uint32_t>& group,
-          const std::vector<std::vector<double>>& pooled) {
-        // features[e][j] = job j's pooled series for event e; jobs are
-        // secret-major, so job j belongs to secret j / runs.
-        std::vector<std::vector<std::vector<double>>> features(group.size());
-        for (const std::vector<double>& all : pooled) {
-          const std::size_t w = all.size() / group.size();
-          for (std::size_t e = 0; e < group.size(); ++e) {
-            features[e].emplace_back(
-                all.begin() + static_cast<std::ptrdiff_t>(e * w),
-                all.begin() + static_cast<std::ptrdiff_t>((e + 1) * w));
-          }
-        }
-
-        std::vector<EventRank> group_ranks;
-        for (std::size_t e = 0; e < group.size(); ++e) {
-          // PCA over every run of this event, then per-secret Gaussian fits.
-          trace::Pca pca;
-          pca.fit(features[e], 1);
-          std::vector<std::vector<double>> values_by_secret(secrets.size());
-          for (std::size_t j = 0; j < features[e].size(); ++j) {
-            values_by_secret[j / runs].push_back(
-                pca.first_component(features[e][j]));
-          }
-          const trace::SecretGaussianModel model =
-              trace::SecretGaussianModel::fit(values_by_secret);
-          group_ranks.push_back(
-              EventRank{group[e], trace::mutual_information_eq1(model)});
-        }
-        return group_ranks;
-      },
-      {config_.vm, &pool, &tel.spans(), "profiler.rank.group"});
+  std::vector<EventRank> ranks;
+  ranks.reserve(event_ids.size());
+  const std::size_t total_groups = sim::sweep_group_count(event_ids.size());
+  for (std::size_t base = 0; base < event_ids.size();
+       base += kRankChunkEvents) {
+    const std::span<const std::uint32_t> events =
+        std::span<const std::uint32_t>(event_ids).subspan(
+            base, std::min(kRankChunkEvents, event_ids.size() - base));
+    std::vector<WindowMeans> means = sim::sweep_groups(
+        *db_, events, jobs,
+        util::Rng(config_.seed ^ kRankSalt),
+        [&](std::size_t j) {
+          return WindowMeans{trace::WindowPooler(
+              events.size(), jobs[j].slices, config_.feature_windows)};
+        },
+        {config_.vm, &pool, base / pmu::EventDatabase::kNumCounters,
+         total_groups});
+    // pooled[j] = job j's window means, event-major; jobs are secret-major,
+    // so job j belongs to secret j / runs.
+    std::vector<std::vector<double>> pooled;
+    pooled.reserve(means.size());
+    for (WindowMeans& m : means) {
+      pooled.push_back(std::move(m.pooler).features());
+    }
+    for (std::size_t e = 0; e < events.size(); ++e) {
+      // PCA over every run of this event, then per-secret Gaussian fits.
+      std::vector<std::vector<double>> features;
+      features.reserve(pooled.size());
+      for (const std::vector<double>& all : pooled) {
+        const std::size_t w = all.size() / events.size();
+        features.emplace_back(
+            all.begin() + static_cast<std::ptrdiff_t>(e * w),
+            all.begin() + static_cast<std::ptrdiff_t>((e + 1) * w));
+      }
+      trace::Pca pca;
+      pca.fit(features, 1);
+      std::vector<std::vector<double>> values_by_secret(secrets.size());
+      for (std::size_t j = 0; j < features.size(); ++j) {
+        values_by_secret[j / runs].push_back(pca.first_component(features[j]));
+      }
+      const trace::SecretGaussianModel model =
+          trace::SecretGaussianModel::fit(values_by_secret);
+      ranks.push_back(
+          EventRank{events[e], trace::mutual_information_eq1(model)});
+    }
+  }
   std::sort(ranks.begin(), ranks.end(), [](const EventRank& a, const EventRank& b) {
     return a.mutual_information > b.mutual_information;
   });

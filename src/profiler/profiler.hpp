@@ -37,8 +37,8 @@ struct ProfilerConfig {
   std::uint64_t seed = 11;
   sim::VmConfig vm;
   /// Workers for the warm-up and ranking group sweeps (sim::sweep_groups;
-  /// 0 = hardware concurrency). One shard per 4-event counter group; each
-  /// group draws from split_mix64(seed ^ stage salt, group), so reports are
+  /// 0 = hardware concurrency). One shard per job; every job's seeds are
+  /// drawn from the stage's stream before any job runs, so reports are
   /// bit-identical for every thread count.
   std::size_t num_threads = 0;
   /// Span/metric sink for warm-up and ranking (null = telemetry::Registry::

@@ -1,6 +1,7 @@
 #include "service/protection_service.hpp"
 
 #include <algorithm>
+#include <optional>
 #include <stdexcept>
 
 #include "telemetry/registry.hpp"
@@ -128,8 +129,9 @@ void ProtectionService::dispatch_loop() {
     auto batch = queue_.pop_batch(std::max<std::size_t>(1, config_.batch_size));
     if (batch.empty()) return;  // closed and drained
     queue_depth_.set(static_cast<double>(queue_.size()));
-    telemetry::ScopedSpan batch_span(telemetry_->spans(), "service.dispatch",
-                                     0, batch.size());
+    std::optional<telemetry::ScopedSpan> batch_span(
+        std::in_place, telemetry_->spans(), "service.dispatch", 0,
+        batch.size());
 
     // A batch may mix templates; group contiguously by template id so each
     // fleet call shares one ProtectionTemplate.
@@ -158,6 +160,9 @@ void ProtectionService::dispatch_loop() {
       std::vector<SessionResult> results = manager_.run_fleet(*tpl, requests);
       // aegis-lint: clock-ok(reporting-only: per-session latency_seconds)
       const auto now = std::chrono::steady_clock::now();
+      // The batch span ends before the batch's last pending_ decrement, so
+      // drain() cannot return ahead of its end event.
+      if (end == batch.size()) batch_span.reset();
       {
         std::lock_guard lock(mu_);
         for (std::size_t i = 0; i < results.size(); ++i) {
@@ -173,6 +178,7 @@ void ProtectionService::dispatch_loop() {
       idle_cv_.notify_all();
       begin = end;
     }
+    if (config_.after_batch) config_.after_batch();
   }
 }
 

@@ -19,6 +19,7 @@
 #pragma once
 
 #include <chrono>
+#include <functional>
 #include <thread>
 
 #include "service/bounded_queue.hpp"
@@ -53,6 +54,9 @@ struct ServiceConfig {
   /// (PmuBackend::attack_events()).
   telemetry::ForecasterConfig forecaster;
   telemetry::AttackMonitorConfig attack_monitor;
+  /// Test seam, null in production: the dispatcher calls it after each
+  /// batch, once the batch's sessions are accounted and drain() woken.
+  std::function<void()> after_batch;
 };
 
 struct SessionSubmission {

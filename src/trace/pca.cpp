@@ -32,27 +32,42 @@ void Pca::fit(const std::vector<std::vector<double>>& X, std::size_t components)
   }
   for (double& m : mean_) m /= static_cast<double>(n);
 
-  std::vector<std::vector<double>> centered(n, std::vector<double>(d));
-  for (std::size_t r = 0; r < n; ++r) {
-    for (std::size_t i = 0; i < d; ++i) centered[r][i] = X[r][i] - mean_[i];
+  // The covariance, formed once (upper triangle, then mirrored): each
+  // power-iteration step then costs d * d, not a pass over the n rows.
+  std::vector<double> cov(d * d, 0.0);
+  std::vector<double> centered(d);
+  for (const auto& x : X) {
+    for (std::size_t i = 0; i < d; ++i) centered[i] = x[i] - mean_[i];
+    for (std::size_t i = 0; i < d; ++i) {
+      for (std::size_t j = i; j < d; ++j) {
+        cov[i * d + j] += centered[i] * centered[j];
+      }
+    }
   }
+  for (std::size_t i = 0; i < d; ++i) {
+    for (std::size_t j = i; j < d; ++j) {
+      cov[i * d + j] /= static_cast<double>(n);
+      cov[j * d + i] = cov[i * d + j];
+    }
+  }
+  const auto times_cov = [&](const std::vector<double>& v) {
+    std::vector<double> w(d, 0.0);
+    for (std::size_t i = 0; i < d; ++i) {
+      for (std::size_t j = 0; j < d; ++j) w[i] += cov[i * d + j] * v[j];
+    }
+    return w;
+  };
 
   components_.clear();
   eigenvalues_.clear();
   util::Rng rng(0xACA5ULL);
-  // Power iteration on the (implicit) covariance: v <- X^T (X v) / n,
-  // deflating previously-found directions from the data.
+  // Power iteration v <- C v, deflating previously-found directions.
   for (std::size_t k = 0; k < components; ++k) {
     std::vector<double> v(d);
     for (double& vi : v) vi = rng.normal();
     double lambda = 0.0;
     for (int iter = 0; iter < 120; ++iter) {
-      std::vector<double> w(d, 0.0);
-      for (std::size_t r = 0; r < n; ++r) {
-        const double proj = dot(centered[r], v);
-        for (std::size_t i = 0; i < d; ++i) w[i] += proj * centered[r][i];
-      }
-      for (double& wi : w) wi /= static_cast<double>(n);
+      const std::vector<double> w = times_cov(v);
       const double w_norm = norm(w);
       if (w_norm < 1e-15) break;
       double delta = 0.0;
@@ -66,10 +81,14 @@ void Pca::fit(const std::vector<std::vector<double>>& X, std::size_t components)
     }
     components_.push_back(v);
     eigenvalues_.push_back(lambda);
-    // Deflate: remove the found direction from every sample.
-    for (auto& row : centered) {
-      const double proj = dot(row, v);
-      for (std::size_t i = 0; i < d; ++i) row[i] -= proj * v[i];
+    // Deflate: C <- P C P with P = I - v v^T, the covariance of the samples
+    // with the found direction removed from each.
+    const std::vector<double> u = times_cov(v);
+    const double s = dot(v, u);
+    for (std::size_t i = 0; i < d; ++i) {
+      for (std::size_t j = 0; j < d; ++j) {
+        cov[i * d + j] += s * v[i] * v[j] - u[i] * v[j] - v[i] * u[j];
+      }
     }
   }
 }

@@ -3,7 +3,9 @@
 // The profiler compresses each leakage time series to a scalar feature with
 // PCA before Gaussian modelling (Section V-B, following the paper). Sizes
 // here are small (hundreds of samples, tens-to-hundreds of dimensions), so
-// a dependency-free power-iteration implementation is plenty.
+// a dependency-free power-iteration implementation is plenty. fit() forms
+// the d x d covariance once and iterates on it, so an iteration costs d * d
+// instead of a pass over all n samples.
 #pragma once
 
 #include <cstddef>

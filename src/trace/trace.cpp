@@ -4,6 +4,7 @@
 #include <cmath>
 #include <numeric>
 #include <stdexcept>
+#include <utility>
 
 namespace aegis::trace {
 
@@ -22,23 +23,32 @@ double Trace::event_total(std::size_t e) const noexcept {
 
 std::vector<double> Trace::window_features(std::size_t windows,
                                            bool pad) const {
-  const std::size_t T = slices();
-  const std::size_t E = events();
-  if (windows == 0 || T == 0) return {};
-  if (windows > T && !pad) windows = T;
-  std::vector<double> features(E * windows, 0.0);
-  std::vector<double> counts(windows, 0.0);
-  for (std::size_t t = 0; t < T; ++t) {
-    std::size_t w = t * windows / T;
-    if (w >= windows) w = windows - 1;
-    counts[w] += 1.0;
-    for (std::size_t e = 0; e < E; ++e) {
-      features[e * windows + w] += samples[t][e];
-    }
-  }
-  for (std::size_t e = 0; e < E; ++e) {
-    for (std::size_t w = 0; w < windows; ++w) {
-      if (counts[w] > 0.0) features[e * windows + w] /= counts[w];
+  WindowPooler pooler(events(), slices(), windows, pad);
+  for (std::size_t t = 0; t < slices(); ++t) pooler.add(t, samples[t]);
+  return std::move(pooler).features();
+}
+
+WindowPooler::WindowPooler(std::size_t events, std::size_t slices,
+                           std::size_t windows, bool pad)
+    : events_(events),
+      slices_(slices),
+      windows_(slices == 0 ? 0 : (windows > slices && !pad ? slices : windows)),
+      sums_(events_ * windows_, 0.0),
+      counts_(windows_, 0.0) {}
+
+void WindowPooler::add(std::size_t t, std::span<const double> row) noexcept {
+  if (windows_ == 0) return;
+  std::size_t w = t * windows_ / slices_;
+  if (w >= windows_) w = windows_ - 1;
+  counts_[w] += 1.0;
+  for (std::size_t e = 0; e < events_; ++e) sums_[e * windows_ + w] += row[e];
+}
+
+std::vector<double> WindowPooler::features() && {
+  std::vector<double> features = std::move(sums_);
+  for (std::size_t e = 0; e < events_; ++e) {
+    for (std::size_t w = 0; w < windows_; ++w) {
+      if (counts_[w] > 0.0) features[e * windows_ + w] /= counts_[w];
     }
   }
   return features;

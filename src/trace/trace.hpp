@@ -6,6 +6,7 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 #include "util/rng.hpp"
@@ -45,6 +46,33 @@ struct Trace {
   /// from convolution; transient workloads (keystrokes) need it.
   std::vector<double> sorted_window_features(std::size_t windows,
                                              bool pad = false) const;
+};
+
+/// Trace::window_features computed as the rows arrive, one slice at a time,
+/// so a caller that streams a run (sim::sweep_groups) stores no rows. Same
+/// window rule, same sums in slice order and the same division, hence the
+/// same bits.
+class WindowPooler {
+ public:
+  /// A trace of `slices` rows of `events` values each, pooled into
+  /// `windows` windows (shrunk to `slices` unless `pad`, as in
+  /// window_features).
+  WindowPooler(std::size_t events, std::size_t slices, std::size_t windows,
+               bool pad = false);
+
+  /// Adds row t (`events` values; every t in [0, slices) once).
+  void add(std::size_t t, std::span<const double> row) noexcept;
+
+  /// The window means, event-major (events * windows); empty for no window
+  /// or no slice. Consumes the pooler: the sums become the means in place.
+  std::vector<double> features() &&;
+
+ private:
+  std::size_t events_;
+  std::size_t slices_;
+  std::size_t windows_;
+  std::vector<double> sums_;  // event-major, like the features
+  std::vector<double> counts_;
 };
 
 struct TraceSet {

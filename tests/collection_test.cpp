@@ -1,26 +1,34 @@
 // Trace-collection guards: the workload -> VirtualMachine -> HostMonitor ->
-// CounterRegisterFile slice loop that every attack and the profiler's
-// ranking run through, and the obfuscator's calibration, which reads each
-// run through one register file per 4-event group.
+// CounterRegisterFile slice loop that every attack runs through, and the
+// group sweep (sim::sweep_groups) behind warm-up, ranking and calibration,
+// which simulates each run once and reads it through one register file per
+// 4-event group.
 //
 //   * CollectionDigest: FNV-1a digests over every double bit the collection
 //     entry points return (monitor for each workload, with and without an
 //     obfuscator agent; monitor_stepped with a planner; monitor's totals;
-//     obf::calibrate_events; the profiler's warm-up survivors). The digests
-//     were captured before the slice loop stopped copying blocks and
-//     recomputing Poisson limits (warm-up: before the group sweep replaced
-//     the profiler's own loops; calibration: when it started simulating
-//     each run once for every group), so any change to a draw, a block
-//     order or an accumulation order fails here.
-//   * GroupSweep: the shared group-sweep engine's contract — in-order
-//     4-event groups with a short tail, three draws per job, nothing run
-//     for an empty event list, identical results on 1 and 4 workers.
+//     obf::calibrate_events; the profiler's warm-up survivors). The monitor
+//     digests were captured before the slice loop stopped copying blocks
+//     and recomputing Poisson limits; the calibration and warm-up digests
+//     when the group sweep began simulating each job once for every group.
+//     So any change to a draw, a block order or an accumulation order fails
+//     here.
+//   * GroupSweep: the sweep engine's contract — in-order 4-event groups
+//     with a short tail, every slice streamed once, the VM, visit and
+//     per-group noise seeds drawn in job order, one visit per job, nothing
+//     run for an empty event list, a part of a list reading the whole
+//     list's runs, identical results on 1 and 4 workers, and per-event
+//     moments that match a run per group.
 //   * VmQueue: the VM's FIFO contract — carry-over across slices, forward
 //     progress for oversized blocks, submits into a partly drained queue,
 //     and pending() tracking the drain exactly.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <memory>
+#include <span>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -30,6 +38,7 @@
 #include "sim/host_monitor.hpp"
 #include "sim/virtual_machine.hpp"
 #include "util/hash.hpp"
+#include "util/stats.hpp"
 #include "util/thread_pool.hpp"
 #include "workload/crypto.hpp"
 #include "workload/dnn.hpp"
@@ -236,7 +245,7 @@ TEST(CollectionDigest, CalibrateEventsPinned) {
   }
   const auto cals = obf::calibrate_events(f.db, f.events(), secrets, 2, 500);
   ASSERT_EQ(cals.size(), f.events().size());
-  EXPECT_EQ(digest(cals), 0xae4de5f3b661fe77ULL);
+  EXPECT_EQ(digest(cals), 0x51f11a90476006d8ULL);
 }
 
 TEST(CollectionDigest, WarmupPinned) {
@@ -254,9 +263,9 @@ TEST(CollectionDigest, WarmupPinned) {
     double abs;
     std::uint64_t pinned;
   };
-  const Cut cuts[] = {{0.30, 30.0, 0x6e9cac3bc2cb9377ULL},    // 133 events
-                      {10.0, 3000.0, 0x9e3129136feb701bULL},   // 87
-                      {3.0, 30000.0, 0xd23993006bd551e6ULL}};  // 33
+  const Cut cuts[] = {{0.30, 30.0, 0xc51463ef49958a47ULL},    // 136 events
+                      {10.0, 3000.0, 0xb996e3807040d842ULL},   // 96
+                      {3.0, 30000.0, 0xc98bb17459f6fb08ULL}};  // 32
   for (const Cut& cut : cuts) {
     config.warmup_rel_change = cut.rel;
     config.warmup_abs_change = cut.abs;
@@ -278,11 +287,50 @@ TEST(CollectionDigest, WarmupPinned) {
 // ---------------------------------------------------------------------------
 // Group sweep contract.
 
-/// The sweep's map step keeping each job's whole MonitorResult.
-constexpr auto kKeepResult = [](sim::MonitorResult& r) { return std::move(r); };
+/// A sweep reader keeping everything the engine streams: each slice's index
+/// and delta row, and the final reads.
+struct Recorder {
+  std::vector<std::size_t> slice_index;
+  std::vector<std::vector<double>> rows;
+  std::vector<double> totals;
+  std::size_t finishes = 0;
+  void slice(std::size_t t, std::span<const double> delta) {
+    slice_index.push_back(t);
+    rows.emplace_back(delta.begin(), delta.end());
+  }
+  void finish(std::span<const double> reads) {
+    totals.assign(reads.begin(), reads.end());
+    ++finishes;
+  }
+};
+
+constexpr auto kRecord = [](std::size_t) { return Recorder{}; };
+
+std::uint64_t digest(const Recorder& r) {
+  std::uint64_t h = util::hash_combine(util::kFnvOffset, r.finishes);
+  for (const auto& row : r.rows) h = util::hash_combine(h, digest(row));
+  return util::hash_combine(h, digest(r.totals));
+}
+
+/// Counts the visits, that is the simulated runs, of the wrapped workload.
+class CountingWorkload final : public workload::Workload {
+ public:
+  CountingWorkload(std::size_t slices, std::atomic<std::size_t>* visits)
+      : inner_(3, slices), visits_(visits) {}
+  sim::BlockSource visit(std::uint64_t seed) const override {
+    visits_->fetch_add(1);
+    return inner_.visit(seed);
+  }
+  std::size_t trace_slices() const override { return inner_.trace_slices(); }
+  std::string name() const override { return inner_.name(); }
+
+ private:
+  workload::WebsiteWorkload inner_;
+  std::atomic<std::size_t>* visits_;
+};
 
 /// Runs the sweep over `events` with two workloads x two runs and returns
-/// one digest per group (of its events and every result), in group order.
+/// one digest per job, in job order.
 std::vector<std::uint64_t> sweep_digests(
     const Fixture& f, const std::vector<std::uint32_t>& events,
     util::ThreadPool* pool) {
@@ -290,23 +338,13 @@ std::vector<std::uint64_t> sweep_digests(
   const workload::DnnWorkload model(2, 20);
   const std::vector<sim::SweepJob> jobs = {
       {&site, 30}, {&site, 30}, {&model, 20}, {&model, 20}};
-  return sim::sweep_groups(
-      f.db, events, jobs,
-      [](std::size_t g) { return util::Rng(util::split_mix64(77, g)); },
-      kKeepResult,
-      [](const std::vector<std::uint32_t>& group,
-         const std::vector<sim::MonitorResult>& results) {
-        std::uint64_t h = util::kFnvOffset;
-        for (std::uint32_t id : group) {
-          h = util::hash_combine(h, std::uint64_t{id});
-        }
-        for (const sim::MonitorResult& r : results) {
-          h = util::hash_combine(h, digest(r));
-          h = util::hash_combine(h, digest(r.totals));
-        }
-        return std::vector<std::uint64_t>{h};
-      },
-      {sim::VmConfig{}, pool});
+  std::vector<std::uint64_t> digests;
+  for (const Recorder& r : sim::sweep_groups(f.db, events, jobs,
+                                             util::Rng(77), kRecord,
+                                             {sim::VmConfig{}, pool})) {
+    digests.push_back(digest(r));
+  }
+  return digests;
 }
 
 TEST(GroupSweep, SplitsEventsInOrderWithAShortTailGroup) {
@@ -315,77 +353,130 @@ TEST(GroupSweep, SplitsEventsInOrderWithAShortTailGroup) {
   const workload::IdleWorkload idle(25);
   const std::vector<sim::SweepJob> jobs = {{&idle, 25}, {&idle, 10}};
   EXPECT_EQ(sim::sweep_group_count(events.size()), 2u);
-  // Each group's slot holds its events, then one event per result (their
-  // run lengths); the slots concatenate in group order.
-  const std::vector<std::uint32_t> out = sim::sweep_groups(
-      f.db, events, jobs, [](std::size_t g) { return util::Rng(g); },
-      kKeepResult,
-      [&](const std::vector<std::uint32_t>& group,
-          const std::vector<sim::MonitorResult>& results) {
-        std::vector<std::uint32_t> slot = group;
-        for (const sim::MonitorResult& r : results) {
-          EXPECT_EQ(r.samples.front().size(), group.size());
-          EXPECT_EQ(r.totals.size(), group.size());
-          slot.push_back(static_cast<std::uint32_t>(r.samples.size()));
-        }
-        return slot;
-      });
-  std::vector<std::uint32_t> expected(events.begin(), events.begin() + 4);
-  expected.insert(expected.end(), {25, 10});
-  expected.insert(expected.end(), events.begin() + 4, events.end());
-  expected.insert(expected.end(), {25, 10});
-  EXPECT_EQ(out, expected);
+  const std::vector<Recorder> out =
+      sim::sweep_groups(f.db, events, jobs, util::Rng(3), kRecord);
+  ASSERT_EQ(out.size(), jobs.size());
+  for (std::size_t j = 0; j < jobs.size(); ++j) {
+    // Every slice once, in order, with a delta for every event of both
+    // groups; then the final reads once.
+    ASSERT_EQ(out[j].slice_index.size(), jobs[j].slices) << "job " << j;
+    for (std::size_t t = 0; t < jobs[j].slices; ++t) {
+      EXPECT_EQ(out[j].slice_index[t], t);
+      EXPECT_EQ(out[j].rows[t].size(), events.size());
+    }
+    EXPECT_EQ(out[j].finishes, 1u);
+    EXPECT_EQ(out[j].totals.size(), events.size());
+  }
 }
 
-TEST(GroupSweep, EachJobDrawsVmMonitorAndVisitSeedsInOrder) {
+TEST(GroupSweep, EachJobDrawsVmVisitAndNoiseSeedsInOrder) {
   const Fixture f;
   const std::vector<std::uint32_t> events = f.events();
   const workload::WebsiteWorkload site(4, 30);
-  const std::vector<sim::SweepJob> jobs = {{&site, 30}, {&site, 30}};
-  // Both groups draw from the same stream; keep the tail group's digests.
-  const std::vector<std::uint64_t> swept = sim::sweep_groups(
-      f.db, events, jobs, [](std::size_t) { return util::Rng(5); },
-      kKeepResult,
-      [](const std::vector<std::uint32_t>& group,
-         const std::vector<sim::MonitorResult>& results) {
-        std::vector<std::uint64_t> slot;
-        if (group.size() == 4) return slot;
-        for (const auto& r : results) slot.push_back(digest(r));
-        return slot;
-      });
+  const workload::DnnWorkload model(2, 20);
+  const std::vector<sim::SweepJob> jobs = {{&site, 30}, {&model, 20}};
+  const std::vector<Recorder> swept =
+      sim::sweep_groups(f.db, events, jobs, util::Rng(5), kRecord);
   ASSERT_EQ(swept.size(), jobs.size());
-  // The tail group replayed by hand from the same stream.
-  const std::vector<std::uint32_t> tail(events.begin() + 4, events.end());
+  // Replayed by hand from the same stream: per job the VM seed, the visit
+  // seed, then one noise seed per group, the groups being the first four
+  // events and the short tail.
+  const std::vector<std::vector<std::uint32_t>> groups = {
+      {events.begin(), events.begin() + 4}, {events.begin() + 4, events.end()}};
   util::Rng rng(5);
   for (std::size_t j = 0; j < jobs.size(); ++j) {
     sim::VirtualMachine vm(sim::VmConfig{}, rng.next_u64());
-    sim::HostMonitor monitor(f.db, rng.next_u64());
-    EXPECT_EQ(digest(monitor.monitor(vm, site.visit(rng.next_u64()), tail, 30)),
-              swept[j])
-        << "job " << j;
+    const sim::BlockSource source = jobs[j].workload->visit(rng.next_u64());
+    std::vector<pmu::CounterRegisterFile> counters;
+    for (const auto& group : groups) {
+      counters.emplace_back(f.db, rng.next_u64());
+      counters.back().program(group);
+    }
+    Recorder want;
+    std::vector<double> prev(events.size(), 0.0);
+    for (std::size_t t = 0; t < jobs[j].slices; ++t) {
+      vm.submit(source(t));
+      const pmu::ExecutionStats stats = vm.run_slice();
+      std::vector<double> now;
+      for (auto& file : counters) {
+        file.tick(stats);
+        const std::vector<double> read = file.read_all();
+        now.insert(now.end(), read.begin(), read.end());
+      }
+      std::vector<double> delta(events.size());
+      for (std::size_t e = 0; e < events.size(); ++e) {
+        delta[e] = std::max(now[e] - prev[e], 0.0);
+      }
+      want.slice(t, delta);
+      prev = now;
+    }
+    want.finish(prev);
+    EXPECT_EQ(swept[j].rows, want.rows) << "job " << j;
+    EXPECT_EQ(swept[j].totals, want.totals) << "job " << j;
+  }
+}
+
+TEST(GroupSweep, PartOfAListReadsTheWholeListsRuns) {
+  const Fixture f;
+  const std::vector<std::uint32_t> events = f.events();  // groups 4 + 2
+  const workload::WebsiteWorkload site(4, 30);
+  const std::vector<sim::SweepJob> jobs = {{&site, 30}, {&site, 30}};
+  const std::vector<Recorder> whole =
+      sim::sweep_groups(f.db, events, jobs, util::Rng(8), kRecord);
+  // The tail group alone, as the second group of a two-group list.
+  const std::vector<std::uint32_t> tail(events.begin() + 4, events.end());
+  sim::SweepOptions options;
+  options.first_group = 1;
+  options.total_groups = 2;
+  const std::vector<Recorder> part =
+      sim::sweep_groups(f.db, tail, jobs, util::Rng(8), kRecord, options);
+  ASSERT_EQ(part.size(), whole.size());
+  for (std::size_t j = 0; j < jobs.size(); ++j) {
+    ASSERT_EQ(part[j].rows.size(), whole[j].rows.size());
+    for (std::size_t t = 0; t < part[j].rows.size(); ++t) {
+      EXPECT_EQ(part[j].rows[t],
+                std::vector<double>(whole[j].rows[t].begin() + 4,
+                                    whole[j].rows[t].end()))
+          << "job " << j << " slice " << t;
+    }
+  }
+}
+
+TEST(GroupSweep, EachJobIsSimulatedOnce) {
+  const Fixture f;
+  std::atomic<std::size_t> visits{0};
+  const CountingWorkload site(20, &visits);
+  const std::vector<sim::SweepJob> jobs(5, sim::SweepJob{&site, 20});
+  util::ThreadPool four(4);
+  // One group, one full group, and two full groups plus a short tail: the
+  // groups read each run instead of re-running it.
+  for (std::size_t n : {1u, 4u, 9u}) {
+    std::vector<std::uint32_t> events;
+    for (std::uint32_t id = 0; events.size() < n; ++id) events.push_back(id);
+    for (util::ThreadPool* pool : {static_cast<util::ThreadPool*>(nullptr),
+                                   &four}) {
+      visits = 0;
+      const std::vector<Recorder> out = sim::sweep_groups(
+          f.db, events, jobs, util::Rng(9), kRecord, {sim::VmConfig{}, pool});
+      EXPECT_EQ(out.size(), jobs.size());
+      EXPECT_EQ(visits.load(), jobs.size()) << n << " events";
+    }
   }
 }
 
 TEST(GroupSweep, EmptyEventListRunsNoJobAndNoReduction) {
   const Fixture f;
-  const workload::IdleWorkload idle(10);
-  std::size_t streams = 0;
-  std::size_t reductions = 0;
-  const std::vector<int> out = sim::sweep_groups(
-      f.db, {}, {{&idle, 10}},
-      [&](std::size_t g) {
-        ++streams;
-        return util::Rng(g);
-      },
-      kKeepResult,
-      [&](const std::vector<std::uint32_t>&,
-          const std::vector<sim::MonitorResult>&) {
-        ++reductions;
-        return std::vector<int>{1};
+  std::atomic<std::size_t> visits{0};
+  const CountingWorkload site(10, &visits);
+  std::size_t readers = 0;
+  const std::vector<Recorder> out = sim::sweep_groups(
+      f.db, {}, {{&site, 10}}, util::Rng(1), [&](std::size_t) {
+        ++readers;
+        return Recorder{};
       });
   EXPECT_TRUE(out.empty());
-  EXPECT_EQ(streams, 0u);
-  EXPECT_EQ(reductions, 0u);
+  EXPECT_EQ(readers, 0u);
+  EXPECT_EQ(visits.load(), 0u);
 }
 
 TEST(GroupSweep, IdenticalOnOneAndFourWorkers) {
@@ -394,11 +485,90 @@ TEST(GroupSweep, IdenticalOnOneAndFourWorkers) {
   std::vector<std::uint32_t> events = f.events();
   for (std::uint32_t id = 0; events.size() < 11; ++id) events.push_back(id);
   const std::vector<std::uint64_t> serial = sweep_digests(f, events, nullptr);
-  ASSERT_EQ(serial.size(), 3u);
+  ASSERT_EQ(serial.size(), 4u);
   util::ThreadPool one(1);
   util::ThreadPool four(4);
   EXPECT_EQ(sweep_digests(f, events, &one), serial);
   EXPECT_EQ(sweep_digests(f, events, &four), serial);
+}
+
+// Relative tolerances for SharedRunMatchesPerGroupRunsInDistribution: about
+// twice the largest gap seen over ten seed pairs of this test (2.9% of the
+// mean, 6.6% of sigma).
+constexpr double kMeanTolerance = 0.06;
+constexpr double kSigmaTolerance = 0.15;
+
+/// Per-event mean and sample sigma of every slice's delta, in event order.
+struct EventStats {
+  std::vector<double> mean;
+  std::vector<double> sigma;
+};
+
+EventStats event_stats(const std::vector<std::vector<double>>& columns) {
+  EventStats s;
+  for (const auto& column : columns) {
+    s.mean.push_back(util::mean(column));
+    s.sigma.push_back(util::stddev(column));
+  }
+  return s;
+}
+
+// The shared run changes only the correlation across groups: each event's
+// per-slice distribution must match the one it gets when every group runs
+// the job on its own VM (the per-group loop the engine replaced, kept here
+// as the reference). Fixed seeds, so the test is deterministic.
+TEST(GroupSweep, SharedRunMatchesPerGroupRunsInDistribution) {
+  const Fixture f;
+  const std::vector<std::uint32_t> events = f.events();
+  std::vector<std::unique_ptr<workload::Workload>> sites;
+  for (std::size_t s = 0; s < 3; ++s) {
+    sites.push_back(std::make_unique<workload::WebsiteWorkload>(s, 60));
+  }
+  constexpr std::size_t kRuns = 16;
+  const std::vector<sim::SweepJob> jobs =
+      sim::secret_jobs(sites, kRuns, "SharedRunMatchesPerGroupRuns");
+
+  std::vector<std::vector<double>> shared(events.size());
+  for (const Recorder& r :
+       sim::sweep_groups(f.db, events, jobs, util::Rng(41), kRecord)) {
+    for (const auto& row : r.rows) {
+      for (std::size_t e = 0; e < events.size(); ++e) {
+        shared[e].push_back(row[e]);
+      }
+    }
+  }
+
+  std::vector<std::vector<double>> per_group(events.size());
+  util::Rng rng(42);
+  constexpr std::size_t kGroup = pmu::EventDatabase::kNumCounters;
+  for (std::size_t base = 0; base < events.size(); base += kGroup) {
+    const std::vector<std::uint32_t> group(
+        events.begin() + static_cast<std::ptrdiff_t>(base),
+        events.begin() + static_cast<std::ptrdiff_t>(
+                             std::min(events.size(), base + kGroup)));
+    for (const sim::SweepJob& job : jobs) {
+      sim::VirtualMachine vm(sim::VmConfig{}, rng.next_u64());
+      sim::HostMonitor monitor(f.db, rng.next_u64());
+      const sim::MonitorResult r = monitor.monitor(
+          vm, job.workload->visit(rng.next_u64()), group, job.slices);
+      for (const auto& row : r.samples) {
+        for (std::size_t e = 0; e < group.size(); ++e) {
+          per_group[base + e].push_back(row[e]);
+        }
+      }
+    }
+  }
+
+  const EventStats got = event_stats(shared);
+  const EventStats want = event_stats(per_group);
+  for (std::size_t e = 0; e < events.size(); ++e) {
+    ASSERT_EQ(shared[e].size(), per_group[e].size());
+    EXPECT_GT(want.mean[e], 0.0) << "event " << e;
+    EXPECT_NEAR(got.mean[e], want.mean[e], kMeanTolerance * want.mean[e])
+        << "event " << e;
+    EXPECT_NEAR(got.sigma[e], want.sigma[e], kSigmaTolerance * want.sigma[e])
+        << "event " << e;
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -441,10 +441,12 @@ TEST(EngineEquivalence, PinnedSimdEnginesBitIdenticalToReference) {
 // Both were captured on the commit whose reference, dense scalar and
 // AVX-512 engines produced identical values, so they pin the retired
 // engines' output through the whole campaign — superblock execution, RNG
-// draws, confirmation reordering, everything.
+// draws, confirmation reordering, everything. The ranking digest was
+// re-pinned once, when the group sweep began simulating each ranking job
+// once for every group.
 
 constexpr std::uint64_t kSeed7FuzzDigest = 0x37532b7cb5e14996ULL;
-constexpr std::uint64_t kSeed7RankingDigest = 0x39cdd4bd9bda41e8ULL;
+constexpr std::uint64_t kSeed7RankingDigest = 0xf0aa7d39b57c5227ULL;
 
 std::uint64_t digest_gadget(std::uint64_t h, const fuzzer::ConfirmedGadget& g) {
   h = util::hash_combine(h, std::uint64_t{g.gadget.reset_uid});

@@ -2,12 +2,15 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdlib>
 #include <cstring>
 #include <deque>
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <memory>
+#include <mutex>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -799,6 +802,69 @@ TEST(ProtectionServiceTest, TelemetryRetentionIsBoundedAndLossIsCounted) {
         << "ring " << e.ring << " never wrapped";
   }
   EXPECT_GT(registry.recorder().dropped(), 0u);
+}
+
+// Regression: drain() returned once the batch's last session was accounted,
+// but the batch's service.dispatch span ended later, at the end of the
+// dispatcher's loop body, so a recorder drained right after drain() could
+// be one end event short (TelemetryRetentionIsBoundedAndLossIsCounted
+// flaked that way). The after_batch hook parks the dispatcher where that
+// late span end used to lie ahead of it, which makes the race certain.
+TEST(ProtectionServiceTest, DrainReturnsAfterTheBatchSpanHasEnded) {
+  auto& f = fixture();
+  const std::string dir = fresh_dir("drain_span");
+  {
+    TemplateCache seeded({dir});
+    (void)seeded.get_or_analyze(
+        make_template_key(f.aegis.cpu(), *f.secrets[0], f.config), f.aegis,
+        [&] { return *f.analysis; });
+  }
+  struct Gate {
+    std::mutex mu;
+    std::condition_variable cv;
+    bool open = false;
+    void release() {
+      {
+        std::lock_guard lock(mu);
+        open = true;
+      }
+      cv.notify_all();
+    }
+  } gate;
+  telemetry::Registry registry;
+  ServiceConfig config;
+  config.num_threads = 1;
+  config.cache.cache_dir = dir;
+  config.governor.default_epsilon_cap = 1e9;
+  config.telemetry = &registry;
+  config.after_batch = [&gate] {
+    std::unique_lock lock(gate.mu);
+    gate.cv.wait(lock, [&gate] { return gate.open; });
+  };
+  ProtectionService svc(config);
+  // Destroyed before svc, whose shutdown joins the parked dispatcher.
+  const std::unique_ptr<Gate, void (*)(Gate*)> release_on_exit(
+      &gate, [](Gate* g) { g->release(); });
+  const std::size_t tpl_id = svc.register_template(
+      f.aegis, *f.secrets[0], f.secrets, f.config, f.mechanism(), {},
+      0xFEEDULL);
+
+  SessionSubmission sub;
+  sub.template_id = tpl_id;
+  sub.request = f.request(0, 20);
+  ASSERT_TRUE(svc.submit(sub));
+  svc.drain();
+  const std::vector<std::string> streams = registry.recorder().streams();
+  std::size_t begins = 0;
+  std::size_t ends = 0;
+  for (const auto& e : registry.recorder().drain()) {
+    if (streams.at(e.stream) != "service.dispatch") continue;
+    const auto type = static_cast<telemetry::WideEventType>(e.type);
+    begins += type == telemetry::WideEventType::kSpanBegin ? 1 : 0;
+    ends += type == telemetry::WideEventType::kSpanEnd ? 1 : 0;
+  }
+  EXPECT_EQ(begins, 1u);
+  EXPECT_EQ(ends, 1u) << "drain() returned before the batch span ended";
 }
 
 TEST(ProtectionServiceTest, AegisTopRendersAServiceRun) {

@@ -236,6 +236,28 @@ TEST(Pca, RecoversDominantDirection) {
   EXPECT_LT(pca.explained_variance()[1], 2.0);
 }
 
+TEST(Pca, FirstComponentMatchesClosedForm2D) {
+  // Centered points with covariance (1/n) [[2.5, 0.5], [0.5, 1.0]]. A
+  // symmetric 2 x 2 matrix [[a, b], [b, c]] has its top eigenvector at angle
+  // atan2(2b, a - c) / 2 and eigenvalues (a + c) / 2 +- hypot((a - c) / 2, b).
+  const std::vector<std::vector<double>> X = {
+      {2.0, 1.0}, {-2.0, -1.0}, {1.0, -1.0}, {-1.0, 1.0}};
+  const double a = 2.5, b = 0.5, c = 1.0;
+  const double theta = 0.5 * std::atan2(2.0 * b, a - c);
+  const double spread = std::hypot(0.5 * (a - c), b);
+  Pca pca;
+  pca.fit(X, 2);
+  const auto& c0 = pca.components()[0];
+  const double sign = c0[0] < 0.0 ? -1.0 : 1.0;
+  EXPECT_NEAR(sign * c0[0], std::cos(theta), 1e-9);
+  EXPECT_NEAR(sign * c0[1], std::sin(theta), 1e-9);
+  EXPECT_NEAR(pca.explained_variance()[0], 0.5 * (a + c) + spread, 1e-9);
+  EXPECT_NEAR(pca.explained_variance()[1], 0.5 * (a + c) - spread, 1e-9);
+  // The projection onto it is the centered point's dot product.
+  EXPECT_NEAR(pca.first_component({2.0, 1.0}),
+              sign * (2.0 * std::cos(theta) + std::sin(theta)), 1e-9);
+}
+
 TEST(Pca, ComponentsAreOrthonormal) {
   util::Rng rng(8);
   std::vector<std::vector<double>> X;

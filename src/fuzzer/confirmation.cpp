@@ -1,9 +1,8 @@
 #include "fuzzer/confirmation.hpp"
 
+#include <algorithm>
 #include <array>
-#include <cmath>
 #include <span>
-#include <stdexcept>
 #include <vector>
 
 #include "telemetry/registry.hpp"
@@ -28,86 +27,91 @@ const telemetry::Counter& path_measurements_counter() {
 
 // aegis-lint: noalloc
 PathMeasurement measure_path(sim::GadgetRunner& runner, const Gadget& gadget,
-                             bool with_trigger, std::size_t event_slot,
-                             const ConfirmationParams& params) {
-  // Per-repeat deltas live in thread-local scratch: confirmation runs this
-  // for every candidate gadget, and per-call vectors dominated its profile.
+                             bool with_trigger, const ConfirmationParams& params) {
+  // Per-repeat deltas live in thread-local scratch, slot-major
+  // (deltas[s * R + r]): confirmation runs this for every candidate gadget,
+  // and per-call vectors dominated its profile.
   // aegis-lint: alloc-ok(thread_local: constructed once per thread, reused)
   thread_local std::vector<double> deltas;
   path_measurements_counter().inc();
-  deltas.clear();
+  const std::size_t slots = runner.programmed().size();
+  const std::size_t repeats = params.repeats;
   // aegis-lint: alloc-ok(thread_local scratch; capacity retained across calls)
-  deltas.reserve(params.repeats);
+  deltas.resize(slots * repeats);
   // One unmeasured warm-up execution: the first run of a path carries a
   // cold-cache/predictor transient that would otherwise break the
   // cumulative-vs-median linearity check for genuine gadgets.
-  for (std::size_t r = 0; r < params.repeats + 1; ++r) {
-    double value = 0.0;
+  for (std::size_t r = 0; r < repeats + 1; ++r) {
     if (with_trigger) {
       // Reset executes lightly, trigger is unrolled: the measured window is
       // dominated by the trigger's effect when the gadget is genuine.
       const std::array<std::uint32_t, 2> seq = {gadget.reset_uid,
                                                 gadget.trigger_uid};
       // Two sub-windows with different unrolls; sum the deltas. The first
-      // span aliases runner scratch, so read it before the second call
+      // span aliases runner scratch, so copy it before the second call
       // overwrites it.
+      std::array<double, kSlots> reset_delta{};
       const std::span<const double> a = runner.execute_once(
           std::span(seq).first(1), static_cast<double>(params.reset_unroll));
-      if (event_slot >= a.size()) {
-        throw std::out_of_range("measure_path: event_slot not programmed");
-      }
-      const double reset_delta = a[event_slot];
+      std::copy(a.begin(), a.end(), reset_delta.begin());
       const std::span<const double> b = runner.execute_once(
           std::span(seq).last(1), static_cast<double>(params.trigger_unroll));
-      value = reset_delta + b[event_slot];
+      if (r == 0) continue;
+      for (std::size_t s = 0; s < slots; ++s) {
+        deltas[s * repeats + r - 1] = reset_delta[s] + b[s];
+      }
     } else {
       const std::array<std::uint32_t, 1> seq = {gadget.reset_uid};
       const std::span<const double> d =
           runner.execute_once(seq, static_cast<double>(params.reset_unroll));
-      if (event_slot >= d.size()) {
-        throw std::out_of_range("measure_path: event_slot not programmed");
+      if (r == 0) continue;
+      for (std::size_t s = 0; s < slots; ++s) {
+        deltas[s * repeats + r - 1] = d[s];
       }
-      value = d[event_slot];
     }
-    // aegis-lint: alloc-ok(appends into pre-reserved thread_local scratch)
-    if (r > 0) deltas.push_back(value);
   }
   PathMeasurement m;
-  for (double v : deltas) m.cumulative += v;
-  // In-place median: deltas is scratch, and the copying median() would be
-  // this function's one remaining hot-path allocation.
-  m.median = util::median_inplace(deltas);
+  for (std::size_t s = 0; s < slots; ++s) {
+    const std::span<double> slot =
+        std::span(deltas).subspan(s * repeats, repeats);
+    for (double v : slot) m.cumulative[s] += v;
+    // In-place median: deltas is scratch, and the copying median() would be
+    // this function's one remaining hot-path allocation.
+    m.median[s] = util::median_inplace(slot);
+  }
   return m;
 }
 
 ConfirmationOutcome confirm_gadget(sim::GadgetRunner& runner, const Gadget& gadget,
-                                   std::size_t event_slot,
                                    const ConfirmationParams& params) {
   ConfirmationOutcome outcome;
-  outcome.cold = measure_path(runner, gadget, false, event_slot, params);
-  outcome.hot = measure_path(runner, gadget, true, event_slot, params);
+  outcome.cold = measure_path(runner, gadget, false, params);
+  outcome.hot = measure_path(runner, gadget, true, params);
 
   const double R = static_cast<double>(params.repeats);
-  const double v_diff = outcome.hot.median - outcome.cold.median;
-  const double V_diff = outcome.hot.cumulative - outcome.cold.cumulative;
+  for (std::size_t s = 0; s < runner.programmed().size(); ++s) {
+    const double v_diff = outcome.hot.median[s] - outcome.cold.median[s];
+    const double V_diff =
+        outcome.hot.cumulative[s] - outcome.cold.cumulative[s];
 
-  // The trigger must produce a real, repeatable change...
-  if (v_diff < params.delta_threshold) return outcome;
-  // ...that accumulates linearly over repetitions, i.e. the reset sequence
-  // genuinely restores S0 each round (C6 rejection):
-  //    V2 - V1 = (1 - lambda1) R (v2 - v1),  lambda1 in [-0.2, 0.2].
-  const double expected = R * v_diff;
-  if (V_diff < (1.0 - params.lambda1) * expected ||
-      V_diff > (1.0 + params.lambda1) * expected) {
-    return outcome;
+    // The trigger must produce a real, repeatable change...
+    if (v_diff < params.delta_threshold) continue;
+    // ...that accumulates linearly over repetitions, i.e. the reset
+    // sequence genuinely restores S0 each round (C6 rejection):
+    //    V2 - V1 = (1 - lambda1) R (v2 - v1),  lambda1 in [-0.2, 0.2].
+    const double expected = R * v_diff;
+    if (V_diff < (1.0 - params.lambda1) * expected ||
+        V_diff > (1.0 + params.lambda1) * expected) {
+      continue;
+    }
+    // ...and must dominate any side effect of the reset itself (C5):
+    //    V2 > lambda2 * V1. A tiny floor keeps the test meaningful for
+    //    events where the cold path counts essentially zero.
+    const double v1_floor = std::max(outcome.cold.cumulative[s], 0.02);
+    if (outcome.hot.cumulative[s] <= params.lambda2 * v1_floor) continue;
+
+    outcome.confirmed |= static_cast<SlotMask>(1U << s);
   }
-  // ...and must dominate any side effect of the reset itself (C5):
-  //    V2 > lambda2 * V1. A tiny floor keeps the test meaningful for
-  //    events where the cold path counts essentially zero.
-  const double v1_floor = std::max(outcome.cold.cumulative, 0.02);
-  if (outcome.hot.cumulative <= params.lambda2 * v1_floor) return outcome;
-
-  outcome.confirmed = true;
   return outcome;
 }
 

@@ -103,15 +103,24 @@ FuzzResult EventFuzzer::run(const std::vector<std::uint32_t>& event_ids) {
   t0 = std::chrono::steady_clock::now();
   GenerationOutput generation = campaign.generate(event_ids, resets, triggers);
   result.executed_gadgets = generation.executed_pairs;
+  // An event's candidates are the gadgets flagged in its slot of its group.
+  for (std::size_t g = 0; g < generation.groups.size(); ++g) {
+    for (const GroupCandidate& candidate : generation.groups[g]) {
+      for (std::size_t s = 0; s < kSlots; ++s) {
+        if (has_slot(candidate.slots, s)) {
+          ++result.reports[g * kSlots + s].candidates;
+        }
+      }
+    }
+  }
   result.timing.generation_execution_seconds = seconds_since(t0);
 
-  // --- Step 3: confirmation, one shard per event ---
+  // --- Step 3: confirmation, one shard per event group ---
   // aegis-lint: clock-ok(reporting-only timing field)
   t0 = std::chrono::steady_clock::now();
   const std::vector<std::vector<ConfirmedGadget>> stable =
-      campaign.confirm(event_ids, generation.candidates);
+      campaign.confirm(event_ids, generation.groups);
   for (std::size_t e = 0; e < event_ids.size(); ++e) {
-    result.reports[e].candidates = generation.candidates[e].size();
     result.reports[e].confirmed = stable[e];
   }
   result.timing.confirmation_seconds = seconds_since(t0);

@@ -8,6 +8,7 @@
 // measured window.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -24,6 +25,21 @@ struct GadgetHash {
   std::size_t operator()(const Gadget& g) const noexcept {
     return (static_cast<std::size_t>(g.reset_uid) << 32) ^ g.trigger_uid;
   }
+};
+
+/// Bit s set: the gadget concerns the event in register slot s of its
+/// 4-event group.
+using SlotMask = std::uint8_t;
+
+constexpr bool has_slot(SlotMask mask, std::size_t slot) noexcept {
+  return ((mask >> slot) & 1U) != 0;
+}
+
+/// A generation hit: a gadget and the slots of its group whose count it
+/// moved past the threshold.
+struct GroupCandidate {
+  Gadget gadget;
+  SlotMask slots = 0;
 };
 
 /// A gadget confirmed to disturb one event, with its measured effect.

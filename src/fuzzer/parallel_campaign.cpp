@@ -18,6 +18,17 @@ namespace {
 // large enough that the per-shard runner setup cost stays negligible.
 constexpr std::size_t kCleanupChunk = 128;
 
+static_assert(kSlots <= 8 * sizeof(SlotMask), "one mask bit per register slot");
+
+/// Event group g: the g-th run of kSlots events (the last may be short).
+std::vector<std::uint32_t> group_events(
+    const std::vector<std::uint32_t>& event_ids, std::size_t g) {
+  const std::size_t g0 = g * kSlots;
+  const std::size_t g1 = std::min(event_ids.size(), g0 + kSlots);
+  return {event_ids.begin() + static_cast<std::ptrdiff_t>(g0),
+          event_ids.begin() + static_cast<std::ptrdiff_t>(g1)};
+}
+
 }  // namespace
 
 ParallelCampaign::ParallelCampaign(const pmu::EventDatabase& db,
@@ -69,54 +80,47 @@ GenerationOutput ParallelCampaign::generate(
     const std::vector<std::uint32_t>& resets,
     const std::vector<std::uint32_t>& triggers) const {
   GenerationOutput out;
-  out.candidates.resize(event_ids.size());
+  const std::size_t group_count = (event_ids.size() + kSlots - 1) / kSlots;
+  out.groups.resize(group_count);
   if (event_ids.empty() || resets.empty() || triggers.empty()) return out;
-
-  constexpr std::size_t kGroup = pmu::EventDatabase::kNumCounters;
-  const std::size_t group_count = (event_ids.size() + kGroup - 1) / kGroup;
   const std::size_t shard_count = group_count * resets.size();
 
-  // hits[shard][e] = flagged gadgets of the shard's reset row for the e-th
-  // event of the shard's group, in trigger order.
-  std::vector<std::vector<std::vector<Gadget>>> hits(shard_count);
+  // hits[shard] = flagged gadgets of the shard's reset row, in trigger
+  // order.
+  std::vector<std::vector<GroupCandidate>> hits(shard_count);
 
   telemetry::Registry& tel = telemetry::resolve(config_->telemetry);
   telemetry::ScopedSpan stage(tel.spans(), "fuzz.generate", 0, shard_count);
   pool_->parallel_for(shard_count, [&](std::size_t shard) {
     telemetry::ScopedSpan span(tel.spans(), "fuzz.generate.shard",
                                static_cast<std::uint32_t>(shard));
-    const std::size_t group_index = shard / resets.size();
     const std::uint32_t reset = resets[shard % resets.size()];
-    const std::size_t g0 = group_index * kGroup;
-    const std::size_t g1 = std::min(event_ids.size(), g0 + kGroup);
-    std::vector<std::uint32_t> group(event_ids.begin() + g0,
-                                     event_ids.begin() + g1);
     sim::GadgetRunner runner(
         *db_, *spec_, util::split_mix64(config_->seed ^ kGenerationSalt, shard));
-    runner.program(std::move(group));
-    hits[shard].resize(g1 - g0);
+    runner.program(group_events(event_ids, shard / resets.size()));
     for (std::uint32_t trigger : triggers) {
       // Fuzzed back-to-back without state cleanup (speed over isolation;
       // the confirmation stage handles the resulting dirty state).
       const std::array<std::uint32_t, 2> seq = {reset, trigger};
       const std::span<const double> delta = runner.execute_once(
           seq, static_cast<double>(config_->trigger_unroll));
-      for (std::size_t e = 0; e < hits[shard].size(); ++e) {
-        if (delta[e] > config_->delta_threshold) {
-          hits[shard][e].push_back(Gadget{reset, trigger});
+      SlotMask slots = 0;
+      for (std::size_t s = 0; s < delta.size(); ++s) {
+        if (delta[s] > config_->delta_threshold) {
+          slots |= static_cast<SlotMask>(1U << s);
         }
+      }
+      if (slots != 0) {
+        hits[shard].push_back(GroupCandidate{Gadget{reset, trigger}, slots});
       }
     }
   });
 
   // Merge in shard order: shards of one group are its resets in sample
-  // order, so candidates keep the serial grid order.
+  // order, so each group's list keeps the serial grid order.
   for (std::size_t shard = 0; shard < shard_count; ++shard) {
-    const std::size_t g0 = (shard / resets.size()) * kGroup;
-    for (std::size_t e = 0; e < hits[shard].size(); ++e) {
-      auto& dst = out.candidates[g0 + e];
-      dst.insert(dst.end(), hits[shard][e].begin(), hits[shard][e].end());
-    }
+    auto& dst = out.groups[shard / resets.size()];
+    dst.insert(dst.end(), hits[shard].begin(), hits[shard].end());
   }
   out.executed_pairs = shard_count * triggers.size();
   return out;
@@ -125,7 +129,7 @@ GenerationOutput ParallelCampaign::generate(
 // aegis-rng: stream(parallel-campaign-confirm)
 std::vector<std::vector<ConfirmedGadget>> ParallelCampaign::confirm(
     const std::vector<std::uint32_t>& event_ids,
-    const std::vector<std::vector<Gadget>>& candidates) const {
+    const std::vector<std::vector<GroupCandidate>>& groups) const {
   ConfirmationParams params;
   params.repeats = config_->repeats;
   params.lambda1 = config_->lambda1;
@@ -134,47 +138,71 @@ std::vector<std::vector<ConfirmedGadget>> ParallelCampaign::confirm(
   params.trigger_unroll = config_->trigger_unroll;
   params.delta_threshold = config_->delta_threshold;
 
-  telemetry::Registry& tel = telemetry::resolve(config_->telemetry);
-  telemetry::ScopedSpan stage(tel.spans(), "fuzz.confirm", 0,
-                              event_ids.size());
-  std::vector<std::vector<ConfirmedGadget>> stable(event_ids.size());
-  pool_->parallel_for(event_ids.size(), [&](std::size_t e) {
-    telemetry::ScopedSpan span(tel.spans(), "fuzz.confirm.shard",
-                               static_cast<std::uint32_t>(e),
-                               candidates[e].size());
-    sim::GadgetRunner runner(
-        *db_, *spec_, util::split_mix64(config_->seed ^ kConfirmSalt, e));
-    runner.program({event_ids[e]});
+  if (groups.size() != (event_ids.size() + kSlots - 1) / kSlots) {
+    throw std::invalid_argument(
+        "ParallelCampaign::confirm: need one candidate list per event group");
+  }
 
-    std::vector<ConfirmedGadget> confirmed;
-    for (const Gadget& gadget : candidates[e]) {
+  telemetry::Registry& tel = telemetry::resolve(config_->telemetry);
+  telemetry::ScopedSpan stage(tel.spans(), "fuzz.confirm", 0, groups.size());
+  std::vector<std::vector<ConfirmedGadget>> stable(event_ids.size());
+  pool_->parallel_for(groups.size(), [&](std::size_t g) {
+    telemetry::ScopedSpan span(tel.spans(), "fuzz.confirm.shard",
+                               static_cast<std::uint32_t>(g),
+                               groups[g].size());
+    sim::GadgetRunner runner(
+        *db_, *spec_, util::split_mix64(config_->seed ^ kConfirmSalt, g));
+    runner.program(group_events(event_ids, g));
+    const std::size_t g0 = g * kSlots;
+
+    // The group's gadgets confirmed for at least one of their flagged
+    // slots, in grid order, with each slot's hot-path delta.
+    struct Hit {
+      Gadget gadget;
+      SlotMask slots;
+      std::array<double, kSlots> delta;
+    };
+    std::vector<Hit> confirmed;
+    std::array<std::size_t, kSlots> per_slot{};
+    for (const GroupCandidate& candidate : groups[g]) {
       const ConfirmationOutcome outcome =
-          confirm_gadget(runner, gadget, 0, params);
-      if (outcome.confirmed) {
-        confirmed.push_back(
-            ConfirmedGadget{gadget, event_ids[e], outcome.trigger_delta()});
+          confirm_gadget(runner, candidate.gadget, params);
+      const SlotMask slots = outcome.confirmed & candidate.slots;
+      if (slots == 0) continue;
+      Hit hit{candidate.gadget, slots, {}};
+      for (std::size_t s = 0; s < kSlots; ++s) {
+        hit.delta[s] = outcome.trigger_delta(s);
+        per_slot[s] += has_slot(slots, s) ? 1 : 0;
       }
+      confirmed.push_back(hit);
+    }
+    for (std::size_t s = 0; s < runner.programmed().size(); ++s) {
+      stable[g0 + s].reserve(per_slot[s]);
     }
 
-    // Gadget reordering: re-measure in a shuffled order and drop gadgets
-    // whose behaviour changes (dirty state from the new predecessor). The
-    // shuffle draws from a per-event stream so the order — and therefore
-    // the runner's state evolution — is thread-count-invariant.
-    util::Rng reorder_rng(util::split_mix64(config_->seed ^ kReorderSalt, e));
+    // Gadget reordering: re-measure the group's confirmed gadgets once each
+    // in a shuffled order and drop, per slot, those whose behaviour changes
+    // (dirty state from the new predecessor). The shuffle draws from a
+    // per-group stream so the order — and therefore the runner's state
+    // evolution — is thread-count-invariant.
+    util::Rng reorder_rng(util::split_mix64(config_->seed ^ kReorderSalt, g));
     std::vector<std::size_t> order(confirmed.size());
     for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
     reorder_rng.shuffle(order);
-    stable[e].reserve(confirmed.size());
     for (std::size_t idx : order) {
-      const ConfirmedGadget& g = confirmed[idx];
-      const ConfirmationOutcome again = confirm_gadget(runner, g.gadget, 0, params);
-      if (!again.confirmed) continue;
-      const double ratio = again.trigger_delta() / g.median_delta;
-      if (ratio < config_->reorder_tolerance ||
-          ratio > 1.0 / config_->reorder_tolerance) {
-        continue;
+      const Hit& hit = confirmed[idx];
+      const ConfirmationOutcome again =
+          confirm_gadget(runner, hit.gadget, params);
+      for (std::size_t s = 0; s < kSlots; ++s) {
+        if (!has_slot(hit.slots, s) || !again.confirmed_for(s)) continue;
+        const double ratio = again.trigger_delta(s) / hit.delta[s];
+        if (ratio < config_->reorder_tolerance ||
+            ratio > 1.0 / config_->reorder_tolerance) {
+          continue;
+        }
+        stable[g0 + s].push_back(
+            ConfirmedGadget{hit.gadget, event_ids[g0 + s], hit.delta[s]});
       }
-      stable[e].push_back(g);
     }
   });
   return stable;

@@ -13,7 +13,10 @@
 //   generation  — one shard per (event group, reset instruction): the
 //                 triggers of a row run back-to-back on one runner, keeping
 //                 the paper's C6 dirty-state realism within the row;
-//   confirmation / filtering — one shard per event.
+//   confirmation — one shard per event group: one runner programmed with
+//                 the group measures each candidate once for all four
+//                 register slots, as a real PMU reads all four counters;
+//   filtering   — one shard per event.
 #pragma once
 
 #include <cstdint>
@@ -37,9 +40,10 @@ inline constexpr std::uint64_t kConfirmSalt = 0xC0FF112ULL;
 inline constexpr std::uint64_t kReorderSalt = 0x2E02DE2ULL;
 
 struct GenerationOutput {
-  /// candidates[e] = flagged gadgets for event_ids[e], in (reset-major,
-  /// trigger-minor) grid order.
-  std::vector<std::vector<Gadget>> candidates;
+  /// groups[g] = flagged gadgets of event group g (event_ids[4g .. 4g+3]),
+  /// in (reset-major, trigger-minor) grid order, each with the slots whose
+  /// count it moved.
+  std::vector<std::vector<GroupCandidate>> groups;
   std::size_t executed_pairs = 0;
 };
 
@@ -60,11 +64,12 @@ class ParallelCampaign {
                             const std::vector<std::uint32_t>& resets,
                             const std::vector<std::uint32_t>& triggers) const;
 
-  /// Step 3: per-event confirmation (repeated-trigger constraints) plus the
-  /// shuffled-reorder stability pass; returns the stable gadgets per event.
+  /// Step 3: per-group confirmation (repeated-trigger constraints on every
+  /// slot at once) plus the shuffled-reorder stability pass over the
+  /// group's confirmed gadgets; returns the stable gadgets per event.
   std::vector<std::vector<ConfirmedGadget>> confirm(
       const std::vector<std::uint32_t>& event_ids,
-      const std::vector<std::vector<Gadget>>& candidates) const;
+      const std::vector<std::vector<GroupCandidate>>& groups) const;
 
   /// Step 4: per-event extension/category clustering.
   std::vector<FilterOutcome> filter(

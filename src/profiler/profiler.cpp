@@ -129,8 +129,9 @@ std::vector<EventRank> ApplicationProfiler::rank(
   telemetry::ScopedSpan stage(tel.spans(), "profiler.rank", 0,
                               sim::sweep_group_count(event_ids.size()));
   util::ThreadPool pool(config_.num_threads);
-  std::vector<EventRank> ranks;
-  ranks.reserve(event_ids.size());
+  // ranks[i] = event_ids[i]'s rank until the sort: each event's reduction
+  // runs as its own pool task and writes only its own slot.
+  std::vector<EventRank> ranks(event_ids.size());
   const std::size_t total_groups = sim::sweep_group_count(event_ids.size());
   for (std::size_t base = 0; base < event_ids.size();
        base += kRankChunkEvents) {
@@ -153,7 +154,7 @@ std::vector<EventRank> ApplicationProfiler::rank(
     for (WindowMeans& m : means) {
       pooled.push_back(std::move(m.pooler).features());
     }
-    for (std::size_t e = 0; e < events.size(); ++e) {
+    pool.parallel_for(events.size(), [&](std::size_t e) {
       // PCA over every run of this event, then per-secret Gaussian fits.
       std::vector<std::vector<double>> features;
       features.reserve(pooled.size());
@@ -171,12 +172,18 @@ std::vector<EventRank> ApplicationProfiler::rank(
       }
       const trace::SecretGaussianModel model =
           trace::SecretGaussianModel::fit(values_by_secret);
-      ranks.push_back(
-          EventRank{events[e], trace::mutual_information_eq1(model)});
-    }
+      ranks[base + e] =
+          EventRank{events[e], trace::mutual_information_eq1(model)};
+    });
   }
+  // A total order (MI descending, then event id), so equal estimates rank
+  // the same on every standard library: the fuzzer groups events in this
+  // order.
   std::sort(ranks.begin(), ranks.end(), [](const EventRank& a, const EventRank& b) {
-    return a.mutual_information > b.mutual_information;
+    if (a.mutual_information != b.mutual_information) {
+      return a.mutual_information > b.mutual_information;
+    }
+    return a.event_id < b.event_id;
   });
   return ranks;
 }

@@ -1,15 +1,21 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <stdexcept>
 #include <type_traits>
 #include <unordered_set>
 
 #include "fuzzer/confirmation.hpp"
 #include "fuzzer/filtering.hpp"
 #include "fuzzer/fuzzer.hpp"
+#include "fuzzer/parallel_campaign.hpp"
 #include "fuzzer/set_cover.hpp"
 #include "sim/instruction_block.hpp"
+#include "telemetry/registry.hpp"
+#include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 
 namespace aegis::fuzzer {
 namespace {
@@ -61,9 +67,9 @@ TEST(Confirmation, ConfirmsFlushLoadGadgetForCacheEvent) {
   const Gadget gadget{f.find_variant(InstructionClass::kCacheFlush, true),
                       f.find_variant(InstructionClass::kLoad, true)};
   const ConfirmationOutcome outcome =
-      confirm_gadget(runner, gadget, 0, ConfirmationParams{});
-  EXPECT_TRUE(outcome.confirmed);
-  EXPECT_GT(outcome.trigger_delta(), 0.3);
+      confirm_gadget(runner, gadget, ConfirmationParams{});
+  EXPECT_TRUE(outcome.confirmed_for(0));
+  EXPECT_GT(outcome.trigger_delta(0), 0.3);
 }
 
 TEST(Confirmation, RejectsGadgetWhoseResetDoesNotReset) {
@@ -76,8 +82,8 @@ TEST(Confirmation, RejectsGadgetWhoseResetDoesNotReset) {
   const Gadget gadget{f.find_variant(InstructionClass::kNop),
                       f.find_variant(InstructionClass::kLoad, true)};
   const ConfirmationOutcome outcome =
-      confirm_gadget(runner, gadget, 0, ConfirmationParams{});
-  EXPECT_FALSE(outcome.confirmed);
+      confirm_gadget(runner, gadget, ConfirmationParams{});
+  EXPECT_FALSE(outcome.confirmed_for(0));
 }
 
 TEST(Confirmation, RejectsResetSideEffectGadget) {
@@ -89,8 +95,8 @@ TEST(Confirmation, RejectsResetSideEffectGadget) {
   const Gadget gadget{f.find_variant(InstructionClass::kStore, true, true),
                       f.find_variant(InstructionClass::kNop)};
   const ConfirmationOutcome outcome =
-      confirm_gadget(runner, gadget, 0, ConfirmationParams{});
-  EXPECT_FALSE(outcome.confirmed);
+      confirm_gadget(runner, gadget, ConfirmationParams{});
+  EXPECT_FALSE(outcome.confirmed_for(0));
 }
 
 TEST(Confirmation, ConfirmsUopGadgetWithCheapReset) {
@@ -100,8 +106,8 @@ TEST(Confirmation, ConfirmsUopGadgetWithCheapReset) {
   const Gadget gadget{f.find_variant(InstructionClass::kNop),
                       f.find_variant(InstructionClass::kIntDiv)};
   const ConfirmationOutcome outcome =
-      confirm_gadget(runner, gadget, 0, ConfirmationParams{});
-  EXPECT_TRUE(outcome.confirmed);
+      confirm_gadget(runner, gadget, ConfirmationParams{});
+  EXPECT_TRUE(outcome.confirmed_for(0));
 }
 
 TEST(Confirmation, MeasurePathSeparatesColdAndHot) {
@@ -111,11 +117,95 @@ TEST(Confirmation, MeasurePathSeparatesColdAndHot) {
   const Gadget gadget{f.find_variant(InstructionClass::kNop),
                       f.find_variant(InstructionClass::kIntMul)};
   const ConfirmationParams params;
-  const PathMeasurement cold = measure_path(runner, gadget, false, 0, params);
-  const PathMeasurement hot = measure_path(runner, gadget, true, 0, params);
-  EXPECT_GT(hot.median, cold.median + 1.0);
-  EXPECT_NEAR(hot.cumulative, hot.median * params.repeats,
-              hot.cumulative * 0.3 + 1.0);
+  const PathMeasurement cold = measure_path(runner, gadget, false, params);
+  const PathMeasurement hot = measure_path(runner, gadget, true, params);
+  EXPECT_GT(hot.median[0], cold.median[0] + 1.0);
+  EXPECT_NEAR(hot.cumulative[0], hot.median[0] * params.repeats,
+              hot.cumulative[0] * 0.3 + 1.0);
+}
+
+TEST(Confirmation, JudgesEachSlotOfAGroupRunnerOnItsOwn) {
+  // One runner reads two events from the same executions. Store reset +
+  // integer-divide trigger genuinely drives the uop count (slot 0), while
+  // the store-counting event (slot 1) moves only with the reset: a C5 side
+  // effect that must be rejected for slot 1 alone.
+  Fixture f;
+  sim::GadgetRunner runner(f.db, f.spec, 6);
+  runner.program({*f.db.find("RETIRED_UOPS"),
+                  *f.db.find("HW_CACHE_L1D:WRITE:ACCESS")});
+  const Gadget gadget{f.find_variant(InstructionClass::kStore, true, true),
+                      f.find_variant(InstructionClass::kIntDiv)};
+  const ConfirmationOutcome outcome =
+      confirm_gadget(runner, gadget, ConfirmationParams{});
+  EXPECT_TRUE(outcome.confirmed_for(0));
+  EXPECT_FALSE(outcome.confirmed_for(1));
+  EXPECT_GT(outcome.cold.cumulative[1], 0.0);  // the reset does count
+  // Unprogrammed slots are neither measured nor confirmed.
+  EXPECT_EQ(outcome.confirmed & ~SlotMask{0b11}, 0);
+  EXPECT_EQ(outcome.hot.cumulative[2], 0.0);
+}
+
+TEST(Confirmation, MeasuresEachCandidateOnceForItsWholeGroup) {
+  // Every gadget check is one cold and one hot path, whatever the number
+  // of slots it was flagged for: the first pass checks each of a group's
+  // candidates once and the reordering pass re-checks each gadget that
+  // confirmed for at least one slot once.
+  Fixture f;
+  FuzzerConfig config;
+  config.repeats = 4;
+  config.num_threads = 2;
+  util::ThreadPool pool(config.num_threads);
+  const ParallelCampaign campaign(f.db, f.spec, config, pool);
+  std::vector<std::uint32_t> events;
+  for (auto name : pmu::kAmdAttackEvents) events.push_back(*f.db.find(name));
+  events.push_back(*f.db.find("RETIRED_BRANCH_INSTRUCTIONS"));
+  events.push_back(*f.db.find("RETIRED_MMX_FP_INSTRUCTIONS:SSE_INSTR"));
+  const std::vector<std::uint32_t> cleaned = campaign.cleanup();
+  std::vector<std::uint32_t> sample;
+  for (std::size_t i = 0; i < cleaned.size(); i += cleaned.size() / 16) {
+    sample.push_back(cleaned[i]);
+  }
+  const GenerationOutput generation = campaign.generate(events, sample, sample);
+  ASSERT_EQ(generation.groups.size(), 2u);
+  EXPECT_THROW((void)campaign.confirm(events, {generation.groups[0]}),
+               std::invalid_argument);
+
+  const telemetry::Counter measurements =
+      telemetry::Registry::global().metrics().counter(
+          "aegis_fuzzer_path_measurements_total");
+  const std::uint64_t before = measurements.value();
+  const std::vector<std::vector<ConfirmedGadget>> stable =
+      campaign.confirm(events, generation.groups);
+  const std::uint64_t measured = measurements.value() - before;
+
+  // Replay the first pass: same runner seed, same group program, same
+  // candidate order.
+  ConfirmationParams params;
+  params.repeats = config.repeats;
+  std::size_t candidates = 0;
+  std::size_t rechecks = 0;
+  std::size_t multi_slot = 0;
+  for (std::size_t g = 0; g < generation.groups.size(); ++g) {
+    sim::GadgetRunner runner(f.db, f.spec,
+                             util::split_mix64(config.seed ^ kConfirmSalt, g));
+    const std::size_t g1 = std::min(events.size(), (g + 1) * kSlots);
+    runner.program({events.begin() + static_cast<std::ptrdiff_t>(g * kSlots),
+                    events.begin() + static_cast<std::ptrdiff_t>(g1)});
+    for (const GroupCandidate& candidate : generation.groups[g]) {
+      ++candidates;
+      if (std::popcount(candidate.slots) > 1) ++multi_slot;
+      const SlotMask slots =
+          confirm_gadget(runner, candidate.gadget, params).confirmed &
+          candidate.slots;
+      if (slots != 0) ++rechecks;
+    }
+  }
+  ASSERT_GT(multi_slot, 0u);  // else one run per (gadget, event) would pass
+  ASSERT_GT(rechecks, 0u);
+  EXPECT_EQ(measured, 2 * (candidates + rechecks));
+  std::size_t kept = 0;
+  for (const auto& per_event : stable) kept += per_event.size();
+  EXPECT_GT(kept, 0u);
 }
 
 TEST(Filtering, ClustersByExtensionAndCategory) {
@@ -195,6 +285,47 @@ TEST(Fuzzer, ConfirmedGadgetsAreSubsetOfCandidates) {
   const FuzzResult result = fuzzer.run({*f.db.find("RETIRED_UOPS")});
   ASSERT_EQ(result.reports.size(), 1u);
   EXPECT_LE(result.reports[0].confirmed.size(), result.reports[0].candidates);
+}
+
+TEST(ConfirmationAblation, StrictKeepsASubsetOfLaxAndRejectsConfounders) {
+  // The tier-1 form of bench_abl_fuzzer_confirmation at a reduced grid:
+  // switching off the lambda constraints and the reordering check may only
+  // add gadgets, and on cache-, branch- and store-coupled events it must
+  // add some (the C5/C6 confounders only confirmation rejects).
+  Fixture f;
+  std::vector<std::uint32_t> events;
+  for (auto name : pmu::kAmdAttackEvents) events.push_back(*f.db.find(name));
+  events.push_back(*f.db.find("HW_CACHE_L1D:READ:MISS"));
+  events.push_back(*f.db.find("HW_CACHE_LL:READ:MISS"));
+  events.push_back(*f.db.find("RETIRED_BRANCH_MISPREDICTED"));
+  events.push_back(*f.db.find("HW_CACHE_L1D:WRITE:ACCESS"));
+
+  FuzzerConfig strict;
+  strict.reset_sample = 20;
+  strict.trigger_sample = 20;
+  strict.repeats = 10;
+  FuzzerConfig lax = strict;
+  lax.lambda1 = 1e9;
+  lax.lambda2 = 0.0;
+  lax.reorder_tolerance = 1e-9;
+  const FuzzResult with = EventFuzzer(f.db, f.spec, strict).run(events);
+  const FuzzResult without = EventFuzzer(f.db, f.spec, lax).run(events);
+
+  ASSERT_EQ(with.reports.size(), events.size());
+  ASSERT_EQ(without.reports.size(), events.size());
+  std::size_t rejected = 0;
+  for (std::size_t e = 0; e < events.size(); ++e) {
+    std::unordered_set<Gadget, GadgetHash> lax_set;
+    for (const auto& g : without.reports[e].confirmed) lax_set.insert(g.gadget);
+    for (const auto& g : with.reports[e].confirmed) {
+      EXPECT_TRUE(lax_set.contains(g.gadget))
+          << f.db.by_id(events[e]).name << " (" << g.gadget.reset_uid << ", "
+          << g.gadget.trigger_uid << ")";
+    }
+    rejected += lax_set.size() - std::min(lax_set.size(),
+                                          with.reports[e].confirmed.size());
+  }
+  EXPECT_GT(rejected, 0u);
 }
 
 TEST(SetCover, CoversEveryEventWithGadgets) {

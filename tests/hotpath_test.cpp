@@ -443,9 +443,11 @@ TEST(EngineEquivalence, PinnedSimdEnginesBitIdenticalToReference) {
 // engines' output through the whole campaign — superblock execution, RNG
 // draws, confirmation reordering, everything. The ranking digest was
 // re-pinned once, when the group sweep began simulating each ranking job
-// once for every group.
+// once for every group. The fuzz digest was re-pinned once (was
+// 0x37532b7cb5e14996), when confirmation began measuring each candidate
+// once for its whole 4-event group.
 
-constexpr std::uint64_t kSeed7FuzzDigest = 0x37532b7cb5e14996ULL;
+constexpr std::uint64_t kSeed7FuzzDigest = 0xfec755db46fd92abULL;
 constexpr std::uint64_t kSeed7RankingDigest = 0xf0aa7d39b57c5227ULL;
 
 std::uint64_t digest_gadget(std::uint64_t h, const fuzzer::ConfirmedGadget& g) {

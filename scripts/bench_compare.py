@@ -1,14 +1,13 @@
 #!/usr/bin/env python3
-"""Diff fresh gate artifacts against their committed baselines.
+"""Diff a fresh security frontier against its committed baseline.
 
 Usage:
     scripts/bench_compare.py --security BASELINE_security.json \
                              FRESH_security.json
-    scripts/bench_compare.py --lint BENCH_lint.json FRESH_lint.json
 
-Timing of the pipeline itself is gated by e2ebench (BENCHMARK.json), which
-runs each change against its parent on the same host; this script gates
-only the two artifacts that a committed baseline can judge.
+Timing is gated by e2ebench (BENCHMARK.json), which runs each change
+against its parent on the same host; this script gates only the artifact
+that a committed baseline can judge.
 
 --security mode diffs BENCH_security.json frontiers. The metric is
 directional per cell keyed by (attacker, defense, epsilon): fresh attack
@@ -26,17 +25,6 @@ both sides carry them and they disagree, the comparison FAILS — an
 AEGIS_CPU=intel run measured a different event database than the committed
 AMD baseline, so no delta between them is meaningful.
 
---lint mode gates the analyzer's own runtime: aegis_lint --time-json
-writes {ruleset, files_analyzed, cache_hits, wall_ms}, and a fresh COLD
-run (cache_hits == 0) may not exceed 2x the committed BENCH_lint.json
-wall time (override with AEGIS_LINT_TOLERANCE, a multiplier). The loose
-multiplier absorbs runner jitter on a tens-of-milliseconds measurement;
-only a superlinear blowup in the analyzer (the failure mode interproc
-analyses actually have) trips it. A ruleset mismatch between the two
-artifacts is a note, not a failure — new rules legitimately cost time,
-but the budget still holds. Warm runs (cache_hits > 0) are compared
-informationally only; the committed baseline is a cold-run number.
-
 Stdlib only — no pip installs in CI.
 """
 
@@ -46,7 +34,6 @@ import sys
 
 
 DEFAULT_SECURITY_TOLERANCE = 0.02  # 2 accuracy points, absolute
-DEFAULT_LINT_TOLERANCE = 2.0  # fresh cold wall time may not exceed 2x base
 
 
 def load(path):
@@ -73,70 +60,6 @@ def security_tolerance():
               file=sys.stderr)
         sys.exit(2)
     return value
-
-
-def lint_tolerance():
-    raw = os.environ.get("AEGIS_LINT_TOLERANCE", "")
-    if not raw:
-        return DEFAULT_LINT_TOLERANCE
-    try:
-        value = float(raw)
-    except ValueError:
-        print(f"bench_compare: bad AEGIS_LINT_TOLERANCE {raw!r}",
-              file=sys.stderr)
-        sys.exit(2)
-    if value <= 1.0:
-        print("bench_compare: AEGIS_LINT_TOLERANCE must be > 1 (a multiplier "
-              "on the baseline wall time)", file=sys.stderr)
-        sys.exit(2)
-    return value
-
-
-def compare_lint(base_path, fresh_path):
-    """Lint runtime budget: a cold run slower than tol x baseline fails."""
-    baseline, fresh = load(base_path), load(fresh_path)
-    tol = lint_tolerance()
-    try:
-        base_ms = float(baseline["wall_ms"])
-        new_ms = float(fresh["wall_ms"])
-        base_files = int(baseline["files_analyzed"])
-        new_files = int(fresh["files_analyzed"])
-        hits = int(fresh.get("cache_hits", 0))
-    except (KeyError, TypeError, ValueError) as e:
-        print(f"bench_compare: malformed lint timing artifact: {e}",
-              file=sys.stderr)
-        sys.exit(2)
-    base_rules = baseline.get("ruleset")
-    new_rules = fresh.get("ruleset")
-    if base_rules and new_rules and base_rules != new_rules:
-        print(f"note  lint ruleset changed: baseline {base_rules!r}, fresh "
-              f"{new_rules!r} — new rules cost time, but the budget holds")
-    if new_files != base_files:
-        print(f"note  lint tree grew: {base_files} -> {new_files} file(s); "
-              f"the wall-time budget is deliberately NOT per-file — a "
-              f"superlinear analyzer shows up here first")
-    if hits > 0:
-        print(f"  ok  lint wall time (warm, {hits} cache hit(s)): "
-              f"{new_ms:.0f} ms — informational only, the budget gates "
-              f"cold runs")
-        return 0
-    # The absolute floor keeps the gate honest across machines: the
-    # committed baseline is a fast-dev-box number, and a CI runner being
-    # 5x slower on a 30 ms measurement is not the failure mode this gate
-    # exists for. A superlinear blowup in the interprocedural analysis —
-    # the failure mode it DOES exist for — lands in whole seconds and
-    # clears the floor on any hardware.
-    budget = max(base_ms * tol, 2000.0)
-    verdict = "FAIL" if new_ms > budget else "  ok"
-    print(f"{verdict}  lint wall time (cold): baseline {base_ms:.0f} ms -> "
-          f"{new_ms:.0f} ms (budget {budget:.0f} ms = max({tol:g}x baseline, "
-          f"2000 ms))")
-    if new_ms > budget:
-        print(f"bench_compare: aegis-lint cold run exceeded its wall-time "
-              f"budget; profile phase 1/2 or re-baseline BENCH_lint.json "
-              f"deliberately", file=sys.stderr)
-        return 1
-    return 0
 
 
 def frontier_cells(doc, path):
@@ -224,12 +147,6 @@ def main(argv):
                   file=sys.stderr)
             return 1
         print("bench_compare: no security cell rose above tolerance")
-        return 0
-    if len(argv) == 4 and argv[1] == "--lint":
-        failures = compare_lint(argv[2], argv[3])
-        if failures:
-            return 1
-        print("bench_compare: lint runtime within budget")
         return 0
     print(__doc__.strip(), file=sys.stderr)
     return 2

@@ -8,10 +8,9 @@
 # a broken lint build fails the check rather than silently skipping the
 # gate, and runs clang-tidy when available. A seceval stage runs the smoke
 # security frontier and fails if any attack accuracy rose over the
-# committed BENCH_security.json baseline. scripts/bench_compare.py gates
-# both committed artifacts (--lint, --security); timing is gated by
-# e2ebench (`python3 e2ebench/run.py`), which runs each change against its
-# parent on the same host.
+# committed BENCH_security.json baseline (scripts/bench_compare.py
+# --security); timing is gated by e2ebench (`python3 e2ebench/run.py`),
+# which runs each change against its parent on the same host.
 #
 # Usage: scripts/check.sh [--fast]
 #   --fast   sanitizer passes run only the concurrency-relevant suites
@@ -62,10 +61,9 @@ run_suite() {
 # Lint stage: build the analyzer and its unit tests by name so a lint build
 # failure is a hard error here (ctest would otherwise just drop the gate),
 # then run the tree-wide two-phase gate directly for file:line diagnostics
-# on stdout. The gate run also checks the committed RNG stream manifest,
-# emits a SARIF log, times itself for the runtime budget, and warms the
-# persistent phase-1 cache under build/; a second leg fails on stale
-# suppression comments so they never accumulate.
+# on stdout. The one gate run also checks the committed RNG stream
+# manifest, fails on stale suppression comments so they never accumulate,
+# and emits a SARIF log.
 run_lint() {
   local dir="build"
   echo "=== lint: build aegis-lint ==="
@@ -73,19 +71,11 @@ run_lint() {
     -DAEGIS_SANITIZE="" >/dev/null
   cmake --build "${dir}" -j "${JOBS}" \
     --target aegis_lint aegis_lint_test aegis_lint_graph_test >/dev/null
-  echo "=== lint: aegis-lint gate (src bench examples tools + RNG manifest) ==="
+  echo "=== lint: aegis-lint gate (src bench examples tools + RNG manifest + stale suppressions) ==="
   "${dir}/tools/aegis_lint/aegis_lint" --root . \
-    --check-rng-manifest RNG_STREAMS.md \
-    --cache-dir "${dir}/lint-cache" \
+    --check-rng-manifest RNG_STREAMS.md --stale-as-error \
     --sarif "${dir}/aegis-lint.sarif" \
-    --time-json /tmp/aegis_lint_time.json \
     src bench examples tools
-  echo "=== lint: stale suppressions ==="
-  "${dir}/tools/aegis_lint/aegis_lint" --root . --stale-as-error \
-    --cache-dir "${dir}/lint-cache" src bench examples tools >/dev/null
-  echo "=== lint: runtime budget ==="
-  python3 scripts/bench_compare.py --lint \
-    BENCH_lint.json /tmp/aegis_lint_time.json
   echo "=== lint: aegis-lint unit tests ==="
   "${dir}/tools/aegis_lint/aegis_lint_test" --gtest_brief=1
   "${dir}/tools/aegis_lint/aegis_lint_graph_test" --gtest_brief=1

@@ -364,19 +364,28 @@ TEST(SetCover, ReportsUncoverableEvents) {
 }
 
 TEST(SetCover, GreedyPrefersSharedGadgets) {
-  // Build a synthetic result where one gadget covers both events and two
-  // others cover one each; greedy must pick the shared gadget alone.
+  // `shared` covers events 100 and 200 with the larger total delta; only_a
+  // covers 100 and event 300, which nothing else covers; only_b covers 200
+  // alone. Greedy picks `shared` first, then only_a for event 300 — never
+  // only_b, whose one event is already covered.
   FuzzResult result;
   const Gadget shared{1, 2}, only_a{3, 4}, only_b{5, 6};
-  EventFuzzReport ra, rb;
+  EventFuzzReport ra, rb, rc;
   ra.event_id = 100;
-  ra.confirmed = {{shared, 100, 5.0}, {only_a, 100, 50.0}};
+  ra.confirmed = {{shared, 100, 20.0}, {only_a, 100, 0.5}};
   rb.event_id = 200;
-  rb.confirmed = {{shared, 200, 5.0}, {only_b, 200, 50.0}};
-  result.reports = {ra, rb};
+  rb.confirmed = {{shared, 200, 20.0}, {only_b, 200, 50.0}};
+  rc.event_id = 300;
+  rc.confirmed = {{only_a, 300, 0.25}};
+  result.reports = {ra, rb, rc};
   const GadgetCover cover = minimal_gadget_cover(result);
-  ASSERT_EQ(cover.gadgets.size(), 1u);
-  EXPECT_EQ(cover.gadgets[0], shared);
+  EXPECT_EQ(cover.gadgets, (std::vector<Gadget>{shared, only_a}));
+  EXPECT_TRUE(cover.uncovered_events.empty());
+  // The segment runs every chosen gadget once, so event 100 sums both
+  // chosen gadgets' deltas.
+  const std::vector<std::pair<std::uint32_t, double>> want = {
+      {100, 20.5}, {200, 20.0}, {300, 0.25}};
+  EXPECT_EQ(cover.segment_effect, want);
 }
 
 TEST(SetCover, DeterministicAcrossRunsAndInsertionOrders) {

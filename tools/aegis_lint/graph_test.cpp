@@ -1,10 +1,10 @@
 // Phase-2 tests over the committed fixture project in testdata/fixture/:
 // the golden-pinned call-graph dump, overload/qualifier resolution, the
 // three interprocedural rules (including the seeded one-call-deep
-// allocation the lexical pass provably misses), the RNG manifest pin, and
-// the cached-vs-uncached differential. In-memory models (lex + parse_file
-// over string fixtures) cover the cases that need two variants of the same
-// code, e.g. "reordering two draws changes the manifest digest".
+// allocation the lexical pass provably misses) and the RNG manifest pin.
+// In-memory models (lex + parse_file over string fixtures) cover the cases
+// that need two variants of the same code, e.g. "reordering two draws
+// changes the manifest digest".
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -26,8 +26,8 @@ namespace fs = std::filesystem;
 
 ProjectOptions fixture_options() {
   ProjectOptions o;
-  o.tree.root = AEGIS_LINT_TESTDATA;
-  o.tree.paths = {"fixture"};
+  o.root = AEGIS_LINT_TESTDATA;
+  o.paths = {"fixture"};
   return o;
 }
 
@@ -129,9 +129,16 @@ TEST(GoldenGraph, TemplateDefinitionsResolveByName) {
 // Interprocedural rules over the fixture
 
 TEST(NoallocTransitive, LexicalPassMissesTheSeededAllocation) {
-  // The v1 per-file scan sees only a call token inside tick's noalloc
+  // The per-file lexical pass sees only a call token inside tick's noalloc
   // region — the push_back sits one frame down in refill().
-  const auto lexical = lint_tree(fixture_options().tree);
+  const fs::path dir = fs::path(AEGIS_LINT_TESTDATA) / "fixture";
+  const std::string source = read_file(dir / "engine.cpp");
+  ASSERT_FALSE(source.empty());
+  std::vector<FileFinding> lexical;
+  for (Finding& f :
+       lint_source(source, read_file(dir / "engine.hpp"), LintConfig{})) {
+    lexical.push_back(FileFinding{"fixture/engine.cpp", std::move(f)});
+  }
   EXPECT_EQ(find_rule(lexical, "noalloc"), nullptr);
   EXPECT_EQ(find_rule(lexical, "noalloc-transitive"), nullptr);
 }
@@ -152,8 +159,8 @@ TEST(TelemetryHandleFixture, RecorderByNameSitesFlaggedHandleIdiomClean) {
   // (two findings); recorder_ok.cpp uses the ctor-resolve + wait-free
   // record idiom (zero findings).
   ProjectOptions o;
-  o.tree.root = AEGIS_LINT_TESTDATA;
-  o.tree.paths = {"telemetry_handle"};
+  o.root = AEGIS_LINT_TESTDATA;
+  o.paths = {"telemetry_handle"};
   const ProjectResult r = lint_project(o);
   std::size_t bad = 0;
   for (const FileFinding& f : r.findings) {
@@ -186,35 +193,6 @@ TEST(LockOrderGlobal, CrossTuInversionIsReported) {
   EXPECT_NE(f->finding.message.find("level 10"), std::string::npos);
   EXPECT_NE(f->finding.message.find("fx::Telemetry::record"),
             std::string::npos);
-}
-
-// ---------------------------------------------------------------------------
-// Incremental cache: byte-identical findings, full hits on the warm run
-
-TEST(Cache, CachedAndUncachedRunsAreByteIdentical) {
-  const fs::path cache_dir =
-      fs::temp_directory_path() / "aegis-lint-graph-test-cache";
-  fs::remove_all(cache_dir);
-
-  ProjectOptions uncached = fixture_options();
-  const ProjectResult base = lint_project(uncached);
-
-  ProjectOptions cached = fixture_options();
-  cached.cache_dir = cache_dir.string();
-  const ProjectResult cold = lint_project(cached);
-  const ProjectResult warm = lint_project(cached);
-  fs::remove_all(cache_dir);
-
-  EXPECT_EQ(base.files_analyzed, cold.files_analyzed);
-  EXPECT_EQ(cold.cache_hits, 0u);
-  EXPECT_EQ(warm.cache_hits, warm.files_analyzed);
-  EXPECT_EQ(render(base), render(cold));
-  EXPECT_EQ(render(base), render(warm));
-  // The phase-1 models round-trip through the cache too: phase 2 consumes
-  // them, so the graph itself must come back byte-identical.
-  EXPECT_EQ(CallGraph(base.model).dump(), CallGraph(warm.model).dump());
-  EXPECT_EQ(rng_manifest(CallGraph(base.model)),
-            rng_manifest(CallGraph(warm.model)));
 }
 
 // ---------------------------------------------------------------------------

@@ -7,8 +7,8 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "cache.hpp"
 #include "effects.hpp"
+#include "lexer.hpp"
 #include "parse.hpp"
 
 namespace aegis::lint {
@@ -45,7 +45,7 @@ bool has_prefix(const std::string& rel, const std::vector<std::string>& prefixes
 }
 
 /// The sorted, deduplicated, exclude-filtered file list for a tree walk.
-std::vector<fs::path> collect_files(const TreeOptions& options,
+std::vector<fs::path> collect_files(const ProjectOptions& options,
                                     const fs::path& root) {
   std::vector<fs::path> files;
   for (const std::string& sub : options.paths) {
@@ -74,7 +74,7 @@ std::vector<fs::path> collect_files(const TreeOptions& options,
   return kept;
 }
 
-LintConfig config_for(const std::string& rel, const TreeOptions& options) {
+LintConfig config_for(const std::string& rel, const ProjectOptions& options) {
   LintConfig config;
   if (has_prefix(rel, options.clock_exempt)) config.clock_rule = false;
   if (has_prefix(rel, options.backend_exempt)) config.backend_rule = false;
@@ -91,6 +91,73 @@ std::string companion_for(const fs::path& p) {
   return "";
 }
 
+/// True when directive `d` sits on the finding's line or the line above
+/// and names the finding's suppression tag.
+bool covers(const Directive& d, const Finding& f) {
+  return d.tag == f.suppress_tag && (d.line == f.line || d.line == f.line - 1);
+}
+
+/// Filters `findings` against one file's suppression directives and sorts
+/// the survivors by line. A directive without a reason suppresses nothing
+/// and is a finding of its own: an unexplained exemption is exactly the
+/// reviewer-attention problem the linter exists to remove. With
+/// `report_stale`, a reasoned directive that matches no finding is
+/// reported too; it earns its keep by matching any finding, including the
+/// ones it suppresses.
+std::vector<Finding> apply_suppressions(std::vector<Finding> findings,
+                                        const std::vector<Directive>& directives,
+                                        bool report_stale) {
+  std::vector<Finding> kept;
+  for (const Finding& f : findings) {
+    bool suppressed = false;
+    if (!f.suppress_tag.empty()) {
+      for (const Directive& d : directives) {
+        if (!d.arg.empty() && covers(d, f)) {
+          suppressed = true;
+          break;
+        }
+      }
+    }
+    if (!suppressed) kept.push_back(f);
+  }
+  for (const Directive& d : directives) {
+    if (!known_suppress_tag(d.tag)) continue;
+    if (d.arg.empty()) {
+      kept.push_back(Finding{"suppression", d.line,
+                             "suppression '" + d.tag +
+                                 "' needs a reason: // aegis-lint: " + d.tag +
+                                 "(<why this site is safe>)",
+                             ""});
+      continue;
+    }
+    if (!report_stale) continue;
+    const bool used =
+        std::any_of(findings.begin(), findings.end(),
+                    [&](const Finding& f) { return covers(d, f); });
+    if (!used) {
+      kept.push_back(Finding{
+          "stale-suppression", d.line,
+          "suppression '" + d.tag + "(" + d.arg +
+              ")' no longer silences any finding; delete it (or run "
+              "--prune-suppressions --prune-apply)",
+          ""});
+    }
+  }
+  std::stable_sort(kept.begin(), kept.end(),
+                   [](const Finding& a, const Finding& b) {
+                     return a.line < b.line;
+                   });
+  return kept;
+}
+
+/// What phase 2 needs of one file besides its FileModel, which phase 1
+/// hands straight to the project model.
+struct FileAnalysis {
+  std::string rel;                    // display path
+  std::vector<Finding> raw;           // unfiltered lexical + parse findings
+  std::vector<Directive> directives;  // for suppression + stale detection
+};
+
 }  // namespace
 
 std::vector<Finding> lint_source(std::string_view source,
@@ -99,168 +166,50 @@ std::vector<Finding> lint_source(std::string_view source,
   const LexOutput file = lex(source);
   LexOutput comp;
   if (!companion.empty()) comp = lex(companion);
-  std::vector<Finding> raw =
-      run_rules(file, companion.empty() ? nullptr : &comp, config);
-
-  std::vector<Finding> out;
-  for (Finding& f : raw) {
-    bool suppressed = false;
-    if (!f.suppress_tag.empty()) {
-      for (const Directive& d : file.directives) {
-        if (d.tag != f.suppress_tag) continue;
-        if (d.line != f.line && d.line != f.line - 1) continue;
-        if (d.arg.empty()) continue;  // reason-less: reported below
-        suppressed = true;
-        break;
-      }
-    }
-    if (!suppressed) out.push_back(std::move(f));
-  }
-  // Reason-less suppressions are findings of their own: an unexplained
-  // exemption is exactly the reviewer-attention problem the linter exists
-  // to remove.
-  for (const Directive& d : file.directives) {
-    if (known_suppress_tag(d.tag) && d.arg.empty()) {
-      out.push_back(Finding{"suppression", d.line,
-                            "suppression '" + d.tag +
-                                "' needs a reason: // aegis-lint: " + d.tag +
-                                "(<why this site is safe>)",
-                            ""});
-    }
-  }
-  std::stable_sort(out.begin(), out.end(),
-                   [](const Finding& a, const Finding& b) {
-                     return a.line < b.line;
-                   });
-  return out;
-}
-
-std::vector<FileFinding> lint_tree(const TreeOptions& options) {
-  const fs::path root = options.root.empty() ? fs::path(".") : fs::path(options.root);
-  std::vector<FileFinding> out;
-  for (const fs::path& p : collect_files(options, root)) {
-    const std::string rel = fs::relative(p, root).generic_string();
-    // Companion header: declarations in x.hpp govern iteration/locking in
-    // x.cpp.
-    const std::string companion = companion_for(p);
-    for (Finding& f :
-         lint_source(read_file(p), companion, config_for(rel, options))) {
-      out.push_back(FileFinding{rel, std::move(f)});
-    }
-  }
-  return out;
+  return apply_suppressions(
+      run_rules(file, companion.empty() ? nullptr : &comp, config),
+      file.directives, false);
 }
 
 ProjectResult lint_project(const ProjectOptions& options) {
-  const TreeOptions& tree = options.tree;
-  const fs::path root = tree.root.empty() ? fs::path(".") : fs::path(tree.root);
+  const fs::path root =
+      options.root.empty() ? fs::path(".") : fs::path(options.root);
 
+  // Phase 1: per file, lexical rules and the FileModel.
   ProjectResult result;
   std::vector<FileAnalysis> analyses;
-  std::vector<std::string> rels;
-  for (const fs::path& p : collect_files(tree, root)) {
-    const std::string rel = fs::relative(p, root).generic_string();
-    const LintConfig config = config_for(rel, tree);
-    const std::string content = read_file(p);
+  for (const fs::path& p : collect_files(options, root)) {
+    FileAnalysis a;
+    a.rel = fs::relative(p, root).generic_string();
+    // Companion header: declarations in x.hpp govern iteration/locking in
+    // x.cpp.
     const std::string companion = companion_for(p);
-    const std::string salt = std::string("clock=") +
-                             (config.clock_rule ? "1" : "0") +
-                             ";backend=" + (config.backend_rule ? "1" : "0");
-    const std::string key = cache_key(rel, content, companion, salt);
-
-    FileAnalysis analysis;
-    bool hit = false;
-    if (!options.cache_dir.empty()) {
-      hit = cache_load(options.cache_dir, key, analysis);
-    }
-    if (!hit) {
-      const LexOutput lx = lex(content);
-      LexOutput comp;
-      if (!companion.empty()) comp = lex(companion);
-      const LexOutput* comp_ptr = companion.empty() ? nullptr : &comp;
-      analysis.raw = run_rules(lx, comp_ptr, config);
-      analysis.directives = lx.directives;
-      analysis.model = parse_file(rel, lx, comp_ptr, analysis.raw);
-      if (!options.cache_dir.empty()) {
-        cache_store(options.cache_dir, key, analysis);
-      }
-    } else {
-      ++result.cache_hits;
-    }
-    analysis.model.path = rel;  // never trust the cached display path
-    rels.push_back(rel);
-    analyses.push_back(std::move(analysis));
+    const LexOutput lx = lex(read_file(p));
+    LexOutput comp;
+    if (!companion.empty()) comp = lex(companion);
+    const LexOutput* comp_ptr = companion.empty() ? nullptr : &comp;
+    a.raw = run_rules(lx, comp_ptr, config_for(a.rel, options));
+    a.directives = lx.directives;
+    result.model.files.push_back(parse_file(a.rel, lx, comp_ptr, a.raw));
+    analyses.push_back(std::move(a));
   }
-  result.files_analyzed = analyses.size();
 
-  // Phase 2: assemble the project model, run the interprocedural rules,
-  // then filter everything per file against that file's suppressions.
-  for (FileAnalysis& a : analyses) result.model.files.push_back(a.model);
+  // Phase 2: run the interprocedural rules over the project model, then
+  // filter everything per file against that file's suppressions.
   const CallGraph graph(result.model);
   std::map<std::string, std::vector<Finding>> graph_findings;
   for (FileFinding& f : run_graph_rules(graph)) {
     graph_findings[f.file].push_back(std::move(f.finding));
   }
-
-  for (std::size_t i = 0; i < analyses.size(); ++i) {
-    const std::string& rel = rels[i];
-    const FileAnalysis& a = analyses[i];
-    std::vector<Finding> merged = a.raw;
-    const auto gi = graph_findings.find(rel);
+  for (FileAnalysis& a : analyses) {
+    std::vector<Finding> merged = std::move(a.raw);
+    const auto gi = graph_findings.find(a.rel);
     if (gi != graph_findings.end()) {
       merged.insert(merged.end(), gi->second.begin(), gi->second.end());
     }
-
-    std::vector<Finding> kept;
-    for (Finding& f : merged) {
-      bool suppressed = false;
-      if (!f.suppress_tag.empty()) {
-        for (const Directive& d : a.directives) {
-          if (d.tag != f.suppress_tag) continue;
-          if (d.line != f.line && d.line != f.line - 1) continue;
-          if (d.arg.empty()) continue;
-          suppressed = true;
-          break;
-        }
-      }
-      if (!suppressed) kept.push_back(std::move(f));
-    }
-    for (const Directive& d : a.directives) {
-      if (!known_suppress_tag(d.tag)) continue;
-      if (d.arg.empty()) {
-        kept.push_back(Finding{"suppression", d.line,
-                               "suppression '" + d.tag +
-                                   "' needs a reason: // aegis-lint: " + d.tag +
-                                   "(<why this site is safe>)",
-                               ""});
-        continue;
-      }
-      // Stale detection runs against the PRE-filter findings: a directive
-      // earns its keep by matching any finding, including the ones it
-      // suppresses.
-      bool used = false;
-      for (const Finding& f : merged) {
-        if (f.suppress_tag == d.tag &&
-            (d.line == f.line || d.line == f.line - 1)) {
-          used = true;
-          break;
-        }
-      }
-      if (!used) {
-        kept.push_back(Finding{
-            "stale-suppression", d.line,
-            "suppression '" + d.tag + "(" + d.arg +
-                ")' no longer silences any finding; delete it (or run "
-                "--prune-suppressions --prune-apply)",
-            ""});
-      }
-    }
-    std::stable_sort(kept.begin(), kept.end(),
-                     [](const Finding& x, const Finding& y) {
-                       return x.line < y.line;
-                     });
-    for (Finding& f : kept) {
-      result.findings.push_back(FileFinding{rel, std::move(f)});
+    for (Finding& f :
+         apply_suppressions(std::move(merged), a.directives, true)) {
+      result.findings.push_back(FileFinding{a.rel, std::move(f)});
     }
   }
   return result;

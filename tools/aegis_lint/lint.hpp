@@ -31,7 +31,13 @@ std::vector<Finding> lint_source(std::string_view source,
                                  std::string_view companion,
                                  const LintConfig& config);
 
-struct TreeOptions {
+// ---------------------------------------------------------------------------
+// Two-phase project analysis. Phase 1 lexes each file, runs the lexical
+// rules over it and extracts its FileModel; phase 2 runs the
+// interprocedural rules from effects.cpp over the project-wide call graph
+// and filters every finding against its file's suppressions.
+
+struct ProjectOptions {
   std::string root;                 // absolute or cwd-relative repo root
   std::vector<std::string> paths;   // subtrees/files relative to root
   /// Path prefixes (relative, '/'-terminated) where banned-clock is off:
@@ -46,25 +52,6 @@ struct TreeOptions {
   std::vector<std::string> exclude = {"tools/aegis_lint/testdata/"};
 };
 
-/// Lints every .cpp/.hpp/.h under the requested subtrees, in sorted path
-/// order. A .cpp file's same-stem .hpp/.h neighbor is its companion.
-/// Throws std::runtime_error when a requested path does not exist.
-std::vector<FileFinding> lint_tree(const TreeOptions& options);
-
-// ---------------------------------------------------------------------------
-// Two-phase project analysis (the v2 analyzer). lint_tree above stays the
-// per-file lexical pass; lint_project runs it AND the interprocedural
-// rules from effects.cpp over a project-wide call graph, with an optional
-// phase-1 result cache.
-
-struct ProjectOptions {
-  TreeOptions tree;
-  /// Directory for the phase-1 incremental cache; "" disables caching.
-  /// Cached and uncached runs produce byte-identical findings — phase 2
-  /// always runs fresh from the cached per-file models.
-  std::string cache_dir;
-};
-
 struct ProjectResult {
   /// All surviving findings — lexical, parse diagnostics, interprocedural,
   /// and stale-suppression warnings — suppression-filtered and sorted by
@@ -73,10 +60,11 @@ struct ProjectResult {
   std::vector<FileFinding> findings;
   /// The phase-1 models, for --graph-dump and the RNG manifest.
   ProjectModel model;
-  std::size_t files_analyzed = 0;
-  std::size_t cache_hits = 0;
 };
 
+/// Lints every .cpp/.hpp/.h/.cc under the requested subtrees, in sorted
+/// path order. A .cpp file's same-stem .hpp/.h neighbor is its companion.
+/// Throws std::runtime_error when a requested path does not exist.
 ProjectResult lint_project(const ProjectOptions& options);
 
 /// Deletes the stale suppression comments `stale` points at (rule

@@ -7,20 +7,15 @@
 //                                           comments for every finding
 //   aegis_lint ... --sarif FILE             also write a SARIF 2.1.0 log
 //                                           ("-" = stdout)
-//   aegis_lint ... --cache-dir DIR          phase-1 incremental cache
 //   aegis_lint ... --graph-dump FILE        dump the call graph ("-" = stdout)
 //   aegis_lint ... --write-rng-manifest F   regenerate RNG_STREAMS.md
 //   aegis_lint ... --check-rng-manifest F   fail unless F matches the code
 //   aegis_lint ... --prune-suppressions     list stale suppressions only
 //   aegis_lint ... --prune-apply            ...and delete them in place
 //   aegis_lint ... --stale-as-error         stale suppressions fail the run
-//   aegis_lint ... --time-report            print phase wall times
-//   aegis_lint ... --time-json FILE         write run timing as JSON (the
-//                                           bench_compare --lint budget)
 //
 // Exit status: 0 clean, 1 unsuppressed findings (stale suppressions count
 // only under --stale-as-error), 2 usage or I/O error.
-#include <chrono>
 #include <cstring>
 #include <fstream>
 #include <iostream>
@@ -63,14 +58,12 @@ int main(int argc, char** argv) {
   using namespace aegis::lint;
 
   ProjectOptions options;
-  options.tree.root = ".";
+  options.root = ".";
   bool fix_suppressions = false;
   bool list_rules = false;
   bool prune = false;
   bool prune_apply = false;
   bool stale_as_error = false;
-  bool time_report = false;
-  std::string time_json_path;
   std::string sarif_path;
   std::string graph_dump_path;
   std::string write_manifest_path;
@@ -89,9 +82,7 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--root") {
-      if (!need_value(i, "--root", options.tree.root)) return 2;
-    } else if (arg == "--cache-dir") {
-      if (!need_value(i, "--cache-dir", options.cache_dir)) return 2;
+      if (!need_value(i, "--root", options.root)) return 2;
     } else if (arg == "--sarif") {
       if (!need_value(i, "--sarif", sarif_path)) return 2;
     } else if (arg == "--graph-dump") {
@@ -103,7 +94,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--exclude") {
       std::string prefix;
       if (!need_value(i, "--exclude", prefix)) return 2;
-      options.tree.exclude.push_back(prefix);
+      options.exclude.push_back(prefix);
     } else if (arg == "--fix-suppressions") {
       fix_suppressions = true;
     } else if (arg == "--prune-suppressions") {
@@ -113,20 +104,15 @@ int main(int argc, char** argv) {
       prune_apply = true;
     } else if (arg == "--stale-as-error") {
       stale_as_error = true;
-    } else if (arg == "--time-report") {
-      time_report = true;
-    } else if (arg == "--time-json") {
-      if (!need_value(i, "--time-json", time_json_path)) return 2;
     } else if (arg == "--list-rules") {
       list_rules = true;
     } else if (arg == "--help" || arg == "-h") {
       std::cout
-          << "usage: aegis_lint [--root DIR] [--cache-dir DIR] [--sarif FILE]\n"
+          << "usage: aegis_lint [--root DIR] [--sarif FILE]\n"
              "                  [--graph-dump FILE] [--write-rng-manifest FILE]\n"
              "                  [--check-rng-manifest FILE] [--exclude PREFIX]\n"
              "                  [--prune-suppressions [--prune-apply]]\n"
              "                  [--stale-as-error] [--fix-suppressions]\n"
-             "                  [--time-report] [--time-json FILE]\n"
              "                  [--list-rules] [paths...]\n";
       return 0;
     } else if (arg.rfind("--", 0) == 0) {
@@ -148,13 +134,11 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  options.tree.paths =
+  options.paths =
       paths.empty()
           ? std::vector<std::string>{"src", "bench", "examples", "tools"}
           : paths;
 
-  // aegis-lint: clock-ok(--time-report exists to measure the linter itself)
-  const auto t0 = std::chrono::steady_clock::now();
   ProjectResult result;
   try {
     result = lint_project(options);
@@ -162,8 +146,6 @@ int main(int argc, char** argv) {
     std::cerr << e.what() << "\n";
     return 2;
   }
-  // aegis-lint: clock-ok(--time-report exists to measure the linter itself)
-  const auto t1 = std::chrono::steady_clock::now();
 
   std::vector<FileFinding> errors;
   std::vector<FileFinding> stale;
@@ -177,7 +159,7 @@ int main(int argc, char** argv) {
     }
     if (prune_apply) {
       const std::size_t removed =
-          prune_stale_suppressions(options.tree.root, stale);
+          prune_stale_suppressions(options.root, stale);
       std::cout << "aegis_lint: removed " << removed
                 << " stale suppression(s)\n";
     } else {
@@ -254,26 +236,6 @@ int main(int argc, char** argv) {
   for (const FileFinding& f : stale) {
     std::cout << (stale_as_error ? "" : "warning: ") << format_finding(f)
               << "\n";
-  }
-  const auto wall_ms =
-      std::chrono::duration_cast<std::chrono::milliseconds>(t1 - t0).count();
-  if (time_report) {
-    std::cout << "aegis_lint: analyzed " << result.files_analyzed
-              << " file(s) in " << wall_ms << " ms (" << result.cache_hits
-              << " cache hit(s))\n";
-  }
-  if (!time_json_path.empty()) {
-    std::ostringstream js;
-    js << "{\n"
-       << "  \"ruleset\": \"" << kRuleSetVersion << "\",\n"
-       << "  \"files_analyzed\": " << result.files_analyzed << ",\n"
-       << "  \"cache_hits\": " << result.cache_hits << ",\n"
-       << "  \"wall_ms\": " << wall_ms << "\n"
-       << "}\n";
-    if (!write_text(time_json_path, js.str())) {
-      std::cerr << "aegis_lint: cannot write " << time_json_path << "\n";
-      return 2;
-    }
   }
 
   const bool failed =

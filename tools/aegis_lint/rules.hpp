@@ -80,9 +80,8 @@ struct RuleInfo {
   std::string summary;
 };
 
-/// Bumped whenever a rule's behavior changes. Part of every incremental-
-/// cache key (a stale entry from an older rule set can never satisfy a
-/// lookup) and of the CI cache key, and reported as the SARIF tool version.
+/// Bumped whenever a rule's behavior changes; reported as the SARIF tool
+/// version.
 inline constexpr std::string_view kRuleSetVersion = "aegis-lint-2.2";
 
 // ---------------------------------------------------------------------------

@@ -2,41 +2,20 @@
 
 namespace aegis::obf {
 
-NoiseCalculator::NoiseCalculator(dp::MechanismConfig config,
-                                 std::size_t buffer_size)
+NoiseCalculator::NoiseCalculator(dp::MechanismConfig config)
     : config_(config),
       mechanism_(dp::make_mechanism(config)),
-      rng_(config.seed ^ 0xCA1CULL) {
-  buffer_.reserve(buffer_size == 0 ? 1 : buffer_size);
-  buffer_.resize(buffer_size == 0 ? 1 : buffer_size);
-  buffer_pos_ = buffer_.size();  // force refill on first use
-}
+      rng_(config.seed ^ 0xCA1CULL) {}
 
-// aegis-rng: stream(noise-calculator-next-buffered-laplace)
-double NoiseCalculator::next_buffered_laplace() {
-  if (buffer_pos_ >= buffer_.size()) {
-    const double scale = config_.sensitivity / config_.epsilon;
-    for (double& r : buffer_) r = rng_.laplace(0.0, scale);
-    buffer_pos_ = 0;
-  }
-  return buffer_[buffer_pos_++];
-}
-
+// aegis-rng: stream(noise-calculator-noise-for)
 double NoiseCalculator::noise_for(double x_t) {
   if (config_.kind == dp::MechanismKind::kLaplace) {
-    // Fast path: input-independent noise straight from the ring buffer.
-    return next_buffered_laplace();
+    // Input-independent noise: one direct-transform draw per call.
+    return rng_.laplace(0.0, config_.sensitivity / config_.epsilon);
   }
   return mechanism_->noisy_value(x_t) - x_t;
 }
 
 void NoiseCalculator::reset_series() { mechanism_->reset(); }
-
-std::vector<double> NoiseCalculator::precompute_batch(std::size_t n) {
-  std::vector<double> batch;
-  batch.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) batch.push_back(next_buffered_laplace());
-  return batch;
-}
 
 }  // namespace aegis::obf

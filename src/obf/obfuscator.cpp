@@ -168,13 +168,15 @@ sim::SliceAgent EventObfuscator::session() {
     per_gadget.seed = session_seeds_.next_u64();
     calculators->emplace_back(per_gadget);
   }
+  // Per-session scratch for the multi-stream slice's noise vector.
+  auto noise = std::make_shared<std::vector<double>>(streams);
   std::shared_ptr<double> total_reps = total_reps_;
   std::shared_ptr<std::uint64_t> total_draws = total_draws_;
   const telemetry::EventHandle rotation_event = rotation_event_;
   const std::uint64_t session_ordinal = sessions_;
 
-  return [calculators, controller, injectors, plan, total_reps, total_draws,
-          rotation_event,
+  return [calculators, noise, controller, injectors, plan, total_reps,
+          total_draws, rotation_event,
           session_ordinal](sim::VirtualMachine& vm, std::size_t t) {
     // Kernel module: RDPMC the protected series (previous slice) and send
     // it to the daemon over the netlink channel.
@@ -195,11 +197,10 @@ sim::SliceAgent EventObfuscator::session() {
     if (calculators->size() == 1) {
       injector.inject(vm, (*calculators)[0].noise_for(x_t));
     } else {
-      std::vector<double> noise(calculators->size());
-      for (std::size_t g = 0; g < noise.size(); ++g) {
-        noise[g] = (*calculators)[g].noise_for(x_t);
+      for (std::size_t g = 0; g < noise->size(); ++g) {
+        (*noise)[g] = (*calculators)[g].noise_for(x_t);
       }
-      injector.inject_mixture(vm, noise);
+      injector.inject_mixture(vm, *noise);
     }
     *total_draws += calculators->size();
     *total_reps += injector.total_repetitions() - before;

@@ -13,6 +13,7 @@
 #include "obf/kernel_controller.hpp"
 #include "obf/noise_calculator.hpp"
 #include "obf/obfuscator.hpp"
+#include "util/rng.hpp"
 #include "util/stats.hpp"
 #include "workload/website.hpp"
 
@@ -53,12 +54,12 @@ struct Fixture {
   }
 };
 
-TEST(NoiseCalculator, BufferedLaplaceMatchesDistribution) {
+TEST(NoiseCalculator, LaplaceMatchesDistribution) {
   dp::MechanismConfig config;
   config.kind = dp::MechanismKind::kLaplace;
   config.epsilon = 0.5;
   config.seed = 1;
-  NoiseCalculator calc(config, 512);
+  NoiseCalculator calc(config);
   std::vector<double> noise;
   for (int i = 0; i < 50000; ++i) noise.push_back(calc.noise_for(0.0));
   EXPECT_NEAR(util::mean(noise), 0.0, 0.06);
@@ -66,14 +67,20 @@ TEST(NoiseCalculator, BufferedLaplaceMatchesDistribution) {
   EXPECT_NEAR(util::variance(noise), 8.0, 0.6);
 }
 
-TEST(NoiseCalculator, PrecomputeBatchSpansRefills) {
+TEST(NoiseCalculator, LaplaceDrawsAreTheSeededStream) {
+  // Laplace noise is drawn on demand from the calculator's own stream, in
+  // order: the i-th call returns the stream's i-th direct-transform draw.
   dp::MechanismConfig config;
   config.kind = dp::MechanismKind::kLaplace;
-  config.epsilon = 1.0;
-  NoiseCalculator calc(config, 64);
-  const auto batch = calc.precompute_batch(200);  // forces several refills
-  EXPECT_EQ(batch.size(), 200u);
-  EXPECT_GT(util::stddev(batch), 0.5);
+  config.epsilon = 0.25;
+  config.sensitivity = 1.5;
+  config.seed = 0x5EEDULL;
+  NoiseCalculator calc(config);
+  util::Rng reference(config.seed ^ 0xCA1CULL);
+  const double scale = config.sensitivity / config.epsilon;
+  for (int i = 0; i < 10000; ++i) {
+    ASSERT_EQ(calc.noise_for(0.0), reference.laplace(0.0, scale)) << "draw " << i;
+  }
 }
 
 TEST(NoiseCalculator, DStarUsesObservations) {

@@ -17,7 +17,6 @@
 #include "ml/gaussian_nb.hpp"
 #include "ml/knn.hpp"
 #include "obf/obfuscator.hpp"
-#include "obf/noise_calculator.hpp"
 #include "profiler/profiler.hpp"
 #include "workload/idle.hpp"
 
@@ -90,16 +89,6 @@ TEST(Robustness, SetCoverOfEmptyResultIsEmpty) {
   EXPECT_TRUE(cover.gadgets.empty());
   EXPECT_TRUE(cover.covered_events.empty());
   EXPECT_TRUE(cover.uncovered_events.empty());
-}
-
-TEST(Robustness, NoiseCalculatorWithZeroBufferSize) {
-  dp::MechanismConfig config;
-  config.kind = dp::MechanismKind::kLaplace;
-  config.epsilon = 1.0;
-  obf::NoiseCalculator calc(config, 0);  // clamped internally to 1
-  for (int i = 0; i < 100; ++i) {
-    EXPECT_TRUE(std::isfinite(calc.noise_for(0.0)));
-  }
 }
 
 TEST(Robustness, ProfilerRankWithNoEventsOrSecrets) {

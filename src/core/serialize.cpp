@@ -18,14 +18,13 @@ namespace aegis::core {
 namespace {
 
 // Header line: "aegis-offline-result v<N>". The version is parsed, not
-// string-compared: streams written by an OLDER build (version <=
-// kFormatVersion) load normally, while a stream from a NEWER build is
-// rejected with an actionable error instead of a confusing parse failure
-// deeper in the file. Bump kFormatVersion whenever the section layout
-// changes incompatibly.
-// v1: cpu line only. v2: adds a "backend <id>" line after the cpu line so a
-// result templated on one PMU backend cannot be silently replayed on
-// another; v1 streams still load (the backend is implied by the cpu line).
+// string-compared, and only kFormatVersion loads: a stream of any other
+// version is rejected up front with one actionable error instead of a
+// confusing parse failure deeper in the file. A saved analysis is a cache
+// that can always be regenerated, so there are no readers for old formats.
+// Bump kFormatVersion whenever the section layout changes incompatibly.
+// v2 carries a "backend <id>" line after the cpu line so a result templated
+// on one PMU backend cannot be silently replayed on another.
 constexpr const char* kMagicPrefix = "aegis-offline-result v";
 constexpr unsigned kFormatVersion = 2;
 
@@ -189,11 +188,12 @@ OfflineResult load_offline_result(std::istream& is,
       throw std::runtime_error("load_offline_result: bad format version in '" +
                                magic + "'");
     }
-    if (version == 0 || version > kFormatVersion) {
+    if (version != kFormatVersion) {
       throw std::runtime_error(
           "load_offline_result: stream format v" + std::to_string(version) +
-          " is newer than this build's supported v" +
-          std::to_string(kFormatVersion) + "; upgrade aegis to load it");
+          " is not v" + std::to_string(kFormatVersion) +
+          ", the only format this build reads; re-run the offline analysis "
+          "for an older stream, or use a newer aegis for a newer one");
     }
   }
   {
@@ -216,7 +216,7 @@ OfflineResult load_offline_result(std::istream& is,
                                cpu_line);
     }
   }
-  if (version >= 2) {
+  {
     // Belt-and-braces next to the family check: the backend id names the
     // vendor family a template was analyzed on, and a template only ever
     // loads back into the same family's backend.

@@ -7,8 +7,9 @@
 // the cover. save/load use a line-oriented text format (one section per
 // component) so the analysis can be shipped into the guest, versioned and
 // diffed. The header line carries an explicit format version
-// ("aegis-offline-result v<N>"): older-version streams load, future
-// versions are rejected with a clear upgrade error. Event ids are stored
+// ("aegis-offline-result v<N>"): only the current version loads, and any
+// other is rejected with one clear error (a cache holding such a file
+// re-analyses). Event ids are stored
 // by NAME, so a result saved against one family member loads against
 // another (Table I: family members share their event lists).
 #pragma once

@@ -3,16 +3,9 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "telemetry/registry.hpp"
-
 namespace aegis::obf {
 
 namespace {
-
-/// Bucket bounds for the injected-repetition histogram: injections span a
-/// few reps (idle slices) to tens of thousands (worst-case bursts).
-constexpr double kRepsBounds[] = {1.0,    10.0,    100.0,   1000.0,
-                                  10000.0, 100000.0};
 
 /// Upper bound on the uops of a single submitted chunk (see the chunking
 /// comment in the constructor).
@@ -38,11 +31,7 @@ NoiseInjector::NoiseInjector(const isa::IsaSpecification& spec,
                              const std::vector<WeightedGadget>& gadgets,
                              double unit_reps, double clip_norm)
     : unit_reps_(unit_reps),
-      clip_norm_(clip_norm),
-      injections_(telemetry::Registry::global().metrics().counter(
-          "aegis_obf_injections_total")),
-      injected_reps_(telemetry::Registry::global().metrics().histogram(
-          "aegis_obf_injected_reps", kRepsBounds)) {
+      clip_norm_(clip_norm) {
   if (gadgets.empty()) {
     throw std::invalid_argument("NoiseInjector: empty gadget cover");
   }
@@ -104,8 +93,6 @@ double NoiseInjector::inject_mixture(sim::VirtualMachine& vm,
   const double mean_reps =
       reps_total / static_cast<double>(per_gadget_.size());
   total_reps_ += mean_reps;
-  injections_.inc();
-  injected_reps_.observe(mean_reps);
   return mean_reps;
 }
 
@@ -128,8 +115,6 @@ double NoiseInjector::inject(sim::VirtualMachine& vm, double noise_norm) {
     vm.submit(segment_.scaled(remaining));
   }
   total_reps_ += reps;
-  injections_.inc();
-  injected_reps_.observe(reps);
   return reps;
 }
 

@@ -10,7 +10,6 @@
 #include "fuzzer/set_cover.hpp"
 #include "isa/spec.hpp"
 #include "sim/virtual_machine.hpp"
-#include "telemetry/metrics.hpp"
 
 namespace aegis::obf {
 
@@ -76,10 +75,6 @@ class NoiseInjector {
   double clip_norm_ = 0.0;
   std::size_t gadget_count_ = 0;
   double total_reps_ = 0.0;
-  /// Resolved once at construction (telemetry-handle rule); the noalloc
-  /// inject paths only touch lock-free handles.
-  telemetry::Counter injections_;
-  telemetry::Histogram injected_reps_;
 };
 
 }  // namespace aegis::obf

@@ -3,16 +3,11 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "telemetry/registry.hpp"
-
 namespace aegis::pmu {
 
 CounterRegisterFile::CounterRegisterFile(const EventDatabase& db,
                                          std::uint64_t noise_seed)
-    : db_(&db),
-      rng_(noise_seed),
-      accumulate_calls_(telemetry::Registry::global().metrics().counter(
-          "aegis_pmu_accumulate_total")) {}
+    : db_(&db), rng_(noise_seed) {}
 
 void CounterRegisterFile::program(std::vector<std::uint32_t> event_ids) {
   for (std::uint32_t id : event_ids) {
@@ -65,7 +60,6 @@ std::size_t CounterRegisterFile::slot_of(std::uint32_t event_id) const {
 
 // aegis-lint: noalloc
 void CounterRegisterFile::accumulate(const ExecutionStats& stats) {
-  accumulate_calls_.inc();
   accumulate_batched(stats);
 }
 

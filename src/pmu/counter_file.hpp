@@ -22,7 +22,6 @@
 
 #include "pmu/event_database.hpp"
 #include "pmu/response_matrix.hpp"
-#include "telemetry/metrics.hpp"
 #include "util/rng.hpp"
 
 namespace aegis::pmu {
@@ -104,9 +103,6 @@ class CounterRegisterFile {
   ResponseMatrix matrix_;
   std::size_t active_group_ = 0;
   std::uint64_t total_slices_ = 0;
-  /// Resolved once at construction (telemetry-handle rule): recording in the
-  /// noalloc accumulate path is a lock-free shard increment.
-  telemetry::Counter accumulate_calls_;
 };
 
 }  // namespace aegis::pmu

@@ -3,7 +3,6 @@
 #include <cstring>
 #include <string>
 
-#include "telemetry/anomaly.hpp"
 #include "telemetry/registry.hpp"
 
 namespace aegis::service {
@@ -34,22 +33,11 @@ std::uint64_t double_bits(double v) noexcept {
 
 }  // namespace
 
-const char* to_string(Admission a) noexcept {
-  switch (a) {
-    case Admission::kAdmit: return "admit";
-    case Admission::kDegrade: return "degrade";
-    case Admission::kRefuse: return "refuse";
-  }
-  return "?";
-}
-
 BudgetGovernor::BudgetGovernor(GovernorConfig config)
     : config_(config),
       telemetry_(&telemetry::resolve(config.telemetry)),
       decision_event_(telemetry_->recorder().event_handle(
-          "governor.decision", telemetry::WideEventType::kAdmission)),
-      proactive_degrades_(telemetry_->metrics().counter(
-          "aegis_governor_proactive_degrades_total")) {}
+          "governor.decision", telemetry::WideEventType::kAdmission)) {}
 
 BudgetGovernor::Tenant& BudgetGovernor::tenant_for(std::uint64_t tenant_id) {
   auto [it, inserted] = tenants_.try_emplace(tenant_id);
@@ -100,23 +88,7 @@ AdmissionDecision BudgetGovernor::request_window(std::uint64_t tenant_id,
     return decision;
   }
 
-  // Proactive degradation (ROADMAP item 5): when the forecaster predicts
-  // this tenant exhausts its cap inside the horizon, start the ladder at
-  // granularity 2 — fewer releases per window now, instead of a forced
-  // refuse later. The forecast lock (level 17) nests above ours (15).
-  std::size_t g_start = 1;
-  if (config_.forecaster != nullptr && config_.proactive_horizon_ns > 0) {
-    const telemetry::BudgetForecast fc =
-        config_.forecaster->forecast(tenant_id);
-    if (fc.valid &&
-        fc.eta_ns < static_cast<double>(config_.proactive_horizon_ns) &&
-        config_.max_granularity >= 2) {
-      g_start = 2;
-      proactive_degrades_.inc();
-    }
-  }
-
-  for (std::size_t g = g_start; g <= config_.max_granularity; g *= 2) {
+  for (std::size_t g = 1; g <= config_.max_granularity; g *= 2) {
     const std::size_t releases = releases_for(slices, g);
     const double after = tenant.accountant.advanced_epsilon_if(
         per_slice_epsilon, releases, config_.delta);
@@ -138,37 +110,21 @@ AdmissionDecision BudgetGovernor::request_window(std::uint64_t tenant_id,
   decision.epsilon_after = tenant.accountant.advanced_epsilon(config_.delta);
   tenant.refused.inc();
   record_decision(tenant_id, tenant, decision);
-  if (config_.dump_on_refuse) {
-    // Budget gate breach: snapshot the flight recorder so forensics can see
-    // the admission/span history that led here. No-op unless armed.
-    telemetry_->recorder().trigger_armed_dump();
-  }
   return decision;
 }
 
-// Caller holds mu_ (level 15); the forecaster (17) and metric sinks sit
-// above it, so the order is ascending. One clock read, one wide event and
-// one forecaster point per decision, all in submission order.
+// Caller holds mu_ (level 15); the metric sinks sit above it, so the order
+// is ascending. One clock read and one wide event per decision, in
+// submission order.
 void BudgetGovernor::record_decision(std::uint64_t tenant_id,
                                      const Tenant& tenant,
                                      const AdmissionDecision& decision,
                                      bool reset) {
-  telemetry::BudgetEvent event;
-  event.seq = next_seq_++;
-  event.t_ns = telemetry_->now_ns();
-  event.tenant_id = tenant_id;
-  event.outcome = reset ? "reset" : to_string(decision.outcome);
-  event.granularity = static_cast<std::uint32_t>(decision.granularity);
-  event.releases = decision.releases;
-  event.epsilon_after = decision.epsilon_after;
-  event.epsilon_cap = tenant.epsilon_cap;
   decision_event_.record(
-      event.t_ns, reset ? kResetCode : outcome_code(decision.outcome),
-      event.granularity, event.releases, double_bits(event.epsilon_after),
+      telemetry_->now_ns(), reset ? kResetCode : outcome_code(decision.outcome),
+      decision.granularity, decision.releases,
+      double_bits(decision.epsilon_after),
       static_cast<std::uint32_t>(tenant_id));
-  if (config_.forecaster != nullptr) {
-    config_.forecaster->ingest(event);
-  }
   tenant.epsilon_gauge.set(decision.epsilon_after);
   tenant.remaining_gauge.set(tenant.epsilon_cap - decision.epsilon_after);
 }

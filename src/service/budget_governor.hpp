@@ -30,14 +30,11 @@
 
 namespace aegis::telemetry {
 class Registry;
-class BudgetForecaster;
 }
 
 namespace aegis::service {
 
 enum class Admission : unsigned char { kAdmit, kDegrade, kRefuse };
-
-const char* to_string(Admission a) noexcept;
 
 struct AdmissionDecision {
   Admission outcome = Admission::kRefuse;
@@ -59,19 +56,6 @@ struct GovernorConfig {
   /// the governor's own accountants and the outcome tallies from the
   /// per-tenant counters.
   telemetry::Registry* telemetry = nullptr;
-  /// Online ε-exhaustion forecaster (telemetry/anomaly.hpp). When set, the
-  /// governor feeds it every decision AND consults it for PROACTIVE
-  /// degradation: a tenant whose forecast exhaustion ETA falls inside
-  /// `proactive_horizon_ns` starts the granularity ladder at 2 instead of
-  /// 1, spreading the remaining budget over more windows before the
-  /// accountant would force a harsher degrade (ROADMAP item 5). Null, or a
-  /// zero horizon, leaves admission byte-for-byte unchanged.
-  telemetry::BudgetForecaster* forecaster = nullptr;
-  std::uint64_t proactive_horizon_ns = 0;
-  /// Dump the armed flight recorder when a tenant is REFUSED (a budget
-  /// gate breach is exactly the "what led up to this" moment the recorder
-  /// exists for). No-op when no recorder is armed.
-  bool dump_on_refuse = false;
 };
 
 class BudgetGovernor {
@@ -118,8 +102,8 @@ class BudgetGovernor {
   Tenant& tenant_for(std::uint64_t tenant_id);
 
   /// Stamps the decision (or the budget reset) from the registry clock,
-  /// records it as a kAdmission wide event, feeds the forecaster and
-  /// refreshes the tenant's gauges. Caller holds mu_.
+  /// records it as a kAdmission wide event and refreshes the tenant's
+  /// gauges. Caller holds mu_.
   void record_decision(std::uint64_t tenant_id, const Tenant& tenant,
                        const AdmissionDecision& decision, bool reset = false);
 
@@ -129,11 +113,9 @@ class BudgetGovernor {
   telemetry::Registry* telemetry_;  // resolved (never null)
   /// Admission wide events, resolved once (wait-free record path).
   telemetry::EventHandle decision_event_;
-  telemetry::Counter proactive_degrades_;
   // aegis-lint: lock-level(15, noblock)
   mutable std::mutex mu_;
   std::map<std::uint64_t, Tenant> tenants_;  // ordered for stable snapshots
-  std::uint64_t next_seq_ = 0;               // decision sequence number
 };
 
 }  // namespace aegis::service

@@ -11,18 +11,10 @@ namespace aegis::service {
 
 namespace {
 
-TemplateCacheConfig with_telemetry(TemplateCacheConfig config,
-                                   telemetry::Registry* reg) {
+/// Copy of a component config with its telemetry sink pointed at `reg`.
+template <typename Config>
+Config with_telemetry(Config config, telemetry::Registry* reg) {
   config.telemetry = reg;
-  return config;
-}
-
-GovernorConfig with_telemetry(GovernorConfig config, telemetry::Registry* reg,
-                              telemetry::BudgetForecaster* forecaster) {
-  config.telemetry = reg;
-  // The service-owned forecaster is fed every decision unless the caller
-  // wired an external one into the governor config themselves.
-  if (config.forecaster == nullptr) config.forecaster = forecaster;
   return config;
 }
 
@@ -35,10 +27,9 @@ ProtectionService::ProtectionService(ServiceConfig config)
                            : nullptr),
       telemetry_(config.telemetry != nullptr ? config.telemetry
                                              : owned_telemetry_.get()),
-      forecaster_(config.forecaster, telemetry_),
       attack_monitor_(config.attack_monitor, telemetry_),
       cache_(with_telemetry(config.cache, telemetry_)),
-      governor_(with_telemetry(config.governor, telemetry_, &forecaster_)),
+      governor_(with_telemetry(config.governor, telemetry_)),
       manager_(config.num_threads, governor_, telemetry_),
       queue_(std::max<std::size_t>(1, config.queue_capacity)),
       submitted_(

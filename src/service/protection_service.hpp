@@ -45,14 +45,10 @@ struct ServiceConfig {
   /// manager sinks are overridden to point at the resolved registry either
   /// way.
   telemetry::Registry* telemetry = nullptr;
-  /// Online anomaly layer (telemetry/anomaly.hpp). The ε-exhaustion
-  /// forecaster is always constructed and fed every governor decision —
-  /// pure observability; it only CHANGES admission when
-  /// governor.proactive_horizon_ns is set. The attack monitor scores every
+  /// Online attack monitor (telemetry/anomaly.hpp). It scores every
   /// executed session; when attack_monitor.attack_events is empty it is
   /// populated from the first registered engine's PMU backend
   /// (PmuBackend::attack_events()).
-  telemetry::ForecasterConfig forecaster;
   telemetry::AttackMonitorConfig attack_monitor;
   /// Test seam, null in production: the dispatcher calls it after each
   /// batch, once the batch's sessions are accounted and drain() woken.
@@ -112,7 +108,6 @@ class ProtectionService {
 
   BudgetGovernor& governor() noexcept { return governor_; }
   TemplateCache& cache() noexcept { return cache_; }
-  telemetry::BudgetForecaster& forecaster() noexcept { return forecaster_; }
   telemetry::AttackProbabilityMonitor& attack_monitor() noexcept {
     return attack_monitor_;
   }
@@ -133,9 +128,6 @@ class ProtectionService {
   ServiceConfig config_;
   std::unique_ptr<telemetry::Registry> owned_telemetry_;
   telemetry::Registry* telemetry_;  // resolved (never null)
-  // Anomaly layer, constructed before the governor so the governor config
-  // can point at forecaster_ (a config-supplied forecaster wins).
-  telemetry::BudgetForecaster forecaster_;
   telemetry::AttackProbabilityMonitor attack_monitor_;
   TemplateCache cache_;
   BudgetGovernor governor_;

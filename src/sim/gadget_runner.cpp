@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "telemetry/registry.hpp"
 #include "util/hash.hpp"
 
 namespace aegis::sim {
@@ -57,11 +56,7 @@ GadgetRunner::GadgetRunner(const pmu::EventDatabase& db,
                            const isa::IsaSpecification& spec, std::uint64_t seed)
     : spec_(&spec),
       rng_(seed),
-      counters_(db, rng_.next_u64()),
-      executions_(telemetry::Registry::global().metrics().counter(
-          "aegis_gadget_executions_total")),
-      exec_event_(telemetry::Registry::global().recorder().event_handle(
-          "gadget.exec", telemetry::WideEventType::kHotExec)) {
+      counters_(db, rng_.next_u64()) {
   // isolcpus + core pinning: almost no external interference.
   config_.interrupt_rate = 0.002;
 }
@@ -139,14 +134,6 @@ std::span<const double> GadgetRunner::execute_once(
   // Cache hits resolve via the MRU compare / hash probe with zero
   // allocation; only a first-seen (uids, unroll) builds.
   const Superblock& sb = superblock(variant_uids, unroll);
-  executions_.inc();
-  // Sampled flight-recorder record point (1-in-8): one branch on the fast
-  // iterations, a wait-free ring write on the sampled ones, stamped with a
-  // local ordinal rather than a shared clock.
-  if ((++exec_count_ & 7) == 0) {
-    exec_event_.record(exec_count_, sb.uids.size(),
-                       static_cast<std::uint64_t>(unroll));
-  }
   // Prolog runs before the first RDPMC.
   (void)execute_compiled(kProlog, uarch_);
 

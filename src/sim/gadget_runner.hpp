@@ -35,8 +35,6 @@
 #include "pmu/counter_file.hpp"
 #include "sim/executor.hpp"
 #include "sim/virtual_machine.hpp"
-#include "telemetry/flight_recorder.hpp"
-#include "telemetry/metrics.hpp"
 #include "util/arena.hpp"
 
 namespace aegis::sim {
@@ -107,14 +105,6 @@ class GadgetRunner {
   std::array<std::size_t, pmu::EventDatabase::kNumCounters> slot_idx_{};
   std::array<double, pmu::EventDatabase::kNumCounters> before_{};
   std::array<double, pmu::EventDatabase::kNumCounters> delta_{};
-  /// Resolved once at construction (telemetry-handle rule); incrementing in
-  /// execute_once stays allocation-free.
-  telemetry::Counter executions_;
-  /// Flight-recorder hot-path record point, also resolved at construction.
-  /// Sampled 1-in-8 executions and stamped with a LOCAL ordinal (no shared
-  /// clock traffic).
-  telemetry::EventHandle exec_event_;
-  std::uint64_t exec_count_ = 0;
 };
 
 }  // namespace aegis::sim

@@ -192,12 +192,10 @@ const char* to_string(WideEventType t) noexcept {
     case WideEventType::kNone: return "none";
     case WideEventType::kSpanBegin: return "span-begin";
     case WideEventType::kSpanEnd: return "span-end";
-    case WideEventType::kMetricDelta: return "metric-delta";
     case WideEventType::kAdmission: return "admission";
     case WideEventType::kPlanRotation: return "plan-rotation";
     case WideEventType::kRngCheckpoint: return "rng-checkpoint";
     case WideEventType::kAlert: return "alert";
-    case WideEventType::kHotExec: return "hot-exec";
   }
   return "?";
 }
@@ -461,18 +459,6 @@ void FlightRecorder::arm_crash_dump(const char* path_prefix) {
   if (g_terminate_hook_installed.compare_exchange_strong(installed, true)) {
     g_prev_terminate = std::set_terminate(fr_terminate_handler);
   }
-}
-
-FlightRecorder* FlightRecorder::armed() noexcept {
-  return g_armed.load(std::memory_order_acquire);
-}
-
-bool FlightRecorder::trigger_armed_dump() const noexcept {
-  if (g_armed.load(std::memory_order_acquire) != this ||
-      g_armed_path[0] == '\0') {
-    return false;
-  }
-  return dump_to_file(g_armed_path);
 }
 
 std::optional<DumpDocument> read_dump(std::istream& is) {

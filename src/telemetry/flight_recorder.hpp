@@ -4,8 +4,7 @@
 //
 // Design goals, in order:
 //   1. The record path is wait-free and allocation-free, so it is legal
-//      inside the existing `noalloc` regions (GadgetRunner::execute_once,
-//      NoiseInjector::inject). Like MetricsRegistry, the slow path is the
+//      inside `noalloc` regions. Like MetricsRegistry, the slow path is the
 //      by-name registration (`event_handle`) which takes a mutex and may
 //      allocate; the returned EventHandle is a trivially-copyable pointer
 //      wrapper whose record() is a claim-index fetch_add plus seven relaxed
@@ -48,19 +47,18 @@ namespace aegis::telemetry {
 class FlightRecorder;
 
 /// Wide-event kinds. The numeric values are part of the on-disk dump format
-/// (version header below): append new kinds, never renumber.
+/// (version header below): append new kinds, never renumber. 3 and 8 are
+/// retired kinds; never reuse them.
 enum class WideEventType : std::uint16_t {
   kNone = 0,
   kSpanBegin = 1,      // a=span id, b=arg, c=parent id, d=track; the
                        // stream is the span name
   kSpanEnd = 2,        // a=span id, b=0, c=0, d=track
-  kMetricDelta = 3,    // a/b/c/d free-form (site-defined deltas)
   kAdmission = 4,      // a=outcome code, b=granularity, c=releases,
                        // d=epsilon_after bits (memcpy'd double)
   kPlanRotation = 5,   // a=slice, b=variant index, c=period, d=0
   kRngCheckpoint = 6,  // a=derived seed, b=stream index, c/d free-form
   kAlert = 7,          // a=alert kind, b=score bits (double), c/d free-form
-  kHotExec = 8,        // a=execution count, b=superblock uid, c/d free-form
 };
 
 const char* to_string(WideEventType t) noexcept;
@@ -187,14 +185,6 @@ class FlightRecorder {
   /// wins; arming replaces prior hooks. Path is composed once here so the
   /// signal handler never formats strings.
   void arm_crash_dump(const char* path_prefix);
-
-  /// The recorder most recently armed (nullptr if none).
-  static FlightRecorder* armed() noexcept;
-
-  /// On-demand dump to the armed path (gate breach, shutdown, aegis_top
-  /// request). No-op unless THIS recorder is the armed one; returns whether
-  /// a dump was written.
-  bool trigger_armed_dump() const noexcept;
 
   std::size_t ring_capacity() const noexcept { return capacity_; }
   std::size_t ring_count() const noexcept { return ring_count_; }

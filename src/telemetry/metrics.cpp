@@ -1,8 +1,5 @@
 #include "telemetry/metrics.hpp"
 
-#include <algorithm>
-#include <stdexcept>
-
 namespace aegis::telemetry {
 
 namespace detail {
@@ -12,20 +9,6 @@ std::uint32_t thread_shard() noexcept {
   thread_local const std::uint32_t shard =
       next.fetch_add(1, std::memory_order_relaxed);
   return shard;
-}
-
-HistogramCell::HistogramCell(std::span<const double> upper_bounds)
-    : bounds(upper_bounds.begin(), upper_bounds.end()) {
-  for (std::size_t i = 1; i < bounds.size(); ++i) {
-    if (!(bounds[i - 1] < bounds[i])) {
-      throw std::invalid_argument(
-          "telemetry: histogram bounds must be strictly increasing");
-    }
-  }
-  buckets = std::make_unique<std::atomic<std::uint64_t>[]>(bounds.size() + 1);
-  for (std::size_t i = 0; i <= bounds.size(); ++i) {
-    buckets[i].store(0, std::memory_order_relaxed);
-  }
 }
 
 }  // namespace detail
@@ -53,25 +36,6 @@ Gauge MetricsRegistry::gauge(std::string_view name) {
   return Gauge(it->second.get());
 }
 
-Histogram MetricsRegistry::histogram(std::string_view name,
-                                     std::span<const double> bounds) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = histograms_.find(name);
-  if (it == histograms_.end()) {
-    it = histograms_
-             .emplace(std::string(name),
-                      std::make_unique<detail::HistogramCell>(bounds))
-             .first;
-  }
-  return Histogram(it->second.get());
-}
-
-void MetricsRegistry::set_help(std::string_view base_name,
-                               std::string_view help) {
-  std::lock_guard<std::mutex> lock(mu_);
-  help_[std::string(base_name)] = std::string(help);
-}
-
 MetricsSnapshot MetricsRegistry::snapshot() const {
   std::lock_guard<std::mutex> lock(mu_);
   MetricsSnapshot out;
@@ -83,79 +47,6 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
   for (const auto& [name, cell] : gauges_) {
     out.gauges.push_back({name, cell->get()});
   }
-  out.histograms.reserve(histograms_.size());
-  for (const auto& [name, cell] : histograms_) {
-    HistogramSample s;
-    s.name = name;
-    s.bounds = cell->bounds;
-    s.buckets.resize(cell->bounds.size() + 1);
-    for (std::size_t i = 0; i < s.buckets.size(); ++i) {
-      s.buckets[i] = cell->buckets[i].load(std::memory_order_relaxed);
-    }
-    s.count = cell->count.load(std::memory_order_relaxed);
-    s.sum = cell->sum.load(std::memory_order_relaxed);
-    out.histograms.push_back(std::move(s));
-  }
-  out.help.reserve(help_.size());
-  for (const auto& [name, text] : help_) {
-    out.help.push_back({name, text});
-  }
-  return out;
-}
-
-MetricsSnapshot merge_snapshots(const MetricsSnapshot& a,
-                                const MetricsSnapshot& b) {
-  MetricsSnapshot out = a;
-
-  for (const auto& cb : b.counters) {
-    auto it = std::find_if(out.counters.begin(), out.counters.end(),
-                           [&](const CounterSample& s) { return s.name == cb.name; });
-    if (it != out.counters.end()) {
-      it->value += cb.value;
-    } else {
-      out.counters.push_back(cb);
-    }
-  }
-  for (const auto& gb : b.gauges) {
-    auto it = std::find_if(out.gauges.begin(), out.gauges.end(),
-                           [&](const GaugeSample& s) { return s.name == gb.name; });
-    if (it != out.gauges.end()) {
-      it->value = gb.value;  // last writer wins
-    } else {
-      out.gauges.push_back(gb);
-    }
-  }
-  for (const auto& hb : b.histograms) {
-    auto it = std::find_if(
-        out.histograms.begin(), out.histograms.end(),
-        [&](const HistogramSample& s) { return s.name == hb.name; });
-    if (it == out.histograms.end()) {
-      out.histograms.push_back(hb);
-    } else if (it->bounds == hb.bounds) {
-      for (std::size_t i = 0; i < it->buckets.size(); ++i) {
-        it->buckets[i] += hb.buckets[i];
-      }
-      it->count += hb.count;
-      it->sum += hb.sum;
-    }
-    // Mismatched bounds: keep a's data (documented behavior).
-  }
-
-  for (const auto& hb : b.help) {
-    auto it = std::find_if(out.help.begin(), out.help.end(),
-                           [&](const HelpSample& s) { return s.name == hb.name; });
-    if (it != out.help.end()) {
-      it->help = hb.help;  // last writer wins, like gauges
-    } else {
-      out.help.push_back(hb);
-    }
-  }
-
-  auto by_name = [](const auto& x, const auto& y) { return x.name < y.name; };
-  std::sort(out.counters.begin(), out.counters.end(), by_name);
-  std::sort(out.gauges.begin(), out.gauges.end(), by_name);
-  std::sort(out.histograms.begin(), out.histograms.end(), by_name);
-  std::sort(out.help.begin(), out.help.end(), by_name);
   return out;
 }
 

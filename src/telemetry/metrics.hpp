@@ -1,12 +1,11 @@
 // Allocation-free metrics plane.
 //
-// Registration (Registry::counter/gauge/histogram) is the slow path: it takes
+// Registration (MetricsRegistry::counter/gauge) is the slow path: it takes
 // a mutex and may allocate, so it must happen once, at construction time,
 // OUTSIDE noalloc regions (enforced by the aegis-lint `telemetry-handle`
 // rule). The returned handle is a trivially-copyable pointer wrapper whose
-// record operations (inc/add/set/observe) are lock-free, allocation-free and
-// safe from any thread — cheap enough for `execute_once` and the PMU
-// accumulate path.
+// record operations (inc/add/set) are lock-free, allocation-free and
+// safe from any thread.
 //
 // Counters shard across kCounterShards cache-line-padded atomics indexed by a
 // per-thread ordinal (assigned from a global atomic counter, NOT std::hash,
@@ -20,7 +19,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -69,27 +67,6 @@ struct GaugeCell {
   double get() const noexcept { return value.load(std::memory_order_relaxed); }
 };
 
-struct HistogramCell {
-  /// Upper bounds (inclusive, Prometheus `le` semantics), strictly
-  /// increasing. buckets.size() == bounds.size() + 1; the last bucket is the
-  /// +Inf overflow.
-  std::vector<double> bounds;
-  std::unique_ptr<std::atomic<std::uint64_t>[]> buckets;
-  std::atomic<std::uint64_t> count{0};
-  std::atomic<double> sum{0.0};
-
-  explicit HistogramCell(std::span<const double> upper_bounds);
-
-  void observe(double v) noexcept {
-    std::size_t i = 0;
-    const std::size_t n = bounds.size();
-    while (i < n && v > bounds[i]) ++i;
-    buckets[i].fetch_add(1, std::memory_order_relaxed);
-    count.fetch_add(1, std::memory_order_relaxed);
-    atomic_add_double(sum, v);
-  }
-};
-
 }  // namespace detail
 
 /// Handle to a monotonically increasing counter. Null-safe: a
@@ -129,23 +106,6 @@ class Gauge {
   detail::GaugeCell* cell_ = nullptr;
 };
 
-class Histogram {
- public:
-  constexpr Histogram() noexcept = default;
-  explicit constexpr Histogram(detail::HistogramCell* cell) noexcept
-      : cell_(cell) {}
-
-  void observe(double v) const noexcept {
-    if (cell_ != nullptr) cell_->observe(v);
-  }
-  std::uint64_t count() const noexcept {
-    return cell_ != nullptr ? cell_->count.load(std::memory_order_relaxed) : 0;
-  }
-
- private:
-  detail::HistogramCell* cell_ = nullptr;
-};
-
 struct CounterSample {
   std::string name;
   std::uint64_t value = 0;
@@ -156,38 +116,11 @@ struct GaugeSample {
   double value = 0.0;
 };
 
-struct HistogramSample {
-  std::string name;
-  std::vector<double> bounds;
-  /// bounds.size() + 1 entries, cumulative per-bucket counts converted to
-  /// plain (non-cumulative) counts per bucket.
-  std::vector<std::uint64_t> buckets;
-  std::uint64_t count = 0;
-  double sum = 0.0;
-};
-
-struct HelpSample {
-  std::string name;  // metric BASE name (no label suffix)
-  std::string help;
-};
-
 /// Point-in-time copy of every metric, sorted by name.
 struct MetricsSnapshot {
   std::vector<CounterSample> counters;
   std::vector<GaugeSample> gauges;
-  std::vector<HistogramSample> histograms;
-  /// Registered HELP strings (set_help), sorted by base name. Metrics
-  /// without one get no # HELP line, so exports from registries that never
-  /// call set_help are byte-identical to before HELP existed.
-  std::vector<HelpSample> help;
 };
-
-/// Merge two snapshots (e.g. from per-service private registries): counters
-/// and matching-bounds histograms sum; gauges take `b`'s value (last writer
-/// wins); histograms with mismatched bounds keep `a`'s data. Output is sorted
-/// by name, so merging is deterministic and associative for counters.
-MetricsSnapshot merge_snapshots(const MetricsSnapshot& a,
-                                const MetricsSnapshot& b);
 
 class MetricsRegistry {
  public:
@@ -195,16 +128,9 @@ class MetricsRegistry {
   MetricsRegistry(const MetricsRegistry&) = delete;
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;
 
-  /// Idempotent: the same name always resolves to the same cell. For
-  /// histograms the first registration's bounds win.
+  /// Idempotent: the same name always resolves to the same cell.
   Counter counter(std::string_view name);
   Gauge gauge(std::string_view name);
-  Histogram histogram(std::string_view name, std::span<const double> bounds);
-
-  /// Attaches a Prometheus HELP string to a metric BASE name (the part
-  /// before any {label} suffix). Idempotent; the last call wins. The
-  /// exporter escapes `\` and newlines per the text-format spec.
-  void set_help(std::string_view base_name, std::string_view help);
 
   MetricsSnapshot snapshot() const;
 
@@ -217,9 +143,6 @@ class MetricsRegistry {
       counters_;
   std::map<std::string, std::unique_ptr<detail::GaugeCell>, std::less<>>
       gauges_;
-  std::map<std::string, std::unique_ptr<detail::HistogramCell>, std::less<>>
-      histograms_;
-  std::map<std::string, std::string, std::less<>> help_;
 };
 
 }  // namespace aegis::telemetry

@@ -2,10 +2,14 @@
 // clock.
 //
 // Ownership model:
-//   * Library hot paths (GadgetRunner, CounterRegisterFile, NoiseInjector,
-//     measure_path) record into Registry::global() — a process-wide instance
-//     on the deterministic tick clock — so instrumentation works with zero
-//     plumbing and zero behavioral effect.
+//   * Library code with no injection point (measure_path's counter, the
+//     obfuscator's plan.rotation and obfuscator.rng checkpoints, and
+//     profiler and fuzzer stage spans when their configs carry no registry)
+//     records into Registry::global() — a process-wide instance on the
+//     deterministic tick clock — so instrumentation works with zero
+//     plumbing and zero behavioral effect. The per-gadget and per-slice
+//     paths (GadgetRunner::execute_once, CounterRegisterFile::accumulate,
+//     NoiseInjector) record nothing.
 //   * Service-layer objects accept an optional Registry* via their configs.
 //     When null they create a PRIVATE registry, keeping per-instance stats
 //     exact (tests construct several caches/services in one process).

@@ -72,7 +72,7 @@ RecorderConfig small_config(std::size_t capacity, std::size_t rings) {
 
 TEST(FlightRecorder, SingleThreadRecordAndDrainSortsByTime) {
   FlightRecorder rec(small_config(8, 1));
-  EventHandle alpha = rec.event_handle("alpha", WideEventType::kHotExec);
+  EventHandle alpha = rec.event_handle("alpha", WideEventType::kRngCheckpoint);
   EventHandle beta = rec.event_handle("beta", WideEventType::kAlert);
   alpha.record(/*t_ns=*/5, 1, 2, 3, 4, /*tenant=*/7);
   beta.record(/*t_ns=*/3, 9);
@@ -95,15 +95,15 @@ TEST(FlightRecorder, SingleThreadRecordAndDrainSortsByTime) {
 
 TEST(FlightRecorder, EventHandleIsIdempotentPerName) {
   FlightRecorder rec(small_config(8, 1));
-  rec.event_handle("one", WideEventType::kMetricDelta);
-  rec.event_handle("one", WideEventType::kMetricDelta);
-  rec.event_handle("two", WideEventType::kMetricDelta);
+  rec.event_handle("one", WideEventType::kRngCheckpoint);
+  rec.event_handle("one", WideEventType::kRngCheckpoint);
+  rec.event_handle("two", WideEventType::kRngCheckpoint);
   EXPECT_EQ(rec.streams().size(), 2u);
 }
 
 TEST(FlightRecorder, OverwriteOldestKeepsTheNewestAndCountsDrops) {
   FlightRecorder rec(small_config(4, 1));
-  EventHandle h = rec.event_handle("wrap", WideEventType::kMetricDelta);
+  EventHandle h = rec.event_handle("wrap", WideEventType::kRngCheckpoint);
   for (std::uint64_t i = 0; i < 10; ++i) h.record(i, i * 10);
 
   const std::vector<DrainedEvent> events = rec.drain();
@@ -124,9 +124,9 @@ TEST(FlightRecorder, NullHandleIsANoop) {
 
 TEST(FlightRecorder, RecordNamedSharesTheStreamWithTheHandle) {
   FlightRecorder rec(small_config(8, 1));
-  EventHandle h = rec.event_handle("shared", WideEventType::kMetricDelta);
+  EventHandle h = rec.event_handle("shared", WideEventType::kRngCheckpoint);
   h.record(1);
-  rec.record_named("shared", WideEventType::kMetricDelta, 2);
+  rec.record_named("shared", WideEventType::kRngCheckpoint, 2);
   const std::vector<DrainedEvent> events = rec.drain();
   ASSERT_EQ(events.size(), 2u);
   EXPECT_EQ(events[0].stream, events[1].stream);
@@ -135,7 +135,7 @@ TEST(FlightRecorder, RecordNamedSharesTheStreamWithTheHandle) {
 
 TEST(FlightRecorder, ClearResetsRingsAndDropCounters) {
   FlightRecorder rec(small_config(4, 1));
-  EventHandle h = rec.event_handle("x", WideEventType::kMetricDelta);
+  EventHandle h = rec.event_handle("x", WideEventType::kRngCheckpoint);
   for (std::uint64_t i = 0; i < 9; ++i) h.record(i);
   EXPECT_GT(rec.dropped(), 0u);
   rec.clear();
@@ -148,7 +148,7 @@ TEST(FlightRecorder, ClearResetsRingsAndDropCounters) {
 
 TEST(FlightRecorder, RecordPathIsAllocationFree) {
   FlightRecorder rec(small_config(256, 2));
-  EventHandle h = rec.event_handle("hot", WideEventType::kHotExec);
+  EventHandle h = rec.event_handle("hot", WideEventType::kRngCheckpoint);
 
   g_allocs.store(0, std::memory_order_relaxed);
   g_count_allocs.store(true, std::memory_order_relaxed);
@@ -189,11 +189,11 @@ void put_record(std::string& s, std::uint64_t t, std::uint64_t a,
 }
 
 /// The recorder used by the byte-golden, round-trip and tracing tests:
-/// one ring, streams "alpha" (kHotExec, id 0) and "beta" (kAlert, id 1),
+/// one ring, streams "alpha" (kRngCheckpoint, id 0) and "beta" (kAlert, id 1),
 /// alpha@t=5 then beta@t=3 so the sorted dump reorders them.
 std::unique_ptr<FlightRecorder> golden_recorder() {
   auto rec = std::make_unique<FlightRecorder>(small_config(8, 1));
-  EventHandle alpha = rec->event_handle("alpha", WideEventType::kHotExec);
+  EventHandle alpha = rec->event_handle("alpha", WideEventType::kRngCheckpoint);
   EventHandle beta = rec->event_handle("beta", WideEventType::kAlert);
   alpha.record(5, 1, 2, 3, 4, 7);
   beta.record(3, 9);
@@ -217,7 +217,7 @@ TEST(FlightRecorderDump, WriteDumpIsByteExact) {
   want += "beta";
   // drain() order: (t_ns, ring, seq) ascending — beta first.
   put_record(want, 3, 9, 0, 0, 0, /*type=*/7, /*stream=*/1, 0, 0, /*seq=*/1);
-  put_record(want, 5, 1, 2, 3, 4, /*type=*/8, /*stream=*/0, 7, 0, /*seq=*/0);
+  put_record(want, 5, 1, 2, 3, 4, /*type=*/6, /*stream=*/0, 7, 0, /*seq=*/0);
 
   EXPECT_EQ(os.str(), want);
 }
@@ -261,9 +261,9 @@ TEST(FlightRecorderDump, TraceJsonConversionIsByteExact) {
             "\"s\": \"t\", \"ts\": 0.003, \"pid\": 1, \"tid\": 0, "
             "\"args\": {\"a\": 9, \"b\": 0, \"c\": 0, \"d\": 0, "
             "\"tenant\": 0, \"seq\": 1}},\n"
-            "  {\"name\": \"alpha\", \"cat\": \"hot-exec\", \"ph\": \"i\", "
-            "\"s\": \"t\", \"ts\": 0.005, \"pid\": 1, \"tid\": 0, "
-            "\"args\": {\"a\": 1, \"b\": 2, \"c\": 3, \"d\": 4, "
+            "  {\"name\": \"alpha\", \"cat\": \"rng-checkpoint\", "
+            "\"ph\": \"i\", \"s\": \"t\", \"ts\": 0.005, \"pid\": 1, "
+            "\"tid\": 0, \"args\": {\"a\": 1, \"b\": 2, \"c\": 3, \"d\": 4, "
             "\"tenant\": 7, \"seq\": 0}}\n"
             "], \"displayTimeUnit\": \"ms\"}\n");
 }
@@ -543,7 +543,7 @@ TEST(FlightRecorderDump, SeededMutationsParseOrRejectAndAlwaysRender) {
 
 TEST(FlightRecorderConcurrency, EightWritersWithConcurrentDrainsStayClean) {
   FlightRecorder rec(small_config(256, 4));
-  EventHandle h = rec.event_handle("stress", WideEventType::kMetricDelta);
+  EventHandle h = rec.event_handle("stress", WideEventType::kRngCheckpoint);
 
   constexpr int kThreads = 8;
   constexpr std::uint64_t kPerThread = 5000;
@@ -595,7 +595,8 @@ TEST(FlightRecorderCrash, AbortProducesAParseableDumpWithTheLastEvents) {
     // Child: record 100 events into a 64-slot ring, arm, abort. The
     // SIGABRT hook must dump before the process dies.
     FlightRecorder rec(small_config(64, 1));
-    EventHandle h = rec.event_handle("crash.site", WideEventType::kMetricDelta);
+    EventHandle h =
+        rec.event_handle("crash.site", WideEventType::kRngCheckpoint);
     for (std::uint64_t i = 0; i < 100; ++i) h.record(i, i * 2, 0xDEAD);
     rec.arm_crash_dump(prefix.c_str());
     std::abort();

@@ -17,6 +17,7 @@
 #include <cstdlib>
 #include <memory>
 #include <new>
+#include <string>
 #include <vector>
 
 #include "fuzzer/fuzzer.hpp"
@@ -26,6 +27,7 @@
 #include "pmu/response_matrix.hpp"
 #include "profiler/profiler.hpp"
 #include "sim/gadget_runner.hpp"
+#include "telemetry/registry.hpp"
 #include "util/hash.hpp"
 #include "util/rng.hpp"
 #include "workload/website.hpp"
@@ -591,6 +593,37 @@ TEST(HotPathAllocations, ExecuteOnceSteadyStateAllocatesNothing) {
 #else
   GTEST_SKIP() << "allocation hook disabled under sanitizers";
 #endif
+}
+
+// ---------------------------------------------------------------------------
+// The hot path records nothing into the process-wide flight recorder, so a
+// fuzzing campaign cannot evict the stage spans from its rings.
+
+TEST(GadgetRunner, ExecuteOnceLeavesTheGlobalRecorderAlone) {
+  Fixture fix;
+  const telemetry::FlightRecorder& recorder =
+      telemetry::Registry::global().recorder();
+  const auto recorded = [&recorder] {
+    return recorder.drain().size() + recorder.dropped();
+  };
+  sim::GadgetRunner runner(fix.db, fix.spec, 21);
+  const std::vector<std::uint32_t> all_events = fix.events();
+  runner.program({all_events.begin(), all_events.begin() + 4});
+  std::uint32_t plain = 0;
+  for (const auto& v : fix.spec.variants()) {
+    if (v.legal() && !v.has_memory_operand) {
+      plain = v.uid;
+      break;
+    }
+  }
+  const std::array<std::uint32_t, 2> gadget = {plain, plain};
+
+  const std::size_t before = recorded();
+  for (int i = 0; i < 10000; ++i) (void)runner.execute_once(gadget, 16.0);
+  EXPECT_EQ(recorded(), before);
+  for (const std::string& stream : recorder.streams()) {
+    EXPECT_NE(stream.rfind("gadget.", 0), 0u) << stream;
+  }
 }
 
 // ---------------------------------------------------------------------------

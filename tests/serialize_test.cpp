@@ -142,9 +142,9 @@ TEST(Serialize, IntelResultsPortWithinTheXeonE5Family) {
                std::runtime_error);
 }
 
-TEST(Serialize, LoadsVersion1StreamsWithoutABackendLine) {
-  // Back-compat: a v1 stream (written before the backend line existed)
-  // still loads; the backend is implied by the cpu line.
+TEST(Serialize, RejectsVersion1Streams) {
+  // Only the current format loads: a v1 stream (written before the backend
+  // line existed) is refused up front, so a template cache re-analyses.
   auto& f = fixture();
   std::stringstream stream;
   save_offline_result(stream, f.result, f.aegis.database());
@@ -157,9 +157,14 @@ TEST(Serialize, LoadsVersion1StreamsWithoutABackendLine) {
   text.erase(pos, backend_line.size());
   text.replace(0, header.size(), "aegis-offline-result v1\n");
   std::stringstream v1(text);
-  const OfflineResult loaded = load_offline_result(v1, f.aegis.database(),
-                                                   f.aegis.specification());
-  EXPECT_EQ(loaded.warmup.surviving, f.result.warmup.surviving);
+  try {
+    (void)load_offline_result(v1, f.aegis.database(), f.aegis.specification());
+    FAIL() << "v1 stream must not load";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("format v1 is not v2"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(Serialize, RejectsBackendMismatchInVersion2Streams) {

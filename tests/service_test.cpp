@@ -894,14 +894,9 @@ TEST(ProtectionServiceTest, AegisTopRendersAServiceRun) {
   }  // joins the service's threads before aegis_top is forked below
 
   const std::string dir = fresh_dir("telemetry");
-  const std::string prom = dir + "/metrics.prom";
   const std::string snapshot = dir + "/snapshot.json";
   const std::string dump = dir + "/run.frd";
   const std::string trace = dir + "/trace.json";
-  {
-    std::ofstream out(prom);
-    telemetry::write_prometheus(registry.metrics().snapshot(), out);
-  }
   {
     std::ofstream out(snapshot);
     telemetry::write_json_snapshot(registry.metrics().snapshot(), out);
@@ -910,7 +905,7 @@ TEST(ProtectionServiceTest, AegisTopRendersAServiceRun) {
     std::ofstream out(dump, std::ios::binary);
     registry.recorder().write_dump(out);
   }
-  for (const std::string& path : {prom, snapshot, dump}) {
+  for (const std::string& path : {snapshot, dump}) {
     EXPECT_GT(std::filesystem::file_size(path), 0u) << path;
   }
 

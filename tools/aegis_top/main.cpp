@@ -11,8 +11,7 @@
 //   aegis_top SNAPSHOT.json --watch N   re-read and re-render every N seconds
 //
 // It also reads flight-recorder binary dumps (telemetry/flight_recorder.hpp;
-// written by FlightRecorder::write_dump, on a crash, or by a budget-gate
-// breach):
+// written by FlightRecorder::write_dump or on a crash):
 //
 //   aegis_top --recorder DUMP.frd            stream table, alerts, recent
 //                                            admission decisions, last 20

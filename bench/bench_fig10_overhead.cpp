@@ -111,13 +111,20 @@ int main(int argc, char** argv) {
       const RunCost dnn = average_cost(dnn_apps, obf.get(), runs, 70 + p, kDnnBudget);
       const bool chosen = (kind == dp::MechanismKind::kLaplace && p == 0) ||
                           (kind == dp::MechanismKind::kDStar && p == 3);
+      std::string exponent = "2^";
+      exponent += std::to_string(p);
+      std::string web_cpu = "+";
+      web_cpu += util::fmt_f((web.cpu_usage - web_clean.cpu_usage) * 100.0, 2);
+      web_cpu += " pts";
+      std::string dnn_cpu = "+";
+      dnn_cpu += util::fmt_f((dnn.cpu_usage - dnn_clean.cpu_usage) * 100.0, 2);
+      dnn_cpu += " pts";
       table.add_row(
-          {std::string(dp::to_string(kind)) + (chosen ? " *" : ""),
-           "2^" + std::to_string(p),
+          {std::string(dp::to_string(kind)) + (chosen ? " *" : ""), exponent,
            util::fmt_pct(web.completion_slices / web_clean.completion_slices - 1.0),
-           "+" + util::fmt_f((web.cpu_usage - web_clean.cpu_usage) * 100.0, 2) + " pts",
+           web_cpu,
            util::fmt_pct(dnn.completion_slices / dnn_clean.completion_slices - 1.0),
-           "+" + util::fmt_f((dnn.cpu_usage - dnn_clean.cpu_usage) * 100.0, 2) + " pts"});
+           dnn_cpu});
     }
   }
   table.print(std::cout);

@@ -9,7 +9,9 @@
 # gate, and runs clang-tidy when available. A seceval stage runs the smoke
 # security frontier and fails if any attack accuracy rose over the
 # committed BENCH_security.json baseline (scripts/bench_compare.py
-# --security); timing is gated by e2ebench (`python3 e2ebench/run.py`),
+# --security). After the default suite, scripts/check_mlp_kernel_symbols.sh
+# checks that the AVX2 build of the MLP kernel defines only its entry
+# point. Timing is gated by e2ebench (`python3 e2ebench/run.py`),
 # which runs each change against its parent on the same host.
 #
 # Usage: scripts/check.sh [--fast]
@@ -108,6 +110,8 @@ run_seceval() {
 
 run_lint
 run_suite "default" build ""
+echo "=== default: AVX2 kernel object symbols ==="
+scripts/check_mlp_kernel_symbols.sh build >/dev/null
 run_seceval
 run_suite "tsan" build-tsan thread
 run_suite "asan" build-asan address

@@ -2,82 +2,32 @@
 
 #include <algorithm>
 #include <cmath>
-#include <experimental/simd>
 #include <numeric>
 #include <span>
 #include <stdexcept>
+
+#include "ml/mlp_kernel.hpp"
 
 namespace aegis::ml {
 
 namespace {
 
-namespace stdx = std::experimental;
-
-/// Rows per forward batch when scoring a data set (accuracy).
+/// Rows per forward batch when scoring a data set (accuracy,
+/// predict_proba_rows).
 constexpr std::size_t kEvalRows = 64;
 
-/// out = init + left · right for a rows x cols result, where left element
-/// (r, k) sits at left[r * left_row + k * left_k] and right is depth x cols,
-/// row-major. Every cell starts from init[c] (or 0.0) and adds its terms in
-/// ascending k — the order a scalar loop over that one cell would use.
-struct Product {
-  const double* left;
-  std::size_t left_row, left_k;
-  const double* right;
-  const double* init;  // cols values, or nullptr for 0.0
-  double* out;
-  std::size_t rows, depth, cols;
-};
-
-/// One R x C register tile of a Product: R rows of C lanes, one lane per
-/// output cell. Each k step adds left(r, k) * right(k, c) to every lane;
-/// lanes never combine, so no sum is split or reassociated and the result
-/// is bit-identical to the per-cell scalar loop.
-template <std::size_t R, std::size_t C>
-void product_tile(const Product& p, std::size_t r0, std::size_t c0) {
-  using Lanes = stdx::fixed_size_simd<double, C>;
-  Lanes acc[R];
-#pragma GCC unroll 4
-  for (std::size_t r = 0; r < R; ++r) {
-    if (p.init != nullptr) {
-      acc[r].copy_from(p.init + c0, stdx::element_aligned);
-    } else {
-      acc[r] = 0.0;
-    }
-  }
-  for (std::size_t k = 0; k < p.depth; ++k) {
-    const Lanes w(p.right + k * p.cols + c0, stdx::element_aligned);
-#pragma GCC unroll 4
-    for (std::size_t r = 0; r < R; ++r) {
-      acc[r] += p.left[(r0 + r) * p.left_row + k * p.left_k] * w;
-    }
-  }
-#pragma GCC unroll 4
-  for (std::size_t r = 0; r < R; ++r) {
-    acc[r].copy_to(p.out + (r0 + r) * p.cols + c0, stdx::element_aligned);
-  }
-}
-
-template <std::size_t C>
-void product_columns(const Product& p, std::size_t c0) {
-  std::size_t r = 0;
-  for (; r + 2 <= p.rows; r += 2) product_tile<2, C>(p, r, c0);
-  if (r < p.rows) product_tile<1, C>(p, r, c0);
-}
-
-/// Covers the columns with 8-wide tiles, then a 4, 2 and 1-wide tail.
-void tiled_product(const Product& p) {
-  std::size_t c = 0;
-  for (; c + 8 <= p.cols; c += 8) product_columns<8>(p, c);
-  if (c + 4 <= p.cols) {
-    product_columns<4>(p, c);
-    c += 4;
-  }
-  if (c + 2 <= p.cols) {
-    product_columns<2>(p, c);
-    c += 2;
-  }
-  if (c < p.cols) product_columns<1>(p, c);
+/// The product kernel build for this CPU, resolved once: the AVX2 build
+/// where the CPU has AVX2, the baseline build elsewhere. Both give the same
+/// bits (mlp_kernel.hpp).
+void tiled_product(const kernel::Product& p) {
+  using Kernel = void (*)(const kernel::Product&);
+  static const Kernel resolved = [] {
+#if defined(__x86_64__)
+    if (__builtin_cpu_supports("avx2")) return &kernel::tiled_product_avx2;
+#endif
+    return &kernel::tiled_product_baseline;
+  }();
+  resolved(p);
 }
 
 /// out (rows x n_out) = bias + in (rows x n_in) · wt (n_in x n_out), with
@@ -89,8 +39,10 @@ void affine(const double* wt, const double* bias, std::size_t n_in,
             double* out) {
   tiled_product({in, n_in, 1, wt, bias, out, rows, n_in, n_out});
   if (!relu) return;
+  // A select, not a conditional store, so the loop vectorizes instead of
+  // mispredicting on about half the units.
   for (std::size_t k = 0; k < rows * n_out; ++k) {
-    if (out[k] < 0.0) out[k] = 0.0;
+    out[k] = out[k] < 0.0 ? 0.0 : out[k];
   }
 }
 
@@ -118,7 +70,7 @@ void back_project(const double* w, const double* delta, const double* in,
                   double* prev) {
   tiled_product({delta, n_out, 1, w, nullptr, prev, rows, n_out, n_in});
   for (std::size_t k = 0; k < rows * n_in; ++k) {
-    if (in[k] <= 0.0) prev[k] = 0.0;
+    prev[k] = in[k] <= 0.0 ? 0.0 : prev[k];
   }
 }
 
@@ -307,12 +259,30 @@ std::vector<EpochStats> MlpClassifier::fit(const FeatureMatrix& X, const Labels&
 }
 
 std::vector<double> MlpClassifier::predict_proba(const std::vector<double>& x) const {
-  Batch batch = make_batch(1);
-  load_row(batch, 0, x);
-  forward(batch, 1);
-  std::vector<double> probs = std::move(batch.acts.back());
-  softmax(probs);
+  std::vector<double> probs(num_classes_);
+  predict_proba_rows(x, probs);
   return probs;
+}
+
+void MlpClassifier::predict_proba_rows(std::span<const double> inputs,
+                                       std::span<double> probs) const {
+  const std::size_t k = num_classes_;
+  const std::size_t rows = probs.size() / k;
+  if (probs.size() % k != 0 || inputs.size() != rows * input_dim_) {
+    throw std::invalid_argument("Mlp::predict_proba_rows: size mismatch");
+  }
+  if (rows == 0) return;
+  Batch batch = make_batch(std::min(kEvalRows, rows));
+  for (std::size_t start = 0; start < rows; start += batch.capacity) {
+    const std::size_t n = std::min(batch.capacity, rows - start);
+    std::copy_n(inputs.begin() + start * input_dim_, n * input_dim_,
+                batch.acts[0].begin());
+    forward(batch, n);
+    std::copy_n(batch.acts.back().begin(), n * k, probs.begin() + start * k);
+    for (std::size_t r = 0; r < n; ++r) {
+      softmax_row(probs.subspan((start + r) * k, k));
+    }
+  }
 }
 
 int MlpClassifier::predict(const std::vector<double>& x) const {

@@ -12,6 +12,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "util/rng.hpp"
@@ -55,6 +56,13 @@ class MlpClassifier {
   int predict(const std::vector<double>& x) const;
   /// Softmax class probabilities.
   std::vector<double> predict_proba(const std::vector<double>& x) const;
+  /// predict_proba of many rows at once: `inputs` holds them row-major
+  /// (rows x input_dim) and `probs` receives rows x num_classes values. Runs
+  /// one forward pass per 64 rows; rows never interact, so each row's
+  /// values are the same bits in any batch. Throws std::invalid_argument
+  /// when the sizes disagree.
+  void predict_proba_rows(std::span<const double> inputs,
+                          std::span<double> probs) const;
   /// Throws std::invalid_argument when X and y differ in size.
   double accuracy(const FeatureMatrix& X, const Labels& y) const;
 

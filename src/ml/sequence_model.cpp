@@ -4,6 +4,7 @@
 #include <cmath>
 #include <map>
 #include <memory>
+#include <span>
 #include <stdexcept>
 
 namespace aegis::ml {
@@ -11,21 +12,27 @@ namespace aegis::ml {
 FrameSequenceModel::FrameSequenceModel(SequenceModelConfig config)
     : config_(std::move(config)) {}
 
-std::vector<double> FrameSequenceModel::window_at(const FrameSequence& seq,
-                                                  std::size_t t) const {
-  const std::size_t T = seq.frames.size();
+std::size_t FrameSequenceModel::window_width(const FrameSequence& seq) const {
   const std::size_t E = seq.frames.empty() ? 0 : seq.frames.front().size();
+  for (const auto& frame : seq.frames) {
+    if (frame.size() != E) {
+      throw std::invalid_argument("FrameSequenceModel: ragged frames");
+    }
+  }
+  return (2 * config_.context + 1) * E;
+}
+
+void FrameSequenceModel::write_window(const FrameSequence& seq, std::size_t t,
+                                      double* out) const {
+  const std::size_t T = seq.frames.size();
   const std::size_t ctx = config_.context;
-  std::vector<double> window;
-  window.reserve((2 * ctx + 1) * E);
   for (std::ptrdiff_t off = -static_cast<std::ptrdiff_t>(ctx);
        off <= static_cast<std::ptrdiff_t>(ctx); ++off) {
     std::ptrdiff_t idx = static_cast<std::ptrdiff_t>(t) + off;
     idx = std::clamp<std::ptrdiff_t>(idx, 0, static_cast<std::ptrdiff_t>(T) - 1);
     const auto& frame = seq.frames[static_cast<std::size_t>(idx)];
-    window.insert(window.end(), frame.begin(), frame.end());
+    out = std::copy(frame.begin(), frame.end(), out);
   }
-  return window;
 }
 
 std::vector<EpochStats> FrameSequenceModel::fit(
@@ -41,8 +48,9 @@ std::vector<EpochStats> FrameSequenceModel::fit(
       if (seq.labels.size() != seq.frames.size()) {
         throw std::invalid_argument("FrameSequenceModel: unaligned labels");
       }
+      const std::size_t width = window_width(seq);
       for (std::size_t t = 0; t < seq.frames.size(); ++t) {
-        Xo.push_back(window_at(seq, t));
+        write_window(seq, t, Xo.emplace_back(width).data());
         yo.push_back(seq.labels[t]);
       }
     }
@@ -54,22 +62,25 @@ std::vector<EpochStats> FrameSequenceModel::fit(
   return frame_classifier_->fit(X, y, X_val, y_val);
 }
 
-std::vector<std::vector<double>> FrameSequenceModel::frame_posteriors(
+std::vector<double> FrameSequenceModel::frame_posteriors(
     const FrameSequence& seq) const {
   if (!frame_classifier_) throw std::logic_error("FrameSequenceModel: not fitted");
-  std::vector<std::vector<double>> post;
-  post.reserve(seq.frames.size());
-  for (std::size_t t = 0; t < seq.frames.size(); ++t) {
-    post.push_back(frame_classifier_->predict_proba(window_at(seq, t)));
-  }
+  const std::size_t T = seq.frames.size();
+  const std::size_t width = window_width(seq);
+  std::vector<double> windows(T * width);
+  for (std::size_t t = 0; t < T; ++t) write_window(seq, t, windows.data() + t * width);
+  std::vector<double> post(T * frame_classifier_->num_classes());
+  frame_classifier_->predict_proba_rows(windows, post);
   return post;
 }
 
 std::vector<int> FrameSequenceModel::decode_greedy(const FrameSequence& seq) const {
   const auto post = frame_posteriors(seq);
+  const std::size_t L = frame_classifier_->num_classes();
   std::vector<int> frames;
-  frames.reserve(post.size());
-  for (const auto& p : post) {
+  frames.reserve(post.size() / L);
+  for (std::size_t t = 0; t < post.size() / L; ++t) {
+    const std::span<const double> p(&post[t * L], L);
     frames.push_back(
         static_cast<int>(std::max_element(p.begin(), p.end()) - p.begin()));
   }
@@ -79,6 +90,7 @@ std::vector<int> FrameSequenceModel::decode_greedy(const FrameSequence& seq) con
 std::vector<int> FrameSequenceModel::decode_beam(const FrameSequence& seq) const {
   // Standard CTC prefix beam search with separate blank/non-blank mass.
   const auto post = frame_posteriors(seq);
+  const std::size_t L = frame_classifier_->num_classes();
   const int blank = config_.blank_label;
 
   struct Mass {
@@ -89,10 +101,11 @@ std::vector<int> FrameSequenceModel::decode_beam(const FrameSequence& seq) const
   std::map<std::vector<int>, Mass> beams;
   beams[{}] = Mass{1.0, 0.0};
 
-  for (const auto& p : post) {
+  for (std::size_t t = 0; t < post.size() / L; ++t) {
+    const std::span<const double> p(&post[t * L], L);
     std::map<std::vector<int>, Mass> next;
     for (const auto& [prefix, mass] : beams) {
-      for (int s = 0; s < static_cast<int>(p.size()); ++s) {
+      for (int s = 0; s < static_cast<int>(L); ++s) {
         const double ps = p[static_cast<std::size_t>(s)];
         if (ps < 1e-6) continue;
         if (s == blank) {

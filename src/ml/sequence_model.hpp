@@ -49,8 +49,13 @@ class FrameSequenceModel {
                   const std::vector<std::vector<int>>& references) const;
 
  private:
-  std::vector<double> window_at(const FrameSequence& seq, std::size_t t) const;
-  std::vector<std::vector<double>> frame_posteriors(const FrameSequence& seq) const;
+  /// Width of one context window; throws on frames of different widths.
+  std::size_t window_width(const FrameSequence& seq) const;
+  /// Writes frame t's window (frames t - context .. t + context, the edge
+  /// frames repeated) to `out`.
+  void write_window(const FrameSequence& seq, std::size_t t, double* out) const;
+  /// T x num_labels posteriors, row-major, from batched forward passes.
+  std::vector<double> frame_posteriors(const FrameSequence& seq) const;
 
   SequenceModelConfig config_;
   int num_labels_ = 0;  // includes blank

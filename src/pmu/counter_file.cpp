@@ -58,17 +58,12 @@ std::size_t CounterRegisterFile::slot_of(std::uint32_t event_id) const {
   return it->second;
 }
 
-// aegis-lint: noalloc
-void CounterRegisterFile::accumulate(const ExecutionStats& stats) {
-  accumulate_batched(stats);
-}
-
 // One group-kernel call computes the active group's expected counts; the
 // noise draws then run in per-slot order, so the RNG stream is a pure
 // function of (programming, slot index, slice count).
 // aegis-lint: noalloc
-// aegis-rng: stream(counter-file-accumulate-batched)
-void CounterRegisterFile::accumulate_batched(const ExecutionStats& stats) {
+// aegis-rng: stream(counter-file-accumulate)
+void CounterRegisterFile::accumulate(const ExecutionStats& stats) {
   const auto [first, last] = active_range();
   if (first >= last) return;
   double features[kStatsFeatureDim];

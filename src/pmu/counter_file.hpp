@@ -90,7 +90,6 @@ class CounterRegisterFile {
   std::size_t slot_of(std::uint32_t event_id) const;
   double read_slot(std::size_t slot_index) const noexcept;
 
-  void accumulate_batched(const ExecutionStats& stats);
   void end_slice_batched();
 
   const EventDatabase* db_;

@@ -72,7 +72,9 @@ TEST_P(SpecPerCpuTest, MemoryVariantsHaveBytes) {
     if (v.has_memory_operand && v.iclass != InstructionClass::kCacheFlush) {
       EXPECT_GT(v.mem_bytes, 0) << v.mnemonic;
     }
-    if (!v.has_memory_operand) EXPECT_EQ(v.mem_bytes, 0) << v.mnemonic;
+    if (!v.has_memory_operand) {
+      EXPECT_EQ(v.mem_bytes, 0) << v.mnemonic;
+    }
   }
 }
 

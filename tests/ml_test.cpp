@@ -1,11 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "ml/gaussian_nb.hpp"
 #include "ml/knn.hpp"
 #include "ml/metrics.hpp"
 #include "ml/mlp.hpp"
+#include "ml/mlp_kernel.hpp"
 #include "ml/sequence_model.hpp"
 #include "util/hash.hpp"
 #include "util/rng.hpp"
@@ -244,6 +246,122 @@ TEST(MlpDigest, SingleHiddenLayerPinned) {
 
 TEST(MlpDigest, SingleClassPinned) {
   expect_digests({6, 1, 50, 10, digest_config({8, 4}, 16)}, 0xcf2e2074b87c3701ULL, 0x110f5da24d7e88b8ULL);
+}
+
+TEST(Mlp, PredictProbaRowsMatchesPredictProbaBitForBit) {
+  // 130 rows = two full 64-row forward passes and a 2-row tail.
+  FeatureMatrix X;
+  Labels y;
+  make_task(130, 9, 5, 31, X, y);
+  MlpClassifier mlp(9, 5, digest_config({16, 8}, 32));
+  (void)mlp.fit(X, y, {}, {});
+  std::vector<double> inputs;
+  for (const auto& x : X) inputs.insert(inputs.end(), x.begin(), x.end());
+  std::vector<double> probs(X.size() * 5);
+  mlp.predict_proba_rows(inputs, probs);
+  for (std::size_t r = 0; r < X.size(); ++r) {
+    const std::vector<double> one = mlp.predict_proba(X[r]);
+    ASSERT_EQ(std::memcmp(one.data(), &probs[r * 5], 5 * sizeof(double)), 0) << r;
+  }
+  std::vector<double> short_probs(4);
+  EXPECT_THROW(mlp.predict_proba_rows(inputs, short_probs), std::invalid_argument);
+  EXPECT_THROW(mlp.predict_proba_rows(std::span(inputs).first(17), probs),
+               std::invalid_argument);
+}
+
+// ---------------------------------------------------------------------------
+// MlpKernel: the product kernel's two builds against each other and against
+// the per-cell scalar loop its contract names, bit for bit.
+
+struct KernelCase {
+  std::size_t rows, depth, cols;
+  bool init;
+  bool strided;  // left read as outer_accumulate reads it: (r, k) at k * rows + r
+};
+
+/// Runs one case through `kernel` on operands drawn from `seed`; values span
+/// 2^-30..2^30 so that every add rounds.
+std::vector<double> run_kernel(void (*kernel)(const kernel::Product&),
+                               const KernelCase& c, std::uint64_t seed) {
+  util::Rng rng(seed);
+  auto draw = [&](std::size_t n) {
+    std::vector<double> v(n);
+    for (double& x : v) x = std::ldexp(rng.normal(), static_cast<int>(rng.uniform_int(-30, 30)));
+    return v;
+  };
+  const std::vector<double> left = draw(c.rows * c.depth);
+  const std::vector<double> right = draw(c.depth * c.cols);
+  const std::vector<double> init = draw(c.cols);
+  std::vector<double> out(c.rows * c.cols);
+  kernel({left.data(), c.strided ? 1 : c.depth, c.strided ? c.rows : 1,
+          right.data(), c.init ? init.data() : nullptr, out.data(), c.rows,
+          c.depth, c.cols});
+  return out;
+}
+
+/// The contract, one cell at a time: init[c] (or 0.0) plus the terms in
+/// ascending k.
+void scalar_product(const kernel::Product& p) {
+  for (std::size_t r = 0; r < p.rows; ++r) {
+    for (std::size_t c = 0; c < p.cols; ++c) {
+      double sum = p.init != nullptr ? p.init[c] : 0.0;
+      for (std::size_t k = 0; k < p.depth; ++k) {
+        sum += p.left[r * p.left_row + k * p.left_k] * p.right[k * p.cols + c];
+      }
+      p.out[r * p.cols + c] = sum;
+    }
+  }
+}
+
+/// Edge shapes plus a seeded sweep over rows 1-70, depth 1-130, cols 1-100.
+std::vector<KernelCase> kernel_cases() {
+  std::vector<KernelCase> cases;
+  for (bool init : {false, true}) {
+    for (bool strided : {false, true}) {
+      for (std::size_t cols : {1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 100}) {
+        cases.push_back({1, 1, cols, init, strided});
+        cases.push_back({70, 130, cols, init, strided});
+      }
+      util::Rng rng(0x6E7E1 + 2 * init + strided);
+      for (int i = 0; i < 60; ++i) {
+        cases.push_back({1 + rng.uniform_index(70), 1 + rng.uniform_index(130),
+                         1 + rng.uniform_index(100), init, strided});
+      }
+    }
+  }
+  return cases;
+}
+
+bool same_bits(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+TEST(MlpKernel, BaselineMatchesScalarLoopBitForBit) {
+  const std::vector<KernelCase> cases = kernel_cases();
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    const KernelCase& c = cases[i];
+    ASSERT_TRUE(same_bits(run_kernel(kernel::tiled_product_baseline, c, i),
+                          run_kernel(scalar_product, c, i)))
+        << c.rows << "x" << c.depth << "x" << c.cols << " init " << c.init
+        << " strided " << c.strided;
+  }
+}
+
+TEST(MlpKernel, Avx2MatchesBaselineBitForBit) {
+#if defined(__x86_64__)
+  if (!__builtin_cpu_supports("avx2")) GTEST_SKIP() << "CPU has no AVX2";
+  const std::vector<KernelCase> cases = kernel_cases();
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    const KernelCase& c = cases[i];
+    ASSERT_TRUE(same_bits(run_kernel(kernel::tiled_product_avx2, c, i),
+                          run_kernel(kernel::tiled_product_baseline, c, i)))
+        << c.rows << "x" << c.depth << "x" << c.cols << " init " << c.init
+        << " strided " << c.strided;
+  }
+#else
+  GTEST_SKIP() << "the AVX2 build exists only on x86-64";
+#endif
 }
 
 TEST(GaussianNb, ClassifiesBlobs) {

@@ -319,8 +319,12 @@ TEST_P(MiSeparationTest, MiGrowsWithSeparation) {
   // Two equiprobable secrets: MI in [0, 1] bits.
   EXPECT_GE(mi, -1e-9);
   EXPECT_LE(mi, 1.0 + 1e-9);
-  if (separation < 0.1) EXPECT_LT(mi, 0.02);
-  if (separation > 8.0) EXPECT_GT(mi, 0.98);
+  if (separation < 0.1) {
+    EXPECT_LT(mi, 0.02);
+  }
+  if (separation > 8.0) {
+    EXPECT_GT(mi, 0.98);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Separations, MiSeparationTest,

@@ -169,8 +169,9 @@ LexOutput lex(std::string_view src) {
           ++d_end;
         }
         if (d_end < n && src[d_end] == '(') {
-          const std::string close =
-              ")" + std::string(src.substr(j + 1, d_end - j - 1)) + "\"";
+          std::string close = ")";
+          close += src.substr(j + 1, d_end - j - 1);
+          close += '"';
           std::size_t end = src.find(close, d_end + 1);
           const std::size_t stop =
               end == std::string_view::npos ? n : end + close.size();

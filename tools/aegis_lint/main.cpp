@@ -58,7 +58,7 @@ int main(int argc, char** argv) {
   using namespace aegis::lint;
 
   ProjectOptions options;
-  options.root = ".";
+  options.root.push_back('.');  // `= "."` trips a GCC 12 -Wrestrict false positive
   bool fix_suppressions = false;
   bool list_rules = false;
   bool prune = false;

@@ -40,9 +40,10 @@ struct FuzzerConfig {
   double reorder_tolerance = 0.5;  // re-measured delta must stay within
                                    // [tol, 1/tol] x original
   std::uint64_t seed = 7;
-  /// Campaign workers (0 = hardware_concurrency). Results are bit-identical
-  /// for every value: shards derive deterministic RNG streams from
-  /// split_mix64(seed, shard), never from thread identity.
+  /// Campaign executors, the calling thread included (0 =
+  /// hardware_concurrency). Results are bit-identical for every value:
+  /// shards derive deterministic RNG streams from split_mix64(seed, shard),
+  /// never from thread identity.
   std::size_t num_threads = 0;
   /// Span/metric sink for campaign stages (null = telemetry::Registry::
   /// global()). Purely observational: never hashed into config fingerprints,
@@ -84,7 +85,7 @@ class EventFuzzer {
 
   /// Steps 2-4 against the given vulnerable events (any number; fuzzed in
   /// groups of up to 4, the concurrent-counter limit). Sharded across
-  /// FuzzerConfig::num_threads workers; the result is bit-identical for
+  /// FuzzerConfig::num_threads executors; the result is bit-identical for
   /// every thread count (see ParallelCampaign).
   FuzzResult run(const std::vector<std::uint32_t>& event_ids);
 

@@ -57,6 +57,9 @@ std::vector<EpochStats> FrameSequenceModel::fit(
   };
   collect(train, X, y);
   collect(val, X_val, y_val);
+  if (X.empty()) {
+    throw std::invalid_argument("FrameSequenceModel::fit: no training frames");
+  }
   frame_classifier_ = std::make_unique<MlpClassifier>(
       X.front().size(), static_cast<std::size_t>(num_labels_), config_.mlp);
   return frame_classifier_->fit(X, y, X_val, y_val);

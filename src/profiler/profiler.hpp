@@ -36,10 +36,10 @@ struct ProfilerConfig {
   std::size_t feature_windows = 24;     // pre-PCA temporal pooling
   std::uint64_t seed = 11;
   sim::VmConfig vm;
-  /// Workers for the warm-up and ranking group sweeps (sim::sweep_groups;
-  /// 0 = hardware concurrency). One shard per job; every job's seeds are
-  /// drawn from the stage's stream before any job runs, so reports are
-  /// bit-identical for every thread count.
+  /// Executors for the warm-up and ranking group sweeps, the calling thread
+  /// included (sim::sweep_groups; 0 = hardware concurrency). One shard per
+  /// job; every job's seeds are drawn from the stage's stream before any
+  /// job runs, so reports are bit-identical for every thread count.
   std::size_t num_threads = 0;
   /// Span/metric sink for warm-up and ranking (null = telemetry::Registry::
   /// global()). Purely observational; excluded from config fingerprints.

@@ -199,6 +199,7 @@ ServiceStats ProtectionService::stats() const {
   stats.sessions_completed = manager_.completed();
   stats.sessions_refused = manager_.refused();
   stats.sessions_degraded = manager_.degraded();
+  stats.noise_draws = manager_.noise_draws();
   stats.queue_depth = queue_.size();
   stats.sessions_submitted = submitted_.value();
   queue_depth_.set(static_cast<double>(stats.queue_depth));

@@ -31,7 +31,9 @@
 namespace aegis::service {
 
 struct ServiceConfig {
-  /// Session-pool workers (0 = hardware concurrency).
+  /// Session-pool executors, the dispatcher thread included: n runs a
+  /// batch on the dispatcher plus up to n - 1 workers, and 1 runs every
+  /// session on the dispatcher (0 = hardware concurrency).
   std::size_t num_threads = 0;
   /// Submission-queue bound; submit() blocks past this (backpressure).
   std::size_t queue_capacity = 64;

@@ -60,6 +60,7 @@ struct ServiceStats {
   std::size_t sessions_refused = 0;    // rejected by admission control
   std::size_t sessions_degraded = 0;   // ran at coarser granularity
   std::size_t queue_depth = 0;         // submissions awaiting dispatch
+  std::uint64_t noise_draws = 0;       // summed over completed sessions
   TemplateCacheStats cache;
   std::vector<TenantBudgetStats> tenants;  // sorted by tenant_id
 };

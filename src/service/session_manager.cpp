@@ -85,6 +85,7 @@ SessionResult run_protected_session(const ProtectionTemplate& tpl,
       vm, request.application->visit(util::split_mix64(request.seed, kVisitStream)),
       tpl.monitored_events, request.slices, agent);
   result.injected_repetitions = obfuscator.total_injected_repetitions();
+  result.noise_draws = obfuscator.total_noise_draws();
   return result;
 }
 
@@ -102,6 +103,8 @@ SessionManager::SessionManager(std::size_t num_threads,
           telemetry_->metrics().counter("aegis_sessions_completed_total")),
       refused_(telemetry_->metrics().counter("aegis_sessions_refused_total")),
       degraded_(telemetry_->metrics().counter("aegis_sessions_degraded_total")),
+      noise_draws_(
+          telemetry_->metrics().counter("aegis_session_noise_draws_total")),
       active_(telemetry_->metrics().gauge("aegis_sessions_active")),
       rng_event_(telemetry_->recorder().event_handle(
           "session.rng", telemetry::WideEventType::kRngCheckpoint)) {}
@@ -160,6 +163,7 @@ std::vector<SessionResult> SessionManager::run_fleet(
     results[i] = run_protected_session(tpl, requests[i], granted[i], telemetry_);
     results[i].outcome = outcome;
     results[i].epsilon_after = epsilon_after;
+    noise_draws_.inc(results[i].noise_draws);
     active_.add(-1.0);
     completed_.inc();
   });

@@ -73,6 +73,9 @@ struct SessionResult {
   std::size_t granularity = 0;  // noise-refresh period actually used
   sim::MonitorResult trace;     // empty for refused sessions
   double injected_repetitions = 0.0;
+  /// Laplace values the session's obfuscator drew: one per noise stream
+  /// per noise-refresh window.
+  std::uint64_t noise_draws = 0;
   double epsilon_after = 0.0;   // tenant advanced epsilon after this window
 };
 
@@ -90,7 +93,8 @@ SessionResult run_protected_session(const ProtectionTemplate& tpl,
 
 class SessionManager {
  public:
-  /// num_threads: session-pool workers (0 = hardware concurrency).
+  /// num_threads: session-pool executors, the thread that calls
+  /// run_fleet included (0 = hardware concurrency).
   /// `telemetry` null = a private registry (per-instance counters).
   SessionManager(std::size_t num_threads, BudgetGovernor& governor,
                  telemetry::Registry* telemetry = nullptr);
@@ -107,6 +111,8 @@ class SessionManager {
   std::size_t completed() const noexcept { return completed_.value(); }
   std::size_t refused() const noexcept { return refused_.value(); }
   std::size_t degraded() const noexcept { return degraded_.value(); }
+  /// Summed noise_draws of every session run so far.
+  std::uint64_t noise_draws() const noexcept { return noise_draws_.value(); }
   /// Sessions currently executing on the pool (an instantaneous gauge).
   std::size_t active() const noexcept {
     return static_cast<std::size_t>(active_.value());
@@ -137,6 +143,7 @@ class SessionManager {
   telemetry::Counter completed_;
   telemetry::Counter refused_;
   telemetry::Counter degraded_;
+  telemetry::Counter noise_draws_;
   telemetry::Gauge active_;
   /// Per-session RNG-stream checkpoints (kRngCheckpoint wide events): the
   /// request seed plus the derived VM/monitor/obfuscator stream seeds, so a

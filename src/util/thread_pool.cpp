@@ -1,6 +1,7 @@
 #include "util/thread_pool.hpp"
 
 #include <algorithm>
+#include <utility>
 
 namespace aegis::util {
 
@@ -16,9 +17,10 @@ ThreadPool::ThreadPool(std::size_t num_threads) {
   for (std::size_t i = 0; i < n; ++i) {
     shards_.push_back(std::make_unique<Shard>());
   }
-  workers_.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    workers_.emplace_back([this, i] { worker_loop(i); });
+  // Executor 0 is whichever thread calls parallel_for.
+  workers_.reserve(n - 1);
+  for (std::size_t i = 1; i < n; ++i) {
+    workers_.emplace_back([this] { worker_loop(); });
   }
 }
 
@@ -31,42 +33,40 @@ ThreadPool::~ThreadPool() {
   for (std::thread& w : workers_) w.join();
 }
 
-bool ThreadPool::claim_index(std::size_t self, std::size_t epoch,
+bool ThreadPool::claim_index(std::size_t slot, std::size_t width,
                              std::size_t& index) {
-  // Only shards seeded for this worker's epoch are claimable: a worker that
-  // overslept a finished job must come up empty even if a newer
-  // parallel_for has already re-seeded the ranges.
   // Own shard first: consume from the front.
   {
-    Shard& own = *shards_[self];
+    Shard& own = *shards_[slot];
     std::lock_guard<std::mutex> lock(own.mu);
-    if (own.epoch == epoch && own.begin < own.end) {
+    if (own.begin < own.end) {
       index = own.begin++;
       return true;
     }
   }
-  // Steal: take the upper half of the largest remaining shard. The scan is
-  // racy by design (sizes move while scanning); the re-check under both
-  // locks below makes it safe, and a stale pick only costs a rescan.
+  // Steal: take the upper half of the largest remaining shard of this job.
+  // The scan is racy by design (sizes move while scanning); the re-check
+  // under both locks below makes it safe, and a stale pick only costs a
+  // rescan. Shards past `width` hold ranges of an earlier job and are
+  // never read.
   while (true) {
-    std::size_t victim = size();
+    std::size_t victim = width;
     std::size_t victim_left = 0;
-    for (std::size_t i = 0; i < size(); ++i) {
-      if (i == self) continue;
+    for (std::size_t i = 0; i < width; ++i) {
+      if (i == slot) continue;
       Shard& s = *shards_[i];
       std::lock_guard<std::mutex> lock(s.mu);
-      if (s.epoch != epoch) continue;
       const std::size_t left = s.end - s.begin;
       if (left > victim_left) {
         victim_left = left;
         victim = i;
       }
     }
-    if (victim == size()) return false;  // everything drained
+    if (victim == width) return false;  // everything drained
     Shard& v = *shards_[victim];
-    Shard& own = *shards_[self];
+    Shard& own = *shards_[slot];
     std::scoped_lock lock(v.mu, own.mu);
-    if (v.epoch != epoch || v.begin >= v.end) continue;  // moved on; rescan
+    if (v.begin >= v.end) continue;  // drained meanwhile; rescan
     // Thief takes [mid, end) — at least one index; the victim keeps the
     // lower half and continues consuming from its front undisturbed.
     const std::size_t mid = v.begin + (v.end - v.begin) / 2;
@@ -78,74 +78,84 @@ bool ThreadPool::claim_index(std::size_t self, std::size_t epoch,
   }
 }
 
-void ThreadPool::worker_loop(std::size_t self) {
-  std::size_t seen_epoch = 0;
+std::size_t ThreadPool::run_slot(std::size_t slot, std::size_t width,
+                                 const Body& body) {
+  std::size_t done = 0;
+  std::size_t index = 0;
+  while (claim_index(slot, width, index)) {
+    try {
+      body(index);
+    } catch (...) {
+      std::lock_guard<std::mutex> lock(mu_);
+      if (!first_error_) first_error_ = std::current_exception();
+    }
+    ++done;
+  }
+  return done;
+}
+
+void ThreadPool::worker_loop() {
   while (true) {
-    const std::function<void(std::size_t)>* body = nullptr;
+    const Body* body = nullptr;
+    std::size_t slot = 0;
+    std::size_t width = 0;
     {
       std::unique_lock<std::mutex> lock(mu_);
-      work_cv_.wait(lock, [&] { return stop_ || epoch_ != seen_epoch; });
+      work_cv_.wait(lock, [&] { return stop_ || tickets_ > 0; });
       if (stop_) return;
-      seen_epoch = epoch_;
+      // Tickets count down from width - 1, so takers get slots 1, 2, ...
+      slot = width_ - tickets_--;
+      width = width_;
       body = body_;
       ++active_;
     }
-    std::size_t done = 0;
-    std::size_t index = 0;
-    while (body != nullptr && claim_index(self, seen_epoch, index)) {
-      try {
-        (*body)(index);
-      } catch (...) {
-        std::lock_guard<std::mutex> lock(mu_);
-        if (!first_error_) first_error_ = std::current_exception();
-      }
-      ++done;
-    }
+    const std::size_t done = run_slot(slot, width, *body);
     {
       std::lock_guard<std::mutex> lock(mu_);
       remaining_ -= done;
       --active_;
-      if (remaining_ == 0 && active_ == 0) done_cv_.notify_all();
+      if (remaining_ == 0 && active_ == 0) done_cv_.notify_one();
     }
   }
 }
 
-void ThreadPool::parallel_for(std::size_t count,
-                              const std::function<void(std::size_t)>& body) {
+void ThreadPool::parallel_for(std::size_t count, const Body& body) {
   if (count == 0) return;
-  // Seed each worker with an even contiguous slice of the index space,
-  // tagged with the epoch this job will run as (only this caller thread
-  // writes epoch_, so reading it unlocked here is safe). Workers cannot see
-  // the new ranges as claimable until epoch_ is bumped below.
-  const std::size_t job_epoch = epoch_ + 1;
-  const std::size_t n = size();
-  const std::size_t chunk = count / n;
-  const std::size_t extra = count % n;
+  // Seed each executor slot of this job with an even contiguous slice of
+  // the index space. The previous job's workers have all left (active_
+  // reached 0 under mu_), and no worker reads a shard before taking a
+  // ticket under mu_ below, so these writes cannot race a claim.
+  const std::size_t width = std::min(count, size());
+  const std::size_t chunk = count / width;
+  const std::size_t extra = count % width;
   std::size_t next = 0;
-  for (std::size_t i = 0; i < n; ++i) {
+  for (std::size_t i = 0; i < width; ++i) {
     const std::size_t len = chunk + (i < extra ? 1 : 0);
     Shard& s = *shards_[i];
     std::lock_guard<std::mutex> lock(s.mu);
     s.begin = next;
     s.end = next + len;
-    s.epoch = job_epoch;
     next += len;
   }
+  // A one-slot job posts no ticket: no worker wakes or joins, the caller
+  // runs every index inline and the completion wait below returns at once.
   {
     std::lock_guard<std::mutex> lock(mu_);
     body_ = &body;
+    width_ = width;
     remaining_ = count;
-    first_error_ = nullptr;
-    ++epoch_;
+    tickets_ = width - 1;
   }
-  work_cv_.notify_all();
+  for (std::size_t i = 1; i < width; ++i) work_cv_.notify_one();
+  const std::size_t done = run_slot(0, width, body);
   std::exception_ptr error;
   {
     std::unique_lock<std::mutex> lock(mu_);
+    remaining_ -= done;
     done_cv_.wait(lock, [&] { return remaining_ == 0 && active_ == 0; });
+    tickets_ = 0;  // workers that have not woken yet stay out
     body_ = nullptr;
-    error = first_error_;
-    first_error_ = nullptr;
+    error = std::exchange(first_error_, nullptr);
   }
   if (error) std::rethrow_exception(error);
 }

@@ -574,6 +574,16 @@ TEST(SequenceModel, ThrowsBeforeTraining) {
   EXPECT_THROW((void)model.fit({}, {}, 2), std::invalid_argument);
 }
 
+TEST(SequenceModel, RejectsTrainingSequencesWithoutFrames) {
+  FrameSequenceModel model(SequenceModelConfig{});
+  FrameSequence empty;
+  FrameSequence val;
+  val.frames = {{0.0}, {1.0}};
+  val.labels = {0, 1};
+  EXPECT_THROW((void)model.fit({empty, empty}, {val}, 2),
+               std::invalid_argument);
+}
+
 TEST(SequenceModel, RejectsUnalignedLabels) {
   FrameSequenceModel model(SequenceModelConfig{});
   FrameSequence bad;

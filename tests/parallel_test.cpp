@@ -7,6 +7,7 @@
 // drift, and work-stealing thread-pool unit coverage.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <numeric>
@@ -279,13 +280,79 @@ TEST(ThreadPool, SurvivesRapidRedispatchWhenOversubscribed) {
   // entire job and wake only after the next parallel_for has re-seeded the
   // shards. It must not claim the new indices under the finished epoch's
   // (already cleared) body pointer. Tight back-to-back dispatch on an
-  // oversubscribed pool reproduced the crash reliably before the epoch tags.
+  // oversubscribed pool reproduced the crash reliably before workers could
+  // join only the running job (now: by taking one of its tickets).
   util::ThreadPool pool(8);
   for (int job = 0; job < 20000; ++job) {
     std::atomic<std::size_t> count{0};
     pool.parallel_for(64, [&](std::size_t) { count.fetch_add(1); });
     ASSERT_EQ(count.load(), 64u) << "job " << job;
   }
+}
+
+TEST(ThreadPool, SurvivesRapidRedispatchOfPartialWakeJobs) {
+  // A 2-index job wakes one of seven workers; the others stay parked, and
+  // any of them may be the next job's helper. Each index must still run
+  // exactly once per job.
+  util::ThreadPool pool(8);
+  std::array<std::atomic<int>, 2> hits{};
+  for (int job = 0; job < 20000; ++job) {
+    for (auto& h : hits) h.store(0);
+    pool.parallel_for(hits.size(),
+                      [&](std::size_t i) { hits[i].fetch_add(1); });
+    ASSERT_EQ(hits[0].load(), 1) << "job " << job;
+    ASSERT_EQ(hits[1].load(), 1) << "job " << job;
+  }
+}
+
+TEST(ThreadPool, OneIndexJobRunsOnTheCallingThread) {
+  util::ThreadPool pool(4);
+  std::thread::id ran_on;
+  pool.parallel_for(1,
+                    [&](std::size_t) { ran_on = std::this_thread::get_id(); });
+  EXPECT_EQ(ran_on, std::this_thread::get_id());
+}
+
+TEST(ThreadPool, OneExecutorPoolRunsEveryIndexOnTheCallingThread) {
+  util::ThreadPool pool(1);
+  EXPECT_EQ(pool.size(), 1u);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<int> hits(1000, 0);
+  std::size_t elsewhere = 0;
+  pool.parallel_for(hits.size(), [&](std::size_t i) {
+    if (std::this_thread::get_id() != caller) ++elsewhere;
+    ++hits[i];
+  });
+  EXPECT_EQ(elsewhere, 0u);
+  for (int h : hits) EXPECT_EQ(h, 1);
+}
+
+TEST(ThreadPool, CallerExceptionIsRethrownAfterEveryOtherIndex) {
+  // The caller's first index throws. Worker-run indices wait until it has,
+  // so none of them can finish first; the caller still claims and steals
+  // the rest, and the throw surfaces only once all 64 have run.
+  util::ThreadPool pool(4);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::atomic<bool> caller_threw{false};
+  std::atomic<std::size_t> executed{0};
+  try {
+    pool.parallel_for(64, [&](std::size_t) {
+      if (std::this_thread::get_id() == caller) {
+        if (!caller_threw.exchange(true)) {
+          executed.fetch_add(1);
+          throw std::runtime_error("caller");
+        }
+      } else {
+        while (!caller_threw.load()) std::this_thread::yield();
+      }
+      executed.fetch_add(1);
+    });
+    FAIL() << "expected an exception";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "caller");
+  }
+  EXPECT_TRUE(caller_threw.load());
+  EXPECT_EQ(executed.load(), 64u);
 }
 
 TEST(ThreadPool, StealsFromUnevenShards) {

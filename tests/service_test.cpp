@@ -336,9 +336,30 @@ TEST(SessionFleet, SixteenTenantsBitIdenticalToStandaloneAcrossThreadCounts) {
       EXPECT_EQ(fleet[t].trace.busy_cycles, standalone[t].trace.busy_cycles);
       EXPECT_EQ(fleet[t].injected_repetitions,
                 standalone[t].injected_repetitions);
+      EXPECT_EQ(fleet[t].noise_draws, standalone[t].noise_draws);
     }
+    std::uint64_t draws = 0;
+    for (const SessionResult& r : standalone) draws += r.noise_draws;
+    EXPECT_EQ(manager.noise_draws(), draws);
     EXPECT_EQ(manager.completed(), kTenants);
     EXPECT_EQ(manager.refused(), 0u);
+  }
+}
+
+TEST(SessionFleet, NoiseDrawsAreRefreshWindowsTimesNoiseStreams) {
+  auto& f = fixture();
+  // One Laplace draw per noise stream (one per segment gadget) at every
+  // noise-refresh window, i.e. every granularity-th slice.
+  ASSERT_FALSE(f.tpl.obf_config.single_stream);
+  const std::size_t streams = f.tpl.obf_config.weighted_segment.empty()
+                                  ? f.tpl.analysis->cover.gadgets.size()
+                                  : f.tpl.obf_config.weighted_segment.size();
+  ASSERT_GT(streams, 1u);
+  const SessionRequest req = f.request(5, 40);
+  for (std::size_t granularity : {std::size_t{1}, std::size_t{3}}) {
+    const SessionResult r = run_protected_session(f.tpl, req, granularity);
+    const std::size_t windows = (req.slices + granularity - 1) / granularity;
+    EXPECT_EQ(r.noise_draws, windows * streams) << "g=" << granularity;
   }
 }
 
@@ -680,6 +701,7 @@ TEST(ProtectionServiceTest, EndToEndFleetThroughTheDaemon) {
   EXPECT_EQ(stats.sessions_active, 0u);
   EXPECT_EQ(stats.queue_depth, 0u);
   EXPECT_EQ(stats.cache.lookups, 1u);
+  EXPECT_GT(stats.noise_draws, 0u);
   ASSERT_EQ(stats.tenants.size(), 3u);
   for (const auto& tenant : stats.tenants) {
     EXPECT_GT(tenant.releases, 0u);
@@ -689,11 +711,14 @@ TEST(ProtectionServiceTest, EndToEndFleetThroughTheDaemon) {
 
   const auto completed = svc.take_completed();
   ASSERT_EQ(completed.size(), kSessions);
+  std::uint64_t draws = 0;
   for (const auto& done : completed) {
     EXPECT_EQ(done.result.outcome, Admission::kAdmit);
     EXPECT_FALSE(done.result.trace.samples.empty());
     EXPECT_GT(done.latency_seconds, 0.0);
+    draws += done.result.noise_draws;
   }
+  EXPECT_EQ(stats.noise_draws, draws);
   EXPECT_TRUE(svc.take_completed().empty());  // moved out
 }
 
@@ -744,7 +769,7 @@ TEST(ProtectionServiceTest, TelemetryRetentionIsBoundedAndLossIsCounted) {
   }
   telemetry::Registry registry;
   ServiceConfig config;
-  config.num_threads = 1;  // sessions on one worker ring, admission on another
+  config.num_threads = 1;  // admission and sessions on the dispatcher's ring
   config.cache.cache_dir = dir;
   config.governor.default_epsilon_cap = 1e9;  // ample: every window admits
   config.telemetry = &registry;

@@ -13,17 +13,27 @@ using namespace aegis;
 
 namespace {
 
+std::vector<sim::CompiledBlock> compile_sequence(
+    const isa::IsaSpecification& spec, const std::vector<std::uint32_t>& uids,
+    double unroll) {
+  std::vector<sim::CompiledBlock> blocks;
+  for (std::uint32_t uid : uids) {
+    blocks.push_back(sim::compile_gadget(spec, uid, unroll));
+  }
+  return blocks;
+}
+
 /// Median per-execution delta of an instruction sequence over `repeats`
-/// executions (reset prefix executed at low unroll, triggers at high).
+/// executions (reset prefix compiled at low unroll, triggers at high).
 double median_delta(sim::GadgetRunner& runner,
-                    const std::vector<std::uint32_t>& resets,
-                    const std::vector<std::uint32_t>& triggers,
+                    const std::vector<sim::CompiledBlock>& resets,
+                    const std::vector<sim::CompiledBlock>& triggers,
                     std::size_t event_slot) {
   std::vector<double> deltas;
   for (int r = 0; r < 12; ++r) {
     double total = 0.0;
-    total += runner.execute_once(resets, 2.0)[event_slot];
-    total += runner.execute_once(triggers, 24.0)[event_slot];
+    total += runner.execute_once(resets)[event_slot];
+    total += runner.execute_once(triggers)[event_slot];
     if (r > 0) deltas.push_back(total);  // skip the warm-up transient
   }
   return util::median(deltas);
@@ -69,14 +79,16 @@ int main() {
   util::Table table({"gadget", "RETIRED_UOPS", "LS_DISPATCH",
                      "MAB_ALLOC", "DC_REFILLS"});
   for (const Variant& variant : variants) {
-    sim::GadgetRunner runner(db, spec, 0x3A9);
-    runner.program(bench::attack_events(db.model()));
+    const std::vector<sim::CompiledBlock> resets =
+        compile_sequence(spec, variant.resets, 2.0);
+    const std::vector<sim::CompiledBlock> triggers =
+        compile_sequence(spec, variant.triggers, 24.0);
     std::vector<std::string> row{variant.name};
     for (std::size_t e = 0; e < 4; ++e) {
-      sim::GadgetRunner fresh(db, spec, 0x3A9 + e);
+      sim::GadgetRunner fresh(db, 0x3A9 + e);
       fresh.program(bench::attack_events(db.model()));
-      row.push_back(util::fmt_f(
-          median_delta(fresh, variant.resets, variant.triggers, e), 1));
+      row.push_back(
+          util::fmt_f(median_delta(fresh, resets, triggers, e), 1));
     }
     table.add_row(std::move(row));
   }

@@ -67,16 +67,18 @@ BENCHMARK(BM_DStarStep);
 void BM_GadgetExecution(benchmark::State& state) {
   const auto& db = pmu::backend::backend_for(isa::CpuModel::kAmdEpyc7252).database();
   const auto spec = isa::IsaSpecification::generate(isa::CpuModel::kAmdEpyc7252);
-  sim::GadgetRunner runner(db, spec, 3);
+  sim::GadgetRunner runner(db, 3);
   std::vector<std::uint32_t> events;
   for (auto name : pmu::kAmdAttackEvents) events.push_back(*db.find(name));
   runner.program(events);
-  std::vector<std::uint32_t> gadget;
+  std::vector<sim::CompiledBlock> gadget;
   for (const auto& v : spec.variants()) {
-    if (v.legal() && gadget.size() < 2) gadget.push_back(v.uid);
+    if (v.legal() && gadget.size() < 2) {
+      gadget.push_back(sim::compile_gadget(spec, v.uid, 16.0));
+    }
   }
   for (auto _ : state) {
-    benchmark::DoNotOptimize(runner.execute_once(gadget, 16.0));
+    benchmark::DoNotOptimize(runner.execute_once(gadget));
   }
   state.SetItemsProcessed(state.iterations());
 }

@@ -21,13 +21,6 @@ struct OfflineConfig {
     profiler.num_threads = n;
     fuzzer.num_threads = n;
   }
-
-  /// Points every offline stage at one telemetry registry (null = the
-  /// process-wide global). Observational only; config hashes ignore it.
-  void set_telemetry(telemetry::Registry* reg) {
-    profiler.telemetry = reg;
-    fuzzer.telemetry = reg;
-  }
 };
 
 /// Scales a default OfflineConfig for quick runs (tests, examples).

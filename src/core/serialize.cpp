@@ -4,11 +4,13 @@
 
 #include <atomic>
 #include <charconv>
+#include <cmath>
 #include <filesystem>
 #include <fstream>
 #include <iomanip>
 #include <limits>
 #include <stdexcept>
+#include <type_traits>
 #include <vector>
 
 #include "pmu/backend/registry.hpp"
@@ -77,8 +79,9 @@ std::vector<std::string> split_row(const std::string& line, std::size_t n,
 }
 
 /// Parses a whole field as a number with std::from_chars: no whitespace,
-/// no '+', no trailing junk, no '-' for unsigned types, and no values out
-/// of the type's range.
+/// no '+', no trailing junk, no '-' for unsigned types, no values out of
+/// the type's range, and no NaN or infinity (from_chars accepts "nan" and
+/// "inf", which would poison the ranking's sort and segment sizing).
 template <typename T>
 T parse_number(const std::string& field, const char* context) {
   T value{};
@@ -86,6 +89,9 @@ T parse_number(const std::string& field, const char* context) {
   const auto [ptr, ec] = std::from_chars(field.data(), end, value);
   if (field.empty() || ec != std::errc{} || ptr != end) {
     malformed(context, field);
+  }
+  if constexpr (std::is_floating_point_v<T>) {
+    if (!std::isfinite(value)) malformed(context, field);
   }
   return value;
 }

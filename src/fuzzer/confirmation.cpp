@@ -26,8 +26,10 @@ const telemetry::Counter& path_measurements_counter() {
 }  // namespace
 
 // aegis-lint: noalloc
-PathMeasurement measure_path(sim::GadgetRunner& runner, const Gadget& gadget,
-                             bool with_trigger, const ConfirmationParams& params) {
+PathMeasurement measure_path(sim::GadgetRunner& runner,
+                             const isa::IsaSpecification& spec,
+                             const Gadget& gadget, bool with_trigger,
+                             const ConfirmationParams& params) {
   // Per-repeat deltas live in thread-local scratch, slot-major
   // (deltas[s * R + r]): confirmation runs this for every candidate gadget,
   // and per-call vectors dominated its profile.
@@ -38,32 +40,37 @@ PathMeasurement measure_path(sim::GadgetRunner& runner, const Gadget& gadget,
   const std::size_t repeats = params.repeats;
   // aegis-lint: alloc-ok(thread_local scratch; capacity retained across calls)
   deltas.resize(slots * repeats);
+  // Reset lightly, trigger unrolled: on the hot path the measured window
+  // is dominated by the trigger's effect when the gadget is genuine. Both
+  // blocks are compiled once and run R + 1 times.
+  const sim::CompiledBlock reset = sim::compile_gadget(
+      spec, gadget.reset_uid, static_cast<double>(params.reset_unroll));
+  const sim::CompiledBlock trigger =
+      with_trigger ? sim::compile_gadget(
+                         spec, gadget.trigger_uid,
+                         static_cast<double>(params.trigger_unroll))
+                   : sim::CompiledBlock{};
   // One unmeasured warm-up execution: the first run of a path carries a
   // cold-cache/predictor transient that would otherwise break the
   // cumulative-vs-median linearity check for genuine gadgets.
   for (std::size_t r = 0; r < repeats + 1; ++r) {
     if (with_trigger) {
-      // Reset executes lightly, trigger is unrolled: the measured window is
-      // dominated by the trigger's effect when the gadget is genuine.
-      const std::array<std::uint32_t, 2> seq = {gadget.reset_uid,
-                                                gadget.trigger_uid};
       // Two sub-windows with different unrolls; sum the deltas. The first
       // span aliases runner scratch, so copy it before the second call
       // overwrites it.
       std::array<double, kSlots> reset_delta{};
-      const std::span<const double> a = runner.execute_once(
-          std::span(seq).first(1), static_cast<double>(params.reset_unroll));
+      const std::span<const double> a =
+          runner.execute_once(std::span(&reset, 1));
       std::copy(a.begin(), a.end(), reset_delta.begin());
-      const std::span<const double> b = runner.execute_once(
-          std::span(seq).last(1), static_cast<double>(params.trigger_unroll));
+      const std::span<const double> b =
+          runner.execute_once(std::span(&trigger, 1));
       if (r == 0) continue;
       for (std::size_t s = 0; s < slots; ++s) {
         deltas[s * repeats + r - 1] = reset_delta[s] + b[s];
       }
     } else {
-      const std::array<std::uint32_t, 1> seq = {gadget.reset_uid};
       const std::span<const double> d =
-          runner.execute_once(seq, static_cast<double>(params.reset_unroll));
+          runner.execute_once(std::span(&reset, 1));
       if (r == 0) continue;
       for (std::size_t s = 0; s < slots; ++s) {
         deltas[s * repeats + r - 1] = d[s];
@@ -82,11 +89,13 @@ PathMeasurement measure_path(sim::GadgetRunner& runner, const Gadget& gadget,
   return m;
 }
 
-ConfirmationOutcome confirm_gadget(sim::GadgetRunner& runner, const Gadget& gadget,
+ConfirmationOutcome confirm_gadget(sim::GadgetRunner& runner,
+                                   const isa::IsaSpecification& spec,
+                                   const Gadget& gadget,
                                    const ConfirmationParams& params) {
   ConfirmationOutcome outcome;
-  outcome.cold = measure_path(runner, gadget, false, params);
-  outcome.hot = measure_path(runner, gadget, true, params);
+  outcome.cold = measure_path(runner, spec, gadget, false, params);
+  outcome.hot = measure_path(runner, spec, gadget, true, params);
 
   const double R = static_cast<double>(params.repeats);
   for (std::size_t s = 0; s < runner.programmed().size(); ++s) {

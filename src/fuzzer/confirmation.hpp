@@ -12,6 +12,7 @@
 #include <cstddef>
 
 #include "fuzzer/gadget.hpp"
+#include "isa/spec.hpp"
 #include "pmu/event_database.hpp"
 #include "sim/gadget_runner.hpp"
 
@@ -40,8 +41,11 @@ struct PathMeasurement {
 
 /// Runs one path (reset only = cold, reset+trigger = hot) R times on the
 /// runner and summarizes the per-execution deltas of every programmed slot.
-PathMeasurement measure_path(sim::GadgetRunner& runner, const Gadget& gadget,
-                             bool with_trigger, const ConfirmationParams& params);
+/// The gadget's blocks are compiled from `spec` once per call.
+PathMeasurement measure_path(sim::GadgetRunner& runner,
+                             const isa::IsaSpecification& spec,
+                             const Gadget& gadget, bool with_trigger,
+                             const ConfirmationParams& params);
 
 struct ConfirmationOutcome {
   SlotMask confirmed = 0;  // bit s: slot s passed every check
@@ -58,7 +62,9 @@ struct ConfirmationOutcome {
 /// The paper's repeated-trigger test, per programmed slot, from one cold
 /// and one hot path:
 ///   V2 - V1 within (1 +- lambda1) * R * (v2 - v1)   and   V2 > lambda2 * V1.
-ConfirmationOutcome confirm_gadget(sim::GadgetRunner& runner, const Gadget& gadget,
+ConfirmationOutcome confirm_gadget(sim::GadgetRunner& runner,
+                                   const isa::IsaSpecification& spec,
+                                   const Gadget& gadget,
                                    const ConfirmationParams& params);
 
 }  // namespace aegis::fuzzer

@@ -20,10 +20,6 @@
 #include "pmu/event_database.hpp"
 #include "sim/gadget_runner.hpp"
 
-namespace aegis::telemetry {
-class Registry;
-}
-
 namespace aegis::fuzzer {
 
 class ParallelCampaign;
@@ -45,10 +41,6 @@ struct FuzzerConfig {
   /// shards derive deterministic RNG streams from split_mix64(seed, shard),
   /// never from thread identity.
   std::size_t num_threads = 0;
-  /// Span/metric sink for campaign stages (null = telemetry::Registry::
-  /// global()). Purely observational: never hashed into config fingerprints,
-  /// never consulted by any result-producing code.
-  telemetry::Registry* telemetry = nullptr;
 };
 
 struct StepTiming {

@@ -43,23 +43,24 @@ std::vector<std::uint32_t> ParallelCampaign::cleanup() const {
       (variants.size() + kCleanupChunk - 1) / kCleanupChunk;
   std::vector<std::vector<std::uint32_t>> kept(shard_count);
 
-  telemetry::Registry& tel = telemetry::resolve(config_->telemetry);
+  telemetry::Registry& tel = telemetry::Registry::global();
   telemetry::ScopedSpan stage(tel.spans(), "fuzz.cleanup", 0, shard_count);
   pool_->parallel_for(shard_count, [&](std::size_t shard) {
     telemetry::ScopedSpan span(tel.spans(), "fuzz.cleanup.shard",
                                static_cast<std::uint32_t>(shard));
     // Variants that fault (#UD / #GP) are excluded; the simulator faults
     // exactly where the spec says real hardware would.
-    sim::GadgetRunner probe(*db_, *spec_,
-                            util::split_mix64(config_->seed ^ kCleanupSalt, shard));
+    sim::GadgetRunner probe(
+        *db_, util::split_mix64(config_->seed ^ kCleanupSalt, shard));
     probe.program({});
     const std::size_t lo = shard * kCleanupChunk;
     const std::size_t hi = std::min(variants.size(), lo + kCleanupChunk);
     kept[shard].reserve((hi - lo) / 4 + 1);
     for (std::size_t i = lo; i < hi; ++i) {
-      const std::array<std::uint32_t, 1> seq = {variants[i].uid};
       try {
-        (void)probe.execute_once(seq, 1.0);
+        const sim::CompiledBlock block =
+            sim::compile_gadget(*spec_, variants[i].uid, 1.0);
+        (void)probe.execute_once(std::span(&block, 1));
         kept[shard].push_back(variants[i].uid);
       } catch (const std::invalid_argument&) {
         // faulted: excluded from the cleaned list
@@ -88,22 +89,33 @@ GenerationOutput ParallelCampaign::generate(
   // hits[shard] = flagged gadgets of the shard's reset row, in trigger
   // order.
   std::vector<std::vector<GroupCandidate>> hits(shard_count);
+  // Every shard runs every trigger, so each is compiled once here and the
+  // shards read the blocks; resets and triggers both run at trigger_unroll.
+  const double unroll = static_cast<double>(config_->trigger_unroll);
+  std::vector<sim::CompiledBlock> trigger_blocks;
+  trigger_blocks.reserve(triggers.size());
+  for (std::uint32_t trigger : triggers) {
+    trigger_blocks.push_back(sim::compile_gadget(*spec_, trigger, unroll));
+  }
 
-  telemetry::Registry& tel = telemetry::resolve(config_->telemetry);
+  telemetry::Registry& tel = telemetry::Registry::global();
   telemetry::ScopedSpan stage(tel.spans(), "fuzz.generate", 0, shard_count);
   pool_->parallel_for(shard_count, [&](std::size_t shard) {
     telemetry::ScopedSpan span(tel.spans(), "fuzz.generate.shard",
                                static_cast<std::uint32_t>(shard));
     const std::uint32_t reset = resets[shard % resets.size()];
     sim::GadgetRunner runner(
-        *db_, *spec_, util::split_mix64(config_->seed ^ kGenerationSalt, shard));
+        *db_, util::split_mix64(config_->seed ^ kGenerationSalt, shard));
     runner.program(group_events(event_ids, shard / resets.size()));
-    for (std::uint32_t trigger : triggers) {
+    // gadget = {reset, trigger}: one measured window per pair.
+    std::array<sim::CompiledBlock, 2> gadget = {
+        sim::compile_gadget(*spec_, reset, unroll), sim::CompiledBlock{}};
+    for (std::size_t t = 0; t < triggers.size(); ++t) {
+      const std::uint32_t trigger = triggers[t];
       // Fuzzed back-to-back without state cleanup (speed over isolation;
       // the confirmation stage handles the resulting dirty state).
-      const std::array<std::uint32_t, 2> seq = {reset, trigger};
-      const std::span<const double> delta = runner.execute_once(
-          seq, static_cast<double>(config_->trigger_unroll));
+      gadget[1] = trigger_blocks[t];
+      const std::span<const double> delta = runner.execute_once(gadget);
       SlotMask slots = 0;
       for (std::size_t s = 0; s < delta.size(); ++s) {
         if (delta[s] > config_->delta_threshold) {
@@ -143,7 +155,7 @@ std::vector<std::vector<ConfirmedGadget>> ParallelCampaign::confirm(
         "ParallelCampaign::confirm: need one candidate list per event group");
   }
 
-  telemetry::Registry& tel = telemetry::resolve(config_->telemetry);
+  telemetry::Registry& tel = telemetry::Registry::global();
   telemetry::ScopedSpan stage(tel.spans(), "fuzz.confirm", 0, groups.size());
   std::vector<std::vector<ConfirmedGadget>> stable(event_ids.size());
   pool_->parallel_for(groups.size(), [&](std::size_t g) {
@@ -151,7 +163,7 @@ std::vector<std::vector<ConfirmedGadget>> ParallelCampaign::confirm(
                                static_cast<std::uint32_t>(g),
                                groups[g].size());
     sim::GadgetRunner runner(
-        *db_, *spec_, util::split_mix64(config_->seed ^ kConfirmSalt, g));
+        *db_, util::split_mix64(config_->seed ^ kConfirmSalt, g));
     runner.program(group_events(event_ids, g));
     const std::size_t g0 = g * kSlots;
 
@@ -166,7 +178,7 @@ std::vector<std::vector<ConfirmedGadget>> ParallelCampaign::confirm(
     std::array<std::size_t, kSlots> per_slot{};
     for (const GroupCandidate& candidate : groups[g]) {
       const ConfirmationOutcome outcome =
-          confirm_gadget(runner, candidate.gadget, params);
+          confirm_gadget(runner, *spec_, candidate.gadget, params);
       const SlotMask slots = outcome.confirmed & candidate.slots;
       if (slots == 0) continue;
       Hit hit{candidate.gadget, slots, {}};
@@ -192,7 +204,7 @@ std::vector<std::vector<ConfirmedGadget>> ParallelCampaign::confirm(
     for (std::size_t idx : order) {
       const Hit& hit = confirmed[idx];
       const ConfirmationOutcome again =
-          confirm_gadget(runner, hit.gadget, params);
+          confirm_gadget(runner, *spec_, hit.gadget, params);
       for (std::size_t s = 0; s < kSlots; ++s) {
         if (!has_slot(hit.slots, s) || !again.confirmed_for(s)) continue;
         const double ratio = again.trigger_delta(s) / hit.delta[s];
@@ -210,7 +222,7 @@ std::vector<std::vector<ConfirmedGadget>> ParallelCampaign::confirm(
 
 std::vector<FilterOutcome> ParallelCampaign::filter(
     const std::vector<std::vector<ConfirmedGadget>>& confirmed) const {
-  telemetry::Registry& tel = telemetry::resolve(config_->telemetry);
+  telemetry::Registry& tel = telemetry::Registry::global();
   telemetry::ScopedSpan stage(tel.spans(), "fuzz.filter", 0,
                               confirmed.size());
   std::vector<FilterOutcome> outcomes(confirmed.size());

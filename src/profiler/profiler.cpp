@@ -82,7 +82,7 @@ WarmupReport ApplicationProfiler::warmup(const workload::Workload& application) 
     jobs.push_back({&application, config_.warmup_slices});
   }
 
-  telemetry::Registry& tel = telemetry::resolve(config_.telemetry);
+  telemetry::Registry& tel = telemetry::Registry::global();
   telemetry::ScopedSpan stage(tel.spans(), "profiler.warmup", 0,
                               sim::sweep_group_count(all_events.size()));
   util::ThreadPool pool(config_.num_threads);
@@ -125,7 +125,7 @@ std::vector<EventRank> ApplicationProfiler::rank(
   const std::vector<sim::SweepJob> jobs =
       sim::secret_jobs(secrets, runs, "ApplicationProfiler::rank");
 
-  telemetry::Registry& tel = telemetry::resolve(config_.telemetry);
+  telemetry::Registry& tel = telemetry::Registry::global();
   telemetry::ScopedSpan stage(tel.spans(), "profiler.rank", 0,
                               sim::sweep_group_count(event_ids.size()));
   util::ThreadPool pool(config_.num_threads);

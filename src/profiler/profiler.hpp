@@ -21,10 +21,6 @@
 #include "trace/gaussian.hpp"
 #include "workload/workload.hpp"
 
-namespace aegis::telemetry {
-class Registry;
-}
-
 namespace aegis::profiler {
 
 struct ProfilerConfig {
@@ -41,9 +37,6 @@ struct ProfilerConfig {
   /// job; every job's seeds are drawn from the stage's stream before any
   /// job runs, so reports are bit-identical for every thread count.
   std::size_t num_threads = 0;
-  /// Span/metric sink for warm-up and ranking (null = telemetry::Registry::
-  /// global()). Purely observational; excluded from config fingerprints.
-  telemetry::Registry* telemetry = nullptr;
 };
 
 struct WarmupReport {

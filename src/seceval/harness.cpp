@@ -8,6 +8,7 @@
 #include "attack/retrainable.hpp"
 #include "attack/slice_step.hpp"
 #include "attack/wfa.hpp"
+#include "telemetry/registry.hpp"
 #include "util/hash.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
@@ -110,7 +111,6 @@ SecurityHarness::SecurityHarness(HarnessConfig config)
   offline.fuzzer.reset_sample = 40;
   offline.fuzzer.trigger_sample = 40;
   offline.fuzz_top_events = 0;
-  offline.set_telemetry(config_.telemetry);
   analysis_ = engine_.analyze(*secrets.front(), secrets, offline);
 
   // The attacked counter set is a backend query: the paper's AMD picks on
@@ -210,7 +210,7 @@ CellResult SecurityHarness::run_cell(const CellSpec& spec) const {
 }
 
 FrontierResult SecurityHarness::run(const std::vector<CellSpec>& cells) const {
-  telemetry::Registry& reg = telemetry::resolve(config_.telemetry);
+  telemetry::Registry& reg = telemetry::Registry::global();
   const telemetry::Counter cells_done =
       reg.metrics().counter("seceval_cells_total");
 

@@ -32,7 +32,6 @@
 #include <vector>
 
 #include "core/aegis.hpp"
-#include "telemetry/registry.hpp"
 
 namespace aegis::seceval {
 
@@ -98,7 +97,6 @@ struct HarnessConfig {
   std::size_t num_threads = 0;  // cell shards; 0 = hardware concurrency
   std::uint64_t seed = 0x5ECE7A1ULL;
   isa::CpuModel cpu = isa::CpuModel::kAmdEpyc7252;
-  telemetry::Registry* telemetry = nullptr;  // null = process global
 };
 
 struct FrontierResult {

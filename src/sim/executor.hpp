@@ -8,8 +8,11 @@
 //   * compile_block + execute_compiled — hoists every state-independent
 //     term (line counts, branch totals, the issue-width division, the
 //     fixed cycle products) into a CompiledBlock once, so the per-call
-//     work shrinks to the cache/branch-state interaction. GadgetRunner's
-//     superblocks are sequences of CompiledBlocks.
+//     work shrinks to the cache/branch-state interaction. Gadget code
+//     takes this path: the fuzzer compiles each gadget's blocks once
+//     (sim::compile_gadget) and GadgetRunner::execute_once runs them.
+//     VM slices keep execute_block: their blocks are new every slice, so
+//     compiling them first only adds work.
 // execute_compiled is bit-identical to execute_block on the same state:
 // the precomputed values are the identical IEEE-754 results of the
 // identical expressions, and the remaining additions run in the identical

@@ -3,9 +3,9 @@
 //
 // Ownership model:
 //   * Library code with no injection point (measure_path's counter, the
-//     obfuscator's plan.rotation and obfuscator.rng checkpoints, and
-//     profiler and fuzzer stage spans when their configs carry no registry)
-//     records into Registry::global() — a process-wide instance on the
+//     obfuscator's plan.rotation and obfuscator.rng checkpoints, and the
+//     profiler, fuzzer and seceval stage spans) records into
+//     Registry::global() — a process-wide instance on the
 //     deterministic tick clock — so instrumentation works with zero
 //     plumbing and zero behavioral effect. The per-gadget and per-slice
 //     paths (GadgetRunner::execute_once, CounterRegisterFile::accumulate,

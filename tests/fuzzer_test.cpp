@@ -62,12 +62,12 @@ TEST(Confirmation, ConfirmsFlushLoadGadgetForCacheEvent) {
   // The paper's canonical example: clflush reset + load trigger disturbs
   // cache-refill events.
   Fixture f;
-  sim::GadgetRunner runner(f.db, f.spec, 1);
+  sim::GadgetRunner runner(f.db, 1);
   runner.program({*f.db.find("DATA_CACHE_REFILLS_FROM_SYSTEM")});
   const Gadget gadget{f.find_variant(InstructionClass::kCacheFlush, true),
                       f.find_variant(InstructionClass::kLoad, true)};
   const ConfirmationOutcome outcome =
-      confirm_gadget(runner, gadget, ConfirmationParams{});
+      confirm_gadget(runner, f.spec, gadget, ConfirmationParams{});
   EXPECT_TRUE(outcome.confirmed_for(0));
   EXPECT_GT(outcome.trigger_delta(0), 0.3);
 }
@@ -77,12 +77,12 @@ TEST(Confirmation, RejectsGadgetWhoseResetDoesNotReset) {
   // the first execution, so the cumulative misses fall far short of
   // R * median -> the lambda1 linearity constraint rejects it (C6).
   Fixture f;
-  sim::GadgetRunner runner(f.db, f.spec, 2);
+  sim::GadgetRunner runner(f.db, 2);
   runner.program({*f.db.find("DATA_CACHE_REFILLS_FROM_SYSTEM")});
   const Gadget gadget{f.find_variant(InstructionClass::kNop),
                       f.find_variant(InstructionClass::kLoad, true)};
   const ConfirmationOutcome outcome =
-      confirm_gadget(runner, gadget, ConfirmationParams{});
+      confirm_gadget(runner, f.spec, gadget, ConfirmationParams{});
   EXPECT_FALSE(outcome.confirmed_for(0));
 }
 
@@ -90,35 +90,37 @@ TEST(Confirmation, RejectsResetSideEffectGadget) {
   // Store reset + NOP trigger on a store-counting event: the whole change
   // comes from the reset (C5); the hot path is not lambda2 times the cold.
   Fixture f;
-  sim::GadgetRunner runner(f.db, f.spec, 3);
+  sim::GadgetRunner runner(f.db, 3);
   runner.program({*f.db.find("HW_CACHE_L1D:WRITE:ACCESS")});
   const Gadget gadget{f.find_variant(InstructionClass::kStore, true, true),
                       f.find_variant(InstructionClass::kNop)};
   const ConfirmationOutcome outcome =
-      confirm_gadget(runner, gadget, ConfirmationParams{});
+      confirm_gadget(runner, f.spec, gadget, ConfirmationParams{});
   EXPECT_FALSE(outcome.confirmed_for(0));
 }
 
 TEST(Confirmation, ConfirmsUopGadgetWithCheapReset) {
   Fixture f;
-  sim::GadgetRunner runner(f.db, f.spec, 4);
+  sim::GadgetRunner runner(f.db, 4);
   runner.program({*f.db.find("RETIRED_UOPS")});
   const Gadget gadget{f.find_variant(InstructionClass::kNop),
                       f.find_variant(InstructionClass::kIntDiv)};
   const ConfirmationOutcome outcome =
-      confirm_gadget(runner, gadget, ConfirmationParams{});
+      confirm_gadget(runner, f.spec, gadget, ConfirmationParams{});
   EXPECT_TRUE(outcome.confirmed_for(0));
 }
 
 TEST(Confirmation, MeasurePathSeparatesColdAndHot) {
   Fixture f;
-  sim::GadgetRunner runner(f.db, f.spec, 5);
+  sim::GadgetRunner runner(f.db, 5);
   runner.program({*f.db.find("RETIRED_UOPS")});
   const Gadget gadget{f.find_variant(InstructionClass::kNop),
                       f.find_variant(InstructionClass::kIntMul)};
   const ConfirmationParams params;
-  const PathMeasurement cold = measure_path(runner, gadget, false, params);
-  const PathMeasurement hot = measure_path(runner, gadget, true, params);
+  const PathMeasurement cold =
+      measure_path(runner, f.spec, gadget, false, params);
+  const PathMeasurement hot =
+      measure_path(runner, f.spec, gadget, true, params);
   EXPECT_GT(hot.median[0], cold.median[0] + 1.0);
   EXPECT_NEAR(hot.cumulative[0], hot.median[0] * params.repeats,
               hot.cumulative[0] * 0.3 + 1.0);
@@ -130,13 +132,13 @@ TEST(Confirmation, JudgesEachSlotOfAGroupRunnerOnItsOwn) {
   // the store-counting event (slot 1) moves only with the reset: a C5 side
   // effect that must be rejected for slot 1 alone.
   Fixture f;
-  sim::GadgetRunner runner(f.db, f.spec, 6);
+  sim::GadgetRunner runner(f.db, 6);
   runner.program({*f.db.find("RETIRED_UOPS"),
                   *f.db.find("HW_CACHE_L1D:WRITE:ACCESS")});
   const Gadget gadget{f.find_variant(InstructionClass::kStore, true, true),
                       f.find_variant(InstructionClass::kIntDiv)};
   const ConfirmationOutcome outcome =
-      confirm_gadget(runner, gadget, ConfirmationParams{});
+      confirm_gadget(runner, f.spec, gadget, ConfirmationParams{});
   EXPECT_TRUE(outcome.confirmed_for(0));
   EXPECT_FALSE(outcome.confirmed_for(1));
   EXPECT_GT(outcome.cold.cumulative[1], 0.0);  // the reset does count
@@ -186,7 +188,7 @@ TEST(Confirmation, MeasuresEachCandidateOnceForItsWholeGroup) {
   std::size_t rechecks = 0;
   std::size_t multi_slot = 0;
   for (std::size_t g = 0; g < generation.groups.size(); ++g) {
-    sim::GadgetRunner runner(f.db, f.spec,
+    sim::GadgetRunner runner(f.db,
                              util::split_mix64(config.seed ^ kConfirmSalt, g));
     const std::size_t g1 = std::min(events.size(), (g + 1) * kSlots);
     runner.program({events.begin() + static_cast<std::ptrdiff_t>(g * kSlots),
@@ -195,7 +197,7 @@ TEST(Confirmation, MeasuresEachCandidateOnceForItsWholeGroup) {
       ++candidates;
       if (std::popcount(candidate.slots) > 1) ++multi_slot;
       const SlotMask slots =
-          confirm_gadget(runner, candidate.gadget, params).confirmed &
+          confirm_gadget(runner, f.spec, candidate.gadget, params).confirmed &
           candidate.slots;
       if (slots != 0) ++rechecks;
     }

@@ -7,8 +7,8 @@
 //   * a seed-7 fuzzing shard and a profiler ranking reproduce digests
 //     captured when the retired reference, scalar and SIMD engines were
 //     still proven to agree;
-//   * steady-state GadgetRunner::execute_once performs zero heap
-//     allocations (instrumented global allocator).
+//   * GadgetRunner::execute_once performs zero heap allocations, from the
+//     first execution of a gadget on (instrumented global allocator).
 #include <gtest/gtest.h>
 
 #include <array>
@@ -442,7 +442,7 @@ TEST(EngineEquivalence, PinnedSimdEnginesBitIdenticalToReference) {
 // event and median_delta bit) and of a profiler ranking (ids and MI bits).
 // Both were captured on the commit whose reference, dense scalar and
 // AVX-512 engines produced identical values, so they pin the retired
-// engines' output through the whole campaign — superblock execution, RNG
+// engines' output through the whole campaign — gadget execution, RNG
 // draws, confirmation reordering, everything. The ranking digest was
 // re-pinned once, when the group sweep began simulating each ranking job
 // once for every group. The fuzz digest was re-pinned once (was
@@ -514,8 +514,8 @@ TEST(EngineEquivalence, Seed7FuzzingShardBitIdentical) {
 }
 
 // The same shard run back to back by fresh fuzzers in one process: every
-// run must reproduce the digest, so no campaign leaves state (superblock
-// caches, register files, RNG streams) that leaks into the next.
+// run must reproduce the digest, so no campaign leaves state (register
+// files, RNG streams) that leaks into the next.
 TEST(EngineEquivalence, Seed7ShardBitIdenticalAcrossSimdEngines) {
   Fixture fix;
   for (int run = 0; run < 2; ++run) {
@@ -545,12 +545,14 @@ TEST(EngineEquivalence, ProfilerRankingIdenticalAcrossEngines) {
 }
 
 // ---------------------------------------------------------------------------
-// Zero-allocation steady state.
+// Zero-allocation measurement loop: the runner holds no per-gadget state,
+// so even its first execution of a gadget it has never seen allocates
+// nothing.
 
 TEST(HotPathAllocations, ExecuteOnceSteadyStateAllocatesNothing) {
 #if AEGIS_ALLOC_HOOK
   Fixture fix;
-  sim::GadgetRunner runner(fix.db, fix.spec, 21);
+  sim::GadgetRunner runner(fix.db, 21);
   const std::vector<std::uint32_t> all_events = fix.events();
   runner.program({all_events.begin(), all_events.begin() + 4});
 
@@ -572,24 +574,25 @@ TEST(HotPathAllocations, ExecuteOnceSteadyStateAllocatesNothing) {
   }
   ASSERT_TRUE(have_plain);
   ASSERT_TRUE(have_memory);
-  const std::array<std::uint32_t, 2> gadget = {plain, memory};
+  const std::array<sim::CompiledBlock, 2> gadget = {
+      sim::compile_gadget(fix.spec, plain, 16.0),
+      sim::compile_gadget(fix.spec, memory, 16.0)};
 
-  // Warm-up: populates the variant-block cache (the only allocations the
-  // measurement loop is allowed).
-  for (int i = 0; i < 3; ++i) (void)runner.execute_once(gadget, 16.0);
-
+  // One call on the memory block alone first-touches the scratch and data
+  // regions (a one-time MicroArchState append, not per-gadget state). The
+  // counted window then opens with the first execution of the gadget.
+  (void)runner.execute_once(std::span(gadget).last(1));
   const std::uint64_t before =
       g_allocation_count.load(std::memory_order_relaxed);
   double sink = 0.0;
   for (int i = 0; i < 200; ++i) {
-    const std::span<const double> delta = runner.execute_once(gadget, 16.0);
+    const std::span<const double> delta = runner.execute_once(gadget);
     sink += delta[0];
   }
   const std::uint64_t after =
       g_allocation_count.load(std::memory_order_relaxed);
   EXPECT_EQ(after - before, 0u)
-      << "steady-state execute_once must not touch the heap (sink=" << sink
-      << ")";
+      << "execute_once must not touch the heap (sink=" << sink << ")";
 #else
   GTEST_SKIP() << "allocation hook disabled under sanitizers";
 #endif
@@ -606,7 +609,7 @@ TEST(GadgetRunner, ExecuteOnceLeavesTheGlobalRecorderAlone) {
   const auto recorded = [&recorder] {
     return recorder.drain().size() + recorder.dropped();
   };
-  sim::GadgetRunner runner(fix.db, fix.spec, 21);
+  sim::GadgetRunner runner(fix.db, 21);
   const std::vector<std::uint32_t> all_events = fix.events();
   runner.program({all_events.begin(), all_events.begin() + 4});
   std::uint32_t plain = 0;
@@ -616,57 +619,15 @@ TEST(GadgetRunner, ExecuteOnceLeavesTheGlobalRecorderAlone) {
       break;
     }
   }
-  const std::array<std::uint32_t, 2> gadget = {plain, plain};
+  const sim::CompiledBlock block = sim::compile_gadget(fix.spec, plain, 16.0);
+  const std::array<sim::CompiledBlock, 2> gadget = {block, block};
 
   const std::size_t before = recorded();
-  for (int i = 0; i < 10000; ++i) (void)runner.execute_once(gadget, 16.0);
+  for (int i = 0; i < 10000; ++i) (void)runner.execute_once(gadget);
   EXPECT_EQ(recorded(), before);
   for (const std::string& stream : recorder.streams()) {
     EXPECT_NE(stream.rfind("gadget.", 0), 0u) << stream;
   }
-}
-
-// ---------------------------------------------------------------------------
-// Superblock cache correctness: alternating the unroll factor on the same
-// uid sequence must rebuild the fused blocks in place — a stale cache
-// would return unroll-8 deltas for the unroll-16 request.
-
-TEST(GadgetRunnerSuperblocks, UnrollAlternationNeverServesStaleBlocks) {
-  Fixture fix;
-  sim::GadgetRunner runner(fix.db, fix.spec, 21);
-  const std::vector<std::uint32_t> all_events = fix.events();
-  runner.program({all_events.begin(), all_events.begin() + 4});
-
-  std::uint32_t plain = 0;
-  bool have_plain = false;
-  for (const auto& v : fix.spec.variants()) {
-    if (v.legal() && !v.has_memory_operand) {
-      plain = v.uid;
-      have_plain = true;
-      break;
-    }
-  }
-  ASSERT_TRUE(have_plain);
-  const std::array<std::uint32_t, 2> gadget = {plain, plain};
-
-  // Strictly alternate so every call arrives with the other unroll cached.
-  std::array<double, 4> sum8{};
-  std::array<double, 4> sum16{};
-  for (int i = 0; i < 50; ++i) {
-    const std::span<const double> d8 = runner.execute_once(gadget, 8.0);
-    for (std::size_t j = 0; j < 4; ++j) sum8[j] += d8[j];
-    const std::span<const double> d16 = runner.execute_once(gadget, 16.0);
-    for (std::size_t j = 0; j < 4; ++j) sum16[j] += d16[j];
-  }
-  // The most-responsive programmed event must see roughly double the
-  // activity at double the unroll; a stale cache leaves the sums equal.
-  std::size_t top = 0;
-  for (std::size_t j = 1; j < 4; ++j) {
-    if (sum8[j] > sum8[top]) top = j;
-  }
-  ASSERT_GT(sum8[top], 0.0);
-  EXPECT_GT(sum16[top], sum8[top] * 1.5)
-      << "unroll-16 deltas look like cached unroll-8 blocks";
 }
 
 }  // namespace

@@ -339,11 +339,9 @@ TEST(Robustness, SerializeEmptyResultRoundTrips) {
 
 TEST(Robustness, GadgetRunnerEmptySequenceMeasuresNothing) {
   const auto db = pmu::EventDatabase::generate(isa::CpuModel::kAmdEpyc7252);
-  const auto spec = isa::IsaSpecification::generate(isa::CpuModel::kAmdEpyc7252);
-  sim::GadgetRunner runner(db, spec, 6);
+  sim::GadgetRunner runner(db, 6);
   runner.program({*db.find("RETIRED_UOPS")});
-  const std::vector<std::uint32_t> empty;
-  const auto delta = runner.execute_once(empty);
+  const auto delta = runner.execute_once({});
   ASSERT_EQ(delta.size(), 1u);
   EXPECT_NEAR(delta[0], 0.0, 1.0);
 }

@@ -6,10 +6,12 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "attack/wfa.hpp"
 #include "core/serialize.hpp"
 #include "pmu/backend/registry.hpp"
+#include "util/rng.hpp"
 
 namespace aegis::core {
 namespace {
@@ -380,6 +382,142 @@ TEST(SerializeMalformed, CoverGadgetUidOutsideTheSpecThrows) {
                                        "3\t" + uid, kCoverEffect),
                         uid);
   }
+}
+
+// std::from_chars accepts "nan", "inf" and "infinity"; a template crossing
+// the warm-start boundary must not smuggle them into the ranking's sort
+// order or the obfuscator's segment sizing.
+const char* const kNonFinite[] = {"nan", "-nan", "inf", "-inf", "infinity",
+                                  "NaN", "INF"};
+
+TEST(SerializeMalformed, NonFiniteMutualInformationThrows) {
+  for (const std::string bad : kNonFinite) {
+    EXPECT_THROW((void)load_text(minimal_stream(bad + "\tRETIRED_UOPS",
+                                                kGadgetHeader, kGadgetRow,
+                                                kCoverGadget, kCoverEffect)),
+                 std::runtime_error)
+        << bad;
+  }
+}
+
+TEST(SerializeMalformed, NonFiniteGadgetDeltaThrows) {
+  for (const std::string bad : kNonFinite) {
+    EXPECT_THROW((void)load_text(minimal_stream(
+                     kRankingRow, "RETIRED_UOPS\t1\t3\t4\t" + bad,
+                     kGadgetRow, kCoverGadget, kCoverEffect)),
+                 std::runtime_error)
+        << bad;
+    EXPECT_THROW((void)load_text(minimal_stream(kRankingRow, kGadgetHeader,
+                                                "3\t4\t" + bad, kCoverGadget,
+                                                kCoverEffect)),
+                 std::runtime_error)
+        << bad;
+  }
+}
+
+TEST(SerializeMalformed, NonFiniteCoverEffectDeltaThrows) {
+  for (const std::string bad : kNonFinite) {
+    EXPECT_THROW((void)load_text(minimal_stream(kRankingRow, kGadgetHeader,
+                                                kGadgetRow, kCoverGadget,
+                                                bad + "\tRETIRED_UOPS")),
+                 std::runtime_error)
+        << bad;
+  }
+}
+
+std::string save_text(const OfflineResult& result,
+                      const pmu::EventDatabase& db) {
+  std::ostringstream os;
+  save_offline_result(os, result, db);
+  return os.str();
+}
+
+// Seeded mutations of a saved analysis: byte flips, truncations, duplicated
+// lines, spliced chunks and numeric fields replaced by a non-finite token.
+// Every mutant either throws or loads a result that re-saves and reloads
+// to the same bytes; the non-finite mutants always throw.
+TEST(SerializeMalformed, SeededMutationsLoadOrRejectAndRoundTrip) {
+  auto& f = fixture();
+  const pmu::EventDatabase& db = f.aegis.database();
+  const isa::IsaSpecification& spec = f.aegis.specification();
+  const std::string golden = save_text(f.result, db);
+
+  // Byte offset and length of every whole tab/newline-delimited field that
+  // is a plain number (counts, uids, MI values, deltas).
+  std::vector<std::pair<std::size_t, std::size_t>> numbers;
+  for (std::size_t start = 0; start < golden.size();) {
+    std::size_t end = golden.find_first_of("\t\n", start);
+    if (end == std::string::npos) end = golden.size();
+    const std::string field = golden.substr(start, end - start);
+    if (!field.empty() &&
+        field.find_first_not_of("0123456789.e+-") == std::string::npos) {
+      numbers.emplace_back(start, end - start);
+    }
+    start = end + 1;
+  }
+  ASSERT_GT(numbers.size(), 10u);
+
+  util::Rng rng(0x5E71A1ULL);
+  const auto pick = [&rng](std::size_t n) {
+    return static_cast<std::size_t>(rng.next_u64() % n);
+  };
+  // Offset of the start of a random line.
+  const auto line_start = [&](const std::string& bytes) {
+    const std::size_t at = pick(bytes.size());
+    const std::size_t nl = bytes.rfind('\n', at);
+    return nl == std::string::npos ? std::size_t{0} : nl + 1;
+  };
+  std::size_t loaded = 0;
+  std::size_t rejected = 0;
+  for (int iter = 0; iter < 2000; ++iter) {
+    std::string bytes = golden;
+    const int kind = iter % 5;
+    switch (kind) {
+      case 0:  // byte flips anywhere
+        for (int k = 0, n = 1 + static_cast<int>(pick(4)); k < n; ++k) {
+          bytes[pick(bytes.size())] ^= static_cast<char>(1 + pick(255));
+        }
+        break;
+      case 1:  // truncation
+        bytes.resize(pick(bytes.size() + 1));
+        break;
+      case 2: {  // duplicate a whole line at another line start
+        const std::size_t from = line_start(bytes);
+        const std::size_t to = bytes.find('\n', from);
+        bytes.insert(line_start(bytes), bytes.substr(from, to - from + 1));
+        break;
+      }
+      case 3: {  // splice: copy a chunk over another place, any alignment
+        const std::size_t from = pick(bytes.size());
+        const std::size_t len =
+            1 + pick(std::min<std::size_t>(bytes.size() - from, 200));
+        const std::string chunk = bytes.substr(from, len);
+        bytes.replace(pick(bytes.size()), len, chunk);
+        break;
+      }
+      default: {  // a numeric field becomes a non-finite token
+        const auto [at, len] = numbers[pick(numbers.size())];
+        bytes.replace(at, len, kNonFinite[pick(std::size(kNonFinite))]);
+        break;
+      }
+    }
+    std::istringstream is(bytes);
+    OfflineResult result;
+    try {
+      result = load_offline_result(is, db, spec);
+    } catch (const std::exception&) {
+      ++rejected;
+      continue;
+    }
+    EXPECT_NE(kind, 4) << "mutation " << iter << " loaded a non-finite value";
+    ++loaded;
+    const std::string resaved = save_text(result, db);
+    std::istringstream again(resaved);
+    EXPECT_EQ(save_text(load_offline_result(again, db, spec), db), resaved)
+        << "mutation " << iter;
+  }
+  EXPECT_GT(loaded, 0u);
+  EXPECT_GT(rejected, 0u);
 }
 
 TEST(Serialize, FileRoundTrip) {

@@ -299,9 +299,9 @@ TEST(HostMonitor, AgentBlocksAreIndistinguishableInflation) {
 
 // ---------------------------------------------------------------------------
 // compile_block + execute_compiled must be bit-identical to execute_block:
-// GadgetRunner's fused superblocks rely on this to keep the whole fuzzing
-// pipeline's counter streams unchanged (see DESIGN.md "Superblock
-// fusion in GadgetRunner").
+// the fuzzer's caller-compiled gadget blocks rely on this to keep the whole
+// fuzzing pipeline's counter streams unchanged (see DESIGN.md
+// "Caller-compiled gadget blocks").
 
 void expect_stats_equal(const pmu::ExecutionStats& a,
                         const pmu::ExecutionStats& b, int step) {
@@ -391,10 +391,7 @@ TEST(ExecutorCompiled, RespectsCostModelItWasCompiledWith) {
 }
 
 TEST(GadgetRunner, RejectsIllegalVariants) {
-  const auto db = pmu::EventDatabase::generate(isa::CpuModel::kAmdEpyc7252);
   const auto spec = isa::IsaSpecification::generate(isa::CpuModel::kAmdEpyc7252);
-  GadgetRunner runner(db, spec, 12);
-  runner.program({*db.find("RETIRED_UOPS")});
   std::uint32_t illegal = 0;
   for (const auto& v : spec.variants()) {
     if (!v.legal()) {
@@ -402,17 +399,13 @@ TEST(GadgetRunner, RejectsIllegalVariants) {
       break;
     }
   }
-  const std::array<std::uint32_t, 1> seq = {illegal};
-  EXPECT_THROW((void)runner.execute_once(seq), std::invalid_argument);
-  // The superblock cache must never swallow the fault: the second call has
-  // to throw exactly like the first (illegal sequences are never cached).
-  EXPECT_THROW((void)runner.execute_once(seq), std::invalid_argument);
+  EXPECT_THROW((void)compile_gadget(spec, illegal, 8.0), std::invalid_argument);
 }
 
 TEST(GadgetRunner, MeasuresUopDeltaOfSimpleGadget) {
   const auto db = pmu::EventDatabase::generate(isa::CpuModel::kAmdEpyc7252);
   const auto spec = isa::IsaSpecification::generate(isa::CpuModel::kAmdEpyc7252);
-  GadgetRunner runner(db, spec, 13);
+  GadgetRunner runner(db, 13);
   runner.program({*db.find("RETIRED_UOPS")});
   std::uint32_t alu = 0;
   for (const auto& v : spec.variants()) {
@@ -422,8 +415,9 @@ TEST(GadgetRunner, MeasuresUopDeltaOfSimpleGadget) {
       break;
     }
   }
-  const std::array<std::uint32_t, 1> seq = {alu};
-  const std::span<const double> delta = runner.execute_once(seq, 32.0);
+  const CompiledBlock gadget = compile_gadget(spec, alu, 32.0);
+  const std::span<const double> delta =
+      runner.execute_once(std::span(&gadget, 1));
   ASSERT_EQ(delta.size(), 1u);
   EXPECT_GT(delta[0], 20.0);  // ~32 uops, modulo measurement noise
 }
@@ -433,7 +427,7 @@ TEST(GadgetRunner, DirtyStatePersistsAcrossExecutions) {
   // cached, unless some reset flushes it.
   const auto db = pmu::EventDatabase::generate(isa::CpuModel::kAmdEpyc7252);
   const auto spec = isa::IsaSpecification::generate(isa::CpuModel::kAmdEpyc7252);
-  GadgetRunner runner(db, spec, 14);
+  GadgetRunner runner(db, 14);
   runner.program({*db.find("MAB_ALLOCATION_BY_PIPE")});
   std::uint32_t load = 0;
   for (const auto& v : spec.variants()) {
@@ -443,19 +437,19 @@ TEST(GadgetRunner, DirtyStatePersistsAcrossExecutions) {
       break;
     }
   }
-  const std::array<std::uint32_t, 1> seq = {load};
-  const double first = runner.execute_once(seq, 32.0)[0];
-  const double second = runner.execute_once(seq, 32.0)[0];
+  const CompiledBlock gadget = compile_gadget(spec, load, 32.0);
+  const std::span<const CompiledBlock> seq(&gadget, 1);
+  const double first = runner.execute_once(seq)[0];
+  const double second = runner.execute_once(seq)[0];
   EXPECT_GT(first, second + 0.5);
   runner.reset_machine_state();
-  const double after_reset = runner.execute_once(seq, 32.0)[0];
+  const double after_reset = runner.execute_once(seq)[0];
   EXPECT_GT(after_reset, second + 0.5);
 }
 
 TEST(GadgetRunner, ProgramRejectsMoreThanFourEvents) {
   const auto db = pmu::EventDatabase::generate(isa::CpuModel::kAmdEpyc7252);
-  const auto spec = isa::IsaSpecification::generate(isa::CpuModel::kAmdEpyc7252);
-  GadgetRunner runner(db, spec, 15);
+  GadgetRunner runner(db, 15);
   EXPECT_THROW(runner.program({0, 1, 2, 3, 4}), std::invalid_argument);
 }
 

@@ -3,8 +3,8 @@
 #include <cmath>
 #include <sstream>
 #include <string_view>
+#include <vector>
 
-#include "util/arena.hpp"
 #include "util/hash.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
@@ -12,35 +12,6 @@
 
 namespace aegis::util {
 namespace {
-
-// The superblock cache (sim/gadget_runner.cpp) dereferences arena pointers
-// from a noalloc loop for the process lifetime; stability across growth is
-// the whole contract.
-TEST(Arena, AddressesStableAcrossChunkGrowth) {
-  Arena<int, 4> arena;
-  std::vector<int*> ptrs;
-  for (int i = 0; i < 100; ++i) {
-    int* p = arena.push();
-    *p = i;
-    ptrs.push_back(p);
-  }
-  EXPECT_EQ(arena.size(), 100u);
-  for (int i = 0; i < 100; ++i) {
-    EXPECT_EQ(*ptrs[i], i) << "object " << i << " moved or was overwritten";
-  }
-}
-
-TEST(Arena, ClearReleasesEverything) {
-  Arena<double, 8> arena;
-  for (int i = 0; i < 20; ++i) *arena.push() = 1.0;
-  EXPECT_EQ(arena.size(), 20u);
-  arena.clear();
-  EXPECT_EQ(arena.size(), 0u);
-  // Reusable after clear; objects are default-constructed again.
-  double* p = arena.push();
-  EXPECT_EQ(*p, 0.0);
-  EXPECT_EQ(arena.size(), 1u);
-}
 
 // Golden vectors for FNV-1a 64. The hash names on-disk template-cache
 // files (service/template_cache.cpp), so any drift in the offset basis,

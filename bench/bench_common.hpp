@@ -18,7 +18,7 @@
 #include "attack/mea.hpp"
 #include "attack/wfa.hpp"
 #include "core/aegis.hpp"
-#include "pmu/backend/registry.hpp"
+#include "pmu/backend/backend.hpp"
 #include "util/table.hpp"
 
 namespace aegis::bench {
@@ -61,8 +61,8 @@ inline std::vector<std::uint32_t> attack_events(isa::CpuModel model) {
 }
 
 /// The offline pipeline at bench scale: shared by the defense benches. The
-/// CPU comes from AEGIS_CPU ("amd", "intel" or a model token), default the
-/// paper's AMD EPYC 7252 testbed.
+/// CPU comes from AEGIS_CPU ("amd", "intel" or a model token; any other set
+/// value throws), default the paper's AMD EPYC 7252 testbed.
 struct OfflineSetup {
   core::Aegis aegis{pmu::backend::model_from_env()};
   core::OfflineResult result;

@@ -1,5 +1,7 @@
 #include "attack/dataset.hpp"
 
+#include <utility>
+
 namespace aegis::attack {
 
 trace::Trace collect_one(const pmu::EventDatabase& db,
@@ -8,15 +10,11 @@ trace::Trace collect_one(const pmu::EventDatabase& db,
                          const sim::SliceAgent& agent) {
   sim::VirtualMachine vm(config.vm, visit_seed ^ 0xF00DULL);
   sim::HostMonitor monitor(db, visit_seed ^ 0xBEEFULL);
-  const sim::MonitorResult result =
-      config.stepper
-          ? monitor.monitor_stepped(vm, secret.visit(visit_seed),
-                                    config.event_ids, secret.trace_slices(),
-                                    config.stepper(), agent)
-          : monitor.monitor(vm, secret.visit(visit_seed), config.event_ids,
-                            secret.trace_slices(), agent);
+  sim::MonitorResult result = monitor.monitor_stepped(
+      vm, secret.visit(visit_seed), config.event_ids, secret.trace_slices(),
+      config.stepper ? config.stepper() : nullptr, agent);
   trace::Trace t;
-  t.samples = result.samples;
+  t.samples = std::move(result.samples);
   return t;
 }
 

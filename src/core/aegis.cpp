@@ -1,7 +1,7 @@
 #include "core/aegis.hpp"
 
 #include "dp/mechanism.hpp"
-#include "pmu/backend/registry.hpp"
+#include "pmu/backend/backend.hpp"
 #include "util/stats.hpp"
 
 #include <algorithm>

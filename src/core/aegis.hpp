@@ -54,9 +54,9 @@ struct OfflineResult {
 class Aegis {
  public:
   /// Binds the per-CPU substrate (PMU backend + ISA specification) for the
-  /// template server's processor model. The backend comes from
-  /// pmu::backend::BackendRegistry, so every Aegis on the same model shares
-  /// one immutable event database.
+  /// template server's processor model. The backend is the model's
+  /// process-wide pmu::backend::backend_for instance, so every Aegis on the
+  /// same model shares one immutable event database.
   explicit Aegis(isa::CpuModel template_cpu);
 
   /// Offline pipeline: profile -> rank -> fuzz -> cover. Pure function of
@@ -86,7 +86,7 @@ class Aegis {
   isa::CpuModel cpu() const noexcept { return backend_->model(); }
 
  private:
-  const pmu::backend::PmuBackend* backend_;  // registry singleton, never null
+  const pmu::backend::PmuBackend* backend_;  // process-wide singleton, never null
   isa::IsaSpecification spec_;
 };
 

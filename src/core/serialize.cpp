@@ -13,7 +13,7 @@
 #include <type_traits>
 #include <vector>
 
-#include "pmu/backend/registry.hpp"
+#include "pmu/backend/backend.hpp"
 
 namespace aegis::core {
 

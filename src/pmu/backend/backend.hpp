@@ -1,21 +1,22 @@
-// Multi-vendor PMU backend layer (see DESIGN.md "PMU backends").
+// PMU backend: one processor model's PMU personality (see DESIGN.md "PMU
+// backends").
 //
 // A PmuBackend bundles everything SKU-specific about one processor model:
 //   * the synthetic EventDatabase (paper Table I/II scale),
-//   * the counter budget — 4 programmable core counters on both paper
-//     testbeds,
-//   * per-SKU name overrides (the perf generic alias -> vendor raw event),
-//   * the default attack-event set the paper's attacks monitor on this
+//   * the backend id of its vendor family, recorded wherever a result must
+//     name the PMU it came from,
+//   * the default attack events the paper's attacks monitor on this
 //     vendor (Section III-B on AMD; the Intel equivalents on Xeon E5).
 //
-// Everything here is a pure function of the CpuModel: backends hold no
-// mutable state and the wrapped database is exactly
-// EventDatabase::generate(model) — so routing call sites through the
-// backend changes no bytes anywhere (the AMD goldens are pinned by
-// tests/backend_test.cpp).
+// The two vendor families differ only in data: the id and the attack-event
+// names come from a two-row table picked by isa::vendor_of(model). Each
+// model has one lazily built, process-wide instance, and its database is
+// exactly EventDatabase::generate(model) — so routing call sites through
+// the backend changes no bytes anywhere (pinned by tests/backend_test.cpp).
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string_view>
 #include <vector>
 
@@ -23,12 +24,8 @@
 
 namespace aegis::pmu::backend {
 
-/// One processor model's PMU personality. Concrete implementations:
-/// AmdZen2Backend (EPYC 7252 / 7313P) and IntelXeonE5Backend (E5-1650 /
-/// E5-4617), registered per model in BackendRegistry.
 class PmuBackend {
  public:
-  virtual ~PmuBackend();
   PmuBackend(const PmuBackend&) = delete;
   PmuBackend& operator=(const PmuBackend&) = delete;
 
@@ -37,39 +34,43 @@ class PmuBackend {
   /// Stable backend identifier, one per vendor family ("amd-zen2",
   /// "intel-xeon-e5"). Flows into TemplateCache keys, serialize headers
   /// and BENCH_*.json artifacts so cross-SKU comparisons fail loudly.
-  virtual std::string_view id() const noexcept = 0;
+  std::string_view id() const noexcept { return id_; }
 
   /// The model's event database — byte-identical to calling
   /// EventDatabase::generate(model()) directly (single shared instance).
   const EventDatabase& database() const noexcept { return db_; }
 
-  /// Programmable core counters available for concurrent monitoring
-  /// (paper: 4 on both testbeds).
-  std::size_t counter_budget() const noexcept {
-    return EventDatabase::kNumCounters;
-  }
-
-  /// Default attack-event names for this vendor (paper Section III-B on
-  /// AMD; the Xeon E5 equivalents on Intel). Size == counter_budget().
-  virtual std::vector<std::string_view> attack_event_names() const = 0;
-
-  /// attack_event_names() resolved to database ids, in order.
-  std::vector<std::uint32_t> attack_events() const;
-
-  /// Per-SKU name override: the vendor raw event a perf generic alias
-  /// resolves to on this SKU ("" = no override, use the shared name).
-  /// Model: faultline's PMUCounter::skuOverride.
-  virtual std::string_view sku_override(std::string_view name) const noexcept;
-
-  /// find() that honours sku_override: resolves `name` directly, or via
-  /// its override when the shared name needs SKU-specific spelling.
-  std::optional<std::uint32_t> resolve(std::string_view name) const noexcept;
-
- protected:
-  explicit PmuBackend(isa::CpuModel model);
+  /// The vendor's default attack events as database ids, one per counter
+  /// register (EventDatabase::kNumCounters).
+  std::vector<std::uint32_t> attack_events() const { return attack_events_; }
 
  private:
+  explicit PmuBackend(isa::CpuModel model);
+  friend const PmuBackend& backend_for(isa::CpuModel model);
+
   EventDatabase db_;
+  std::string_view id_;
+  std::vector<std::uint32_t> attack_events_;
 };
+
+/// The process-wide backend of one model, built on first use: a binary
+/// that only ever touches AMD never generates the Intel databases.
+const PmuBackend& backend_for(isa::CpuModel model);
+
+/// Shorthand for backend_for(model).id().
+std::string_view backend_id(isa::CpuModel model);
+
+/// Parses a CPU selector: a vendor shorthand ("amd", "intel"), a model
+/// token ("AmdEpyc7252", ...) or a full model name ("AMD EPYC 7252", ...).
+std::optional<isa::CpuModel> parse_cpu_model(std::string_view text) noexcept;
+
+/// Tool-facing model selection: the AEGIS_CPU environment variable when
+/// set, `fallback` when it is unset or empty. Throws std::invalid_argument
+/// naming the value when it is set but not a CPU selector, so a mistyped
+/// variable fails loudly instead of running the fallback. Benches and the CI
+/// Intel leg steer whole runs through one backend with this (the library
+/// itself never reads it — determinism stays config-driven).
+isa::CpuModel model_from_env(
+    isa::CpuModel fallback = isa::CpuModel::kAmdEpyc7252);
 
 }  // namespace aegis::pmu::backend

@@ -15,24 +15,7 @@ void CounterRegisterFile::program(std::vector<std::uint32_t> event_ids) {
   }
   matrix_.program(*db_, event_ids);
   ids_ = std::move(event_ids);
-  slots_.clear();
-  slots_.reserve(ids_.size());
-  slot_index_.clear();
-  slot_index_.reserve(ids_.size());
-  for (std::uint32_t id : ids_) {
-    // First occurrence wins for duplicate ids, matching the old scan.
-    slot_index_.emplace(id, static_cast<std::uint32_t>(slots_.size()));
-    slots_.push_back(Slot{id, 0.0, 0});
-  }
-  active_group_ = 0;
-  total_slices_ = 0;
-}
-
-void CounterRegisterFile::reset() noexcept {
-  for (auto& s : slots_) {
-    s.count = 0.0;
-    s.active_slices = 0;
-  }
+  slots_.assign(ids_.size(), Slot{});
   active_group_ = 0;
   total_slices_ = 0;
 }
@@ -48,14 +31,6 @@ std::pair<std::size_t, std::size_t> CounterRegisterFile::active_range()
   const std::size_t last =
       std::min(slots_.size(), first + EventDatabase::kNumCounters);
   return {first, last};
-}
-
-std::size_t CounterRegisterFile::slot_of(std::uint32_t event_id) const {
-  const auto it = slot_index_.find(event_id);
-  if (it == slot_index_.end()) {
-    throw std::invalid_argument("CounterRegisterFile: event not programmed");
-  }
-  return it->second;
 }
 
 // One group-kernel call computes the active group's expected counts; the
@@ -133,20 +108,6 @@ double CounterRegisterFile::read_slot(std::size_t slot_index) const noexcept {
   // perf's enabled/running scaling: extrapolate to the full window.
   return s.count * static_cast<double>(total_slices_) /
          static_cast<double>(s.active_slices);
-}
-
-double CounterRegisterFile::read(std::uint32_t event_id) const {
-  return read_slot(slot_of(event_id));
-}
-
-double CounterRegisterFile::read_raw(std::uint32_t event_id) const {
-  return slots_[slot_of(event_id)].count;
-}
-
-std::vector<double> CounterRegisterFile::read_all() const {
-  std::vector<double> out(slots_.size());
-  read_all(out);
-  return out;
 }
 
 // aegis-lint: noalloc

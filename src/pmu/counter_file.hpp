@@ -16,7 +16,6 @@
 
 #include <cstdint>
 #include <span>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -34,9 +33,6 @@ class CounterRegisterFile {
   /// EventDatabase::kNumCounters ids enables multiplexing.
   void program(std::vector<std::uint32_t> event_ids);
 
-  /// Zeroes counts and multiplexing bookkeeping, keeping the programming.
-  void reset() noexcept;
-
   /// Accounts one batch of executed work into the currently-active group,
   /// applying each event's response and measurement noise. Does not rotate.
   void accumulate(const ExecutionStats& stats);
@@ -48,27 +44,17 @@ class CounterRegisterFile {
   /// Convenience: accumulate + end_slice.
   void tick(const ExecutionStats& stats);
 
-  /// Multiplex-scaled count (count * total_time / active_time), as perf
-  /// reports it. Throws if the event is not programmed.
-  double read(std::uint32_t event_id) const;
-
-  /// Raw accumulated count with no multiplex scaling (RDPMC view).
-  double read_raw(std::uint32_t event_id) const;
-
-  /// Raw count of slot `slot_index` (0-based programming order), skipping
-  /// the id lookup. For callers that resolved their slot indices once at
-  /// program() time (GadgetRunner's RDPMC loop).
+  /// Raw accumulated count of slot `slot_index` (0-based programming
+  /// order) with no multiplex scaling: the RDPMC view GadgetRunner reads.
   // aegis-lint: noalloc
   double read_raw_slot(std::size_t slot_index) const noexcept {
     return slots_[slot_index].count;
   }
 
-  /// read() of every programmed event, in programming order.
-  std::vector<double> read_all() const;
-
-  /// The same values written into `out`, which must hold exactly one
-  /// element per programmed event (throws std::invalid_argument otherwise).
-  /// Lets a per-slice sampler reuse its buffers.
+  /// The multiplex-scaled count (count * total_time / active_time, as perf
+  /// reports it) of every programmed event, in programming order, written
+  /// into `out`. `out` must hold exactly one element per programmed event
+  /// (throws std::invalid_argument otherwise).
   void read_all(std::span<double> out) const;
 
   bool multiplexed() const noexcept {
@@ -78,7 +64,6 @@ class CounterRegisterFile {
 
  private:
   struct Slot {
-    std::uint32_t event_id = 0;
     double count = 0.0;
     std::uint64_t active_slices = 0;
   };
@@ -87,7 +72,6 @@ class CounterRegisterFile {
   /// [first, last) slot range of the currently-active counter group (groups
   /// are contiguous by construction).
   std::pair<std::size_t, std::size_t> active_range() const noexcept;
-  std::size_t slot_of(std::uint32_t event_id) const;
   double read_slot(std::size_t slot_index) const noexcept;
 
   void end_slice_batched();
@@ -96,9 +80,6 @@ class CounterRegisterFile {
   util::Rng rng_;
   std::vector<std::uint32_t> ids_;
   std::vector<Slot> slots_;
-  /// Programmed-id -> slot index; replaces the former O(n) linear scan in
-  /// read/read_raw (O(n^2) for a fully-programmed 1903-event sweep).
-  std::unordered_map<std::uint32_t, std::uint32_t> slot_index_;
   ResponseMatrix matrix_;
   std::size_t active_group_ = 0;
   std::uint64_t total_slices_ = 0;

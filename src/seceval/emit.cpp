@@ -9,7 +9,7 @@
 #include <map>
 #include <ostream>
 
-#include "pmu/backend/registry.hpp"
+#include "pmu/backend/backend.hpp"
 
 namespace aegis::seceval {
 namespace {

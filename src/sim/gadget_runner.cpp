@@ -69,7 +69,7 @@ void GadgetRunner::program(std::vector<std::uint32_t> event_ids) {
   const std::vector<std::uint32_t>& ids = counters_.programmed();
   for (std::size_t i = 0; i < ids.size(); ++i) {
     std::size_t j = 0;
-    while (ids[j] != ids[i]) ++j;  // first occurrence, like read_raw
+    while (ids[j] != ids[i]) ++j;  // a duplicate id reads its first slot
     slot_idx_[i] = j;
   }
 }

@@ -70,8 +70,8 @@ class GadgetRunner {
   util::Rng rng_;
   MicroArchState uarch_;
   pmu::CounterRegisterFile counters_;
-  /// Slot index of each programmed event (first occurrence wins for
-  /// duplicates, matching CounterRegisterFile::read_raw's lookup).
+  /// Slot index of each programmed event (a duplicate id reads the slot of
+  /// its first occurrence).
   std::array<std::size_t, pmu::EventDatabase::kNumCounters> slot_idx_{};
   std::array<double, pmu::EventDatabase::kNumCounters> before_{};
   std::array<double, pmu::EventDatabase::kNumCounters> delta_{};

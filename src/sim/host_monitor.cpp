@@ -1,7 +1,7 @@
 #include "sim/host_monitor.hpp"
 
+#include <algorithm>
 #include <cmath>
-#include <utility>
 
 namespace aegis::sim {
 
@@ -24,34 +24,10 @@ std::vector<double> clamped_delta(const std::vector<double>& now,
 HostMonitor::HostMonitor(const pmu::EventDatabase& db, std::uint64_t seed)
     : db_(&db), rng_(seed) {}
 
-// aegis-rng: stream(host-monitor-monitor)
 MonitorResult HostMonitor::monitor(VirtualMachine& vm, const BlockSource& source,
                                    const std::vector<std::uint32_t>& event_ids,
                                    std::size_t slices, const SliceAgent& agent) {
-  pmu::CounterRegisterFile counters(*db_, rng_.next_u64());
-  counters.program(event_ids);
-
-  MonitorResult result;
-  result.samples.reserve(slices);
-  // Cumulative reads of the previous and current slice; swapped, never
-  // reallocated. Each slice allocates only the delta row it returns; the
-  // last read becomes the run's totals.
-  std::vector<double> prev(event_ids.size(), 0.0);
-  std::vector<double> now(event_ids.size());
-  const double busy_before = vm.total_busy_cycles();
-
-  for (std::size_t t = 0; t < slices; ++t) {
-    if (agent) agent(vm, t);
-    if (source) vm.submit(source(t));
-    counters.tick(vm.run_slice());
-    counters.read_all(now);
-    result.samples.push_back(clamped_delta(now, prev));
-    prev.swap(now);
-  }
-  result.totals = std::move(prev);
-  result.slices = slices;
-  result.busy_cycles = vm.total_busy_cycles() - busy_before;
-  return result;
+  return monitor_stepped(vm, source, event_ids, slices, nullptr, agent);
 }
 
 // aegis-rng: stream(host-monitor-monitor-stepped)
@@ -59,24 +35,26 @@ MonitorResult HostMonitor::monitor_stepped(
     VirtualMachine& vm, const BlockSource& source,
     const std::vector<std::uint32_t>& event_ids, std::size_t base_slices,
     const SlicePlanner& planner, const SliceAgent& agent) {
-  if (!planner) return monitor(vm, source, event_ids, base_slices, agent);
-
   pmu::CounterRegisterFile counters(*db_, rng_.next_u64());
   counters.program(event_ids);
 
   MonitorResult result;
+  result.samples.reserve(base_slices);
+  // Cumulative reads of the previous and current sample; swapped, never
+  // reallocated. Each sample allocates only the delta row it returns.
   std::vector<double> prev(event_ids.size(), 0.0);
   std::vector<double> now(event_ids.size());
   const std::vector<double> no_sample;  // the planner's view before sample 0
   const double busy_before = vm.total_busy_cycles();
 
-  std::size_t t = 0;
-  std::size_t sample = 0;
-  while (t < base_slices) {
-    std::size_t step = planner(
-        sample, result.samples.empty() ? no_sample : result.samples.back());
-    if (step < 1) step = 1;
-    step = std::min(step, base_slices - t);
+  for (std::size_t t = 0; t < base_slices;) {
+    std::size_t step = 1;
+    if (planner) {
+      const std::vector<double>& last =
+          result.samples.empty() ? no_sample : result.samples.back();
+      step = std::clamp<std::size_t>(planner(result.samples.size(), last), 1,
+                                     base_slices - t);
+    }
     // The victim's scheduling quantum is unchanged: the guest (and its
     // defense agent) see the same base slices; only the hypervisor defers
     // its counter read to the boundary the planner picked.
@@ -88,9 +66,7 @@ MonitorResult HostMonitor::monitor_stepped(
     counters.read_all(now);
     result.samples.push_back(clamped_delta(now, prev));
     prev.swap(now);
-    ++sample;
   }
-  result.totals = std::move(prev);
   result.slices = result.samples.size();
   result.busy_cycles = vm.total_busy_cycles() - busy_before;
   return result;

@@ -39,10 +39,6 @@ using SlicePlanner =
 struct MonitorResult {
   /// samples[t][e] = count delta of programmed event e during slice t.
   std::vector<std::vector<double>> samples;
-  /// totals[e] = cumulative count of event e over the whole run (the final
-  /// counter read), for warm-up profiling where only aggregate activity
-  /// matters. Empty for monitor_occupancy, which reads no counters.
-  std::vector<double> totals;
   std::uint64_t slices = 0;
   double busy_cycles = 0.0;
 };
@@ -53,7 +49,8 @@ class HostMonitor {
 
   /// Monitors `vm` for `slices` sampling intervals while it executes blocks
   /// from `source`. Returns per-slice deltas for `event_ids` (any number;
-  /// more than 4 triggers counter multiplexing like real perf).
+  /// more than 4 triggers counter multiplexing like real perf). The same
+  /// as monitor_stepped with a null planner: one sample per base slice.
   MonitorResult monitor(VirtualMachine& vm, const BlockSource& source,
                         const std::vector<std::uint32_t>& event_ids,
                         std::size_t slices, const SliceAgent& agent = nullptr);
@@ -61,10 +58,10 @@ class HostMonitor {
   /// Monitors `vm` for `base_slices` scheduling intervals, but lets
   /// `planner` choose the sampling boundaries: each recorded sample covers
   /// the planner's chosen number of consecutive base slices (trailing base
-  /// slices past the budget are truncated). With a null planner (or one
-  /// that always answers 1) this is bit-identical to monitor(). The agent,
-  /// when present, still fires once per BASE slice — defense cadence is the
-  /// guest's, not the attacker's.
+  /// slices past the budget are truncated). A null planner means a step of
+  /// one base slice, which is monitor(). The agent, when present, still
+  /// fires once per BASE slice — defense cadence is the guest's, not the
+  /// attacker's.
   MonitorResult monitor_stepped(VirtualMachine& vm, const BlockSource& source,
                                 const std::vector<std::uint32_t>& event_ids,
                                 std::size_t base_slices,

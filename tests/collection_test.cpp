@@ -6,7 +6,7 @@
 //
 //   * CollectionDigest: FNV-1a digests over every double bit the collection
 //     entry points return (monitor for each workload, with and without an
-//     obfuscator agent; monitor_stepped with a planner; monitor's totals;
+//     obfuscator agent; monitor_stepped with a planner;
 //     obf::calibrate_events; the profiler's warm-up survivors). The monitor
 //     digests were captured before the slice loop stopped copying blocks
 //     and recomputing Poisson limits; the calibration and warm-up digests
@@ -222,21 +222,6 @@ TEST(CollectionDigest, MonitorSteppedPinned) {
   }
 }
 
-TEST(CollectionDigest, TotalsPinned) {
-  const Fixture f;
-  const workload::DnnWorkload model(5, kSlices);
-  sim::VirtualMachine vm(sim::VmConfig{}, 400);
-  sim::HostMonitor monitor(f.db, 401);
-  // Two back-to-back runs on one VM: the second starts with the first's
-  // leftover queue and warmed micro-architectural state.
-  const std::vector<double> first =
-      monitor.monitor(vm, model.visit(402), f.events(), kSlices).totals;
-  const std::vector<double> second =
-      monitor.monitor(vm, model.visit(403), f.events(), kSlices / 2).totals;
-  EXPECT_EQ(digest(first), 0x7601fc7ba482f3a3ULL);
-  EXPECT_EQ(digest(second), 0x0214b8c0dcf25951ULL);
-}
-
 TEST(CollectionDigest, CalibrateEventsPinned) {
   const Fixture f;
   std::vector<std::unique_ptr<workload::Workload>> secrets;
@@ -400,7 +385,8 @@ TEST(GroupSweep, EachJobDrawsVmVisitAndNoiseSeedsInOrder) {
       std::vector<double> now;
       for (auto& file : counters) {
         file.tick(stats);
-        const std::vector<double> read = file.read_all();
+        std::vector<double> read(file.programmed().size());
+        file.read_all(read);
         now.insert(now.end(), read.begin(), read.end());
       }
       std::vector<double> delta(events.size());

@@ -346,7 +346,8 @@ TEST(Calibration, StreamedMomentsMatchReference) {
         std::vector<double> now;
         for (auto& file : counters) {
           file.tick(stats);
-          const std::vector<double> read = file.read_all();
+          std::vector<double> read(file.programmed().size());
+          file.read_all(read);
           now.insert(now.end(), read.begin(), read.end());
         }
         for (std::size_t e = 0; e < events.size(); ++e) {

@@ -174,6 +174,15 @@ TEST(ExecutionStats, AccumulateAndTotals) {
   EXPECT_DOUBLE_EQ(a.uops, 17.0);
 }
 
+namespace {
+/// The perf-scaled read of one slot, through read_all.
+double read_slot(const CounterRegisterFile& counters, std::size_t slot) {
+  std::vector<double> reads(counters.programmed().size());
+  counters.read_all(reads);
+  return reads[slot];
+}
+}  // namespace
+
 TEST(CounterFile, ProgramAndAccumulate) {
   const auto db = EventDatabase::generate(CpuModel::kAmdEpyc7252);
   CounterRegisterFile counters(db, 1);
@@ -183,27 +192,8 @@ TEST(CounterFile, ProgramAndAccumulate) {
   stats.uops = 1000;
   counters.accumulate(stats);
   // Measurement noise is bounded to a few percent of the expected count.
-  EXPECT_NEAR(counters.read_raw(uops_id), 1000.0, 150.0);
+  EXPECT_NEAR(counters.read_raw_slot(0), 1000.0, 150.0);
   EXPECT_FALSE(counters.multiplexed());
-}
-
-TEST(CounterFile, ResetClearsCounts) {
-  const auto db = EventDatabase::generate(CpuModel::kAmdEpyc7252);
-  CounterRegisterFile counters(db, 2);
-  const std::uint32_t id = *db.find("RETIRED_UOPS");
-  counters.program({id});
-  ExecutionStats stats;
-  stats.uops = 500;
-  counters.tick(stats);
-  counters.reset();
-  EXPECT_DOUBLE_EQ(counters.read_raw(id), 0.0);
-}
-
-TEST(CounterFile, ReadUnprogrammedEventThrows) {
-  const auto db = EventDatabase::generate(CpuModel::kAmdEpyc7252);
-  CounterRegisterFile counters(db, 3);
-  counters.program({0});
-  EXPECT_THROW(counters.read(1), std::invalid_argument);
 }
 
 TEST(CounterFile, MultiplexScalingApproximatesFullCount) {
@@ -223,10 +213,10 @@ TEST(CounterFile, MultiplexScalingApproximatesFullCount) {
   stats.uops = 1000;
   const int slices = 200;
   for (int t = 0; t < slices; ++t) counters.tick(stats);
-  const double scaled = counters.read(uops_id);
+  const double scaled = read_slot(counters, 0);
   EXPECT_NEAR(scaled, 1000.0 * slices, 1000.0 * slices * 0.12);
   // The raw count is roughly half, since the event was active half the time.
-  EXPECT_NEAR(counters.read_raw(uops_id), 1000.0 * slices / 2.0,
+  EXPECT_NEAR(counters.read_raw_slot(0), 1000.0 * slices / 2.0,
               1000.0 * slices * 0.12);
 }
 
@@ -247,7 +237,7 @@ TEST(CounterFile, HostBackgroundAccruesForHostOnlyEvents) {
   counters.program({host_event});
   ExecutionStats idle;  // no guest work at all
   for (int t = 0; t < 100; ++t) counters.tick(idle);
-  EXPECT_GT(counters.read_raw(host_event), 0.0);
+  EXPECT_GT(counters.read_raw_slot(0), 0.0);
 }
 
 namespace {
@@ -270,7 +260,6 @@ std::vector<std::uint32_t> eight_events_with_uops_at(const EventDatabase& db,
 
 TEST(CounterFile, EndSliceRotatesActiveGroup) {
   const auto db = EventDatabase::generate(CpuModel::kAmdEpyc7252);
-  const std::uint32_t uops_id = *db.find("RETIRED_UOPS");
   // RETIRED_UOPS in slot 4 = the second counter group.
   CounterRegisterFile counters(db, 6);
   counters.program(eight_events_with_uops_at(db, 4));
@@ -279,25 +268,24 @@ TEST(CounterFile, EndSliceRotatesActiveGroup) {
 
   // Group 0 is active first: work accumulated now must not reach group 1.
   counters.accumulate(stats);
-  EXPECT_DOUBLE_EQ(counters.read_raw(uops_id), 0.0);
+  EXPECT_DOUBLE_EQ(counters.read_raw_slot(4), 0.0);
 
   // end_slice rotates to group 1; the same work now lands on RETIRED_UOPS.
   counters.end_slice();
   counters.accumulate(stats);
-  const double after_rotation = counters.read_raw(uops_id);
+  const double after_rotation = counters.read_raw_slot(4);
   EXPECT_GT(after_rotation, 0.0);
 
   // The next end_slice applies per-slice noise to group 1 (still active),
   // then wraps back to group 0: RETIRED_UOPS stops counting entirely.
   counters.end_slice();
-  const double after_wrap = counters.read_raw(uops_id);
+  const double after_wrap = counters.read_raw_slot(4);
   counters.accumulate(stats);
-  EXPECT_DOUBLE_EQ(counters.read_raw(uops_id), after_wrap);
+  EXPECT_DOUBLE_EQ(counters.read_raw_slot(4), after_wrap);
 }
 
 TEST(CounterFile, ReadExtrapolatesByActiveSliceRatio) {
   const auto db = EventDatabase::generate(CpuModel::kAmdEpyc7252);
-  const std::uint32_t uops_id = *db.find("RETIRED_UOPS");
   CounterRegisterFile counters(db, 7);
   counters.program(eight_events_with_uops_at(db, 0));
   ExecutionStats stats;
@@ -306,14 +294,13 @@ TEST(CounterFile, ReadExtrapolatesByActiveSliceRatio) {
   // estimate is count * total_slices / active_slices = count * 2, and with
   // power-of-two slice counts the scaling is exact in floating point.
   for (int t = 0; t < 16; ++t) counters.tick(stats);
-  const double raw = counters.read_raw(uops_id);
+  const double raw = counters.read_raw_slot(0);
   ASSERT_GT(raw, 0.0);
-  EXPECT_DOUBLE_EQ(counters.read(uops_id), raw * 2.0);
+  EXPECT_DOUBLE_EQ(read_slot(counters, 0), raw * 2.0);
 }
 
 TEST(CounterFile, ReadBeforeAnyCompletedSliceIsZero) {
   const auto db = EventDatabase::generate(CpuModel::kAmdEpyc7252);
-  const std::uint32_t uops_id = *db.find("RETIRED_UOPS");
   CounterRegisterFile counters(db, 8);
   counters.program(eight_events_with_uops_at(db, 0));
   ExecutionStats stats;
@@ -322,8 +309,8 @@ TEST(CounterFile, ReadBeforeAnyCompletedSliceIsZero) {
   // the scaled estimate reports 0 even though raw counts exist (perf has no
   // running-time to extrapolate from).
   counters.accumulate(stats);
-  EXPECT_GT(counters.read_raw(uops_id), 0.0);
-  EXPECT_DOUBLE_EQ(counters.read(uops_id), 0.0);
+  EXPECT_GT(counters.read_raw_slot(0), 0.0);
+  EXPECT_DOUBLE_EQ(read_slot(counters, 0), 0.0);
 }
 
 TEST(CounterFile, ReadAllIntoBufferMatchesReadAll) {
@@ -333,11 +320,22 @@ TEST(CounterFile, ReadAllIntoBufferMatchesReadAll) {
   ExecutionStats stats;
   stats.uops = 1000;
   stats.cycles = 700;
+  // Two groups alternate from group 0: after n slices group 0 was active
+  // ceil(n/2) of them and group 1 floor(n/2). Every element of the reused
+  // buffer is overwritten with its slot's perf-scaled raw count.
   std::vector<double> buffer(8, -1.0);
   for (int t = 0; t < 5; ++t) {
     counters.tick(stats);
     counters.read_all(buffer);
-    EXPECT_EQ(buffer, counters.read_all()) << "slice " << t;
+    const int total = t + 1;
+    for (std::size_t i = 0; i < buffer.size(); ++i) {
+      const int active = i < 4 ? (total + 1) / 2 : total / 2;
+      const double want =
+          active == 0 ? 0.0
+                      : counters.read_raw_slot(i) * static_cast<double>(total) /
+                            static_cast<double>(active);
+      EXPECT_EQ(buffer[i], want) << "slot " << i << " slice " << t;
+    }
   }
   std::vector<double> short_buffer(7);
   EXPECT_THROW(counters.read_all(short_buffer), std::invalid_argument);

@@ -10,7 +10,7 @@
 
 #include "attack/wfa.hpp"
 #include "core/serialize.hpp"
-#include "pmu/backend/registry.hpp"
+#include "pmu/backend/backend.hpp"
 #include "util/rng.hpp"
 
 namespace aegis::core {

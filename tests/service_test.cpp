@@ -17,7 +17,7 @@
 #include <vector>
 
 #include "attack/wfa.hpp"
-#include "pmu/backend/registry.hpp"
+#include "pmu/backend/backend.hpp"
 #include "service/protection_service.hpp"
 #include "telemetry/exporters.hpp"
 #include "telemetry/json_reader.hpp"

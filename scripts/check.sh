@@ -17,8 +17,10 @@
 # Usage: scripts/check.sh [--fast]
 #   --fast   sanitizer passes run only the concurrency-relevant suites
 #            (thread pool, parallel campaign, fuzzer, profiler, queue) plus
-#            the gadget runner, the seed-7 shard digests and the warm-start
-#            parser suites, instead of the whole test suite.
+#            the gadget runner, the seed-7 shard digests, the warm-start
+#            parser suites and the two seeded-mutation suites of aegis_top's
+#            inputs (the JSON snapshot reader and the flight-recorder dump
+#            reader), instead of the whole test suite.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -32,7 +34,7 @@ elif [[ -n "${1:-}" ]]; then
 fi
 
 JOBS="$(nproc 2>/dev/null || echo 2)"
-FAST_FILTER='ThreadPool|Parallel|Golden|Rng|SplitMix|Fuzzer|Confirmation|Profiler|Warmup|Cleanup|BoundedQueue|GadgetRunner|EngineEquivalence|Serialize'
+FAST_FILTER='ThreadPool|Parallel|Golden|Rng|SplitMix|Fuzzer|Confirmation|Profiler|Warmup|Cleanup|BoundedQueue|GadgetRunner|EngineEquivalence|Serialize|JsonReader|FlightRecorderDump'
 # Every ctest run executes with AEGIS_FR_DUMP armed so a crashing test
 # leaves behind a flight-recorder dump (<prefix>.<pid>.frd) with the last
 # wide events before the fault. On failure the dumps are listed so they can

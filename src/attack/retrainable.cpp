@@ -85,41 +85,6 @@ class MeaRetrainable final : public Retrainable {
   std::optional<MeaAttack> attack_;
 };
 
-class KeaRetrainable final : public Retrainable {
- public:
-  KeaRetrainable(const pmu::EventDatabase& db, KeaConfig config,
-                 std::size_t victim_keys, std::size_t runs_per_key)
-      : db_(&db),
-        name_("kea"),
-        config_(std::move(config)),
-        victim_keys_(victim_keys),
-        runs_per_key_(runs_per_key) {}
-
-  const std::string& name() const noexcept override { return name_; }
-  // Per-bit recovery: a coin flip gets half the key bits.
-  double random_guess() const noexcept override { return 0.5; }
-
-  void retrain(const AgentFactory& template_agent) override {
-    attack_.emplace(*db_, config_);
-    attack_->train(template_agent);
-  }
-
-  double exploit(std::uint64_t seed,
-                 const AgentFactory& victim_agent) const override {
-    return attack_->exploit(victim_keys_, runs_per_key_, seed, victim_agent);
-  }
-
-  double validation_accuracy() const noexcept override { return 0.0; }
-
- private:
-  const pmu::EventDatabase* db_;
-  std::string name_;
-  KeaConfig config_;
-  std::size_t victim_keys_;
-  std::size_t runs_per_key_;
-  std::optional<KeyExtractionAttack> attack_;
-};
-
 }  // namespace
 
 std::unique_ptr<Retrainable> make_retrainable_classification(
@@ -137,14 +102,6 @@ std::unique_ptr<Retrainable> make_retrainable_mea(const pmu::EventDatabase& db,
                                                   std::size_t runs_per_model) {
   return std::make_unique<MeaRetrainable>(db, std::move(config),
                                           runs_per_model);
-}
-
-std::unique_ptr<Retrainable> make_retrainable_kea(const pmu::EventDatabase& db,
-                                                  KeaConfig config,
-                                                  std::size_t victim_keys,
-                                                  std::size_t runs_per_key) {
-  return std::make_unique<KeaRetrainable>(db, std::move(config), victim_keys,
-                                          runs_per_key);
 }
 
 }  // namespace aegis::attack

@@ -5,7 +5,7 @@
 // (Laplace recovers to ~100 %) but not d*. Each attack class already
 // accepts an agent factory at train time; this interface erases the
 // per-class API differences (classification accuracy vs sequence metrics,
-// secrets vs models vs keys) so the security-evaluation harness
+// secrets vs models) so the security-evaluation harness
 // (src/seceval) can run any attacker against any defense cell without
 // caring which pipeline is underneath.
 //
@@ -18,7 +18,6 @@
 #include <string>
 
 #include "attack/classification_attack.hpp"
-#include "attack/kea.hpp"
 #include "attack/mea.hpp"
 
 namespace aegis::attack {
@@ -30,7 +29,7 @@ class Retrainable {
   virtual const std::string& name() const noexcept = 0;
 
   /// Guessing floor of the success metric (1/classes for classification,
-  /// 0.5 per key bit, 0 for sequence recovery).
+  /// 0 for sequence recovery).
   virtual double random_guess() const noexcept = 0;
 
   /// Trains from scratch. Adaptive attackers pass the defense's agent
@@ -59,10 +58,5 @@ std::unique_ptr<Retrainable> make_retrainable_classification(
 std::unique_ptr<Retrainable> make_retrainable_mea(const pmu::EventDatabase& db,
                                                   MeaConfig config,
                                                   std::size_t runs_per_model);
-
-std::unique_ptr<Retrainable> make_retrainable_kea(const pmu::EventDatabase& db,
-                                                  KeaConfig config,
-                                                  std::size_t victim_keys,
-                                                  std::size_t runs_per_key);
 
 }  // namespace aegis::attack

@@ -193,7 +193,8 @@ std::unique_ptr<obf::EventObfuscator> Aegis::make_obfuscator(
   config.rotation = options.rotation;
   config.seed = seed;
   return std::make_unique<obf::EventObfuscator>(database(), spec_,
-                                                analysis.cover, config);
+                                                analysis.cover,
+                                                std::move(config));
 }
 
 }  // namespace aegis::core

@@ -18,10 +18,6 @@ double overhead_term(double epsilon) noexcept {
 
 }  // namespace
 
-void PrivacyAccountant::record_release(double epsilon) noexcept {
-  record_releases(epsilon, 1);
-}
-
 void PrivacyAccountant::record_releases(double epsilon,
                                         std::size_t k) noexcept {
   if (epsilon <= 0.0 || k == 0) return;
@@ -54,13 +50,6 @@ double PrivacyAccountant::advanced_epsilon_if(double epsilon, std::size_t k,
 
 double PrivacyAccountant::remaining(double budget, double delta) const noexcept {
   return std::max(0.0, budget - advanced_epsilon(delta));
-}
-
-void PrivacyAccountant::reset() noexcept {
-  releases_ = 0;
-  basic_epsilon_ = 0.0;
-  sum_squares_ = 0.0;
-  overhead_sum_ = 0.0;
 }
 
 double PrivacyAccountant::advanced_composition(double epsilon, std::size_t k,

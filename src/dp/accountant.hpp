@@ -27,11 +27,8 @@ namespace aegis::dp {
 
 class PrivacyAccountant {
  public:
-  /// Records one eps-DP release (one protected monitoring slice).
-  void record_release(double epsilon) noexcept;
-
-  /// Records k releases at the same epsilon (one admitted monitoring
-  /// window). Equivalent to k record_release calls.
+  /// Records k eps-DP releases (k protected monitoring slices: one admitted
+  /// monitoring window).
   void record_releases(double epsilon, std::size_t k) noexcept;
 
   std::size_t releases() const noexcept { return releases_; }
@@ -54,9 +51,9 @@ class PrivacyAccountant {
   /// monitoring windows once this reaches zero.
   double remaining(double budget, double delta) const noexcept;
 
-  void reset() noexcept;
-
-  /// The standalone advanced-composition bound for k releases at `epsilon`.
+  /// The standalone advanced-composition bound for k releases at `epsilon`:
+  /// the closed form HomogeneousReleasesMatchTheClosedForm checks the
+  /// accountant against.
   static double advanced_composition(double epsilon, std::size_t k,
                                      double delta) noexcept;
 

@@ -1,21 +1,8 @@
 #include "ml/metrics.hpp"
 
 #include <algorithm>
-#include <stdexcept>
 
 namespace aegis::ml {
-
-double accuracy_score(std::span<const int> truth, std::span<const int> predicted) {
-  if (truth.size() != predicted.size()) {
-    throw std::invalid_argument("accuracy_score: size mismatch");
-  }
-  if (truth.empty()) return 0.0;
-  std::size_t correct = 0;
-  for (std::size_t i = 0; i < truth.size(); ++i) {
-    if (truth[i] == predicted[i]) ++correct;
-  }
-  return static_cast<double>(correct) / static_cast<double>(truth.size());
-}
 
 std::size_t edit_distance(std::span<const int> a, std::span<const int> b) {
   const std::size_t n = a.size(), m = b.size();

@@ -7,9 +7,6 @@
 
 namespace aegis::ml {
 
-/// Fraction of equal elements. Requires equal sizes.
-double accuracy_score(std::span<const int> truth, std::span<const int> predicted);
-
 /// Levenshtein edit distance between two label sequences.
 std::size_t edit_distance(std::span<const int> a, std::span<const int> b);
 

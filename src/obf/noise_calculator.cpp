@@ -16,6 +16,4 @@ double NoiseCalculator::noise_for(double x_t) {
   return mechanism_->noisy_value(x_t) - x_t;
 }
 
-void NoiseCalculator::reset_series() { mechanism_->reset(); }
-
 }  // namespace aegis::obf

@@ -24,9 +24,6 @@ class NoiseCalculator {
   /// with input-independent noise, e.g. Laplace).
   double noise_for(double x_t);
 
-  /// Restarts the protected series (new application run).
-  void reset_series();
-
   const dp::MechanismConfig& config() const noexcept { return config_; }
 
  private:

@@ -95,18 +95,22 @@ std::vector<EventCalibration> calibrate_events(
 
 EventObfuscator::EventObfuscator(const pmu::EventDatabase& db,
                                  const isa::IsaSpecification& spec,
-                                 fuzzer::GadgetCover cover,
+                                 const fuzzer::GadgetCover& cover,
                                  ObfuscatorConfig config)
-    : db_(&db),
-      spec_(&spec),
-      cover_(std::move(cover)),
-      config_(config),
-      session_seeds_(config.seed ^ 0x0BF5ULL),
+    : spec_(&spec),
+      reference_(&db.by_id(config.reference_event)),
+      noise_unit_(config.reference_sigma > 0.0 ? config.reference_sigma : 1.0),
+      config_(std::move(config)),
+      session_seeds_(config_.seed ^ 0x0BF5ULL),
       rotation_event_(telemetry::Registry::global().recorder().event_handle(
           "plan.rotation", telemetry::WideEventType::kPlanRotation)),
       rng_event_(telemetry::Registry::global().recorder().event_handle(
           "obfuscator.rng", telemetry::WideEventType::kRngCheckpoint)) {
-  for (const auto& [event, delta] : cover_.segment_effect) {
+  if (config_.weighted_segment.empty()) {
+    unit_segment_.reserve(cover.gadgets.size());
+    for (const auto& g : cover.gadgets) unit_segment_.push_back({g, 1.0});
+  }
+  for (const auto& [event, delta] : cover.segment_effect) {
     if (event == config_.reference_event) {
       reference_delta_ = std::max(delta, 1e-9);
       break;
@@ -125,16 +129,7 @@ sim::SliceAgent EventObfuscator::session() {
   rng_event_.record(/*t_ns=*/sessions_, mech.seed, config_.seed,
                     static_cast<std::uint64_t>(config_.rotate));
 
-  auto controller = std::make_shared<KernelController>(
-      *db_, config_.reference_event, config_.reference_sigma);
-  const std::vector<WeightedGadget> base_segment =
-      config_.weighted_segment.empty() ? [&] {
-        std::vector<WeightedGadget> unit;
-        unit.reserve(cover_.gadgets.size());
-        for (const auto& g : cover_.gadgets) unit.push_back({g, 1.0});
-        return unit;
-      }()
-                                       : config_.weighted_segment;
+  const std::vector<WeightedGadget>& base_segment = this->base_segment();
 
   // Fixed plan: one injector for the whole session. Rotating plan: one
   // injector per variant; the schedule picks which one realizes slice t's
@@ -174,14 +169,22 @@ sim::SliceAgent EventObfuscator::session() {
   std::shared_ptr<std::uint64_t> total_draws = total_draws_;
   const telemetry::EventHandle rotation_event = rotation_event_;
   const std::uint64_t session_ordinal = sessions_;
+  // Laplace noise is input-independent (NoiseCalculator::noise_for ignores
+  // x_t), so only the other mechanisms need the RDPMC read.
+  const pmu::EventDescriptor* reference =
+      mech.kind == dp::MechanismKind::kLaplace ? nullptr : reference_;
+  const double noise_unit = noise_unit_;
 
-  return [calculators, noise, controller, injectors, plan, total_reps,
-          total_draws, rotation_event,
-          session_ordinal](sim::VirtualMachine& vm, std::size_t t) {
-    // Kernel module: RDPMC the protected series (previous slice) and send
-    // it to the daemon over the netlink channel.
-    controller->sample(vm);
-    const double x_t = controller->dequeue();
+  return [calculators, noise, injectors, plan, total_reps, total_draws,
+          rotation_event, session_ordinal, reference,
+          noise_unit](sim::VirtualMachine& vm, std::size_t t) {
+    // Kernel module: RDPMC the protected series over the previous slice,
+    // normalized.
+    const double x_t =
+        reference == nullptr
+            ? 0.0
+            : reference->response.expected_count(vm.last_slice_stats()) /
+                  noise_unit;
     // Userspace daemon: compute per-gadget noise and inject through the
     // slice's scheduled plan variant (index 0 when not rotating).
     const std::size_t variant = plan ? plan->variant_at(t) : 0;

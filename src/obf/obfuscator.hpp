@@ -1,10 +1,12 @@
 // Event Obfuscator (paper Section VII): the online in-guest defense.
 //
 // Deployed inside the victim VM and triggered when a protected application
-// launches, it runs a kernel controller (HPC monitoring for d*) and a
-// userspace daemon (noise calculator + injector) pinned to the same vCPU as
-// the protected application, injecting DP-calibrated gadget noise into the
-// VM's execution flow every sampling slice.
+// launches, it runs a kernel module (RDPMC reads of the protected event for
+// d*) and a userspace daemon (noise calculator + injector) pinned to the
+// same vCPU as the protected application, injecting DP-calibrated gadget
+// noise into the VM's execution flow every sampling slice. The module's
+// read and the daemon's draw happen in the same slice-agent call, so the
+// session makes the read itself, on VirtualMachine::last_slice_stats().
 //
 // Noise calibration. The DP mechanisms operate on *normalized* series
 // (Delta_x = 1 after normalization, Section VII-B). The normalization unit
@@ -22,7 +24,6 @@
 #include "dp/mechanism.hpp"
 #include "fuzzer/set_cover.hpp"
 #include "obf/injector.hpp"
-#include "obf/kernel_controller.hpp"
 #include "obf/noise_calculator.hpp"
 #include "obf/rotating_plan.hpp"
 #include "sim/host_monitor.hpp"
@@ -63,7 +64,7 @@ struct EventCalibration {
 };
 
 /// Degraded-granularity wrapper for admission-controlled sessions: the
-/// inner agent (kernel sample + noise injection) fires only every
+/// inner agent (RDPMC read + noise injection) fires only every
 /// `granularity`-th slice, so a monitoring window of T slices consumes
 /// ceil(T / granularity) DP releases instead of T. granularity == 1 is the
 /// identity. The skipped slices run un-refreshed — the previously injected
@@ -91,9 +92,10 @@ std::vector<EventCalibration> calibrate_events(
 
 class EventObfuscator {
  public:
+  /// Copies what it needs from `cover`; keeps no reference to it.
   EventObfuscator(const pmu::EventDatabase& db,
-                  const isa::IsaSpecification& spec, fuzzer::GadgetCover cover,
-                  ObfuscatorConfig config);
+                  const isa::IsaSpecification& spec,
+                  const fuzzer::GadgetCover& cover, ObfuscatorConfig config);
 
   /// Starts one protection session (one protected application run) and
   /// returns the slice agent to install in the VM. Each session gets a
@@ -111,15 +113,23 @@ class EventObfuscator {
   std::uint64_t total_noise_draws() const noexcept { return *total_draws_; }
   std::size_t sessions_started() const noexcept { return sessions_; }
 
-  const fuzzer::GadgetCover& cover() const noexcept { return cover_; }
   const ObfuscatorConfig& config() const noexcept { return config_; }
-  double reference_delta() const noexcept { return reference_delta_; }
 
  private:
-  const pmu::EventDatabase* db_;
+  /// The gadget list every session injects: the config's weighted segment,
+  /// or the cover's gadgets at unit weight when that is empty.
+  const std::vector<WeightedGadget>& base_segment() const noexcept {
+    return config_.weighted_segment.empty() ? unit_segment_
+                                            : config_.weighted_segment;
+  }
+
   const isa::IsaSpecification* spec_;
-  fuzzer::GadgetCover cover_;
+  /// The series the d* mechanism observes, and the raw count of 1.0
+  /// normalized units on it.
+  const pmu::EventDescriptor* reference_;
+  double noise_unit_;
   ObfuscatorConfig config_;
+  std::vector<WeightedGadget> unit_segment_;  // empty with a weighted segment
   util::Rng session_seeds_;
   std::size_t sessions_ = 0;
   // Shared across sessions for cumulative accounting.

@@ -44,14 +44,6 @@ ExecutionStats& ExecutionStats::operator+=(const ExecutionStats& o) noexcept {
   return *this;
 }
 
-double ExecutionStats::total_instructions() const noexcept {
-  double total = 0.0;
-  for (std::size_t i = 0; i < class_counts.size(); ++i) {
-    total += class_counts.at_index(i);
-  }
-  return total;
-}
-
 double EventResponse::expected_count(const ExecutionStats& s) const noexcept {
   double count = 0.0;
   for (std::size_t i = 0; i < class_weight.size(); ++i) {

@@ -53,7 +53,6 @@ struct ExecutionStats {
   double cycles = 0;
 
   ExecutionStats& operator+=(const ExecutionStats& o) noexcept;
-  double total_instructions() const noexcept;
 };
 
 /// Linear response of an event to ExecutionStats, plus noise coefficients.

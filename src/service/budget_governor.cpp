@@ -18,12 +18,10 @@ std::string tenant_metric(const char* base, std::uint64_t tenant_id) {
 }
 
 /// Outcome code carried in kAdmission wide events (field `a`): the
-/// Admission value, or kResetCode for a budget reset.
+/// Admission value.
 std::uint64_t outcome_code(Admission a) noexcept {
   return static_cast<std::uint64_t>(a);
 }
-
-constexpr std::uint64_t kResetCode = 3;
 
 std::uint64_t double_bits(double v) noexcept {
   std::uint64_t bits = 0;
@@ -67,7 +65,6 @@ void BudgetGovernor::set_tenant_cap(std::uint64_t tenant_id,
   Tenant& tenant = tenant_for(tenant_id);
   tenant.epsilon_cap = epsilon_cap;
   tenant.remaining_gauge.set(
-      // aegis-lint: lock-ok(accountant.remaining is EpsilonAccountant::remaining, a pure computation; only the name collides with this method)
       tenant.accountant.remaining(epsilon_cap, config_.delta));
 }
 
@@ -118,34 +115,14 @@ AdmissionDecision BudgetGovernor::request_window(std::uint64_t tenant_id,
 // submission order.
 void BudgetGovernor::record_decision(std::uint64_t tenant_id,
                                      const Tenant& tenant,
-                                     const AdmissionDecision& decision,
-                                     bool reset) {
+                                     const AdmissionDecision& decision) {
   decision_event_.record(
-      telemetry_->now_ns(), reset ? kResetCode : outcome_code(decision.outcome),
+      telemetry_->now_ns(), outcome_code(decision.outcome),
       decision.granularity, decision.releases,
       double_bits(decision.epsilon_after),
       static_cast<std::uint32_t>(tenant_id));
   tenant.epsilon_gauge.set(decision.epsilon_after);
   tenant.remaining_gauge.set(tenant.epsilon_cap - decision.epsilon_after);
-}
-
-double BudgetGovernor::remaining(std::uint64_t tenant_id) const {
-  std::lock_guard lock(mu_);
-  const auto it = tenants_.find(tenant_id);
-  if (it == tenants_.end()) return config_.default_epsilon_cap;
-  // aegis-lint: lock-ok(accountant.remaining is EpsilonAccountant::remaining, a pure computation; only the name collides with this method)
-  return it->second.accountant.remaining(it->second.epsilon_cap,
-                                         config_.delta);
-}
-
-void BudgetGovernor::reset_tenant(std::uint64_t tenant_id) {
-  std::lock_guard lock(mu_);
-  const auto it = tenants_.find(tenant_id);
-  if (it == tenants_.end()) return;
-  it->second.accountant.reset();
-  AdmissionDecision reset;
-  reset.granularity = 0;
-  record_decision(tenant_id, it->second, reset, /*reset=*/true);
 }
 
 TenantBudgetStats BudgetGovernor::snapshot(std::uint64_t id,

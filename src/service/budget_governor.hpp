@@ -10,7 +10,7 @@
 //     with weaker temporal resolution of its DP noise refresh;
 //   * REFUSE  — even the coarsest allowed granularity would cross the cap:
 //     the session is rejected and the tenant must wait for a new budget
-//     grant (reset_tenant) or accept running unprotected out-of-band.
+//     grant or accept running unprotected out-of-band.
 // Admitted/degraded windows are reserved IMMEDIATELY (the accountant
 // records the releases at decision time), so concurrent sessions of one
 // tenant can never jointly overshoot the cap. Decisions for a given
@@ -72,12 +72,6 @@ class BudgetGovernor {
   AdmissionDecision request_window(std::uint64_t tenant_id, std::size_t slices,
                                    double per_slice_epsilon);
 
-  /// Remaining advanced-composition budget for the tenant.
-  double remaining(std::uint64_t tenant_id) const;
-
-  /// Forgets a tenant's spend (a new budget grant / key rotation).
-  void reset_tenant(std::uint64_t tenant_id);
-
   TenantBudgetStats usage(std::uint64_t tenant_id) const;
   std::vector<TenantBudgetStats> all_usage() const;  // sorted by tenant id
 
@@ -89,7 +83,7 @@ class BudgetGovernor {
     double epsilon_cap = 0.0;
     // Labeled metrics registered when the tenant first appears; decisions
     // then only touch lock-free handles. The tallies count every decision
-    // over the tenant's lifetime (reset_tenant forgets spend, not history).
+    // over the tenant's lifetime.
     telemetry::Counter admitted;
     telemetry::Counter degraded;
     telemetry::Counter refused;
@@ -101,11 +95,11 @@ class BudgetGovernor {
   /// Caller holds mu_.
   Tenant& tenant_for(std::uint64_t tenant_id);
 
-  /// Stamps the decision (or the budget reset) from the registry clock,
-  /// records it as a kAdmission wide event and refreshes the tenant's
-  /// gauges. Caller holds mu_.
+  /// Stamps the decision from the registry clock, records it as a
+  /// kAdmission wide event and refreshes the tenant's gauges. Caller holds
+  /// mu_.
   void record_decision(std::uint64_t tenant_id, const Tenant& tenant,
-                       const AdmissionDecision& decision, bool reset = false);
+                       const AdmissionDecision& decision);
 
   TenantBudgetStats snapshot(std::uint64_t id, const Tenant& t) const;
 

@@ -19,8 +19,8 @@ enum SeedStream : std::uint64_t {
   kObfuscatorStream = 4,
 };
 
-// Virtual-clock scale for injection-window spans: one monitoring slice
-// renders as 1 µs in trace viewers. Purely presentational.
+// Virtual-clock scale for the injection span: one monitoring slice renders
+// as 1 µs in trace viewers. Purely presentational.
 constexpr std::uint64_t kSliceNs = 1000;
 
 }  // namespace
@@ -55,28 +55,9 @@ SessionResult run_protected_session(const ProtectionTemplate& tpl,
   config.seed = util::split_mix64(request.seed, kObfuscatorStream);
   obf::EventObfuscator obfuscator(tpl.engine->database(),
                                   tpl.engine->specification(),
-                                  tpl.analysis->cover, config);
-  sim::SliceAgent agent = obf::coarsen_agent(obfuscator.session(), granularity);
-  if (telemetry != nullptr) {
-    // Injection-window spans, stamped from the session's virtual clock (the
-    // slice index) rather than the registry clock: each noise-refresh fire
-    // covers the granularity-wide window it protects. The stream is resolved
-    // here, once per session, so the per-slice wrapper only records; it
-    // draws no randomness, so traces stay bit-identical with telemetry
-    // attached.
-    telemetry::SpanTracer* tracer = &telemetry->spans();
-    const telemetry::SpanStream stream = tracer->stream("inject.window");
-    const std::uint64_t tenant = request.tenant_id;
-    const std::size_t window = granularity == 0 ? 1 : granularity;
-    agent = [inner = std::move(agent), tracer, stream, tenant,
-             window](sim::VirtualMachine& vm, std::size_t t) {
-      if (t % window == 0) {
-        tracer->record_complete(stream, t * kSliceNs, (t + window) * kSliceNs,
-                                static_cast<std::uint32_t>(tenant), tenant);
-      }
-      inner(vm, t);
-    };
-  }
+                                  tpl.analysis->cover, std::move(config));
+  const sim::SliceAgent agent =
+      obf::coarsen_agent(obfuscator.session(), granularity);
 
   sim::VirtualMachine vm(tpl.vm, util::split_mix64(request.seed, kVmStream));
   sim::HostMonitor monitor(tpl.engine->database(),
@@ -84,6 +65,16 @@ SessionResult run_protected_session(const ProtectionTemplate& tpl,
   result.trace = monitor.monitor(
       vm, request.application->visit(util::split_mix64(request.seed, kVisitStream)),
       tpl.monitored_events, request.slices, agent);
+  if (telemetry != nullptr) {
+    // One injection span per session, stamped from the session's virtual
+    // clock (the slice index) rather than the registry clock. The refresh
+    // cadence is the granularity the session's governor.decision carries.
+    telemetry::SpanTracer& tracer = telemetry->spans();
+    tracer.record_complete(tracer.stream("inject.window"), 0,
+                           request.slices * kSliceNs,
+                           static_cast<std::uint32_t>(request.tenant_id),
+                           request.tenant_id);
+  }
   result.injected_repetitions = obfuscator.total_injected_repetitions();
   result.noise_draws = obfuscator.total_noise_draws();
   return result;

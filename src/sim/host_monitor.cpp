@@ -45,7 +45,6 @@ MonitorResult HostMonitor::monitor_stepped(
   std::vector<double> prev(event_ids.size(), 0.0);
   std::vector<double> now(event_ids.size());
   const std::vector<double> no_sample;  // the planner's view before sample 0
-  const double busy_before = vm.total_busy_cycles();
 
   for (std::size_t t = 0; t < base_slices;) {
     std::size_t step = 1;
@@ -67,8 +66,6 @@ MonitorResult HostMonitor::monitor_stepped(
     result.samples.push_back(clamped_delta(now, prev));
     prev.swap(now);
   }
-  result.slices = result.samples.size();
-  result.busy_cycles = vm.total_busy_cycles() - busy_before;
   return result;
 }
 
@@ -80,7 +77,6 @@ MonitorResult HostMonitor::monitor_occupancy(VirtualMachine& vm,
                                              const SliceAgent& agent) {
   MonitorResult result;
   result.samples.reserve(slices);
-  const double busy_before = vm.total_busy_cycles();
   for (std::size_t t = 0; t < slices; ++t) {
     if (agent) agent(vm, t);
     if (source) vm.submit(source(t));
@@ -90,8 +86,6 @@ MonitorResult HostMonitor::monitor_occupancy(VirtualMachine& vm,
     // Probe timing jitter (the attacker measures via a software timer).
     result.samples.push_back({misses + std::abs(rng_.normal(0.0, 2.0))});
   }
-  result.slices = slices;
-  result.busy_cycles = vm.total_busy_cycles() - busy_before;
   return result;
 }
 

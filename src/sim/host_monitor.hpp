@@ -39,8 +39,6 @@ using SlicePlanner =
 struct MonitorResult {
   /// samples[t][e] = count delta of programmed event e during slice t.
   std::vector<std::vector<double>> samples;
-  std::uint64_t slices = 0;
-  double busy_cycles = 0.0;
 };
 
 class HostMonitor {

@@ -61,16 +61,16 @@ pmu::ExecutionStats VirtualMachine::run_slice() {
     head_ = 0;
   }
 
-  ++slices_run_;
+  ++slice_count_;
   total_busy_cycles_ += slice.cycles;
   last_slice_stats_ = slice;
   return slice;
 }
 
 double VirtualMachine::cpu_usage() const noexcept {
-  if (slices_run_ == 0) return 0.0;
+  if (slice_count_ == 0) return 0.0;
   const double capacity =
-      static_cast<double>(slices_run_) * config_.slice_budget_cycles;
+      static_cast<double>(slice_count_) * config_.slice_budget_cycles;
   const double usage = total_busy_cycles_ / capacity;
   return usage > 1.0 ? 1.0 : usage;
 }

@@ -57,11 +57,8 @@ class VirtualMachine {
     return last_slice_stats_;
   }
 
-  /// Cumulative accounting since construction.
-  std::uint64_t slices_run() const noexcept { return slices_run_; }
-  double total_busy_cycles() const noexcept { return total_busy_cycles_; }
-  /// Busy fraction = busy cycles / slice capacity (the `top` CPU-usage view
-  /// the paper's host measures every 0.2 s).
+  /// Busy fraction since construction = busy cycles / slice capacity (the
+  /// `top` CPU-usage view the paper's host measures every 0.2 s).
   double cpu_usage() const noexcept;
 
  private:
@@ -78,7 +75,7 @@ class VirtualMachine {
   std::vector<InstructionBlock> queue_;
   std::size_t head_ = 0;
   pmu::ExecutionStats last_slice_stats_;
-  std::uint64_t slices_run_ = 0;
+  std::uint64_t slice_count_ = 0;
   double total_busy_cycles_ = 0.0;
 };
 

@@ -1,7 +1,9 @@
 #include "telemetry/json_reader.hpp"
 
 #include <cctype>
+#include <cmath>
 #include <cstdlib>
+#include <limits>
 
 namespace aegis::telemetry {
 
@@ -59,9 +61,13 @@ class Parser {
     const char c = peek();
     switch (c) {
       case '{':
-        return parse_object();
-      case '[':
-        return parse_array();
+      case '[': {
+        // A throw abandons the whole parse, so only a clean return unwinds.
+        if (++depth_ > kJsonMaxDepth) fail("nesting too deep");
+        JsonValue v = c == '{' ? parse_object() : parse_array();
+        --depth_;
+        return v;
+      }
       case '"':
         return parse_string();
       case 't':
@@ -214,6 +220,7 @@ class Parser {
     char* end = nullptr;
     const double d = std::strtod(token.c_str(), &end);
     if (end != token.c_str() + token.size()) fail("malformed number");
+    if (!std::isfinite(d)) fail("number out of range");
     JsonValue v;
     v.kind = JsonValue::Kind::kNumber;
     v.number = d;
@@ -222,6 +229,7 @@ class Parser {
 
   std::string_view text_;
   std::size_t pos_ = 0;
+  std::size_t depth_ = 0;  // open arrays and objects
 };
 
 }  // namespace
@@ -236,6 +244,10 @@ const JsonValue& JsonValue::at(std::string_view key) const {
 
 std::uint64_t JsonValue::as_u64() const noexcept {
   if (kind != Kind::kNumber || number < 0.0) return 0;
+  // 2^64: the conversion is undefined at and above it.
+  if (number >= 18446744073709551616.0) {
+    return std::numeric_limits<std::uint64_t>::max();
+  }
   return static_cast<std::uint64_t>(number);
 }
 

@@ -4,9 +4,12 @@
 // exactly what the snapshot/trace exporters emit (objects, arrays, strings
 // with the escapes json_escape produces, numbers, booleans, null). It exists
 // so tools/aegis_top and the exporter round-trip tests can consume snapshots
-// without adding a library.
+// without adding a library. Snapshots are read from disk, so the input is
+// untrusted: nesting is bounded (kJsonMaxDepth), numbers must be finite, and
+// anything else malformed throws JsonParseError.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <stdexcept>
@@ -36,7 +39,8 @@ class JsonValue {
 
   /// Object member lookup; returns a shared null value when absent.
   const JsonValue& at(std::string_view key) const;
-  /// Number as uint64 (truncating); 0 when not a number.
+  /// Number as uint64 (truncating, saturating at the uint64 maximum); 0
+  /// when not a number or negative.
   std::uint64_t as_u64() const noexcept;
 };
 
@@ -44,8 +48,14 @@ struct JsonParseError : std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
-/// Parses one JSON document; throws JsonParseError on malformed input or
-/// trailing garbage.
+/// Deepest nesting of arrays and objects parse_json accepts. The exporters
+/// nest at most four levels; the bound keeps a hostile document from
+/// exhausting the parser's stack.
+inline constexpr std::size_t kJsonMaxDepth = 64;
+
+/// Parses one JSON document; throws JsonParseError on malformed input,
+/// nesting deeper than kJsonMaxDepth, a number that does not fit a finite
+/// double, or trailing garbage.
 JsonValue parse_json(std::string_view text);
 
 }  // namespace aegis::telemetry

@@ -15,12 +15,6 @@ std::vector<double> Trace::event_series(std::size_t e) const {
   return series;
 }
 
-double Trace::event_total(std::size_t e) const noexcept {
-  double total = 0.0;
-  for (const auto& row : samples) total += row[e];
-  return total;
-}
-
 std::vector<double> Trace::window_features(std::size_t windows,
                                            bool pad) const {
   WindowPooler pooler(events(), slices(), windows, pad);

@@ -25,9 +25,6 @@ struct Trace {
   /// Column e as a flat series.
   std::vector<double> event_series(std::size_t e) const;
 
-  /// Total count of event e over the window.
-  double event_total(std::size_t e) const noexcept;
-
   /// Per-event, per-window mean features: splits the T slices into
   /// `windows` equal chunks and averages each event within a chunk,
   /// yielding an events() * windows feature vector. This is the temporal

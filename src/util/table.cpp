@@ -67,20 +67,4 @@ std::string fmt_group(long long v) {
   return out;
 }
 
-void write_csv(std::ostream& os, const std::vector<std::string>& header,
-               const std::vector<std::vector<std::string>>& rows) {
-  for (std::size_t c = 0; c < header.size(); ++c) {
-    if (c) os << ',';
-    os << header[c];
-  }
-  os << '\n';
-  for (const auto& r : rows) {
-    for (std::size_t c = 0; c < r.size(); ++c) {
-      if (c) os << ',';
-      os << r[c];
-    }
-    os << '\n';
-  }
-}
-
 }  // namespace aegis::util

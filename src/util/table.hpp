@@ -1,4 +1,4 @@
-// ASCII table / CSV rendering used by the bench harnesses to print the same
+// ASCII table rendering used by the bench harnesses to print the same
 // rows and series the paper's tables and figures report.
 #pragma once
 
@@ -36,9 +36,5 @@ std::string fmt_pct(double fraction, int precision = 2);
 
 /// Integer with thousands separators ("11,464,996").
 std::string fmt_group(long long v);
-
-/// Writes rows as CSV (no quoting; values must not contain commas).
-void write_csv(std::ostream& os, const std::vector<std::string>& header,
-               const std::vector<std::vector<std::string>>& rows);
 
 }  // namespace aegis::util

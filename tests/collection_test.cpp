@@ -8,9 +8,10 @@
 //     entry points return (monitor for each workload, with and without an
 //     obfuscator agent; monitor_stepped with a planner;
 //     obf::calibrate_events; the profiler's warm-up survivors). The monitor
-//     digests were captured before the slice loop stopped copying blocks
-//     and recomputing Poisson limits; the calibration and warm-up digests
-//     when the group sweep began simulating each job once for every group.
+//     digests cover the samples only; they were re-derived, with the same
+//     samples, when MonitorResult lost its slice and busy-cycle counts. The
+//     calibration and warm-up digests were captured when the group sweep
+//     began simulating each job once for every group.
 //     So any change to a draw, a block order or an accumulation order fails
 //     here.
 //   * GroupSweep: the sweep engine's contract — in-order 4-event groups
@@ -61,8 +62,7 @@ std::uint64_t digest(const sim::MonitorResult& r) {
     h = util::hash_combine(h, std::uint64_t{row.size()});
     for (double v : row) h = util::hash_combine(h, v);
   }
-  h = util::hash_combine(h, r.slices);
-  return util::hash_combine(h, r.busy_cycles);
+  return h;
 }
 
 std::uint64_t digest(const std::vector<double>& values) {
@@ -170,19 +170,19 @@ TEST(CollectionDigest, MonitorPinnedPerWorkload) {
   std::vector<Pinned> cases;
   cases.push_back({"website",
                    std::make_unique<workload::WebsiteWorkload>(7, kSlices),
-                   0xf3c78e3c4a92392eULL, 0x932b961ee048ff50ULL});
+                   0xbb57d8470a759063ULL, 0x70922f2414242aabULL});
   cases.push_back({"dnn", std::make_unique<workload::DnnWorkload>(3, kSlices),
-                   0xc6df2afc8d99d90aULL, 0xaf8ecd9a4445d615ULL});
+                   0x4016c626fed2d9d1ULL, 0x4cf2f1afa1e83a4eULL});
   cases.push_back({"keystroke",
                    std::make_unique<workload::KeystrokeWorkload>(5, kSlices),
-                   0xe96505811d123dd7ULL, 0x52de4ad0b74e7b62ULL});
+                   0xfa56562124c3cbb8ULL, 0x9fff62a6215ce63eULL});
   cases.push_back(
       {"crypto",
        std::make_unique<workload::CryptoWorkload>(
            workload::CryptoWorkload::derive_key(16, 9), kSlices),
-       0xc6f7d35ba03d21deULL, 0xeafc5c4071daa17bULL});
+       0x8ef3bfc80df2a65cULL, 0xce1ca3c6d08f31baULL});
   cases.push_back({"idle", std::make_unique<workload::IdleWorkload>(kSlices),
-                   0x390d7de1b2184cd0ULL, 0x03decd1692b20b6fULL});
+                   0x4ee59563c51fdf05ULL, 0x800324415f07ff8fULL});
   std::uint64_t seed = 100;
   for (const Pinned& c : cases) {
     EXPECT_EQ(f.monitor_digest(*c.workload, false, seed), c.clean)
@@ -217,7 +217,7 @@ TEST(CollectionDigest, MonitorSteppedPinned) {
         vm, site.visit(303), f.events(), kSlices, planner, agent);
     EXPECT_LT(r.samples.size(), kSlices);
     const std::uint64_t pinned =
-        defended ? 0xdb2978e6756590ebULL : 0xb5b881c461dbd07cULL;
+        defended ? 0x6d43cd3e8caa7d9fULL : 0x94b694a86f618d52ULL;
     EXPECT_EQ(digest(r), pinned) << (defended ? "defended" : "clean");
   }
 }

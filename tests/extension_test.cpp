@@ -223,18 +223,15 @@ TEST(CacheProbe, OccupancyMonitorSeparatesBusyFromIdle) {
 
 TEST(PrivacyAccountant, BasicCompositionSums) {
   dp::PrivacyAccountant accountant;
-  for (int i = 0; i < 10; ++i) accountant.record_release(0.25);
+  for (int i = 0; i < 10; ++i) accountant.record_releases(0.25, 1);
   EXPECT_EQ(accountant.releases(), 10u);
   EXPECT_DOUBLE_EQ(accountant.basic_epsilon(), 2.5);
-  accountant.reset();
-  EXPECT_EQ(accountant.releases(), 0u);
-  EXPECT_DOUBLE_EQ(accountant.basic_epsilon(), 0.0);
 }
 
 TEST(PrivacyAccountant, NonPositiveEpsilonIgnored) {
   dp::PrivacyAccountant accountant;
-  accountant.record_release(0.0);
-  accountant.record_release(-1.0);
+  accountant.record_releases(0.0, 1);
+  accountant.record_releases(-1.0, 1);
   EXPECT_EQ(accountant.releases(), 0u);
 }
 
@@ -257,7 +254,7 @@ TEST(PrivacyAccountant, AdvancedMonotoneInReleases) {
 
 TEST(PrivacyAccountant, HomogeneousReleasesMatchTheClosedForm) {
   dp::PrivacyAccountant accountant;
-  for (int i = 0; i < 100; ++i) accountant.record_release(0.02);
+  for (int i = 0; i < 100; ++i) accountant.record_releases(0.02, 1);
   const double direct =
       dp::PrivacyAccountant::advanced_composition(0.02, 100, 1e-6);
   EXPECT_NEAR(accountant.advanced_epsilon(1e-6), direct, 1e-12);
@@ -272,7 +269,7 @@ TEST(PrivacyAccountant, HeterogeneousReleasesUseExactSumOfSquares) {
                                         0.3, 0.05, 0.1,  0.25};
   const double delta = 1e-6;
   dp::PrivacyAccountant accountant;
-  for (double eps : epsilons) accountant.record_release(eps);
+  for (double eps : epsilons) accountant.record_releases(eps, 1);
 
   double sum = 0.0, sum_sq = 0.0, overhead = 0.0;
   for (double eps : epsilons) {
@@ -295,8 +292,8 @@ TEST(PrivacyAccountant, RecordReleasesBatchesEqualSingles) {
   dp::PrivacyAccountant batched, single;
   batched.record_releases(0.1, 50);
   batched.record_releases(0.02, 7);
-  for (int i = 0; i < 50; ++i) single.record_release(0.1);
-  for (int i = 0; i < 7; ++i) single.record_release(0.02);
+  for (int i = 0; i < 50; ++i) single.record_releases(0.1, 1);
+  for (int i = 0; i < 7; ++i) single.record_releases(0.02, 1);
   EXPECT_EQ(batched.releases(), single.releases());
   EXPECT_NEAR(batched.advanced_epsilon(1e-6), single.advanced_epsilon(1e-6),
               1e-12);

@@ -22,40 +22,11 @@
 #include <thread>
 #include <vector>
 
+#include "counting_allocator.hpp"
 #include "telemetry/json_reader.hpp"
 #include "telemetry/registry.hpp"
 #include "telemetry/span_tracer.hpp"
 #include "util/rng.hpp"
-
-// ---------------------------------------------------------------------------
-// Instrumented global allocator. Counting is gated on a flag so only the
-// record-path window is measured; gtest bookkeeping outside it stays free.
-
-namespace {
-std::atomic<bool> g_count_allocs{false};
-std::atomic<std::uint64_t> g_allocs{0};
-std::atomic<std::size_t> g_largest_alloc{0};
-
-void* counted_alloc(std::size_t size) {
-  if (g_count_allocs.load(std::memory_order_relaxed)) {
-    g_allocs.fetch_add(1, std::memory_order_relaxed);
-    std::size_t largest = g_largest_alloc.load(std::memory_order_relaxed);
-    while (size > largest && !g_largest_alloc.compare_exchange_weak(
-                                 largest, size, std::memory_order_relaxed)) {
-    }
-  }
-  void* p = std::malloc(size == 0 ? 1 : size);
-  if (p == nullptr) throw std::bad_alloc();
-  return p;
-}
-}  // namespace
-
-void* operator new(std::size_t size) { return counted_alloc(size); }
-void* operator new[](std::size_t size) { return counted_alloc(size); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace aegis::telemetry {
 namespace {

@@ -405,14 +405,6 @@ TEST(Knn, KOneMatchesNearestTrainingPoint) {
   EXPECT_EQ(knn.predict({9.0}), 1);
 }
 
-TEST(Metrics, AccuracyScore) {
-  std::vector<int> truth{1, 2, 3, 4};
-  std::vector<int> pred{1, 2, 0, 4};
-  EXPECT_DOUBLE_EQ(accuracy_score(truth, pred), 0.75);
-  const std::vector<int> short_pred{1};
-  EXPECT_THROW((void)accuracy_score(truth, short_pred), std::invalid_argument);
-}
-
 TEST(Metrics, EditDistanceCases) {
   EXPECT_EQ(edit_distance(std::vector<int>{}, std::vector<int>{}), 0u);
   EXPECT_EQ(edit_distance(std::vector<int>{1, 2, 3}, std::vector<int>{1, 2, 3}), 0u);

@@ -10,7 +10,6 @@
 #include "fuzzer/set_cover.hpp"
 #include "obf/injector.hpp"
 #include "obf/rotating_plan.hpp"
-#include "obf/kernel_controller.hpp"
 #include "obf/noise_calculator.hpp"
 #include "obf/obfuscator.hpp"
 #include "util/rng.hpp"
@@ -93,27 +92,6 @@ TEST(NoiseCalculator, DStarUsesObservations) {
   for (int t = 1; t <= 32; ++t) {
     EXPECT_NEAR(calc.noise_for(static_cast<double>(t)), 0.0, 1e-3);
   }
-  calc.reset_series();
-  EXPECT_NEAR(calc.noise_for(100.0), 0.0, 1e-3);
-}
-
-TEST(KernelController, SamplesAndQueues) {
-  Fixture f;
-  const std::uint32_t uops = *f.db.find("RETIRED_UOPS");
-  KernelController controller(f.db, uops, 100.0);
-  sim::VirtualMachine vm(sim::VmConfig{}, 1);
-  sim::InstructionBlock b;
-  b.uops = 5000;
-  vm.submit(b);
-  (void)vm.run_slice();
-  controller.sample(vm);
-  EXPECT_EQ(controller.queued(), 1u);
-  // 5000 uops (plus interrupt handler uops) normalized by 100.
-  const double x = controller.dequeue();
-  EXPECT_GT(x, 40.0);
-  EXPECT_LT(x, 80.0);
-  EXPECT_EQ(controller.queued(), 0u);
-  EXPECT_EQ(controller.dequeue(), 0.0);  // empty channel
 }
 
 TEST(Injector, BuildsStackedSegment) {
@@ -222,6 +200,76 @@ TEST(Obfuscator, DefenseInflatesMonitoredCounts) {
   const double clean = run_total(nullptr);
   const double defended = run_total(obf.session());
   EXPECT_GT(defended, clean * 1.05);
+}
+
+TEST(Obfuscator, SessionObservesTheNormalizedReferenceCount) {
+  // The kernel module's RDPMC read: before each slice, a d* or baseline
+  // session feeds its mechanism the reference event's count over the VM's
+  // last slice divided by reference_sigma. Replayed here from the
+  // session's seed derivation with one noise stream.
+  Fixture f;
+  const fuzzer::GadgetCover cover = f.make_cover();
+  const workload::WebsiteWorkload site(3, 60);
+  ObfuscatorConfig config;
+  config.reference_event = *f.db.find("RETIRED_UOPS");
+  config.reference_sigma = 4.0e4;
+  config.unit_reps = 20.0;
+  config.single_stream = true;
+  config.seed = 21;
+  config.mechanism.epsilon = 0.5;
+  config.mechanism.constant_level = 6.0;
+
+  // Runs 60 slices of the site with `agent`; returns the VM's last slice.
+  auto run = [&](const sim::SliceAgent& agent) {
+    sim::VirtualMachine vm(sim::VmConfig{}, 22);
+    const sim::BlockSource source = site.visit(23);
+    for (std::size_t t = 0; t < 60; ++t) {
+      agent(vm, t);
+      vm.submit(source(t));
+      (void)vm.run_slice();
+    }
+    return vm.last_slice_stats();
+  };
+  // The replay: the session's mechanism seed, then its one stream's seed.
+  auto replay = [&](double noise_unit, double* reps) {
+    util::Rng seeds(config.seed ^ 0x0BF5ULL);
+    (void)seeds.next_u64();
+    dp::MechanismConfig mech = config.mechanism;
+    mech.seed = seeds.next_u64();
+    auto calc = std::make_shared<NoiseCalculator>(mech);
+    auto injector = std::make_shared<NoiseInjector>(
+        f.spec, cover, config.unit_reps, config.clip_norm);
+    const pmu::EventDescriptor& uops = f.db.by_id(config.reference_event);
+    const pmu::ExecutionStats last =
+        run([&](sim::VirtualMachine& vm, std::size_t) {
+          const double x_t =
+              uops.response.expected_count(vm.last_slice_stats()) / noise_unit;
+          injector->inject(vm, calc->noise_for(x_t));
+        });
+    *reps = injector->total_repetitions();
+    return last;
+  };
+
+  for (const dp::MechanismKind kind :
+       {dp::MechanismKind::kDStar, dp::MechanismKind::kConstantOutput}) {
+    SCOPED_TRACE(std::string(dp::to_string(kind)));
+    config.mechanism.kind = kind;
+    EventObfuscator obf(f.db, f.spec, cover, config);
+    const pmu::ExecutionStats got = run(obf.session());
+    double want_reps = 0.0;
+    const pmu::ExecutionStats want = replay(config.reference_sigma, &want_reps);
+    EXPECT_GT(want_reps, 0.0);
+    EXPECT_EQ(obf.total_injected_repetitions(), want_reps);
+    EXPECT_EQ(got.uops, want.uops);
+    EXPECT_EQ(got.cycles, want.cycles);
+    if (kind == dp::MechanismKind::kConstantOutput) {
+      // d* noise is x_t-independent up to rounding; padding to a constant
+      // level is not, so a different unit injects different noise.
+      double rescaled_reps = 0.0;
+      (void)replay(2.0 * config.reference_sigma, &rescaled_reps);
+      EXPECT_NE(rescaled_reps, want_reps);
+    }
+  }
 }
 
 TEST(Obfuscator, SessionsAreIndependentSeries) {

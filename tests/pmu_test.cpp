@@ -170,7 +170,7 @@ TEST(ExecutionStats, AccumulateAndTotals) {
   b.uops = 7;
   a += b;
   EXPECT_DOUBLE_EQ(a.class_counts[InstructionClass::kLoad], 7.0);
-  EXPECT_DOUBLE_EQ(a.total_instructions(), 10.0);
+  EXPECT_DOUBLE_EQ(a.class_counts[InstructionClass::kStore], 3.0);
   EXPECT_DOUBLE_EQ(a.uops, 17.0);
 }
 

@@ -337,32 +337,6 @@ TEST(ArmsRace, AdaptiveMeaBeatsStaticUnderLaplace) {
   EXPECT_GE(adaptive + 0.05, fixed);
 }
 
-TEST(ArmsRace, AdaptiveKeaBeatsStaticUnderLaplace) {
-  const SecurityHarness& h = tiny_harness();
-  attack::KeaConfig config;
-  config.event_ids = attack_events(h);
-  config.key_bits = 16;
-  config.training_keys = 4;
-  config.traces_per_key = 2;
-  config.epochs = 4;
-  config.slices = 80;
-  config.seed = 57;
-  const auto attacker =
-      attack::make_retrainable_kea(h.engine().database(), config, 2, 1);
-  EXPECT_DOUBLE_EQ(attacker->random_guess(), 0.5);
-  std::vector<std::unique_ptr<workload::Workload>> calib;
-  calib.push_back(std::make_unique<workload::CryptoWorkload>(
-      std::vector<bool>{true, false, true, true, false, true, false, true},
-      80));
-  const Defense defense =
-      make_defense(h, calib, dp::MechanismKind::kLaplace, 1.0, 8);
-  attacker->retrain(nullptr);
-  const double fixed = attacker->exploit(213, defense.factory());
-  attacker->retrain(defense.factory());
-  const double adaptive = attacker->exploit(213, defense.factory());
-  EXPECT_GE(adaptive + 0.05, fixed);
-}
-
 TEST(Attackers, SliceStepAndFusionProduceValidCells) {
   const SecurityHarness& h = tiny_harness();
   for (const A attacker : {A::kSliceStepWfa, A::kFusionWfa}) {

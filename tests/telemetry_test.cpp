@@ -1,9 +1,12 @@
 // Telemetry subsystem tests: counter and gauge handles, sorted snapshots,
 // byte-stable exporter golden files under a fixed clock, span parentage read
-// back from the flight recorder, the JSON reader, and a threaded registry
-// stress intended for the TSan config of the CI matrix.
+// back from the flight recorder, the JSON reader (including seeded mutations
+// of a snapshot: any bytes parse or are rejected, with bounded nesting and
+// allocations, measured by an instrumented global allocator), and a
+// threaded registry stress intended for the TSan config of the CI matrix.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstring>
 #include <limits>
 #include <optional>
@@ -12,12 +15,14 @@
 #include <thread>
 #include <vector>
 
+#include "counting_allocator.hpp"
 #include "telemetry/exporters.hpp"
 #include "telemetry/flight_recorder.hpp"
 #include "telemetry/json_reader.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/registry.hpp"
 #include "telemetry/span_tracer.hpp"
+#include "util/rng.hpp"
 
 namespace aegis::telemetry {
 namespace {
@@ -318,6 +323,157 @@ TEST(JsonReader, ThrowsOnMalformedInput) {
   EXPECT_THROW(parse_json("[1, 2,]"), JsonParseError);
   EXPECT_THROW(parse_json("{} trailing"), JsonParseError);
   EXPECT_THROW(parse_json(""), JsonParseError);
+}
+
+TEST(JsonReader, RejectsNestingDeeperThanTheBound) {
+  // A million '[' overflowed the recursive parser's stack before the bound.
+  EXPECT_THROW(parse_json(std::string(1'000'000, '[')), JsonParseError);
+  const auto arrays = [](std::size_t depth) {
+    return std::string(depth, '[') + std::string(depth, ']');
+  };
+  EXPECT_NO_THROW(parse_json(arrays(kJsonMaxDepth)));
+  EXPECT_THROW(parse_json(arrays(kJsonMaxDepth + 1)), JsonParseError);
+  // Objects and arrays share the bound.
+  std::string mixed = "1";
+  for (std::size_t d = 0; d < kJsonMaxDepth; ++d) {
+    mixed = d % 2 == 0 ? "{\"k\": " + mixed + "}" : "[" + mixed + "]";
+  }
+  EXPECT_NO_THROW(parse_json(mixed));
+  EXPECT_THROW(parse_json("[" + mixed + "]"), JsonParseError);
+}
+
+TEST(JsonReader, HugeNumbersSaturateOrAreRejected) {
+  constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+  // The largest counter write_json_snapshot can print rounds to 2^64.
+  EXPECT_EQ(parse_json("18446744073709551615").as_u64(), kMax);
+  EXPECT_EQ(parse_json("1e300").as_u64(), kMax);
+  EXPECT_EQ(parse_json("-1e300").as_u64(), 0u);
+  EXPECT_EQ(parse_json("9007199254740992").as_u64(), 9007199254740992u);
+  EXPECT_THROW(parse_json("1e999"), JsonParseError);
+  EXPECT_THROW(parse_json("[-1e999]"), JsonParseError);
+}
+
+/// A service-like metrics snapshot as write_json_snapshot writes it: plain
+/// and tenant-labelled counters and gauges (escaped quotes in the names) and
+/// a non-finite gauge (written as null).
+std::string snapshot_golden() {
+  MetricsRegistry metrics;
+  metrics.counter("aegis_sessions_started_total").inc(1000);
+  metrics.counter("aegis_sessions_completed_total").inc(998);
+  metrics.counter("aegis_sessions_refused_total").inc(2);
+  for (int t = 0; t < 3; ++t) {
+    const std::string label = "{tenant=\"" + std::to_string(t) + "\"}";
+    metrics.counter("aegis_tenant_admitted_total" + label).inc(300 + t);
+    metrics.gauge("aegis_tenant_epsilon_advanced" + label).set(0.75 * (t + 1));
+    metrics.gauge("aegis_tenant_epsilon_remaining" + label)
+        .set(8.0 - 0.75 * (t + 1));
+  }
+  metrics.gauge("aegis_sessions_active").set(0.0);
+  metrics.gauge("aegis_demo_inf").set(std::numeric_limits<double>::infinity());
+  std::ostringstream os;
+  write_json_snapshot(metrics.snapshot(), os);
+  return os.str();
+}
+
+/// Reads every number the way aegis_top does (as_u64 and the raw double).
+std::uint64_t touch_numbers(const JsonValue& v) {
+  std::uint64_t sum = v.as_u64() + (v.number > 0.0 ? 1 : 0);
+  for (const JsonValue& e : v.array) sum += touch_numbers(e);
+  for (const auto& [key, e] : v.object) sum += touch_numbers(e);
+  return sum;
+}
+
+TEST(JsonReader, SeededMutationsOfASnapshotParseOrReject) {
+  const std::string golden = snapshot_golden();
+  ASSERT_EQ(parse_json(golden).at("counters").object.size(), 6u);
+  std::vector<std::string> lines;
+  for (std::size_t at = 0; at < golden.size();) {
+    const std::size_t end = golden.find('\n', at) + 1;
+    lines.push_back(golden.substr(at, end - at));
+    at = end;
+  }
+  const std::vector<std::string> huge = {
+      "1e999", "-1e999", "18446744073709551616", "1e308", "-0",
+      "4" + std::string(400, '9'), "0." + std::string(400, '0') + "1"};
+  util::Rng rng(0x150DEC0DEULL);
+  const auto pick = [&rng](std::size_t n) {
+    return static_cast<std::size_t>(rng.next_u64() % n);
+  };
+  // Far above what parsing a document of a few kilobytes needs; a parser
+  // that sized anything from a claimed length or the nesting would cross it.
+  constexpr std::size_t kAllocBound = std::size_t{64} << 10;
+  std::size_t parsed = 0;
+  std::size_t rejected = 0;
+  for (int iter = 0; iter < 2000; ++iter) {
+    std::string bytes = golden;
+    switch (iter % 6) {
+      case 0:  // byte flips anywhere
+        for (int k = 0, n = 1 + static_cast<int>(pick(8)); k < n; ++k) {
+          bytes[pick(bytes.size())] ^= static_cast<char>(1 + pick(255));
+        }
+        break;
+      case 1:  // truncation
+        bytes.resize(pick(bytes.size() + 1));
+        break;
+      case 2: {  // splice: copy a chunk over another place
+        const std::size_t from = pick(bytes.size());
+        const std::size_t len = 1 + pick(std::min<std::size_t>(
+                                        bytes.size() - from, 200));
+        const std::string chunk = bytes.substr(from, len);
+        bytes.insert(pick(bytes.size() + 1), chunk);
+        break;
+      }
+      case 3: {  // duplicate or drop whole lines (one key per line)
+        std::vector<std::string> mutated = lines;
+        const std::size_t line = pick(mutated.size());
+        if (pick(2) == 0) {
+          mutated.insert(mutated.begin() + static_cast<std::ptrdiff_t>(
+                                               pick(mutated.size() + 1)),
+                         mutated[line]);
+        } else {
+          mutated.erase(mutated.begin() + static_cast<std::ptrdiff_t>(line));
+        }
+        bytes.clear();
+        for (const std::string& l : mutated) bytes += l;
+        break;
+      }
+      case 4: {  // a value replaced by a huge or extreme number
+        std::size_t at = bytes.find(": ", pick(bytes.size()));
+        if (at == std::string::npos) at = bytes.find(": ");
+        at += 2;
+        const std::size_t end = bytes.find_first_of(",\n}", at);
+        bytes.replace(at, end - at, huge[pick(huge.size())]);
+        break;
+      }
+      default: {  // wrap the document in arrays, shallow or very deep
+        const std::size_t depth =
+            pick(4) == 0 ? 100'000 : 1 + pick(2 * kJsonMaxDepth);
+        bytes = std::string(depth, '[') + bytes + std::string(depth, ']');
+        break;
+      }
+    }
+    g_largest_alloc.store(0, std::memory_order_relaxed);
+    g_count_allocs.store(true, std::memory_order_relaxed);
+    std::optional<JsonValue> doc;
+    try {
+      doc = parse_json(bytes);
+    } catch (const JsonParseError&) {
+    } catch (...) {
+      ADD_FAILURE() << "mutation " << iter << " threw another exception";
+    }
+    g_count_allocs.store(false, std::memory_order_relaxed);
+    EXPECT_LE(g_largest_alloc.load(std::memory_order_relaxed), kAllocBound)
+        << "mutation " << iter;
+    if (!doc.has_value()) {
+      ++rejected;
+      continue;
+    }
+    ++parsed;
+    (void)touch_numbers(*doc);
+  }
+  // Both outcomes occur, so the mutations reach past the first byte.
+  EXPECT_GT(parsed, 300u);
+  EXPECT_GT(rejected, 300u);
 }
 
 // ---------------------------------------------------------------------------

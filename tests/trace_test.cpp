@@ -38,11 +38,6 @@ TEST(Trace, EventSeriesExtractsColumn) {
   EXPECT_DOUBLE_EQ(series[4], 25.0);
 }
 
-TEST(Trace, EventTotalSums) {
-  const Trace t = make_trace(4, 2, 0.0);
-  EXPECT_DOUBLE_EQ(t.event_total(0), 0 + 1 + 2 + 3);
-}
-
 TEST(Trace, WindowFeaturesAverageCorrectly) {
   Trace t;
   t.samples = {{2.0}, {4.0}, {10.0}, {20.0}};

@@ -386,11 +386,5 @@ TEST(Table, FormatHelpers) {
   EXPECT_EQ(fmt_group(0), "0");
 }
 
-TEST(Table, CsvOutput) {
-  std::ostringstream os;
-  write_csv(os, {"a", "b"}, {{"1", "2"}, {"3", "4"}});
-  EXPECT_EQ(os.str(), "a,b\n1,2\n3,4\n");
-}
-
 }  // namespace
 }  // namespace aegis::util

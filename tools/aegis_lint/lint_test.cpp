@@ -579,24 +579,24 @@ TEST(TelemetryHandle, SuppressedWithReason) {
 // ---------------------------------------------------------------------------
 // backend-registry
 
-TEST(BackendRegistry, FlagsDirectGenerateCall) {
+TEST(BackendFor, FlagsDirectGenerateCall) {
   const auto fs =
       run("const auto db = pmu::EventDatabase::generate(model);\n");
   EXPECT_TRUE(has_rule(fs, "backend-registry")) << messages(fs);
 }
 
-TEST(BackendRegistry, ResolvingThroughTheBackendIsFine) {
+TEST(BackendFor, ResolvingThroughTheBackendIsFine) {
   const auto fs = run(
       "const auto& db = pmu::backend::backend_for(model).database();\n");
   EXPECT_TRUE(fs.empty()) << messages(fs);
 }
 
-TEST(BackendRegistry, OtherGenerateMethodsAreFine) {
+TEST(BackendFor, OtherGenerateMethodsAreFine) {
   const auto fs = run("const auto plan = Scheduler::generate(slots);\n");
   EXPECT_TRUE(fs.empty()) << messages(fs);
 }
 
-TEST(BackendRegistry, SuppressedWithReason) {
+TEST(BackendFor, SuppressedWithReason) {
   const auto fs = run(
       "// aegis-lint: event-db-ok(fixture compares raw database to the "
       "backend view)\n"
@@ -604,7 +604,7 @@ TEST(BackendRegistry, SuppressedWithReason) {
   EXPECT_TRUE(fs.empty()) << messages(fs);
 }
 
-TEST(BackendRegistry, ReasonlessSuppressionIsItselfAFinding) {
+TEST(BackendFor, ReasonlessSuppressionIsItselfAFinding) {
   const auto fs = run(
       "// aegis-lint: event-db-ok()\n"
       "const auto db = pmu::EventDatabase::generate(model);\n");
@@ -612,7 +612,7 @@ TEST(BackendRegistry, ReasonlessSuppressionIsItselfAFinding) {
   EXPECT_TRUE(has_rule(fs, "suppression")) << messages(fs);
 }
 
-TEST(BackendRegistry, DisabledByConfigForTheBackendLayer) {
+TEST(BackendFor, DisabledByConfigForTheBackendLayer) {
   LintConfig config;
   config.backend_rule = false;
   const auto fs = lint_source(

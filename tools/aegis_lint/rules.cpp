@@ -610,8 +610,9 @@ void rule_backend_registry(const Tokens& t, std::vector<Finding>& out) {
         Finding{"backend-registry", t[i].line,
                 "direct EventDatabase::generate() bypasses the PMU backend "
                 "layer; resolve the database through "
-                "pmu::backend::backend_for(model) so SKU metadata and "
-                "attack defaults stay attached",
+                "pmu::backend::backend_for(model), which builds each "
+                "model's database once and shares it with the model's "
+                "attack-event ids",
                 "event-db-ok"});
   }
 }

@@ -39,8 +39,9 @@
 //   backend-registry   EventDatabase::generate() outside src/pmu/backend/
 //                      (which is exempt wholesale): every other component
 //                      resolves its database through
-//                      pmu::backend::backend_for(model), so SKU metadata
-//                      and attack defaults stay attached to it.
+//                      pmu::backend::backend_for(model), which builds
+//                      each model's database once and shares it with the
+//                      model's attack-event ids.
 //                                               suppress: event-db-ok(...)
 //
 // Rules are lexical by design: they see one file (plus its companion

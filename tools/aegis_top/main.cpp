@@ -192,7 +192,6 @@ const char* outcome_name(std::uint64_t code) {
     case 0: return "admit";
     case 1: return "degrade";
     case 2: return "refuse";
-    case 3: return "reset";
   }
   return "?";
 }

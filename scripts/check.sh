@@ -18,9 +18,9 @@
 #   --fast   sanitizer passes run only the concurrency-relevant suites
 #            (thread pool, parallel campaign, fuzzer, profiler, queue) plus
 #            the gadget runner, the seed-7 shard digests, the warm-start
-#            parser suites and the two seeded-mutation suites of aegis_top's
-#            inputs (the JSON snapshot reader and the flight-recorder dump
-#            reader), instead of the whole test suite.
+#            parser suites and the two seeded-mutation suites of untrusted
+#            inputs (the JSON reader and the flight-recorder dump reader),
+#            instead of the whole test suite.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."

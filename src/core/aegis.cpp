@@ -11,6 +11,18 @@
 
 namespace aegis::core {
 
+namespace {
+
+/// Calibration runs per secret.
+constexpr std::size_t kCalibrationRuns = 2;
+/// Extra multiplier on the per-slice noise amplitude. 1.0 sizes noise to
+/// the calibrated per-slice leakage spread; attack models pool several
+/// consecutive slices per feature, attenuating i.i.d. noise by the square
+/// root of the pooling window, so 2.0 partially compensates.
+constexpr double kPoolingFactor = 2.0;
+
+}  // namespace
+
 std::vector<std::uint32_t> OfflineResult::top_events(std::size_t n) const {
   std::vector<std::uint32_t> events;
   events.reserve(std::min(n, ranking.size()));
@@ -57,35 +69,27 @@ std::unique_ptr<obf::EventObfuscator> Aegis::make_obfuscator(
     dp::MechanismConfig mechanism, ObfuscatorBuildOptions options,
     std::uint64_t seed) const {
   // Invalid defence parameters fail here, before any calibration run, not
-  // at the first session(): a NaN pooling factor makes unit_reps NaN and a
-  // negative clip bound inverts the injector's clamp.
-  if (!(std::isfinite(options.clip_sigma) && options.clip_sigma > 0.0) ||
-      !(std::isfinite(options.pooling_factor) &&
-        options.pooling_factor > 0.0)) {
+  // at the first session(): a negative clip bound inverts the injector's
+  // clamp.
+  if (!(std::isfinite(options.clip_sigma) && options.clip_sigma > 0.0)) {
     throw std::invalid_argument(
-        "Aegis::make_obfuscator: clip_sigma and pooling_factor must be "
-        "finite and > 0");
+        "Aegis::make_obfuscator: clip_sigma must be finite and > 0");
   }
   // The mechanism checks its own epsilon, sensitivity, bound or level.
   (void)dp::make_mechanism(mechanism);
 
-  // The protected events: the top-MI events the cover actually reaches,
-  // in ranking order (the attacker monitors the top-ranked ones).
-  const std::size_t protect_limit = options.protect_top_events == 0
-                                        ? analysis.cover.covered_events.size()
-                                        : options.protect_top_events;
+  // The protected events: every event the cover reaches, in ranking order
+  // (the attacker monitors the top-ranked ones).
+  const std::vector<std::uint32_t>& covered = analysis.cover.covered_events;
   std::vector<std::uint32_t> protected_events;
   for (const auto& rank : analysis.ranking) {
-    if (protected_events.size() >= protect_limit) break;
-    if (std::find(analysis.cover.covered_events.begin(),
-                  analysis.cover.covered_events.end(),
-                  rank.event_id) != analysis.cover.covered_events.end()) {
+    if (protected_events.size() >= covered.size()) break;
+    if (std::find(covered.begin(), covered.end(), rank.event_id) !=
+        covered.end()) {
       protected_events.push_back(rank.event_id);
     }
   }
-  if (protected_events.empty()) {
-    protected_events = analysis.cover.covered_events;
-  }
+  if (protected_events.empty()) protected_events = covered;
   if (protected_events.empty()) {
     throw std::invalid_argument(
         "Aegis::make_obfuscator: the gadget cover reaches no events, so "
@@ -94,7 +98,7 @@ std::unique_ptr<obf::EventObfuscator> Aegis::make_obfuscator(
 
   const std::vector<obf::EventCalibration> calibration =
       obf::calibrate_events(database(), protected_events, secrets,
-                            options.calibration_runs, seed ^ 0xCA1ULL);
+                            kCalibrationRuns, seed ^ 0xCA1ULL);
 
   // Per-event requirement: r_e = sigma_e / delta_e segment repetitions per
   // 1.0 units of normalized noise. One repetition knob drives every event;
@@ -179,7 +183,7 @@ std::unique_ptr<obf::EventObfuscator> Aegis::make_obfuscator(
     }
     if (!boosted) break;
   }
-  const double unit_reps = std::max(unit * options.pooling_factor, 1.0);
+  const double unit_reps = std::max(unit * kPoolingFactor, 1.0);
 
   obf::ObfuscatorConfig config;
   config.mechanism = mechanism;

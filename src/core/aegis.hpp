@@ -23,18 +23,10 @@ namespace aegis::core {
 
 /// Options for sizing the injected noise (see obf/obfuscator.hpp).
 struct ObfuscatorBuildOptions {
-  std::size_t protect_top_events = 0;   // 0 = every covered event
   double clip_sigma = 30.0;             // B_u in sigma units
-  std::size_t calibration_runs = 2;     // runs per secret for calibration
   /// Ablation: one noise stream for the whole segment (see
   /// obf::ObfuscatorConfig::single_stream). Default: per-gadget streams.
   bool single_noise_stream = false;
-  /// Extra multiplier on the per-slice noise amplitude. 1.0 sizes noise to
-  /// the calibrated per-slice leakage spread; attack models pool several
-  /// consecutive slices per feature, attenuating i.i.d. noise by the square
-  /// root of the pooling window, so the default partially compensates.
-  /// Raising it strengthens privacy at proportional overhead cost.
-  double pooling_factor = 2.0;
   /// Dynamic defense: rotate the injected plan over a deterministic
   /// schedule (Obelix-style; see obf/rotating_plan.hpp). ε-neutral.
   bool rotate = false;
@@ -67,11 +59,12 @@ class Aegis {
       const OfflineConfig& config) const;
 
   /// Online defense: an obfuscator bound to the analyzed gadget cover.
-  /// `mechanism` picks Laplace / d* / baseline and the privacy budget; the
-  /// per-event noise units are calibrated by running the secret set.
+  /// Every covered event is protected. `mechanism` picks Laplace / d* /
+  /// baseline and the privacy budget; the per-event noise units are
+  /// calibrated by running the secret set.
   /// Throws std::invalid_argument before any calibration run for a
-  /// non-finite or non-positive clip_sigma or pooling_factor, or a
-  /// mechanism parameter its mechanism rejects (dp::make_mechanism).
+  /// non-finite or non-positive clip_sigma, or a mechanism parameter its
+  /// mechanism rejects (dp::make_mechanism).
   std::unique_ptr<obf::EventObfuscator> make_obfuscator(
       const OfflineResult& analysis,
       const std::vector<std::unique_ptr<workload::Workload>>& secrets,

@@ -2,26 +2,18 @@
 
 #include <algorithm>
 #include <array>
+#include <atomic>
 #include <span>
 #include <vector>
 
-#include "telemetry/registry.hpp"
 #include "util/stats.hpp"
 
 namespace aegis::fuzzer {
 
 namespace {
 
-/// Handle resolved outside the noalloc region (telemetry-handle rule): the
-/// by-name lookup allocates, so it happens once behind a function-local
-/// static; measure_path itself only bumps the lock-free counter.
-// aegis-lint: amortized-alloc(function-local static: the allocating by-name lookup runs once per process)
-const telemetry::Counter& path_measurements_counter() {
-  static const telemetry::Counter counter =
-      telemetry::Registry::global().metrics().counter(
-          "aegis_fuzzer_path_measurements_total");
-  return counter;
-}
+// Read by Confirmation.MeasuresEachCandidateOnceForItsWholeGroup.
+std::atomic<std::uint64_t> g_path_measurements{0};
 
 }  // namespace
 
@@ -35,7 +27,7 @@ PathMeasurement measure_path(sim::GadgetRunner& runner,
   // and per-call vectors dominated its profile.
   // aegis-lint: alloc-ok(thread_local: constructed once per thread, reused)
   thread_local std::vector<double> deltas;
-  path_measurements_counter().inc();
+  g_path_measurements.fetch_add(1, std::memory_order_relaxed);
   const std::size_t slots = runner.programmed().size();
   const std::size_t repeats = params.repeats;
   // aegis-lint: alloc-ok(thread_local scratch; capacity retained across calls)
@@ -122,6 +114,10 @@ ConfirmationOutcome confirm_gadget(sim::GadgetRunner& runner,
     outcome.confirmed |= static_cast<SlotMask>(1U << s);
   }
   return outcome;
+}
+
+std::uint64_t path_measurements() noexcept {
+  return g_path_measurements.load(std::memory_order_relaxed);
 }
 
 }  // namespace aegis::fuzzer

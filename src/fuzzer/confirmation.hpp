@@ -10,6 +10,7 @@
 
 #include <array>
 #include <cstddef>
+#include <cstdint>
 
 #include "fuzzer/gadget.hpp"
 #include "isa/spec.hpp"
@@ -46,6 +47,9 @@ PathMeasurement measure_path(sim::GadgetRunner& runner,
                              const isa::IsaSpecification& spec,
                              const Gadget& gadget, bool with_trigger,
                              const ConfirmationParams& params);
+
+/// measure_path calls made in this process so far (a relaxed count).
+std::uint64_t path_measurements() noexcept;
 
 struct ConfirmationOutcome {
   SlotMask confirmed = 0;  // bit s: slot s passed every check

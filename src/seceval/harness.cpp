@@ -4,8 +4,8 @@
 #include <memory>
 #include <utility>
 
+#include "attack/classification_attack.hpp"
 #include "attack/ksa.hpp"
-#include "attack/retrainable.hpp"
 #include "attack/slice_step.hpp"
 #include "attack/wfa.hpp"
 #include "telemetry/registry.hpp"
@@ -172,12 +172,6 @@ CellResult SecurityHarness::run_cell(const CellSpec& spec) const {
       break;
     }
   }
-  auto shared = std::make_shared<
-      const std::vector<std::unique_ptr<workload::Workload>>>(
-      std::move(secrets));
-  const auto attacker = attack::make_retrainable_classification(
-      engine_.database(), std::string(to_string(spec.attacker)), shared,
-      std::move(attack_config), scale.visits_per_secret);
 
   // Defense: obfuscator calibrated against the cell's own secret set.
   dp::MechanismConfig mechanism;
@@ -186,20 +180,25 @@ CellResult SecurityHarness::run_cell(const CellSpec& spec) const {
   mechanism.epsilon = spec.epsilon;
   core::ObfuscatorBuildOptions options;
   options.rotate = is_rotating(spec.defense);
-  const auto obfuscator = engine_.make_obfuscator(analysis_, *shared,
+  const auto obfuscator = engine_.make_obfuscator(analysis_, secrets,
                                                   mechanism, options,
                                                   seed ^ 0x0B5FULL);
   obf::EventObfuscator* obf = obfuscator.get();
   const attack::AgentFactory defense = [obf] { return obf->session(); };
 
-  attacker->retrain(is_adaptive(spec.attacker) ? defense
-                                               : attack::AgentFactory{});
+  // Static attackers train on clean traces, adaptive ones under the
+  // deployed defense (paper Fig. 9b).
+  attack::ClassificationAttack attacker(engine_.database(),
+                                        std::move(attack_config));
+  attacker.train(secrets, is_adaptive(spec.attacker) ? defense
+                                                     : attack::AgentFactory{});
 
   CellResult result;
   result.spec = spec;
-  result.attack_accuracy = attacker->exploit(seed ^ 0xE4ULL, defense);
-  result.validation_accuracy = attacker->validation_accuracy();
-  result.random_guess = attacker->random_guess();
+  result.attack_accuracy = attacker.exploit(secrets, scale.visits_per_secret,
+                                            seed ^ 0xE4ULL, defense);
+  result.validation_accuracy = attacker.validation_accuracy();
+  result.random_guess = 1.0 / static_cast<double>(secrets.size());
   result.noise_draws = obf->total_noise_draws();
   const double sessions = static_cast<double>(obf->sessions_started());
   result.injected_reps_per_slice =
@@ -211,8 +210,6 @@ CellResult SecurityHarness::run_cell(const CellSpec& spec) const {
 
 FrontierResult SecurityHarness::run(const std::vector<CellSpec>& cells) const {
   telemetry::Registry& reg = telemetry::Registry::global();
-  const telemetry::Counter cells_done =
-      reg.metrics().counter("seceval_cells_total");
 
   std::vector<CellResult> results(cells.size());
   util::ThreadPool pool(config_.num_threads);
@@ -220,7 +217,6 @@ FrontierResult SecurityHarness::run(const std::vector<CellSpec>& cells) const {
     telemetry::ScopedSpan span(reg.spans(), "seceval.cell", 0,
                                static_cast<std::uint64_t>(i));
     results[i] = run_cell(cells[i]);
-    cells_done.inc();
   });
 
   FrontierResult frontier;

@@ -9,7 +9,7 @@
 // --security fails the build when any cell's attack accuracy RISES more
 // than 2 points over the committed baseline.
 //
-// Attacker classes (attack::Retrainable seam):
+// Attacker classes (each an attack::ClassificationAttack):
 //   * static        — trains on clean traces, exploits under the defense
 //   * adaptive      — retrains on defense-obfuscated traces (paper Fig. 9b)
 //   * slice-stepping— adaptive + attacker-chosen sampling boundaries

@@ -1,7 +1,6 @@
 #include "service/budget_governor.hpp"
 
 #include <cstring>
-#include <string>
 
 #include "telemetry/registry.hpp"
 
@@ -11,10 +10,6 @@ namespace {
 
 std::size_t releases_for(std::size_t slices, std::size_t granularity) {
   return (slices + granularity - 1) / granularity;
-}
-
-std::string tenant_metric(const char* base, std::uint64_t tenant_id) {
-  return std::string(base) + "{tenant=\"" + std::to_string(tenant_id) + "\"}";
 }
 
 /// Outcome code carried in kAdmission wide events (field `a`): the
@@ -40,32 +35,14 @@ BudgetGovernor::BudgetGovernor(GovernorConfig config)
 BudgetGovernor::Tenant& BudgetGovernor::tenant_for(std::uint64_t tenant_id) {
   auto [it, inserted] = tenants_.try_emplace(tenant_id);
   Tenant& tenant = it->second;
-  if (inserted) {
-    tenant.epsilon_cap = config_.default_epsilon_cap;
-    // Registration takes the registry's level-52 lock while we hold the
-    // level-15 governor lock: ascending, so lock-order clean.
-    tenant.admitted = telemetry_->metrics().counter(
-        tenant_metric("aegis_tenant_admitted_total", tenant_id));
-    tenant.degraded = telemetry_->metrics().counter(
-        tenant_metric("aegis_tenant_degraded_total", tenant_id));
-    tenant.refused = telemetry_->metrics().counter(
-        tenant_metric("aegis_tenant_refused_total", tenant_id));
-    tenant.epsilon_gauge = telemetry_->metrics().gauge(
-        tenant_metric("aegis_tenant_epsilon_advanced", tenant_id));
-    tenant.remaining_gauge = telemetry_->metrics().gauge(
-        tenant_metric("aegis_tenant_epsilon_remaining", tenant_id));
-    tenant.remaining_gauge.set(tenant.epsilon_cap);
-  }
+  if (inserted) tenant.epsilon_cap = config_.default_epsilon_cap;
   return tenant;
 }
 
 void BudgetGovernor::set_tenant_cap(std::uint64_t tenant_id,
                                     double epsilon_cap) {
   std::lock_guard lock(mu_);
-  Tenant& tenant = tenant_for(tenant_id);
-  tenant.epsilon_cap = epsilon_cap;
-  tenant.remaining_gauge.set(
-      tenant.accountant.remaining(epsilon_cap, config_.delta));
+  tenant_for(tenant_id).epsilon_cap = epsilon_cap;
 }
 
 AdmissionDecision BudgetGovernor::request_window(std::uint64_t tenant_id,
@@ -80,7 +57,6 @@ AdmissionDecision BudgetGovernor::request_window(std::uint64_t tenant_id,
     // series-level and pre-paid) is always admitted at full granularity.
     decision.outcome = Admission::kAdmit;
     decision.epsilon_after = tenant.accountant.advanced_epsilon(config_.delta);
-    tenant.admitted.inc();
     record_decision(tenant_id, tenant, decision);
     return decision;
   }
@@ -95,7 +71,6 @@ AdmissionDecision BudgetGovernor::request_window(std::uint64_t tenant_id,
       decision.granularity = g;
       decision.releases = releases;
       decision.epsilon_after = after;
-      (g == 1 ? tenant.admitted : tenant.degraded).inc();
       record_decision(tenant_id, tenant, decision);
       return decision;
     }
@@ -105,24 +80,30 @@ AdmissionDecision BudgetGovernor::request_window(std::uint64_t tenant_id,
   decision.granularity = 0;
   decision.releases = 0;
   decision.epsilon_after = tenant.accountant.advanced_epsilon(config_.delta);
-  tenant.refused.inc();
   record_decision(tenant_id, tenant, decision);
   return decision;
 }
 
-// Caller holds mu_ (level 15); the metric sinks sit above it, so the order
-// is ascending. One clock read and one wide event per decision, in
+// Caller holds mu_. One clock read and one wide event per decision, in
 // submission order.
-void BudgetGovernor::record_decision(std::uint64_t tenant_id,
-                                     const Tenant& tenant,
+void BudgetGovernor::record_decision(std::uint64_t tenant_id, Tenant& tenant,
                                      const AdmissionDecision& decision) {
+  switch (decision.outcome) {
+    case Admission::kAdmit:
+      ++tenant.admitted;
+      break;
+    case Admission::kDegrade:
+      ++tenant.degraded;
+      break;
+    case Admission::kRefuse:
+      ++tenant.refused;
+      break;
+  }
   decision_event_.record(
       telemetry_->now_ns(), outcome_code(decision.outcome),
       decision.granularity, decision.releases,
       double_bits(decision.epsilon_after),
       static_cast<std::uint32_t>(tenant_id));
-  tenant.epsilon_gauge.set(decision.epsilon_after);
-  tenant.remaining_gauge.set(tenant.epsilon_cap - decision.epsilon_after);
 }
 
 TenantBudgetStats BudgetGovernor::snapshot(std::uint64_t id,
@@ -133,9 +114,9 @@ TenantBudgetStats BudgetGovernor::snapshot(std::uint64_t id,
   stats.basic_epsilon = t.accountant.basic_epsilon();
   stats.advanced_epsilon = t.accountant.advanced_epsilon(config_.delta);
   stats.epsilon_cap = t.epsilon_cap;
-  stats.admitted = t.admitted.value();
-  stats.degraded = t.degraded.value();
-  stats.refused = t.refused.value();
+  stats.admitted = t.admitted;
+  stats.degraded = t.degraded;
+  stats.refused = t.refused;
   return stats;
 }
 

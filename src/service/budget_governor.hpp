@@ -26,7 +26,6 @@
 #include "dp/accountant.hpp"
 #include "service/service_stats.hpp"
 #include "telemetry/flight_recorder.hpp"
-#include "telemetry/metrics.hpp"
 
 namespace aegis::telemetry {
 class Registry;
@@ -51,10 +50,9 @@ struct GovernorConfig {
   double default_epsilon_cap = 8.0;  // lifetime advanced-composition cap
   double delta = 1e-6;               // advanced-composition slack
   std::size_t max_granularity = 64;  // coarsest degrade step offered
-  /// Sink for the admission wide events and per-tenant metrics (null =
-  /// telemetry::Registry::global()). TenantBudgetStats reads the ε spend from
-  /// the governor's own accountants and the outcome tallies from the
-  /// per-tenant counters.
+  /// Sink for the admission wide events (null =
+  /// telemetry::Registry::global()). TenantBudgetStats reads the ε spend
+  /// and the outcome tallies from the governor's own per-tenant state.
   telemetry::Registry* telemetry = nullptr;
 };
 
@@ -81,24 +79,18 @@ class BudgetGovernor {
   struct Tenant {
     dp::PrivacyAccountant accountant;
     double epsilon_cap = 0.0;
-    // Labeled metrics registered when the tenant first appears; decisions
-    // then only touch lock-free handles. The tallies count every decision
-    // over the tenant's lifetime.
-    telemetry::Counter admitted;
-    telemetry::Counter degraded;
-    telemetry::Counter refused;
-    telemetry::Gauge epsilon_gauge;
-    telemetry::Gauge remaining_gauge;
+    // Every decision over the tenant's lifetime, guarded by mu_.
+    std::size_t admitted = 0;
+    std::size_t degraded = 0;
+    std::size_t refused = 0;
   };
 
-  /// Looks up or creates the tenant, registering its gauges on creation.
-  /// Caller holds mu_.
+  /// Looks up or creates the tenant. Caller holds mu_.
   Tenant& tenant_for(std::uint64_t tenant_id);
 
-  /// Stamps the decision from the registry clock, records it as a
-  /// kAdmission wide event and refreshes the tenant's gauges. Caller holds
-  /// mu_.
-  void record_decision(std::uint64_t tenant_id, const Tenant& tenant,
+  /// Tallies the decision, stamps it from the registry clock and records
+  /// it as a kAdmission wide event. Caller holds mu_.
+  void record_decision(std::uint64_t tenant_id, Tenant& tenant,
                        const AdmissionDecision& decision);
 
   TenantBudgetStats snapshot(std::uint64_t id, const Tenant& t) const;

@@ -11,9 +11,8 @@ namespace aegis::service {
 
 namespace {
 
-/// Copy of a component config with its telemetry sink pointed at `reg`.
-template <typename Config>
-Config with_telemetry(Config config, telemetry::Registry* reg) {
+/// Copy of the governor config with its telemetry sink pointed at `reg`.
+GovernorConfig with_telemetry(GovernorConfig config, telemetry::Registry* reg) {
   config.telemetry = reg;
   return config;
 }
@@ -22,19 +21,12 @@ Config with_telemetry(Config config, telemetry::Registry* reg) {
 
 ProtectionService::ProtectionService(ServiceConfig config)
     : config_(config),
-      owned_telemetry_(config.telemetry == nullptr
-                           ? std::make_unique<telemetry::Registry>()
-                           : nullptr),
-      telemetry_(config.telemetry != nullptr ? config.telemetry
-                                             : owned_telemetry_.get()),
+      telemetry_(&telemetry::resolve(config.telemetry)),
       attack_monitor_(config.attack_monitor, telemetry_),
-      cache_(with_telemetry(config.cache, telemetry_)),
+      cache_(config.cache),
       governor_(with_telemetry(config.governor, telemetry_)),
       manager_(config.num_threads, governor_, telemetry_),
-      queue_(std::max<std::size_t>(1, config.queue_capacity)),
-      submitted_(
-          telemetry_->metrics().counter("aegis_sessions_submitted_total")),
-      queue_depth_(telemetry_->metrics().gauge("aegis_service_queue_depth")) {
+      queue_(std::max<std::size_t>(1, config.queue_capacity)) {
   manager_.set_attack_monitor(&attack_monitor_);
   dispatcher_ = std::thread([this] { dispatch_loop(); });
 }
@@ -108,10 +100,8 @@ bool ProtectionService::submit(SessionSubmission submission) {
     idle_cv_.notify_all();
     return false;
   }
-  // Counted only after the push succeeds: monotonic counters cannot be
-  // rolled back the way the old mu_-guarded tally could.
-  submitted_.inc();
-  queue_depth_.set(static_cast<double>(queue_.size()));
+  // Counted only after the push succeeds, so a refused push never counts.
+  submitted_.fetch_add(1, std::memory_order_relaxed);
   return true;
 }
 
@@ -119,7 +109,6 @@ void ProtectionService::dispatch_loop() {
   for (;;) {
     auto batch = queue_.pop_batch(std::max<std::size_t>(1, config_.batch_size));
     if (batch.empty()) return;  // closed and drained
-    queue_depth_.set(static_cast<double>(queue_.size()));
     std::optional<telemetry::ScopedSpan> batch_span(
         std::in_place, telemetry_->spans(), "service.dispatch", 0,
         batch.size());
@@ -189,8 +178,8 @@ void ProtectionService::shutdown() {
 }
 
 ServiceStats ProtectionService::stats() const {
-  // Derived view: every field reads back from the telemetry registry (via
-  // the component accessors) or live structures; nothing is double-counted.
+  // Every field reads back from the components' own counts or live
+  // structures; nothing is double-counted.
   ServiceStats stats;
   stats.cache = cache_.stats();
   stats.tenants = governor_.all_usage();
@@ -201,8 +190,7 @@ ServiceStats ProtectionService::stats() const {
   stats.sessions_degraded = manager_.degraded();
   stats.noise_draws = manager_.noise_draws();
   stats.queue_depth = queue_.size();
-  stats.sessions_submitted = submitted_.value();
-  queue_depth_.set(static_cast<double>(stats.queue_depth));
+  stats.sessions_submitted = submitted_.load(std::memory_order_relaxed);
   return stats;
 }
 

@@ -18,6 +18,7 @@
 // a consistent ServiceStats snapshot for observability.
 #pragma once
 
+#include <atomic>
 #include <chrono>
 #include <functional>
 #include <thread>
@@ -26,7 +27,6 @@
 #include "service/session_manager.hpp"
 #include "service/template_cache.hpp"
 #include "telemetry/anomaly.hpp"
-#include "telemetry/metrics.hpp"
 
 namespace aegis::service {
 
@@ -41,11 +41,11 @@ struct ServiceConfig {
   std::size_t batch_size = 16;
   GovernorConfig governor;
   TemplateCacheConfig cache;
-  /// Shared telemetry sink for the whole service (metrics; phase spans and
-  /// admission decisions in its flight recorder). Null = the service owns a
-  /// private registry, so per-instance stats stay exact; the cache/governor/
-  /// manager sinks are overridden to point at the resolved registry either
-  /// way.
+  /// Flight recorder for the whole service: phase spans, admission
+  /// decisions, RNG checkpoints and alerts (null =
+  /// telemetry::Registry::global()). The governor's sink is overridden to
+  /// point at the resolved registry. Counts stay per instance either way:
+  /// stats() reads them from the components, not from the registry.
   telemetry::Registry* telemetry = nullptr;
   /// Online attack monitor (telemetry/anomaly.hpp). It scores every
   /// executed session; when attack_monitor.attack_events is empty it is
@@ -115,10 +115,6 @@ class ProtectionService {
   }
   std::size_t num_threads() const noexcept { return manager_.num_threads(); }
 
-  /// The registry every component of this service records into (the
-  /// config-supplied one, or the service-owned private registry).
-  telemetry::Registry& telemetry() const noexcept { return *telemetry_; }
-
  private:
   struct TimedSubmission {
     SessionSubmission submission;
@@ -128,16 +124,13 @@ class ProtectionService {
   void dispatch_loop();
 
   ServiceConfig config_;
-  std::unique_ptr<telemetry::Registry> owned_telemetry_;
   telemetry::Registry* telemetry_;  // resolved (never null)
   telemetry::AttackProbabilityMonitor attack_monitor_;
   TemplateCache cache_;
   BudgetGovernor governor_;
   SessionManager manager_;
   BoundedQueue<TimedSubmission> queue_;
-  // Registry-backed service counters/gauges (handles resolved once).
-  telemetry::Counter submitted_;
-  telemetry::Gauge queue_depth_;
+  std::atomic<std::size_t> submitted_{0};
 
   // aegis-lint: lock-level(30, noblock)
   mutable std::mutex mu_;  // guards templates_, completed_, pending_

@@ -1,10 +1,11 @@
 // Observability snapshot for the Aegis protection service.
 //
-// Since the telemetry subsystem landed, these structs are DERIVED VIEWS:
-// the cache/session/service counters live in a telemetry::MetricsRegistry
-// (per-instance by default, shared when one is injected via the configs)
-// and stats() assembles this plain value from the handles. The API is
-// unchanged so callers can keep diffing snapshots across time.
+// Each count lives in the component that owns it, as a plain member:
+// TemplateCache and SessionManager keep relaxed atomics, BudgetGovernor
+// keeps per-tenant tallies under its mutex, and ProtectionService counts
+// submissions. stats() copies them into these plain values, so the counts
+// stay exact per instance whichever telemetry::Registry the components
+// record their events into. Callers diff snapshots across time.
 #pragma once
 
 #include <cstddef>
@@ -45,8 +46,7 @@ struct TenantBudgetStats {
   double basic_epsilon = 0.0;      // sequential-composition spend
   double advanced_epsilon = 0.0;   // advanced-composition spend
   double epsilon_cap = 0.0;
-  // Lifetime decision tallies, read back from the per-tenant counters
-  // aegis_tenant_{admitted,degraded,refused}_total{tenant="N"}.
+  // Lifetime decision tallies, kept by the governor per tenant.
   std::size_t admitted = 0;        // windows granted at full granularity
   std::size_t degraded = 0;        // windows granted at coarser granularity
   std::size_t refused = 0;         // windows rejected (budget exhausted)

@@ -85,22 +85,9 @@ SessionManager::SessionManager(std::size_t num_threads,
                                telemetry::Registry* telemetry)
     : pool_(num_threads),
       governor_(&governor),
-      owned_telemetry_(telemetry == nullptr
-                           ? std::make_unique<telemetry::Registry>()
-                           : nullptr),
-      telemetry_(telemetry != nullptr ? telemetry : owned_telemetry_.get()),
-      started_(telemetry_->metrics().counter("aegis_sessions_started_total")),
-      completed_(
-          telemetry_->metrics().counter("aegis_sessions_completed_total")),
-      refused_(telemetry_->metrics().counter("aegis_sessions_refused_total")),
-      degraded_(telemetry_->metrics().counter("aegis_sessions_degraded_total")),
-      noise_draws_(
-          telemetry_->metrics().counter("aegis_session_noise_draws_total")),
-      active_(telemetry_->metrics().gauge("aegis_sessions_active")),
+      telemetry_(&telemetry::resolve(telemetry)),
       rng_event_(telemetry_->recorder().event_handle(
           "session.rng", telemetry::WideEventType::kRngCheckpoint)) {}
-
-SessionManager::~SessionManager() = default;
 
 std::vector<SessionResult> SessionManager::run_fleet(
     const ProtectionTemplate& tpl,
@@ -122,10 +109,12 @@ std::vector<SessionResult> SessionManager::run_fleet(
       results[i].granularity = decision.granularity;
       results[i].epsilon_after = decision.epsilon_after;
       if (decision.outcome == Admission::kRefuse) {
-        refused_.inc();
+        refused_.fetch_add(1, std::memory_order_relaxed);
       } else {
         granted[i] = decision.granularity;
-        if (decision.outcome == Admission::kDegrade) degraded_.inc();
+        if (decision.outcome == Admission::kDegrade) {
+          degraded_.fetch_add(1, std::memory_order_relaxed);
+        }
       }
     }
   }
@@ -135,8 +124,8 @@ std::vector<SessionResult> SessionManager::run_fleet(
   // so results are bit-identical at every worker count.
   pool_.parallel_for(requests.size(), [&](std::size_t i) {
     if (granted[i] == 0) return;  // refused
-    started_.inc();
-    active_.add(1.0);
+    started_.fetch_add(1, std::memory_order_relaxed);
+    active_.fetch_add(1, std::memory_order_relaxed);
     telemetry::ScopedSpan span(telemetry_->spans(), "fleet.session",
                                static_cast<std::uint32_t>(i),
                                requests[i].tenant_id);
@@ -154,13 +143,13 @@ std::vector<SessionResult> SessionManager::run_fleet(
     results[i] = run_protected_session(tpl, requests[i], granted[i], telemetry_);
     results[i].outcome = outcome;
     results[i].epsilon_after = epsilon_after;
-    noise_draws_.inc(results[i].noise_draws);
-    active_.add(-1.0);
-    completed_.inc();
+    noise_draws_.fetch_add(results[i].noise_draws, std::memory_order_relaxed);
+    active_.fetch_sub(1, std::memory_order_relaxed);
+    completed_.fetch_add(1, std::memory_order_relaxed);
   });
 
   // Phase 3 — attack scoring, serial and in submission order again (the
-  // monitor mutates shared gauge/alert state). The HostMonitor reads the
+  // monitor records alerts in order). The HostMonitor reads the
   // template's monitored set exactly once per slice, i.e. perfectly
   // periodically (read_gap_cv = 0), with no single-stepping.
   if (attack_monitor_ != nullptr) {

@@ -17,12 +17,12 @@
 // make outcomes depend on scheduling.
 #pragma once
 
+#include <atomic>
 #include <memory>
 #include <vector>
 
 #include "core/aegis.hpp"
 #include "service/budget_governor.hpp"
-#include "telemetry/metrics.hpp"
 #include "util/thread_pool.hpp"
 
 namespace aegis::telemetry {
@@ -95,10 +95,10 @@ class SessionManager {
  public:
   /// num_threads: session-pool executors, the thread that calls
   /// run_fleet included (0 = hardware concurrency).
-  /// `telemetry` null = a private registry (per-instance counters).
+  /// `telemetry` receives the fleet spans and RNG checkpoints (null =
+  /// telemetry::Registry::global()).
   SessionManager(std::size_t num_threads, BudgetGovernor& governor,
                  telemetry::Registry* telemetry = nullptr);
-  ~SessionManager();
 
   /// Admits (in request order) and runs one fleet batch concurrently.
   /// results[i] corresponds to requests[i]; refused sessions carry an
@@ -107,25 +107,33 @@ class SessionManager {
       const ProtectionTemplate& tpl,
       const std::vector<SessionRequest>& requests);
 
-  std::size_t started() const noexcept { return started_.value(); }
-  std::size_t completed() const noexcept { return completed_.value(); }
-  std::size_t refused() const noexcept { return refused_.value(); }
-  std::size_t degraded() const noexcept { return degraded_.value(); }
+  std::size_t started() const noexcept {
+    return started_.load(std::memory_order_relaxed);
+  }
+  std::size_t completed() const noexcept {
+    return completed_.load(std::memory_order_relaxed);
+  }
+  std::size_t refused() const noexcept {
+    return refused_.load(std::memory_order_relaxed);
+  }
+  std::size_t degraded() const noexcept {
+    return degraded_.load(std::memory_order_relaxed);
+  }
   /// Summed noise_draws of every session run so far.
-  std::uint64_t noise_draws() const noexcept { return noise_draws_.value(); }
-  /// Sessions currently executing on the pool (an instantaneous gauge).
+  std::uint64_t noise_draws() const noexcept {
+    return noise_draws_.load(std::memory_order_relaxed);
+  }
+  /// Sessions currently executing on the pool (an instantaneous count).
   std::size_t active() const noexcept {
-    return static_cast<std::size_t>(active_.value());
+    return active_.load(std::memory_order_relaxed);
   }
 
   std::size_t num_threads() const noexcept { return pool_.size(); }
 
-  telemetry::Registry& telemetry() const noexcept { return *telemetry_; }
-
   /// Attaches the online attack-probability monitor. Executed sessions are
   /// then scored serially, in submission order, AFTER the fleet fan-out
   /// completes — scoring reads shared monitor state, so running it from
-  /// pool workers would make gauge/alert order depend on scheduling. Null
+  /// pool workers would make alert order depend on scheduling. Null
   /// detaches. Scoring draws no RNG and never touches session results, so
   /// the bit-identity contract is unaffected.
   void set_attack_monitor(telemetry::AttackProbabilityMonitor* monitor) noexcept {
@@ -135,16 +143,14 @@ class SessionManager {
  private:
   util::ThreadPool pool_;
   BudgetGovernor* governor_;
-  std::unique_ptr<telemetry::Registry> owned_telemetry_;
-  telemetry::Registry* telemetry_;
-  // Counters live in the registry; these handles are the only mutable
-  // session-manager state (lock-free, shared-safe).
-  telemetry::Counter started_;
-  telemetry::Counter completed_;
-  telemetry::Counter refused_;
-  telemetry::Counter degraded_;
-  telemetry::Counter noise_draws_;
-  telemetry::Gauge active_;
+  telemetry::Registry* telemetry_;  // resolved (never null)
+  // Relaxed atomics: pool workers bump them concurrently.
+  std::atomic<std::size_t> started_{0};
+  std::atomic<std::size_t> completed_{0};
+  std::atomic<std::size_t> refused_{0};
+  std::atomic<std::size_t> degraded_{0};
+  std::atomic<std::uint64_t> noise_draws_{0};
+  std::atomic<std::size_t> active_{0};
   /// Per-session RNG-stream checkpoints (kRngCheckpoint wide events): the
   /// request seed plus the derived VM/monitor/obfuscator stream seeds, so a
   /// dump pinpoints exactly which randomness a session consumed. Stamped

@@ -4,7 +4,6 @@
 #include <sstream>
 
 #include "pmu/backend/backend.hpp"
-#include "telemetry/registry.hpp"
 #include "util/hash.hpp"
 
 namespace aegis::service {
@@ -76,22 +75,7 @@ TemplateKey make_template_key(isa::CpuModel cpu,
 }
 
 TemplateCache::TemplateCache(TemplateCacheConfig config)
-    : config_(std::move(config)),
-      owned_telemetry_(config_.telemetry == nullptr
-                           ? std::make_unique<telemetry::Registry>()
-                           : nullptr),
-      telemetry_(config_.telemetry != nullptr ? config_.telemetry
-                                              : owned_telemetry_.get()),
-      lookups_(telemetry_->metrics().counter("aegis_cache_lookups_total")),
-      hits_(telemetry_->metrics().counter("aegis_cache_hits_total")),
-      misses_(telemetry_->metrics().counter("aegis_cache_misses_total")),
-      warm_starts_(
-          telemetry_->metrics().counter("aegis_cache_warm_starts_total")),
-      failed_loads_(
-          telemetry_->metrics().counter("aegis_cache_failed_loads_total")),
-      analyses_(telemetry_->metrics().counter("aegis_cache_analyses_total")) {}
-
-TemplateCache::~TemplateCache() = default;
+    : config_(std::move(config)) {}
 
 std::string TemplateCache::disk_path(const TemplateKey& key) const {
   if (config_.cache_dir.empty()) return {};
@@ -111,7 +95,7 @@ std::shared_ptr<const core::OfflineResult> TemplateCache::get_or_analyze(
     const AnalyzeFn& analyze) {
   std::shared_ptr<Entry> entry;
   bool leader = false;
-  lookups_.inc();
+  lookups_.fetch_add(1, std::memory_order_relaxed);
   {
     std::lock_guard lock(mu_);
     auto it = entries_.find(key);
@@ -123,11 +107,7 @@ std::shared_ptr<const core::OfflineResult> TemplateCache::get_or_analyze(
       entry = it->second;
     }
   }
-  if (leader) {
-    misses_.inc();
-  } else {
-    hits_.inc();
-  }
+  (leader ? misses_ : hits_).fetch_add(1, std::memory_order_relaxed);
 
   if (!leader) {
     // Join the in-flight (or completed) entry.
@@ -149,14 +129,14 @@ std::shared_ptr<const core::OfflineResult> TemplateCache::get_or_analyze(
     std::ifstream is(path);
     if (is) {
       // A persisted file exists: this miss resolves against the disk store.
-      warm_starts_.inc();
+      warm_starts_.fetch_add(1, std::memory_order_relaxed);
       try {
         result = std::make_shared<const core::OfflineResult>(
             core::load_offline_result(is, engine.database(),
                                       engine.specification()));
       } catch (const std::exception&) {
         result.reset();  // stale/corrupt file: fall through to analysis
-        failed_loads_.inc();
+        failed_loads_.fetch_add(1, std::memory_order_relaxed);
       }
     }
   }
@@ -164,7 +144,7 @@ std::shared_ptr<const core::OfflineResult> TemplateCache::get_or_analyze(
     // Counted even when analyze() throws: the pipeline ran, the entry just
     // gets evicted below. Keeps `analyses_run == misses - warm_starts +
     // failed_loads` exact in every case.
-    analyses_.inc();
+    analyses_.fetch_add(1, std::memory_order_relaxed);
     try {
       result = std::make_shared<const core::OfflineResult>(analyze());
     } catch (const std::exception& e) {
@@ -201,12 +181,12 @@ std::shared_ptr<const core::OfflineResult> TemplateCache::get_or_analyze(
 
 TemplateCacheStats TemplateCache::stats() const {
   TemplateCacheStats s;
-  s.lookups = lookups_.value();
-  s.hits = hits_.value();
-  s.misses = misses_.value();
-  s.warm_starts = warm_starts_.value();
-  s.failed_loads = failed_loads_.value();
-  s.analyses_run = analyses_.value();
+  s.lookups = lookups_.load(std::memory_order_relaxed);
+  s.hits = hits_.load(std::memory_order_relaxed);
+  s.misses = misses_.load(std::memory_order_relaxed);
+  s.warm_starts = warm_starts_.load(std::memory_order_relaxed);
+  s.failed_loads = failed_loads_.load(std::memory_order_relaxed);
+  s.analyses_run = analyses_.load(std::memory_order_relaxed);
   return s;
 }
 

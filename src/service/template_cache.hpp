@@ -15,6 +15,7 @@
 //     host) satisfies its first miss with a load instead of a re-analysis.
 #pragma once
 
+#include <atomic>
 #include <condition_variable>
 #include <functional>
 #include <memory>
@@ -24,12 +25,7 @@
 
 #include "core/serialize.hpp"
 #include "service/service_stats.hpp"
-#include "telemetry/metrics.hpp"
 #include "workload/workload.hpp"
-
-namespace aegis::telemetry {
-class Registry;
-}
 
 namespace aegis::service {
 
@@ -70,10 +66,6 @@ struct TemplateCacheConfig {
   /// directory must already exist; files are named tpl-<backend-id>-
   /// <family>-<workload-fp>-<config-hash>.aegis.
   std::string cache_dir;
-  /// Metric sink. Null = the cache creates a PRIVATE registry so stats()
-  /// stays per-instance exact; inject one to aggregate across components.
-  /// Observational only — never part of hash_offline_config.
-  telemetry::Registry* telemetry = nullptr;
 };
 
 class TemplateCache {
@@ -81,7 +73,6 @@ class TemplateCache {
   using AnalyzeFn = std::function<core::OfflineResult()>;
 
   explicit TemplateCache(TemplateCacheConfig config = {});
-  ~TemplateCache();
 
   /// Returns the template for `key`, running `analyze` at most once per
   /// key across all concurrent callers (single-flight). Resolution order
@@ -99,13 +90,9 @@ class TemplateCache {
   /// Path the given key persists to ("" when the cache is memory-only).
   std::string disk_path(const TemplateKey& key) const;
 
-  /// Derived view over the registry counters (see TemplateCacheStats docs
-  /// for the exact invariants).
+  /// This cache's counts (see TemplateCacheStats docs for the exact
+  /// invariants).
   TemplateCacheStats stats() const;
-
-  /// Registry receiving this cache's counters (the injected one, or the
-  /// internally owned fallback).
-  telemetry::Registry& telemetry() const noexcept { return *telemetry_; }
 
   /// Cached entries currently resident in memory.
   std::size_t size() const;
@@ -122,15 +109,13 @@ class TemplateCache {
   };
 
   TemplateCacheConfig config_;
-  std::unique_ptr<telemetry::Registry> owned_telemetry_;
-  telemetry::Registry* telemetry_;
-  // Handles resolved once at construction; stats() reads them back.
-  telemetry::Counter lookups_;
-  telemetry::Counter hits_;
-  telemetry::Counter misses_;
-  telemetry::Counter warm_starts_;
-  telemetry::Counter failed_loads_;
-  telemetry::Counter analyses_;
+  // Relaxed atomics: lookups run concurrently, outside mu_.
+  std::atomic<std::size_t> lookups_{0};
+  std::atomic<std::size_t> hits_{0};
+  std::atomic<std::size_t> misses_{0};
+  std::atomic<std::size_t> warm_starts_{0};
+  std::atomic<std::size_t> failed_loads_{0};
+  std::atomic<std::size_t> analyses_{0};
   // aegis-lint: lock-level(10, noblock)
   mutable std::mutex mu_;  // guards entries_
   std::unordered_map<TemplateKey, std::shared_ptr<Entry>, TemplateKeyHash>

@@ -3,17 +3,12 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
-#include <string>
 
 #include "telemetry/registry.hpp"
 
 namespace aegis::telemetry {
 
 namespace {
-
-std::string tenant_metric(const char* base, std::uint64_t tenant_id) {
-  return std::string(base) + "{tenant=\"" + std::to_string(tenant_id) + "\"}";
-}
 
 std::uint64_t double_bits(double v) noexcept {
   std::uint64_t bits = 0;
@@ -27,14 +22,9 @@ std::uint64_t double_bits(double v) noexcept {
 AttackProbabilityMonitor::AttackProbabilityMonitor(AttackMonitorConfig config,
                                                    Registry* telemetry)
     : config_(std::move(config)),
-      telemetry_(&resolve(telemetry)),
-      attack_events_(config_.attack_events) {
-  alert_event_ = telemetry_->recorder().event_handle("anomaly.attack",
-                                                     WideEventType::kAlert);
-  alerts_ = telemetry_->metrics().counter("aegis_attack_alerts_total");
-  sessions_scored_ =
-      telemetry_->metrics().counter("aegis_attack_sessions_scored_total");
-}
+      alert_event_(resolve(telemetry).recorder().event_handle(
+          "anomaly.attack", WideEventType::kAlert)),
+      attack_events_(config_.attack_events) {}
 
 void AttackProbabilityMonitor::set_attack_events(
     std::vector<std::uint32_t> attack_events) {
@@ -82,18 +72,8 @@ AttackScore AttackProbabilityMonitor::score(
 
 AttackScore AttackProbabilityMonitor::ingest(const SessionFeatures& features) {
   const AttackScore s = score(features);
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto [it, inserted] = tenant_gauges_.try_emplace(features.tenant_id);
-    if (inserted) {
-      it->second = telemetry_->metrics().gauge(
-          tenant_metric("aegis_attack_probability", features.tenant_id));
-    }
-    it->second.set(s.probability);
-  }
-  sessions_scored_.inc();
   if (s.alert) {
-    alerts_.inc();
+    alerts_.fetch_add(1, std::memory_order_relaxed);
     alert_event_.record(features.slices,
                         static_cast<std::uint64_t>(AlertKind::kAttackSuspected),
                         double_bits(s.probability), double_bits(s.overlap),

@@ -5,18 +5,17 @@
 // burstiness (the features the seceval frontier attackers actually exhibit;
 // thresholds are calibrated against those profiles by test).
 //
-// It emits kAlert wide events into the flight recorder and per-tenant
-// gauges. It draws no randomness and perturbs no guarded computation, so
+// It emits kAlert wide events, which carry the score, into the flight
+// recorder and counts its alerts. It draws no randomness and perturbs no guarded computation, so
 // attaching it preserves the fleet-vs-standalone bit-identity contract.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
-#include <map>
 #include <mutex>
 #include <vector>
 
 #include "telemetry/flight_recorder.hpp"
-#include "telemetry/metrics.hpp"
 
 namespace aegis::telemetry {
 
@@ -62,8 +61,8 @@ struct AttackMonitorConfig {
 };
 
 /// Deterministic online attack-probability scorer. score() is pure;
-/// ingest() also publishes gauges, bumps the alert counter and emits a
-/// kAttackSuspected wide event when the threshold is crossed.
+/// ingest() also bumps the alert count and emits a kAttackSuspected wide
+/// event when the threshold is crossed.
 class AttackProbabilityMonitor {
  public:
   explicit AttackProbabilityMonitor(AttackMonitorConfig config = {},
@@ -81,15 +80,15 @@ class AttackProbabilityMonitor {
   void set_attack_events(std::vector<std::uint32_t> attack_events);
   std::vector<std::uint32_t> attack_events() const;
 
-  std::uint64_t alerts() const noexcept { return alerts_.value(); }
+  std::uint64_t alerts() const noexcept {
+    return alerts_.load(std::memory_order_relaxed);
+  }
   const AttackMonitorConfig& config() const noexcept { return config_; }
 
  private:
   AttackMonitorConfig config_;
-  Registry* telemetry_;
   EventHandle alert_event_;
-  Counter alerts_;
-  Counter sessions_scored_;
+  std::atomic<std::uint64_t> alerts_{0};
   // aegis-lint: lock-level(18, noblock)
   mutable std::mutex mu_;
   /// Seeded from config_.attack_events; lives under mu_ so
@@ -97,7 +96,6 @@ class AttackProbabilityMonitor {
   /// immutable — config().attack_events reflects the construction-time
   /// value, attack_events() the live set).
   std::vector<std::uint32_t> attack_events_;
-  std::map<std::uint64_t, Gauge> tenant_gauges_;
 };
 
 }  // namespace aegis::telemetry

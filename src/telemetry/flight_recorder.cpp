@@ -33,9 +33,8 @@ constexpr std::uint64_t kCountUntilEof = ~0ULL;
 /// FlightRecorder::kNameTableBytes (16 KiB).
 constexpr std::uint32_t kMaxNameTableBytes = 1u << 20;
 
-/// Process-wide thread ordinal for ring selection. Deliberately separate
-/// from metrics detail::thread_shard() so this TU stays standalone (the
-/// aegis_top dump viewer links it without the rest of the library).
+/// Process-wide thread ordinal for ring selection. This TU stays standalone
+/// (the aegis_top dump viewer links it without the rest of the library).
 std::uint32_t fr_thread_ordinal() noexcept {
   static std::atomic<std::uint32_t> next{0};
   thread_local std::uint32_t ordinal =

@@ -4,11 +4,11 @@
 //
 // Design goals, in order:
 //   1. The record path is wait-free and allocation-free, so it is legal
-//      inside `noalloc` regions. Like MetricsRegistry, the slow path is the
-//      by-name registration (`event_handle`) which takes a mutex and may
-//      allocate; the returned EventHandle is a trivially-copyable pointer
-//      wrapper whose record() is a claim-index fetch_add plus seven relaxed
-//      atomic word stores — no locks and no "is telemetry on" branch.
+//      inside `noalloc` regions. The slow path is the by-name registration
+//      (`event_handle`) which takes a mutex and may allocate; the returned
+//      EventHandle is a trivially-copyable pointer wrapper whose record()
+//      is a claim-index fetch_add plus seven relaxed atomic word stores —
+//      no locks and no "is telemetry on" branch.
 //   2. Flight-recorder drop policy: rings OVERWRITE OLDEST. A crash dump
 //      answers "what happened just before", so the newest events win and a
 //      slow drain can never back-pressure the hot path. Overwritten events
@@ -77,10 +77,10 @@ struct DrainedEvent {
   std::uint64_t seq = 0;     // ring-local claim index (monotone per ring)
 };
 
-/// Null-safe trivially-copyable record handle, the flight-recorder analog of
-/// telemetry::Counter: resolve once at construction (slow path), record from
-/// anywhere (wait-free, allocation-free). A default-constructed handle is a
-/// no-op, so instrumented code never branches on "is a recorder attached".
+/// Null-safe trivially-copyable record handle: resolve once at construction
+/// (slow path), record from anywhere (wait-free, allocation-free). A
+/// default-constructed handle is a no-op, so instrumented code never
+/// branches on "is a recorder attached".
 class EventHandle {
  public:
   constexpr EventHandle() noexcept = default;
@@ -212,8 +212,8 @@ class FlightRecorder {
   std::unique_ptr<Ring[]> rings_;
   mutable std::atomic<std::uint64_t> torn_{0};
 
-  // Registration slow path, the highest telemetry lock: it sits above the
-  // metrics registry (52), and ScopedSpan takes it to resolve its stream.
+  // Registration slow path, the highest telemetry lock: ScopedSpan takes it
+  // to resolve its stream.
   // aegis-lint: lock-level(53, noblock)
   mutable std::mutex mu_;
   std::vector<std::string> stream_names_;

@@ -1,9 +1,8 @@
 #include "telemetry/json_reader.hpp"
 
-#include <cctype>
-#include <cmath>
-#include <cstdlib>
+#include <charconv>
 #include <limits>
+#include <system_error>
 
 namespace aegis::telemetry {
 
@@ -175,7 +174,7 @@ class Parser {
                 fail("bad hex digit in \\u escape");
               }
             }
-            // The exporters only escape control characters; decode the
+            // The trace exporter only escapes control characters; decode the
             // Latin-1 subset and pass anything else through as '?'.
             v.string += code < 0x100 ? static_cast<char>(code) : '?';
             break;
@@ -207,23 +206,50 @@ class Parser {
     return v;
   }
 
-  JsonValue parse_number() {
+  bool consume(char c) {
+    if (pos_ < text_.size() && text_[pos_] == c) {
+      ++pos_;
+      return true;
+    }
+    return false;
+  }
+
+  /// Consumes a run of decimal digits; returns how many.
+  std::size_t digits() {
     const std::size_t start = pos_;
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) != 0 ||
-            text_[pos_] == '-' || text_[pos_] == '+' || text_[pos_] == '.' ||
-            text_[pos_] == 'e' || text_[pos_] == 'E')) {
+    while (pos_ < text_.size() && text_[pos_] >= '0' && text_[pos_] <= '9') {
       ++pos_;
     }
-    if (pos_ == start) fail("expected a value");
-    const std::string token(text_.substr(start, pos_ - start));
-    char* end = nullptr;
-    const double d = std::strtod(token.c_str(), &end);
-    if (end != token.c_str() + token.size()) fail("malformed number");
-    if (!std::isfinite(d)) fail("number out of range");
+    return pos_ - start;
+  }
+
+  /// RFC 8259 grammar, checked before conversion:
+  ///   -? (0 | [1-9][0-9]*) (. [0-9]+)? ([eE] [+-]? [0-9]+)?
+  /// std::from_chars then converts without consulting the C locale.
+  JsonValue parse_number() {
+    const std::size_t start = pos_;
+    const bool minus = consume('-');
+    const char lead = pos_ < text_.size() ? text_[pos_] : '\0';
+    if (lead < '0' || lead > '9') {
+      fail(minus ? "malformed number" : "expected a value");
+    }
+    if (consume('0')) {
+      if (digits() != 0) fail("malformed number: leading zero");
+    } else {
+      (void)digits();
+    }
+    if (consume('.') && digits() == 0) fail("malformed number");
+    if (consume('e') || consume('E')) {
+      if (!consume('+')) (void)consume('-');
+      if (digits() == 0) fail("malformed number");
+    }
     JsonValue v;
     v.kind = JsonValue::Kind::kNumber;
-    v.number = d;
+    const char* end = text_.data() + pos_;
+    const auto [ptr, ec] = std::from_chars(text_.data() + start, end, v.number);
+    // Overflow and underflow both report result_out_of_range.
+    if (ec == std::errc::result_out_of_range) fail("number out of range");
+    if (ec != std::errc() || ptr != end) fail("malformed number");
     return v;
   }
 

@@ -1,12 +1,12 @@
-// Minimal JSON reader for telemetry snapshots.
+// Minimal JSON reader.
 //
 // Aegis has no external JSON dependency; this recursive-descent parser covers
-// exactly what the snapshot/trace exporters emit (objects, arrays, strings
-// with the escapes json_escape produces, numbers, booleans, null). It exists
-// so tools/aegis_top and the exporter round-trip tests can consume snapshots
-// without adding a library. Snapshots are read from disk, so the input is
-// untrusted: nesting is bounded (kJsonMaxDepth), numbers must be finite, and
-// anything else malformed throws JsonParseError.
+// objects, arrays, strings with the common escapes, numbers, booleans and
+// null. The e2ebench tests read BENCHMARK.json with it, and the telemetry
+// tests check the flight recorder's chrome://tracing export with it. Its
+// input is read from disk, so it is untrusted: nesting is bounded
+// (kJsonMaxDepth), numbers follow the RFC 8259 grammar and must fit a finite
+// double, and anything else malformed throws JsonParseError.
 #pragma once
 
 #include <cstddef>
@@ -48,14 +48,15 @@ struct JsonParseError : std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
-/// Deepest nesting of arrays and objects parse_json accepts. The exporters
-/// nest at most four levels; the bound keeps a hostile document from
-/// exhausting the parser's stack.
+/// Deepest nesting of arrays and objects parse_json accepts. The trace
+/// exporter nests at most four levels; the bound keeps a hostile document
+/// from exhausting the parser's stack.
 inline constexpr std::size_t kJsonMaxDepth = 64;
 
 /// Parses one JSON document; throws JsonParseError on malformed input,
-/// nesting deeper than kJsonMaxDepth, a number that does not fit a finite
-/// double, or trailing garbage.
+/// nesting deeper than kJsonMaxDepth, a number outside the JSON grammar or
+/// the range of a finite, normal-or-subnormal double (overflow and
+/// underflow alike), or trailing garbage.
 JsonValue parse_json(std::string_view text);
 
 }  // namespace aegis::telemetry

@@ -1,19 +1,21 @@
-// Telemetry hub: one MetricsRegistry + FlightRecorder + SpanTracer sharing a
-// clock.
+// Telemetry hub: one FlightRecorder + SpanTracer sharing a clock. The
+// flight recorder is the only telemetry pipeline; components that keep
+// counts (cache hits, session tallies, alerts) keep them as plain members
+// and report them through their own stats().
 //
 // Ownership model:
-//   * Library code with no injection point (measure_path's counter, the
-//     obfuscator's plan.rotation and obfuscator.rng checkpoints, and the
-//     profiler, fuzzer and seceval stage spans) records into
-//     Registry::global() — a process-wide instance on the
-//     deterministic tick clock — so instrumentation works with zero
-//     plumbing and zero behavioral effect. The per-gadget and per-slice
-//     paths (GadgetRunner::execute_once, CounterRegisterFile::accumulate,
-//     NoiseInjector) record nothing.
-//   * Service-layer objects accept an optional Registry* via their configs.
-//     When null they create a PRIVATE registry, keeping per-instance stats
-//     exact (tests construct several caches/services in one process).
-//     Benches/daemons inject one shared Registry to get a unified trace.
+//   * Library code with no injection point (the obfuscator's plan.rotation
+//     and obfuscator.rng checkpoints, and the profiler, fuzzer and seceval
+//     stage spans) records into Registry::global() — a process-wide
+//     instance on the deterministic tick clock — so instrumentation works
+//     with zero plumbing and zero behavioral effect. The per-gadget and
+//     per-slice paths (GadgetRunner::execute_once,
+//     CounterRegisterFile::accumulate, NoiseInjector) record nothing.
+//   * Service-layer objects accept an optional Registry* via their configs
+//     and resolve a null one to Registry::global() (resolve() below), so a
+//     service built without one still lands its admission decisions in
+//     AEGIS_FR_DUMP crash dumps. Benches and daemons inject one shared
+//     Registry to get a unified trace of their own.
 //
 // The clock stamps spans and admission decisions. Aegis bans wall-clock
 // reads outside reporting-only sites (aegis-lint banned-clock), so the
@@ -26,7 +28,6 @@
 #include <cstdint>
 
 #include "telemetry/flight_recorder.hpp"
-#include "telemetry/metrics.hpp"
 #include "telemetry/span_tracer.hpp"
 
 namespace aegis::telemetry {
@@ -41,8 +42,6 @@ class Registry {
   Registry(const Registry&) = delete;
   Registry& operator=(const Registry&) = delete;
 
-  MetricsRegistry& metrics() noexcept { return metrics_; }
-  const MetricsRegistry& metrics() const noexcept { return metrics_; }
   SpanTracer& spans() noexcept { return spans_; }
   FlightRecorder& recorder() noexcept { return recorder_; }
   const FlightRecorder& recorder() const noexcept { return recorder_; }
@@ -55,7 +54,6 @@ class Registry {
  private:
   std::atomic<std::uint64_t> ticks_{0};
   Clock clock_;
-  MetricsRegistry metrics_;
   FlightRecorder recorder_;
   SpanTracer spans_;
 };

@@ -1,11 +1,12 @@
 // Anomaly-layer tests: AttackProbabilityMonitor calibration — the logistic
 // score must separate the seceval frontier attacker behaviours (static/
-// adaptive/fusion/stepping) from benign readers — and the gauge, counter
-// and alert event that ingest() publishes.
+// adaptive/fusion/stepping) from benign readers — and the alert count and
+// alert event that ingest() publishes.
 #include "telemetry/anomaly.hpp"
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <vector>
 
 #include "telemetry/registry.hpp"
@@ -70,21 +71,16 @@ TEST(AttackMonitor, IngestPublishesGaugeCounterAndAlertEvent) {
   EXPECT_TRUE(s.alert);
   EXPECT_EQ(mon.alerts(), 1u);
 
-  bool saw_gauge = false;
-  for (const auto& g : reg.metrics().snapshot().gauges) {
-    if (g.name == "aegis_attack_probability{tenant=\"42\"}") {
-      saw_gauge = true;
-      EXPECT_DOUBLE_EQ(g.value, s.probability);
-    }
-  }
-  EXPECT_TRUE(saw_gauge);
-
   bool saw_alert = false;
   for (const DrainedEvent& ev : reg.recorder().drain()) {
     if (ev.type == static_cast<std::uint16_t>(WideEventType::kAlert) &&
         ev.a == static_cast<std::uint64_t>(AlertKind::kAttackSuspected)) {
       saw_alert = true;
       EXPECT_EQ(ev.tenant, 42u);
+      // The event carries the score's probability bits.
+      double probability = 0.0;
+      std::memcpy(&probability, &ev.b, sizeof(probability));
+      EXPECT_EQ(probability, s.probability);
     }
   }
   EXPECT_TRUE(saw_alert);

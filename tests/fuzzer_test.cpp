@@ -13,7 +13,6 @@
 #include "fuzzer/parallel_campaign.hpp"
 #include "fuzzer/set_cover.hpp"
 #include "sim/instruction_block.hpp"
-#include "telemetry/registry.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
@@ -172,13 +171,10 @@ TEST(Confirmation, MeasuresEachCandidateOnceForItsWholeGroup) {
   EXPECT_THROW((void)campaign.confirm(events, {generation.groups[0]}),
                std::invalid_argument);
 
-  const telemetry::Counter measurements =
-      telemetry::Registry::global().metrics().counter(
-          "aegis_fuzzer_path_measurements_total");
-  const std::uint64_t before = measurements.value();
+  const std::uint64_t before = path_measurements();
   const std::vector<std::vector<ConfirmedGadget>> stable =
       campaign.confirm(events, generation.groups);
-  const std::uint64_t measured = measurements.value() - before;
+  const std::uint64_t measured = path_measurements() - before;
 
   // Replay the first pass: same runner seed, same group program, same
   // candidate order.

@@ -188,11 +188,6 @@ TEST(Robustness, MakeObfuscatorRejectsInvalidBuildOptionsBeforeCalibrating) {
     expect_rejected_by(
         [&] { (void)aegis.make_obfuscator(analysis, secrets, {}, clip); },
         "Aegis::make_obfuscator");
-    core::ObfuscatorBuildOptions pooling;
-    pooling.pooling_factor = bad;
-    expect_rejected_by(
-        [&] { (void)aegis.make_obfuscator(analysis, secrets, {}, pooling); },
-        "Aegis::make_obfuscator");
   }
 }
 

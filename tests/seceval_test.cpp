@@ -4,8 +4,9 @@
 #include <set>
 #include <sstream>
 
+#include "attack/classification_attack.hpp"
 #include "attack/ksa.hpp"
-#include "attack/retrainable.hpp"
+#include "attack/mea.hpp"
 #include "seceval/seceval.hpp"
 
 namespace aegis::seceval {
@@ -298,19 +299,21 @@ TEST(ArmsRace, AdaptiveKsaBeatsStaticUnderLaplace) {
   scale.slices = 60;
   scale.traces_per_count = 4;
   scale.epochs = 6;
-  auto secrets = std::make_shared<
-      const std::vector<std::unique_ptr<workload::Workload>>>(
-      attack::make_ksa_secrets(scale));
-  const auto attacker = attack::make_retrainable_classification(
-      h.engine().database(), "ksa", secrets,
-      attack::make_ksa_config(attack_events(h), scale, 99), 2);
-  EXPECT_DOUBLE_EQ(attacker->random_guess(), 0.1);
+  const auto secrets = attack::make_ksa_secrets(scale);
+  const attack::ClassificationAttackConfig config =
+      attack::make_ksa_config(attack_events(h), scale, 99);
+  EXPECT_EQ(secrets.size(), 10u);  // a 0.1 guessing floor
   const Defense defense =
-      make_defense(h, *secrets, dp::MechanismKind::kLaplace, 1.0, 5);
-  attacker->retrain(nullptr);
-  const double fixed = attacker->exploit(123, defense.factory());
-  attacker->retrain(defense.factory());
-  const double adaptive = attacker->exploit(123, defense.factory());
+      make_defense(h, secrets, dp::MechanismKind::kLaplace, 1.0, 5);
+  // Each train starts from a fresh attack: static on clean traces, then
+  // adaptive under the defense.
+  attack::ClassificationAttack static_attack(h.engine().database(), config);
+  static_attack.train(secrets);
+  const double fixed = static_attack.exploit(secrets, 2, 123, defense.factory());
+  attack::ClassificationAttack adaptive_attack(h.engine().database(), config);
+  adaptive_attack.train(secrets, defense.factory());
+  const double adaptive =
+      adaptive_attack.exploit(secrets, 2, 123, defense.factory());
   EXPECT_GE(adaptive + 0.05, fixed);
 }
 
@@ -323,17 +326,16 @@ TEST(ArmsRace, AdaptiveMeaBeatsStaticUnderLaplace) {
   config.scale.traces_per_model = 3;
   config.scale.epochs = 4;
   config.seed = 31;
-  const auto attacker =
-      attack::make_retrainable_mea(h.engine().database(), config, 1);
-  EXPECT_DOUBLE_EQ(attacker->random_guess(), 0.0);
   std::vector<std::unique_ptr<workload::Workload>> calib;
   calib.push_back(std::make_unique<workload::DnnWorkload>(0, 80));
   const Defense defense =
       make_defense(h, calib, dp::MechanismKind::kLaplace, 1.0, 6);
-  attacker->retrain(nullptr);
-  const double fixed = attacker->exploit(321, defense.factory());
-  attacker->retrain(defense.factory());
-  const double adaptive = attacker->exploit(321, defense.factory());
+  attack::MeaAttack static_attack(h.engine().database(), config);
+  static_attack.train();
+  const double fixed = static_attack.exploit(1, 321, defense.factory());
+  attack::MeaAttack adaptive_attack(h.engine().database(), config);
+  adaptive_attack.train(defense.factory());
+  const double adaptive = adaptive_attack.exploit(1, 321, defense.factory());
   EXPECT_GE(adaptive + 0.05, fixed);
 }
 

@@ -19,7 +19,6 @@
 #include "attack/wfa.hpp"
 #include "pmu/backend/backend.hpp"
 #include "service/protection_service.hpp"
-#include "telemetry/exporters.hpp"
 #include "telemetry/json_reader.hpp"
 #include "telemetry/registry.hpp"
 #include "util/rng.hpp"
@@ -286,6 +285,29 @@ TEST(TemplateCacheTest, StatsIdentityHoldsAcrossColdWarmAndFailedPaths) {
             stats.misses - stats.warm_starts + stats.failed_loads);
 }
 
+TEST(TemplateCacheTest, TwoCachesInOneProcessKeepSeparateExactStats) {
+  auto& f = fixture();
+  const TemplateKey key =
+      make_template_key(f.aegis.cpu(), *f.secrets[0], f.config);
+  TemplateCache first;
+  TemplateCache second;
+  for (int i = 0; i < 3; ++i) {
+    (void)first.get_or_analyze(key, f.aegis, [&] { return *f.analysis; });
+  }
+  (void)second.get_or_analyze(key, f.aegis, [&] { return *f.analysis; });
+
+  const TemplateCacheStats a = first.stats();
+  EXPECT_EQ(a.lookups, 3u);
+  EXPECT_EQ(a.hits, 2u);
+  EXPECT_EQ(a.misses, 1u);
+  EXPECT_EQ(a.analyses_run, 1u);
+  const TemplateCacheStats b = second.stats();
+  EXPECT_EQ(b.lookups, 1u);
+  EXPECT_EQ(b.hits, 0u);
+  EXPECT_EQ(b.misses, 1u);
+  EXPECT_EQ(b.analyses_run, 1u);
+}
+
 TEST(TemplateCacheTest, FailedAnalysisPropagatesAndAllowsRetry) {
   auto& f = fixture();
   TemplateCache cache;
@@ -398,15 +420,8 @@ TEST(SessionFleet, SharedRegistryCollectsFleetCountersAndBudgetTimeline) {
   SessionManager manager(2, governor, &registry);
   (void)manager.run_fleet(f.tpl, requests);
 
-  const telemetry::MetricsSnapshot snap = registry.metrics().snapshot();
-  auto counter_value = [&](std::string_view name) -> std::uint64_t {
-    for (const auto& c : snap.counters) {
-      if (c.name == name) return c.value;
-    }
-    return 0;
-  };
-  EXPECT_EQ(counter_value("aegis_sessions_started_total"), kTenants);
-  EXPECT_EQ(counter_value("aegis_sessions_completed_total"), kTenants);
+  EXPECT_EQ(manager.started(), kTenants);
+  EXPECT_EQ(manager.completed(), kTenants);
 
   const std::vector<telemetry::DrainedEvent> events =
       registry.recorder().drain();
@@ -757,6 +772,69 @@ TEST(ProtectionServiceTest, ConcurrentRegistrationsShareOneTemplate) {
   EXPECT_EQ(stats.cache.analyses_run, 0u);
 }
 
+// Two services recording into one injected registry: the trace is shared,
+// the counts are not.
+TEST(ProtectionServiceTest, ServicesSharingARegistryKeepSeparateExactStats) {
+  auto& f = fixture();
+  const std::string dir = fresh_dir("shared_registry");
+  {
+    TemplateCache seeded({dir});
+    (void)seeded.get_or_analyze(
+        make_template_key(f.aegis.cpu(), *f.secrets[0], f.config), f.aegis,
+        [&] { return *f.analysis; });
+  }
+  telemetry::Registry registry;
+  ServiceConfig config;
+  config.num_threads = 1;
+  config.cache.cache_dir = dir;
+  config.governor.default_epsilon_cap = 1e9;  // ample: every window admits
+  config.telemetry = &registry;
+  ProtectionService first(config);
+  ProtectionService second(config);
+
+  const auto serve = [&](ProtectionService& svc, std::size_t sessions) {
+    const std::size_t tpl_id = svc.register_template(
+        f.aegis, *f.secrets[0], f.secrets, f.config, f.mechanism(), {},
+        0xFEEDULL);
+    for (std::size_t s = 0; s < sessions; ++s) {
+      SessionSubmission sub;
+      sub.template_id = tpl_id;
+      sub.request = f.request(s % 2, 20);
+      ASSERT_TRUE(svc.submit(sub));
+    }
+    svc.drain();
+  };
+  const auto expect_exact = [](const ProtectionService& svc,
+                               std::size_t sessions) {
+    const ServiceStats stats = svc.stats();
+    EXPECT_EQ(stats.sessions_submitted, sessions);
+    EXPECT_EQ(stats.sessions_started, sessions);
+    EXPECT_EQ(stats.sessions_completed, sessions);
+    EXPECT_EQ(stats.cache.lookups, 1u);
+    EXPECT_EQ(stats.cache.warm_starts, 1u);
+    EXPECT_EQ(stats.cache.analyses_run, 0u);
+    std::size_t admitted = 0;
+    for (const TenantBudgetStats& tenant : stats.tenants) {
+      admitted += tenant.admitted;
+    }
+    EXPECT_EQ(admitted, sessions);
+  };
+  serve(first, 3);
+  serve(second, 5);
+  expect_exact(first, 3);
+  expect_exact(second, 5);
+
+  // Both services' admission decisions land in the one shared recorder.
+  std::size_t decisions = 0;
+  for (const auto& e : registry.recorder().drain()) {
+    if (e.type ==
+        static_cast<std::uint16_t>(telemetry::WideEventType::kAdmission)) {
+      ++decisions;
+    }
+  }
+  EXPECT_EQ(decisions, 3u + 5u);
+}
+
 TEST(ProtectionServiceTest, TelemetryRetentionIsBoundedAndLossIsCounted) {
   auto& f = fixture();
   // Pre-populate a disk cache so registration runs no analysis.
@@ -921,27 +999,19 @@ TEST(ProtectionServiceTest, AegisTopRendersAServiceRun) {
   }  // joins the service's threads before aegis_top is forked below
 
   const std::string dir = fresh_dir("telemetry");
-  const std::string snapshot = dir + "/snapshot.json";
   const std::string dump = dir + "/run.frd";
   const std::string trace = dir + "/trace.json";
-  {
-    std::ofstream out(snapshot);
-    telemetry::write_json_snapshot(registry.metrics().snapshot(), out);
-  }
   {
     std::ofstream out(dump, std::ios::binary);
     registry.recorder().write_dump(out);
   }
-  for (const std::string& path : {snapshot, dump}) {
-    EXPECT_GT(std::filesystem::file_size(path), 0u) << path;
-  }
+  EXPECT_GT(std::filesystem::file_size(dump), 0u) << dump;
 
   const auto aegis_top = [&](const std::string& args, const char* log) {
     const std::string command = std::string("\"") + AEGIS_TOP_PATH + "\" " +
                                 args + " > \"" + dir + "/" + log + "\" 2>&1";
     return std::system(command.c_str());
   };
-  EXPECT_EQ(aegis_top("\"" + snapshot + "\"", "top.txt"), 0);
   EXPECT_EQ(aegis_top("--recorder \"" + dump + "\" --trace \"" + trace + "\"",
                       "recorder.txt"),
             0);

@@ -1,9 +1,8 @@
-// Telemetry subsystem tests: counter and gauge handles, sorted snapshots,
-// byte-stable exporter golden files under a fixed clock, span parentage read
-// back from the flight recorder, the JSON reader (including seeded mutations
-// of a snapshot: any bytes parse or are rejected, with bounded nesting and
-// allocations, measured by an instrumented global allocator), and a
-// threaded registry stress intended for the TSan config of the CI matrix.
+// Telemetry subsystem tests: span parentage read back from the flight
+// recorder, the byte-stable trace-exporter golden under a fixed clock, the
+// JSON reader (including seeded mutations of a document: any bytes parse or
+// are rejected, with bounded nesting and allocations, measured by an
+// instrumented global allocator), and the registry plumbing.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -12,102 +11,17 @@
 #include <optional>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "counting_allocator.hpp"
-#include "telemetry/exporters.hpp"
 #include "telemetry/flight_recorder.hpp"
 #include "telemetry/json_reader.hpp"
-#include "telemetry/metrics.hpp"
 #include "telemetry/registry.hpp"
 #include "telemetry/span_tracer.hpp"
 #include "util/rng.hpp"
 
 namespace aegis::telemetry {
 namespace {
-
-// ---------------------------------------------------------------------------
-// Metrics
-
-TEST(Metrics, CounterHandleAccumulatesAcrossCopies) {
-  MetricsRegistry reg;
-  Counter a = reg.counter("c_total");
-  Counter b = reg.counter("c_total");  // idempotent: same cell
-  a.inc();
-  b.inc(4);
-  EXPECT_EQ(a.value(), 5u);
-  EXPECT_EQ(b.value(), 5u);
-}
-
-TEST(Metrics, NullHandlesAreSafeNoOps) {
-  Counter c;
-  Gauge g;
-  c.inc();
-  g.set(3.0);
-  g.add(1.0);
-  EXPECT_EQ(c.value(), 0u);
-  EXPECT_EQ(g.value(), 0.0);
-}
-
-TEST(Metrics, GaugeSetAndAdd) {
-  MetricsRegistry reg;
-  Gauge g = reg.gauge("g");
-  g.set(2.5);
-  g.add(-1.0);
-  EXPECT_DOUBLE_EQ(g.value(), 1.5);
-}
-
-TEST(Metrics, SnapshotIsSortedByName) {
-  MetricsRegistry reg;
-  reg.counter("zz");
-  reg.counter("aa");
-  reg.counter("mm");
-  reg.gauge("g_z");
-  reg.gauge("g_a");
-  const MetricsSnapshot snap = reg.snapshot();
-  ASSERT_EQ(snap.counters.size(), 3u);
-  EXPECT_EQ(snap.counters[0].name, "aa");
-  EXPECT_EQ(snap.counters[1].name, "mm");
-  EXPECT_EQ(snap.counters[2].name, "zz");
-  ASSERT_EQ(snap.gauges.size(), 2u);
-  EXPECT_EQ(snap.gauges[0].name, "g_a");
-  EXPECT_EQ(snap.gauges[1].name, "g_z");
-}
-
-// TSan target: many threads hammering one counter and one gauge while a
-// reader snapshots concurrently. Correctness check: the final counter total
-// equals the number of increments (shards never lose writes).
-TEST(Metrics, ThreadedRegistryStress) {
-  MetricsRegistry reg;
-  Counter c = reg.counter("stress_total");
-  Gauge g = reg.gauge("stress_gauge");
-
-  constexpr int kThreads = 8;
-  constexpr int kIters = 20000;
-  std::vector<std::thread> workers;
-  workers.reserve(kThreads);
-  for (int w = 0; w < kThreads; ++w) {
-    workers.emplace_back([&] {
-      for (int i = 0; i < kIters; ++i) {
-        c.inc();
-        g.add(1.0);
-        if (i % 4096 == 0) (void)reg.snapshot();  // concurrent reader
-      }
-    });
-  }
-  for (auto& t : workers) t.join();
-
-  EXPECT_EQ(c.value(), static_cast<std::uint64_t>(kThreads) * kIters);
-  EXPECT_DOUBLE_EQ(g.value(), static_cast<double>(kThreads) * kIters);
-  const MetricsSnapshot snap = reg.snapshot();
-  ASSERT_EQ(snap.counters.size(), 1u);
-  EXPECT_EQ(snap.counters[0].value,
-            static_cast<std::uint64_t>(kThreads) * kIters);
-  ASSERT_EQ(snap.gauges.size(), 1u);
-  EXPECT_DOUBLE_EQ(snap.gauges[0].value,
-                   static_cast<double>(kThreads) * kIters);
-}
 
 // ---------------------------------------------------------------------------
 // Spans — recorded only as flight-recorder events, read back by pairing
@@ -184,14 +98,11 @@ TEST(Spans, RecordCompleteBypassesTheClock) {
 }
 
 // ---------------------------------------------------------------------------
-// Exporter golden files — byte-stable under a fixed clock.
+// Exporter golden file — byte-stable under a fixed clock.
 
-/// One deterministic registry used by all the exporter golden tests.
+/// One deterministic registry used by the exporter golden tests.
 void populate_golden(ManualClockRegistry& m) {
   Registry& reg = m.reg;
-  reg.metrics().counter("aegis_demo_total").inc(3);
-  reg.metrics().gauge("aegis_demo_depth").set(2.5);
-
   m.now = 1000;
   {
     ScopedSpan phase(reg.spans(), "phase", 1, 9);
@@ -218,35 +129,6 @@ DumpDocument dump_of(const Registry& reg) {
   return doc.value_or(DumpDocument{});
 }
 
-TEST(Exporters, JsonSnapshotGolden) {
-  ManualClockRegistry m;
-  populate_golden(m);
-  std::ostringstream os;
-  write_json_snapshot(m.reg.metrics().snapshot(), os);
-  EXPECT_EQ(os.str(),
-            "{\n"
-            "  \"counters\": {\n"
-            "    \"aegis_demo_total\": 3\n"
-            "  },\n"
-            "  \"gauges\": {\n"
-            "    \"aegis_demo_depth\": 2.5\n"
-            "  }\n"
-            "}\n");
-}
-
-TEST(Exporters, JsonSnapshotWritesNonFiniteGaugesAsNull) {
-  // A gauge holds whatever double its site sets; JSON has no infinity or
-  // NaN, and aegis_top must still parse the snapshot.
-  MetricsRegistry metrics;
-  metrics.gauge("aegis_demo_inf").set(std::numeric_limits<double>::infinity());
-  metrics.gauge("aegis_demo_nan").set(std::numeric_limits<double>::quiet_NaN());
-  std::ostringstream os;
-  write_json_snapshot(metrics.snapshot(), os);
-  const JsonValue doc = parse_json(os.str());
-  EXPECT_TRUE(doc.at("gauges").at("aegis_demo_inf").is_null());
-  EXPECT_TRUE(doc.at("gauges").at("aegis_demo_nan").is_null());
-}
-
 TEST(Exporters, TraceJsonGolden) {
   ManualClockRegistry m;
   populate_golden(m);
@@ -270,10 +152,9 @@ TEST(Exporters, GoldenOutputIsByteStableAcrossRuns) {
   auto render = [] {
     ManualClockRegistry m;
     populate_golden(m);
-    std::ostringstream snap, trace;
-    write_json_snapshot(m.reg.metrics().snapshot(), snap);
+    std::ostringstream trace;
     write_recorder_trace_json(dump_of(m.reg), trace);
-    return snap.str() + trace.str();
+    return trace.str();
   };
   EXPECT_EQ(render(), render());
 }
@@ -282,12 +163,15 @@ TEST(Exporters, GoldenOutputIsByteStableAcrossRuns) {
 // JSON reader
 
 TEST(JsonReader, RoundTripsASnapshot) {
-  ManualClockRegistry m;
-  populate_golden(m);
-  std::ostringstream os;
-  write_json_snapshot(m.reg.metrics().snapshot(), os);
-
-  const JsonValue doc = parse_json(os.str());
+  const JsonValue doc = parse_json(
+      "{\n"
+      "  \"counters\": {\n"
+      "    \"aegis_demo_total\": 3\n"
+      "  },\n"
+      "  \"gauges\": {\n"
+      "    \"aegis_demo_depth\": 2.5\n"
+      "  }\n"
+      "}\n");
   ASSERT_TRUE(doc.is_object());
   EXPECT_EQ(doc.at("counters").at("aegis_demo_total").as_u64(), 3u);
   ASSERT_TRUE(doc.at("counters").is_object());
@@ -323,6 +207,12 @@ TEST(JsonReader, ThrowsOnMalformedInput) {
   EXPECT_THROW(parse_json("[1, 2,]"), JsonParseError);
   EXPECT_THROW(parse_json("{} trailing"), JsonParseError);
   EXPECT_THROW(parse_json(""), JsonParseError);
+  // Numbers outside the RFC 8259 grammar, which strtod would accept.
+  for (const char* number : {"+1", "01", ".5", "1.", "-", "1e"}) {
+    EXPECT_THROW(parse_json(number), JsonParseError) << number;
+    EXPECT_THROW(parse_json(std::string("[") + number + "]"), JsonParseError)
+        << number;
+  }
 }
 
 TEST(JsonReader, RejectsNestingDeeperThanTheBound) {
@@ -344,7 +234,7 @@ TEST(JsonReader, RejectsNestingDeeperThanTheBound) {
 
 TEST(JsonReader, HugeNumbersSaturateOrAreRejected) {
   constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
-  // The largest counter write_json_snapshot can print rounds to 2^64.
+  // The largest uint64 rounds to 2^64 as a double.
   EXPECT_EQ(parse_json("18446744073709551615").as_u64(), kMax);
   EXPECT_EQ(parse_json("1e300").as_u64(), kMax);
   EXPECT_EQ(parse_json("-1e300").as_u64(), 0u);
@@ -353,29 +243,32 @@ TEST(JsonReader, HugeNumbersSaturateOrAreRejected) {
   EXPECT_THROW(parse_json("[-1e999]"), JsonParseError);
 }
 
-/// A service-like metrics snapshot as write_json_snapshot writes it: plain
-/// and tenant-labelled counters and gauges (escaped quotes in the names) and
-/// a non-finite gauge (written as null).
-std::string snapshot_golden() {
-  MetricsRegistry metrics;
-  metrics.counter("aegis_sessions_started_total").inc(1000);
-  metrics.counter("aegis_sessions_completed_total").inc(998);
-  metrics.counter("aegis_sessions_refused_total").inc(2);
-  for (int t = 0; t < 3; ++t) {
-    const std::string label = "{tenant=\"" + std::to_string(t) + "\"}";
-    metrics.counter("aegis_tenant_admitted_total" + label).inc(300 + t);
-    metrics.gauge("aegis_tenant_epsilon_advanced" + label).set(0.75 * (t + 1));
-    metrics.gauge("aegis_tenant_epsilon_remaining" + label)
-        .set(8.0 - 0.75 * (t + 1));
+/// A service-like metrics snapshot: plain and tenant-labelled counters and
+/// gauges (escaped quotes in the names) and a non-finite gauge written as
+/// null.
+constexpr const char* kSnapshotGolden = R"json({
+  "counters": {
+    "aegis_sessions_completed_total": 998,
+    "aegis_sessions_refused_total": 2,
+    "aegis_sessions_started_total": 1000,
+    "aegis_tenant_admitted_total{tenant=\"0\"}": 300,
+    "aegis_tenant_admitted_total{tenant=\"1\"}": 301,
+    "aegis_tenant_admitted_total{tenant=\"2\"}": 302
+  },
+  "gauges": {
+    "aegis_demo_inf": null,
+    "aegis_sessions_active": 0,
+    "aegis_tenant_epsilon_advanced{tenant=\"0\"}": 0.75,
+    "aegis_tenant_epsilon_advanced{tenant=\"1\"}": 1.5,
+    "aegis_tenant_epsilon_advanced{tenant=\"2\"}": 2.25,
+    "aegis_tenant_epsilon_remaining{tenant=\"0\"}": 7.25,
+    "aegis_tenant_epsilon_remaining{tenant=\"1\"}": 6.5,
+    "aegis_tenant_epsilon_remaining{tenant=\"2\"}": 5.75
   }
-  metrics.gauge("aegis_sessions_active").set(0.0);
-  metrics.gauge("aegis_demo_inf").set(std::numeric_limits<double>::infinity());
-  std::ostringstream os;
-  write_json_snapshot(metrics.snapshot(), os);
-  return os.str();
 }
+)json";
 
-/// Reads every number the way aegis_top does (as_u64 and the raw double).
+/// Reads every number both ways a reader does (as_u64 and the raw double).
 std::uint64_t touch_numbers(const JsonValue& v) {
   std::uint64_t sum = v.as_u64() + (v.number > 0.0 ? 1 : 0);
   for (const JsonValue& e : v.array) sum += touch_numbers(e);
@@ -384,7 +277,7 @@ std::uint64_t touch_numbers(const JsonValue& v) {
 }
 
 TEST(JsonReader, SeededMutationsOfASnapshotParseOrReject) {
-  const std::string golden = snapshot_golden();
+  const std::string golden = kSnapshotGolden;
   ASSERT_EQ(parse_json(golden).at("counters").object.size(), 6u);
   std::vector<std::string> lines;
   for (std::size_t at = 0; at < golden.size();) {

@@ -489,33 +489,31 @@ TEST(TelemetryHandle, ByNameLookupInNoallocRegionFailsTheGate) {
       "// aegis-lint: noalloc\n"
       "std::span<const double> GadgetRunner::execute_once(\n"
       "    std::span<const std::uint32_t> uids, double unroll) {\n"
-      "  telemetry::Registry::global().metrics().counter(\n"
-      "      \"aegis_gadget_executions_total\").inc();\n"
+      "  telemetry::Registry::global().recorder().record_named(\n"
+      "      \"gadget.exec\", telemetry::WideEventType::kHotExec, t);\n"
       "  return read_all(uids);\n"
       "}\n");
   EXPECT_TRUE(has_rule(fs, "telemetry-handle")) << messages(fs);
 }
 
-TEST(TelemetryHandle, AllThreeLookupKindsAreFlagged) {
+TEST(TelemetryHandle, BothLookupKindsAreFlagged) {
   const auto fs = run(
       "// aegis-lint: noalloc-begin\n"
-      "reg.counter(\"a_total\").inc();\n"
-      "reg.gauge(\"a_depth\").set(1.0);\n"
-      "reg.histogram(\"a_reps\", bounds).observe(3.0);\n"
+      "reg.recorder().event_handle(\"a.step\", kind).record(t);\n"
+      "reg.recorder().record_named(\"a.step\", kind, t);\n"
       "// aegis-lint: noalloc-end\n");
   std::size_t count = 0;
   for (const Finding& f : fs) {
     if (f.rule == "telemetry-handle") ++count;
   }
-  EXPECT_EQ(count, 3u) << messages(fs);
+  EXPECT_EQ(count, 2u) << messages(fs);
 }
 
 TEST(TelemetryHandle, RecordingThroughAResolvedHandleIsFine) {
   const auto fs = run(
       "// aegis-lint: noalloc\n"
       "void NoiseInjector::inject(double reps) {\n"
-      "  injections_.inc();\n"
-      "  injected_reps_.observe(reps);\n"
+      "  inject_event_.record(window_, reps_bits(reps));\n"
       "}\n");
   EXPECT_TRUE(fs.empty()) << messages(fs);
 }
@@ -525,10 +523,10 @@ TEST(TelemetryHandle, RegistrationOutsideTheRegionIsUnchecked) {
   // hot path records through the member handle. This is the required idiom.
   const auto fs = run(
       "GadgetRunner::GadgetRunner()\n"
-      "    : executions_(telemetry::Registry::global().metrics().counter(\n"
-      "          \"aegis_gadget_executions_total\")) {}\n"
+      "    : exec_event_(telemetry::Registry::global().recorder().event_handle(\n"
+      "          \"gadget.exec\", telemetry::WideEventType::kHotExec)) {}\n"
       "// aegis-lint: noalloc\n"
-      "void GadgetRunner::execute_once() { executions_.inc(); }\n");
+      "void GadgetRunner::execute_once() { exec_event_.record(t); }\n");
   EXPECT_TRUE(fs.empty()) << messages(fs);
 }
 
@@ -553,8 +551,8 @@ TEST(TelemetryHandle, FlightRecorderByNameRecordInNoallocRegionIsFlagged) {
 }
 
 TEST(TelemetryHandle, RecordingThroughAResolvedEventHandleIsFine) {
-  // The required flight-recorder idiom mirrors metrics: event_handle() at
-  // construction, wait-free EventHandle::record on the hot path.
+  // The required flight-recorder idiom: event_handle() at construction,
+  // wait-free EventHandle::record on the hot path.
   const auto fs = run(
       "GadgetRunner::GadgetRunner()\n"
       "    : exec_event_(telemetry::Registry::global().recorder().event_handle(\n"
@@ -571,7 +569,7 @@ TEST(TelemetryHandle, SuppressedWithReason) {
       "// aegis-lint: noalloc\n"
       "void f() {\n"
       "  // aegis-lint: telemetry-ok(cold slow-path branch, measured)\n"
-      "  reg.counter(\"a_total\").inc();\n"
+      "  reg.recorder().record_named(\"a.step\", kind, t);\n"
       "}\n");
   EXPECT_TRUE(fs.empty()) << messages(fs);
 }

@@ -359,19 +359,15 @@ void rule_noalloc(const LexOutput& file,
 // ---------------------------------------------------------------------------
 // telemetry-handle
 
-const std::set<std::string, std::less<>> kRegistryLookups = {
-    "counter", "gauge", "histogram", "event_handle", "record_named"};
+const std::set<std::string, std::less<>> kRecorderLookups = {
+    "event_handle", "record_named"};
 
-/// Inside a noalloc region, `counter("name")` / `gauge("name")` /
-/// `histogram("name", ...)` is a by-name registry lookup: it builds a
-/// std::string key and may take the registry lock — both banned on hot
-/// paths. The flight recorder has the same split: `event_handle("name",
-/// ...)` resolves a stream by name (registration mutex + name-table
-/// append) and `record_named("name", ...)` is the by-name record
-/// convenience, so both are banned too. Handles must be resolved once
-/// (constructor or function-local static) and recorded through; recording
-/// ops (`inc`, `observe`, `set`, `add`, `EventHandle::record`) take no
-/// string and never trip this rule.
+/// Inside a noalloc region, a by-name flight-recorder lookup is banned:
+/// `event_handle("name", ...)` resolves a stream by name (registration
+/// mutex + name-table append) and `record_named("name", ...)` is the
+/// by-name record convenience. Handles must be resolved once (constructor
+/// or function-local static) and recorded through; EventHandle::record
+/// takes no string and never trips this rule.
 void rule_telemetry_handle(const LexOutput& file,
                            const std::vector<TokenRegion>& regions,
                            std::vector<Finding>& out) {
@@ -379,7 +375,7 @@ void rule_telemetry_handle(const LexOutput& file,
   for (const TokenRegion& r : regions) {
     for (std::size_t i = r.begin; i < r.end; ++i) {
       if (t[i].kind != TokenKind::kIdent ||
-          kRegistryLookups.count(t[i].text) == 0) {
+          kRecorderLookups.count(t[i].text) == 0) {
         continue;
       }
       if (i + 2 >= t.size() || !is_punct(t[i + 1], '(')) continue;
@@ -387,9 +383,9 @@ void rule_telemetry_handle(const LexOutput& file,
       out.push_back(Finding{
           "telemetry-handle", t[i].line,
           "'" + t[i].text +
-              "(\"...\")' resolves a metric by name inside a noalloc "
-              "region (string key + registry lock); resolve the handle "
-              "once at construction and record through it",
+              "(\"...\")' resolves a recorder stream by name inside a "
+              "noalloc region (string key + registration lock); resolve "
+              "the handle once at construction and record through it",
           "telemetry-ok"});
     }
   }
@@ -636,9 +632,9 @@ std::vector<RuleInfo> rule_catalog() {
        "no allocation inside '// aegis-lint: noalloc' functions or "
        "noalloc-begin/-end regions"},
       {"telemetry-handle", "telemetry-ok",
-       "no by-name metric or flight-recorder lookup (counter/gauge/"
-       "histogram/event_handle/record_named(\"...\")) inside noalloc "
-       "regions; resolve handles once and record through them"},
+       "no by-name flight-recorder lookup (event_handle/record_named("
+       "\"...\")) inside noalloc regions; resolve handles once and record "
+       "through them"},
       {"lock-order", "lock-ok",
        "mutexes with '// aegis-lint: lock-level(N)' must nest in strictly "
        "increasing level order"},

@@ -21,14 +21,13 @@
 //                      push_back/emplace*/resize/reserve/..., no by-value
 //                      allocating container declarations.
 //                                                  suppress: alloc-ok(...)
-//   telemetry-handle   inside the same noalloc regions: no by-name metric
-//                      or flight-recorder lookup (`counter("...")`/
-//                      `gauge("...")`/`histogram("...")`/
-//                      `event_handle("...")`/`record_named("...")`) — a
-//                      string key plus the registry lock. Resolve telemetry
-//                      handles once at construction and record through
-//                      them (EventHandle::record is the sanctioned wait-
-//                      free path).           suppress: telemetry-ok(...)
+//   telemetry-handle   inside the same noalloc regions: no by-name
+//                      flight-recorder lookup (`event_handle("...")`/
+//                      `record_named("...")`) — a string key plus the
+//                      registration lock. Resolve recorder handles once at
+//                      construction and record through them
+//                      (EventHandle::record is the sanctioned wait-free
+//                      path).                suppress: telemetry-ok(...)
 //   lock-order         mutexes declared `// aegis-lint: lock-level(N[,
 //                      noblock])` must be acquired in strictly increasing
 //                      level order when nested.      suppress: lock-ok(...)

@@ -1,6 +1,7 @@
 #include "attack/classification_attack.hpp"
 
 #include <stdexcept>
+#include <utility>
 
 namespace aegis::attack {
 
@@ -12,54 +13,59 @@ std::vector<double> ClassificationAttack::featurize(const trace::Trace& t) const
   // Padded pooling: attacker-stepped sampling (SlicePlanner) makes trace
   // length vary per run, but the classifier's input dimension is fixed at
   // training time.
-  std::vector<double> f =
-      config_.sort_windows
-          ? t.sorted_window_features(config_.feature_windows, /*pad=*/true)
-          : t.window_features(config_.feature_windows, /*pad=*/true);
-  if (standardizer_.fitted()) standardizer_.apply(f);
-  return f;
+  return config_.sort_windows
+             ? t.sorted_window_features(config_.feature_windows, /*pad=*/true)
+             : t.window_features(config_.feature_windows, /*pad=*/true);
 }
 
 std::vector<ml::EpochStats> ClassificationAttack::train(
     const std::vector<std::unique_ptr<workload::Workload>>& secrets,
     const AgentFactory& template_agent) {
-  const trace::TraceSet all =
-      collect_traces(*db_, secrets, config_.collection, template_agent);
+  // Each run becomes its raw feature row as soon as it is monitored: no
+  // run outlives its visit.
+  const std::size_t runs =
+      secrets.size() * config_.collection.traces_per_secret;
+  ml::FeatureMatrix rows;
+  ml::Labels labels;
+  rows.reserve(runs);
+  labels.reserve(runs);
+  for_each_run(*db_, secrets, config_.collection, template_agent,
+               [&](std::size_t secret, trace::Trace&& run) {
+                 rows.push_back(featurize(run));
+                 labels.push_back(static_cast<int>(secret));
+               });
 
-  // Pure (seed, trace id) split: reproducible from the seed alone, immune
-  // to RNG draw history and container iteration order (regression-tested in
-  // trace_test's SplitByIdIsPureFunctionOfSeedAndId).
-  trace::TraceSet train_set, val_set;
-  all.split_by_id(config_.train_fraction, config_.collection.seed ^ 0x5A11ULL,
-                  train_set, val_set);
-
-  auto raw_features = [this](const trace::Trace& t) {
-    return config_.sort_windows
-               ? t.sorted_window_features(config_.feature_windows, /*pad=*/true)
-               : t.window_features(config_.feature_windows, /*pad=*/true);
-  };
+  // Pure (seed, run id) split: reproducible from the seed alone, immune to
+  // RNG draw history and container iteration order.
+  const trace::IdSplit split = trace::split_by_id(
+      rows.size(), config_.train_fraction, config_.collection.seed ^ 0x5A11ULL);
   ml::FeatureMatrix X_train, X_val;
-  for (const auto& t : train_set.traces) X_train.push_back(raw_features(t));
+  ml::Labels y_train, y_val;
+  for (std::size_t i : split.train) {
+    X_train.push_back(std::move(rows[i]));
+    y_train.push_back(labels[i]);
+  }
+  for (std::size_t i : split.validation) {
+    X_val.push_back(std::move(rows[i]));
+    y_val.push_back(labels[i]);
+  }
   standardizer_ = trace::Standardizer{};
   standardizer_.fit(X_train);
   standardizer_.apply_all(X_train);
-  for (const auto& t : val_set.traces) {
-    std::vector<double> f = raw_features(t);
-    standardizer_.apply(f);
-    X_val.push_back(std::move(f));
-  }
+  standardizer_.apply_all(X_val);
 
   model_ = std::make_unique<ml::MlpClassifier>(
-      X_train.front().size(), static_cast<std::size_t>(all.num_classes),
-      config_.mlp);
-  auto history = model_->fit(X_train, train_set.labels, X_val, val_set.labels);
+      X_train.front().size(), secrets.size(), config_.mlp);
+  auto history = model_->fit(X_train, y_train, X_val, y_val);
   validation_accuracy_ = history.empty() ? 0.0 : history.back().val_accuracy;
   return history;
 }
 
 int ClassificationAttack::predict(const trace::Trace& trace) const {
   if (!model_) throw std::logic_error("ClassificationAttack: not trained");
-  return model_->predict(featurize(trace));
+  std::vector<double> f = featurize(trace);
+  standardizer_.apply(f);
+  return model_->predict(f);
 }
 
 // aegis-rng: stream(classification-attack-exploit)

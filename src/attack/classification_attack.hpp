@@ -25,9 +25,10 @@ class ClassificationAttack {
   ClassificationAttack(const pmu::EventDatabase& db,
                        ClassificationAttackConfig config);
 
-  /// Offline stage: collects template traces for every secret (optionally
+  /// Offline stage: monitors template runs of every secret (optionally
   /// under a defense agent — the Fig. 9b adaptive attacker trains on noisy
-  /// data) and trains the model. Returns the training history (Fig. 1).
+  /// data), reducing each to its feature row as it is collected, and trains
+  /// the model. Returns the training history (Fig. 1).
   std::vector<ml::EpochStats> train(
       const std::vector<std::unique_ptr<workload::Workload>>& secrets,
       const AgentFactory& template_agent = nullptr);
@@ -45,6 +46,7 @@ class ClassificationAttack {
   const ClassificationAttackConfig& config() const noexcept { return config_; }
 
  private:
+  /// The raw (unstandardized) window features of one run.
   std::vector<double> featurize(const trace::Trace& trace) const;
 
   const pmu::EventDatabase* db_;

@@ -19,22 +19,31 @@ trace::Trace collect_one(const pmu::EventDatabase& db,
 }
 
 // aegis-rng: stream(dataset-collect-traces)
+void for_each_run(const pmu::EventDatabase& db,
+                  const std::vector<std::unique_ptr<workload::Workload>>& secrets,
+                  const CollectionConfig& config,
+                  const AgentFactory& agent_factory, const RunVisitor& visit) {
+  util::Rng rng(config.seed);
+  for (std::size_t s = 0; s < secrets.size(); ++s) {
+    for (std::size_t v = 0; v < config.traces_per_secret; ++v) {
+      const std::uint64_t visit_seed = rng.next_u64();
+      sim::SliceAgent agent = agent_factory ? agent_factory() : sim::SliceAgent{};
+      visit(s, collect_one(db, *secrets[s], config, visit_seed, agent));
+    }
+  }
+}
+
 trace::TraceSet collect_traces(
     const pmu::EventDatabase& db,
     const std::vector<std::unique_ptr<workload::Workload>>& secrets,
     const CollectionConfig& config, const AgentFactory& agent_factory) {
   trace::TraceSet set;
   set.num_classes = static_cast<int>(secrets.size());
-  util::Rng rng(config.seed);
-  for (std::size_t s = 0; s < secrets.size(); ++s) {
-    for (std::size_t v = 0; v < config.traces_per_secret; ++v) {
-      const std::uint64_t visit_seed = rng.next_u64();
-      sim::SliceAgent agent = agent_factory ? agent_factory() : sim::SliceAgent{};
-      set.traces.push_back(
-          collect_one(db, *secrets[s], config, visit_seed, agent));
-      set.labels.push_back(static_cast<int>(s));
-    }
-  }
+  for_each_run(db, secrets, config, agent_factory,
+               [&set](std::size_t secret, trace::Trace&& run) {
+                 set.traces.push_back(std::move(run));
+                 set.labels.push_back(static_cast<int>(secret));
+               });
   return set;
 }
 

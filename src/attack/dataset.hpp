@@ -35,8 +35,19 @@ struct CollectionConfig {
   PlannerFactory stepper;
 };
 
-/// Runs every secret's workload `traces_per_secret` times and records the
-/// monitored 4 x T trace of each run. Labels are secret indices.
+/// Receives each monitored run with the index of its secret.
+using RunVisitor = std::function<void(std::size_t secret, trace::Trace&& run)>;
+
+/// Runs every secret's workload `traces_per_secret` times, secret-major,
+/// and hands each monitored 4 x T trace to `visit` as soon as it is
+/// collected, so a caller that reduces runs (attack training) never holds
+/// them all.
+void for_each_run(const pmu::EventDatabase& db,
+                  const std::vector<std::unique_ptr<workload::Workload>>& secrets,
+                  const CollectionConfig& config,
+                  const AgentFactory& agent_factory, const RunVisitor& visit);
+
+/// for_each_run into a TraceSet: every run, labelled with its secret index.
 trace::TraceSet collect_traces(
     const pmu::EventDatabase& db,
     const std::vector<std::unique_ptr<workload::Workload>>& secrets,

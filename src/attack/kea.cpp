@@ -1,7 +1,9 @@
 #include "attack/kea.hpp"
 
 #include <stdexcept>
+#include <utility>
 
+#include "attack/frame_model.hpp"
 #include "ml/metrics.hpp"
 
 namespace aegis::attack {
@@ -31,15 +33,14 @@ KeyExtractionAttack::KeyExtractionAttack(const pmu::EventDatabase& db,
 ml::FrameSequence KeyExtractionAttack::monitor_run(
     const workload::CryptoWorkload& target, std::uint64_t visit_seed,
     bool want_labels, const sim::SliceAgent& agent) const {
-  const workload::CryptoWorkload::VisitPlan plan = target.plan(visit_seed);
+  workload::CryptoWorkload::VisitPlan plan = target.plan(visit_seed);
   sim::VirtualMachine vm(config_.vm, visit_seed ^ 0xF00DULL);
   sim::HostMonitor monitor(*db_, visit_seed ^ 0xBEEFULL);
-  const sim::MonitorResult result =
-      monitor.monitor(vm, plan.source, config_.event_ids, config_.slices, agent);
   ml::FrameSequence seq;
-  seq.frames = result.samples;
-  if (frame_standardizer_.fitted()) frame_standardizer_.apply_all(seq.frames);
-  if (want_labels) seq.labels = plan.frame_labels;
+  seq.frames =
+      monitor.monitor(vm, plan.source, config_.event_ids, config_.slices, agent)
+          .samples;
+  if (want_labels) seq.labels = std::move(plan.frame_labels);
   return seq;
 }
 
@@ -59,24 +60,6 @@ std::vector<ml::EpochStats> KeyExtractionAttack::train(
     }
   }
 
-  std::vector<std::vector<double>> all_frames;
-  for (const auto& seq : sequences) {
-    all_frames.insert(all_frames.end(), seq.frames.begin(), seq.frames.end());
-  }
-  frame_standardizer_ = trace::Standardizer{};
-  frame_standardizer_.fit(all_frames);
-  for (auto& seq : sequences) frame_standardizer_.apply_all(seq.frames);
-
-  // Pure (seed, sequence id) split — see trace::split_order_by_id.
-  const std::vector<std::size_t> order =
-      trace::split_order_by_id(sequences.size(), config_.seed ^ 0x5A11ULL);
-  const std::size_t n_train = static_cast<std::size_t>(
-      config_.train_fraction * static_cast<double>(order.size()));
-  std::vector<ml::FrameSequence> train_set, val_set;
-  for (std::size_t i = 0; i < order.size(); ++i) {
-    (i < n_train ? train_set : val_set).push_back(std::move(sequences[order[i]]));
-  }
-
   ml::SequenceModelConfig seq_config;
   seq_config.context = 1;
   seq_config.blank_label = workload::kCryptoBlankLabel;
@@ -86,15 +69,21 @@ std::vector<ml::EpochStats> KeyExtractionAttack::train(
   seq_config.mlp.learning_rate = 0.02;
   seq_config.mlp.batch_size = 64;
   seq_config.mlp.seed = config_.seed ^ 0x4D0DE1ULL;
-  seq_model_ = std::make_unique<ml::FrameSequenceModel>(seq_config);
-  return seq_model_->fit(train_set, val_set, workload::kCryptoBlankLabel + 1);
+  FrameModel trained = train_frame_model(std::move(sequences),
+                                         config_.train_fraction, config_.seed,
+                                         seq_config,
+                                         workload::kCryptoBlankLabel + 1);
+  frame_standardizer_ = std::move(trained.standardizer);
+  seq_model_ = std::move(trained.model);
+  return std::move(trained.history);
 }
 
 std::vector<bool> KeyExtractionAttack::extract(
     const workload::CryptoWorkload& victim, std::uint64_t visit_seed,
     const sim::SliceAgent& agent) const {
   if (!seq_model_) throw std::logic_error("KeyExtractionAttack: not trained");
-  const ml::FrameSequence seq = monitor_run(victim, visit_seed, false, agent);
+  ml::FrameSequence seq = monitor_run(victim, visit_seed, false, agent);
+  frame_standardizer_.apply_all(seq.frames);
   return ops_to_key(seq_model_->decode_beam(seq));
 }
 

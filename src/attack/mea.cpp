@@ -1,7 +1,9 @@
 #include "attack/mea.hpp"
 
 #include <stdexcept>
+#include <utility>
 
+#include "attack/frame_model.hpp"
 #include "ml/metrics.hpp"
 
 namespace aegis::attack {
@@ -18,17 +20,15 @@ ml::FrameSequence MeaAttack::monitor_run(const workload::DnnWorkload& model,
                                          std::uint64_t visit_seed,
                                          bool want_labels,
                                          const sim::SliceAgent& agent) const {
-  const workload::DnnWorkload::VisitPlan plan = model.plan(visit_seed);
+  workload::DnnWorkload::VisitPlan plan = model.plan(visit_seed);
   sim::VirtualMachine vm(config_.vm, visit_seed ^ 0xF00DULL);
   sim::HostMonitor monitor(*db_, visit_seed ^ 0xBEEFULL);
-  const sim::MonitorResult result = monitor.monitor(
-      vm, plan.source, config_.event_ids, config_.scale.slices, agent);
   ml::FrameSequence seq;
-  seq.frames = result.samples;
-  if (frame_standardizer_.fitted()) {
-    frame_standardizer_.apply_all(seq.frames);
-  }
-  if (want_labels) seq.labels = plan.frame_labels;
+  seq.frames = monitor
+                   .monitor(vm, plan.source, config_.event_ids,
+                            config_.scale.slices, agent)
+                   .samples;
+  if (want_labels) seq.labels = std::move(plan.frame_labels);
   return seq;
 }
 
@@ -45,25 +45,6 @@ std::vector<ml::EpochStats> MeaAttack::train(const AgentFactory& template_agent)
     }
   }
 
-  // Fit the frame standardizer on the raw training frames, then normalize.
-  std::vector<std::vector<double>> all_frames;
-  for (const auto& seq : sequences) {
-    all_frames.insert(all_frames.end(), seq.frames.begin(), seq.frames.end());
-  }
-  frame_standardizer_ = trace::Standardizer{};
-  frame_standardizer_.fit(all_frames);
-  for (auto& seq : sequences) frame_standardizer_.apply_all(seq.frames);
-
-  // Pure (seed, sequence id) split — see trace::split_order_by_id.
-  const std::vector<std::size_t> order =
-      trace::split_order_by_id(sequences.size(), config_.seed ^ 0x5A11ULL);
-  const std::size_t n_train = static_cast<std::size_t>(
-      config_.train_fraction * static_cast<double>(order.size()));
-  std::vector<ml::FrameSequence> train_set, val_set;
-  for (std::size_t i = 0; i < order.size(); ++i) {
-    (i < n_train ? train_set : val_set).push_back(std::move(sequences[order[i]]));
-  }
-
   ml::SequenceModelConfig seq_config;
   seq_config.context = 2;
   seq_config.blank_label = workload::kBlankLabel;
@@ -73,19 +54,23 @@ std::vector<ml::EpochStats> MeaAttack::train(const AgentFactory& template_agent)
   seq_config.mlp.learning_rate = 0.02;
   seq_config.mlp.batch_size = 64;
   seq_config.mlp.seed = config_.seed ^ 0x4D0DE1ULL;
-  seq_model_ = std::make_unique<ml::FrameSequenceModel>(seq_config);
-  auto history =
-      seq_model_->fit(train_set, val_set, workload::kBlankLabel + 1);
-  val_frame_accuracy_ = history.empty() ? 0.0 : history.back().val_accuracy;
-  return history;
+  FrameModel trained =
+      train_frame_model(std::move(sequences), config_.train_fraction,
+                        config_.seed, seq_config, workload::kBlankLabel + 1);
+  frame_standardizer_ = std::move(trained.standardizer);
+  seq_model_ = std::move(trained.model);
+  val_frame_accuracy_ =
+      trained.history.empty() ? 0.0 : trained.history.back().val_accuracy;
+  return std::move(trained.history);
 }
 
 std::vector<int> MeaAttack::extract(std::size_t model_id,
                                     std::uint64_t visit_seed,
                                     const sim::SliceAgent& agent) const {
   if (!seq_model_) throw std::logic_error("MeaAttack: not trained");
-  const ml::FrameSequence seq =
+  ml::FrameSequence seq =
       monitor_run(models_.at(model_id), visit_seed, false, agent);
+  frame_standardizer_.apply_all(seq.frames);
   return seq_model_->decode_beam(seq);
 }
 

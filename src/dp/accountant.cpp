@@ -1,6 +1,5 @@
 #include "dp/accountant.hpp"
 
-#include <algorithm>
 #include <cmath>
 
 namespace aegis::dp {
@@ -46,10 +45,6 @@ double PrivacyAccountant::advanced_epsilon_if(double epsilon, std::size_t k,
   if (squares <= 0.0) return 0.0;
   return std::sqrt(2.0 * std::log(1.0 / sanitize_delta(delta)) * squares) +
          overhead;
-}
-
-double PrivacyAccountant::remaining(double budget, double delta) const noexcept {
-  return std::max(0.0, budget - advanced_epsilon(delta));
 }
 
 double PrivacyAccountant::advanced_composition(double epsilon, std::size_t k,

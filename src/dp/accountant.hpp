@@ -46,11 +46,6 @@ class PrivacyAccountant {
   double advanced_epsilon_if(double epsilon, std::size_t k,
                              double delta) const noexcept;
 
-  /// Budget left under advanced composition: max(0, budget -
-  /// advanced_epsilon(delta)). The admission controller refuses new
-  /// monitoring windows once this reaches zero.
-  double remaining(double budget, double delta) const noexcept;
-
   /// The standalone advanced-composition bound for k releases at `epsilon`:
   /// the closed form HomogeneousReleasesMatchTheClosedForm checks the
   /// accountant against.

@@ -2,9 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numeric>
 #include <stdexcept>
 #include <utility>
+
+#include "util/rng.hpp"
 
 namespace aegis::trace {
 
@@ -62,25 +63,6 @@ std::vector<double> Trace::sorted_window_features(std::size_t windows,
   return features;
 }
 
-// aegis-rng: stream(trace-split)
-void TraceSet::split(double train_fraction, util::Rng& rng, TraceSet& train,
-                     TraceSet& validation) const {
-  std::vector<std::size_t> order(traces.size());
-  std::iota(order.begin(), order.end(), 0);
-  rng.shuffle(order);
-  const std::size_t n_train =
-      static_cast<std::size_t>(train_fraction * static_cast<double>(order.size()));
-  train = TraceSet{};
-  validation = TraceSet{};
-  train.num_classes = num_classes;
-  validation.num_classes = num_classes;
-  for (std::size_t i = 0; i < order.size(); ++i) {
-    TraceSet& dst = i < n_train ? train : validation;
-    dst.traces.push_back(traces[order[i]]);
-    dst.labels.push_back(labels[order[i]]);
-  }
-}
-
 std::vector<std::size_t> split_order_by_id(std::size_t n, std::uint64_t seed) {
   std::vector<std::pair<std::uint64_t, std::size_t>> keyed;
   keyed.reserve(n);
@@ -94,36 +76,47 @@ std::vector<std::size_t> split_order_by_id(std::size_t n, std::uint64_t seed) {
   return order;
 }
 
-void TraceSet::split_by_id(double train_fraction, std::uint64_t seed,
-                           TraceSet& train, TraceSet& validation) const {
-  const std::vector<std::size_t> order = split_order_by_id(traces.size(), seed);
+IdSplit split_by_id(std::size_t n, double train_fraction, std::uint64_t seed) {
+  const std::vector<std::size_t> order = split_order_by_id(n, seed);
   const std::size_t n_train =
-      static_cast<std::size_t>(train_fraction * static_cast<double>(order.size()));
-  train = TraceSet{};
-  validation = TraceSet{};
-  train.num_classes = num_classes;
-  validation.num_classes = num_classes;
-  for (std::size_t i = 0; i < order.size(); ++i) {
-    TraceSet& dst = i < n_train ? train : validation;
-    dst.traces.push_back(traces[order[i]]);
-    dst.labels.push_back(labels[order[i]]);
-  }
+      static_cast<std::size_t>(train_fraction * static_cast<double>(n));
+  IdSplit split;
+  split.train.assign(order.begin(),
+                     order.begin() + static_cast<std::ptrdiff_t>(n_train));
+  split.validation.assign(order.begin() + static_cast<std::ptrdiff_t>(n_train),
+                          order.end());
+  return split;
 }
 
-void Standardizer::fit(const std::vector<std::vector<double>>& features) {
-  if (features.empty()) throw std::invalid_argument("Standardizer: empty fit set");
-  const std::size_t d = features.front().size();
+void Standardizer::fit(const Rows& features) {
+  const Rows* const block = &features;
+  fit_blocks(std::span<const Rows* const>(&block, 1));
+}
+
+void Standardizer::fit_blocks(std::span<const Rows* const> blocks) {
+  std::size_t rows = 0;
+  const std::vector<double>* first = nullptr;
+  for (const Rows* block : blocks) {
+    if (first == nullptr && !block->empty()) first = &block->front();
+    rows += block->size();
+  }
+  if (rows == 0) throw std::invalid_argument("Standardizer: empty fit set");
+  const std::size_t d = first->size();
   mu_.assign(d, 0.0);
   sigma_.assign(d, 0.0);
-  for (const auto& f : features) {
-    for (std::size_t i = 0; i < d; ++i) mu_[i] += f[i];
+  for (const Rows* block : blocks) {
+    for (const auto& f : *block) {
+      for (std::size_t i = 0; i < d; ++i) mu_[i] += f[i];
+    }
   }
-  const double n = static_cast<double>(features.size());
+  const double n = static_cast<double>(rows);
   for (double& m : mu_) m /= n;
-  for (const auto& f : features) {
-    for (std::size_t i = 0; i < d; ++i) {
-      const double diff = f[i] - mu_[i];
-      sigma_[i] += diff * diff;
+  for (const Rows* block : blocks) {
+    for (const auto& f : *block) {
+      for (std::size_t i = 0; i < d; ++i) {
+        const double diff = f[i] - mu_[i];
+        sigma_[i] += diff * diff;
+      }
     }
   }
   for (double& s : sigma_) s = std::sqrt(s / n);
@@ -135,7 +128,7 @@ void Standardizer::apply(std::vector<double>& feature) const {
   }
 }
 
-void Standardizer::apply_all(std::vector<std::vector<double>>& features) const {
+void Standardizer::apply_all(Rows& features) const {
   for (auto& f : features) apply(f);
 }
 

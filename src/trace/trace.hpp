@@ -2,14 +2,14 @@
 //
 // A Trace is one monitored execution: T sampling slices x E events of HPC
 // count deltas (the paper's 4 x 3000 tensors). TraceSet pairs traces with
-// secret labels for attack training and profiler analysis.
+// secret labels for the benches and tests that keep whole runs; attack
+// training reduces each run to features as it is collected instead.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <span>
 #include <vector>
-
-#include "util/rng.hpp"
 
 namespace aegis::trace {
 
@@ -78,34 +78,40 @@ struct TraceSet {
   int num_classes = 0;
 
   std::size_t size() const noexcept { return traces.size(); }
-
-  /// Random split preserving nothing fancy (the paper splits 70/30).
-  void split(double train_fraction, util::Rng& rng, TraceSet& train,
-             TraceSet& validation) const;
-
-  /// Deterministic split keyed purely on (seed, trace id): trace i ranks by
-  /// split_mix64(seed, i) and the lowest-keyed 70% (say) train. Unlike the
-  /// Rng overload the assignment is a pure function of the seed and each
-  /// trace's stable index — independent of container iteration order, of
-  /// how many draws the caller's RNG made before the split, and of thread
-  /// count — so training sets are reproducible from the seed alone.
-  void split_by_id(double train_fraction, std::uint64_t seed, TraceSet& train,
-                   TraceSet& validation) const;
 };
 
 /// Index order underlying split_by_id: [0, n) sorted ascending by
-/// (split_mix64(seed, i), i). The first floor(train_fraction * n) indices
-/// of this order form the training split. Shared with the sequence attacks
-/// (MEA/KEA), which split frame sequences rather than TraceSets.
+/// (split_mix64(seed, i), i).
 std::vector<std::size_t> split_order_by_id(std::size_t n, std::uint64_t seed);
+
+/// Item ids of a train/validation split, each half in split order.
+struct IdSplit {
+  std::vector<std::size_t> train;
+  std::vector<std::size_t> validation;
+};
+
+/// Deterministic split of items [0, n) keyed purely on (seed, item id): the
+/// first floor(train_fraction * n) ids of split_order_by_id train, the rest
+/// validate. The assignment is a pure function of the seed and each item's
+/// stable index — independent of container iteration order, of RNG draw
+/// history and of thread count — so training sets are reproducible from the
+/// seed alone. Every attack splits its runs (feature rows or frame
+/// sequences) with it, moving items by id rather than copying a set.
+IdSplit split_by_id(std::size_t n, double train_fraction, std::uint64_t seed);
 
 /// Per-dimension z-score normalizer fitted on training features and applied
 /// to both splits (never fit on validation).
 class Standardizer {
  public:
-  void fit(const std::vector<std::vector<double>>& features);
+  using Rows = std::vector<std::vector<double>>;
+
+  void fit(const Rows& features);
+  /// fit() on the rows of every block in turn, as if the blocks were
+  /// concatenated — the same sums in the same order — without building the
+  /// concatenation (the sequence attacks fit on every frame of every run).
+  void fit_blocks(std::span<const Rows* const> blocks);
   void apply(std::vector<double>& feature) const;
-  void apply_all(std::vector<std::vector<double>>& features) const;
+  void apply_all(Rows& features) const;
   bool fitted() const noexcept { return !mu_.empty(); }
 
  private:

@@ -61,7 +61,7 @@ TEST(AttackMonitor, SeparatesFrontierAttackersFromBenignReaders) {
   }
 }
 
-TEST(AttackMonitor, IngestPublishesGaugeCounterAndAlertEvent) {
+TEST(AttackMonitor, IngestCountsAndRecordsTheAlert) {
   Registry reg;
   AttackMonitorConfig cfg;
   cfg.attack_events = kAttackSet;

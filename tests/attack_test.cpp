@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
+#include "attack/kea.hpp"
 #include "attack/ksa.hpp"
 #include "attack/mea.hpp"
 #include "attack/wfa.hpp"
+#include "counting_allocator.hpp"
 #include "util/hash.hpp"
 
 namespace aegis::attack {
@@ -43,6 +45,33 @@ TEST(Dataset, CollectOneIsDeterministicPerSeed) {
   EXPECT_EQ(a.samples, b.samples);
   const trace::Trace c = collect_one(db, site, config, 100);
   EXPECT_NE(a.samples, c.samples);
+}
+
+TEST(Dataset, ClassificationTrainPeaksBelowItsRawRuns) {
+  // Raw runs dominate this configuration: 240 runs of 240 x 4 samples
+  // against 96 features per run and a small MLP. Training reduces each run
+  // to its features as it is collected, so it never holds the runs (nor a
+  // split copy of them).
+  const auto db = pmu::EventDatabase::generate(isa::CpuModel::kAmdEpyc7252);
+  WfaScale scale;
+  scale.sites = 8;
+  scale.traces_per_site = 30;
+  scale.slices = 240;
+  scale.epochs = 2;
+  ClassificationAttackConfig config = make_wfa_config(attack_events(db), scale);
+  config.mlp.hidden = {8};
+  const auto secrets = make_wfa_secrets(scale);
+  ClassificationAttack wfa(db, config);
+
+  g_live_bytes.store(0, std::memory_order_relaxed);
+  g_peak_live_bytes.store(0, std::memory_order_relaxed);
+  g_count_allocs.store(true, std::memory_order_relaxed);
+  (void)wfa.train(secrets);
+  g_count_allocs.store(false, std::memory_order_relaxed);
+
+  const std::int64_t raw_run_bytes = static_cast<std::int64_t>(
+      scale.sites * scale.traces_per_site * scale.slices * 4 * sizeof(double));
+  EXPECT_LT(g_peak_live_bytes.load(std::memory_order_relaxed), raw_run_bytes);
 }
 
 TEST(Wfa, SecretFactoryBuildsAllSites) {
@@ -172,6 +201,20 @@ TEST(AttackDigest, MeaAttackHistoryPinned) {
   MeaAttack mea(db, config);
   const std::uint64_t h = digest(mea.train());
   EXPECT_EQ(h, 0x332bf97dc8bfd2d1ULL) << std::hex << "history 0x" << h;
+}
+
+TEST(AttackDigest, KeaAttackHistoryPinned) {
+  const auto db = pmu::EventDatabase::generate(isa::CpuModel::kAmdEpyc7252);
+  KeaConfig config;
+  config.event_ids = attack_events(db);
+  config.key_bits = 16;
+  config.training_keys = 4;
+  config.traces_per_key = 3;
+  config.epochs = 4;
+  config.slices = 100;
+  KeyExtractionAttack kea(db, config);
+  const std::uint64_t h = digest(kea.train());
+  EXPECT_EQ(h, 0xcd33e6b62fba7369ULL) << std::hex << "history 0x" << h;
 }
 
 TEST(Mea, ThrowsBeforeTraining) {

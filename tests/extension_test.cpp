@@ -315,14 +315,5 @@ TEST(PrivacyAccountant, AdvancedEpsilonIfIsAPureHypothetical) {
   EXPECT_NEAR(accountant.advanced_epsilon_if(0.0, 0, 1e-6), before, 1e-12);
 }
 
-TEST(PrivacyAccountant, RemainingClampsAtZero) {
-  dp::PrivacyAccountant accountant;
-  accountant.record_releases(0.1, 100);
-  const double spent = accountant.advanced_epsilon(1e-6);
-  EXPECT_NEAR(accountant.remaining(spent + 1.0, 1e-6), 1.0, 1e-12);
-  EXPECT_DOUBLE_EQ(accountant.remaining(spent * 0.5, 1e-6), 0.0);
-  EXPECT_NEAR(dp::PrivacyAccountant().remaining(3.0, 1e-6), 3.0, 1e-12);
-}
-
 }  // namespace
 }  // namespace aegis

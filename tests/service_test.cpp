@@ -543,9 +543,6 @@ TEST(BudgetGovernorTest, WalksAdmitDegradeRefuseAsBudgetExhausts) {
   EXPECT_NEAR(usage.advanced_epsilon, shadow.advanced_epsilon(config.delta),
               1e-12);
   EXPECT_LE(usage.advanced_epsilon, usage.epsilon_cap);
-  EXPECT_NEAR(usage.epsilon_cap - usage.advanced_epsilon,
-              shadow.remaining(config.default_epsilon_cap, config.delta),
-              1e-12);
 }
 
 TEST(BudgetGovernorTest, RefusedSessionsCarryNoTrace) {

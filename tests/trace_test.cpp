@@ -94,68 +94,16 @@ TEST(Trace, SortedWindowFeaturesAreBurstPositionInvariant) {
   EXPECT_NE(early.window_features(20), late.window_features(20));
 }
 
-TEST(TraceSet, SplitPreservesAllSamples) {
-  TraceSet set;
-  set.num_classes = 2;
-  for (int i = 0; i < 10; ++i) {
-    set.traces.push_back(make_trace(3, 1, i));
-    set.labels.push_back(i % 2);
-  }
-  util::Rng rng(5);
-  TraceSet train, val;
-  set.split(0.7, rng, train, val);
-  EXPECT_EQ(train.size(), 7u);
-  EXPECT_EQ(val.size(), 3u);
-  EXPECT_EQ(train.num_classes, 2);
-}
-
-TEST(TraceSet, SplitByIdPreservesAllSamplesAndIsDisjoint) {
-  TraceSet set;
-  set.num_classes = 2;
-  for (int i = 0; i < 10; ++i) {
-    set.traces.push_back(make_trace(3, 1, i));
-    set.labels.push_back(i % 2);
-  }
-  TraceSet train, val;
-  set.split_by_id(0.7, 5, train, val);
-  EXPECT_EQ(train.size(), 7u);
-  EXPECT_EQ(val.size(), 3u);
-  EXPECT_EQ(train.num_classes, 2);
-  // Every trace lands in exactly one half (identity = its base value).
-  std::vector<double> seen;
-  for (const auto& t : train.traces) seen.push_back(t.samples[0][0]);
-  for (const auto& t : val.traces) seen.push_back(t.samples[0][0]);
+TEST(Trace, SplitByIdCutsTheTrainFractionAndIsDisjoint) {
+  const IdSplit split = split_by_id(10, 0.7, 5);
+  EXPECT_EQ(split.train.size(), 7u);
+  EXPECT_EQ(split.validation.size(), 3u);
+  // Every id lands in exactly one half, each half in split order.
+  std::vector<std::size_t> seen = split.train;
+  seen.insert(seen.end(), split.validation.begin(), split.validation.end());
+  EXPECT_EQ(seen, split_order_by_id(10, 5));
   std::sort(seen.begin(), seen.end());
-  for (int i = 0; i < 10; ++i) EXPECT_DOUBLE_EQ(seen[i], i);
-}
-
-TEST(TraceSet, SplitByIdIsPureFunctionOfSeedAndId) {
-  // Regression: the split must not depend on ambient RNG state or call
-  // order — two calls with the same seed produce identical halves, and a
-  // different seed produces a different assignment.
-  TraceSet set;
-  set.num_classes = 4;
-  for (int i = 0; i < 16; ++i) {
-    set.traces.push_back(make_trace(2, 1, i));
-    set.labels.push_back(i % 4);
-  }
-  TraceSet train_a, val_a, train_b, val_b;
-  set.split_by_id(0.75, 42, train_a, val_a);
-  set.split_by_id(0.75, 42, train_b, val_b);
-  ASSERT_EQ(train_a.size(), train_b.size());
-  for (std::size_t i = 0; i < train_a.size(); ++i) {
-    EXPECT_EQ(train_a.traces[i].samples, train_b.traces[i].samples);
-    EXPECT_EQ(train_a.labels[i], train_b.labels[i]);
-  }
-  TraceSet train_c, val_c;
-  set.split_by_id(0.75, 43, train_c, val_c);
-  bool any_difference = false;
-  for (std::size_t i = 0; i < train_a.size(); ++i) {
-    if (train_a.traces[i].samples != train_c.traces[i].samples) {
-      any_difference = true;
-    }
-  }
-  EXPECT_TRUE(any_difference);
+  for (std::size_t i = 0; i < 10; ++i) EXPECT_EQ(seen[i], i);
 }
 
 TEST(Trace, SplitOrderByIdIsDeterministicPermutation) {
@@ -211,7 +159,29 @@ TEST(Standardizer, ConstantDimensionMapsToZero) {
 TEST(Standardizer, ThrowsOnEmptyFit) {
   Standardizer s;
   EXPECT_THROW(s.fit({}), std::invalid_argument);
+  const Standardizer::Rows empty;
+  const std::vector<const Standardizer::Rows*> blocks = {&empty, &empty};
+  EXPECT_THROW(s.fit_blocks(blocks), std::invalid_argument);
   EXPECT_FALSE(s.fitted());
+}
+
+TEST(Standardizer, FitBlocksMatchesFitOnTheConcatenation) {
+  util::Rng rng(8);
+  Standardizer::Rows a, b, all;
+  for (int i = 0; i < 37; ++i) {
+    (i < 20 ? a : b).push_back({rng.normal(5.0, 2.0), rng.normal(-1.0, 0.5)});
+  }
+  all = a;
+  all.insert(all.end(), b.begin(), b.end());
+  const Standardizer::Rows empty;
+  const std::vector<const Standardizer::Rows*> blocks = {&empty, &a, &b};
+  Standardizer whole, blocked;
+  whole.fit(all);
+  blocked.fit_blocks(blocks);
+  Standardizer::Rows x = all, y = all;
+  whole.apply_all(x);
+  blocked.apply_all(y);
+  EXPECT_EQ(x, y);  // bit for bit: the same sums in the same order
 }
 
 TEST(Pca, RecoversDominantDirection) {

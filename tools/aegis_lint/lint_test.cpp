@@ -510,24 +510,24 @@ TEST(TelemetryHandle, BothLookupKindsAreFlagged) {
 }
 
 TEST(TelemetryHandle, RecordingThroughAResolvedHandleIsFine) {
-  const auto fs = run(
+  // The required flight-recorder idiom: event_handle() at construction
+  // (not a noalloc region, so unchecked), wait-free EventHandle::record
+  // through the member handle on the hot path.
+  const auto hot_path_only = run(
       "// aegis-lint: noalloc\n"
       "void NoiseInjector::inject(double reps) {\n"
       "  inject_event_.record(window_, reps_bits(reps));\n"
       "}\n");
-  EXPECT_TRUE(fs.empty()) << messages(fs);
-}
-
-TEST(TelemetryHandle, RegistrationOutsideTheRegionIsUnchecked) {
-  // The constructor (handle resolution site) is not a noalloc region; the
-  // hot path records through the member handle. This is the required idiom.
-  const auto fs = run(
+  EXPECT_TRUE(hot_path_only.empty()) << messages(hot_path_only);
+  const auto with_registration = run(
       "GadgetRunner::GadgetRunner()\n"
       "    : exec_event_(telemetry::Registry::global().recorder().event_handle(\n"
       "          \"gadget.exec\", telemetry::WideEventType::kHotExec)) {}\n"
       "// aegis-lint: noalloc\n"
-      "void GadgetRunner::execute_once() { exec_event_.record(t); }\n");
-  EXPECT_TRUE(fs.empty()) << messages(fs);
+      "void GadgetRunner::execute_once() {\n"
+      "  exec_event_.record(exec_count_, uids, unroll);\n"
+      "}\n");
+  EXPECT_TRUE(with_registration.empty()) << messages(with_registration);
 }
 
 TEST(TelemetryHandle, FlightRecorderByNameLookupInNoallocRegionIsFlagged) {
@@ -548,20 +548,6 @@ TEST(TelemetryHandle, FlightRecorderByNameRecordInNoallocRegionIsFlagged) {
       "recorder.record_named(\"gadget.exec\", t, a, b);\n"
       "// aegis-lint: noalloc-end\n");
   EXPECT_TRUE(has_rule(fs, "telemetry-handle")) << messages(fs);
-}
-
-TEST(TelemetryHandle, RecordingThroughAResolvedEventHandleIsFine) {
-  // The required flight-recorder idiom: event_handle() at construction,
-  // wait-free EventHandle::record on the hot path.
-  const auto fs = run(
-      "GadgetRunner::GadgetRunner()\n"
-      "    : exec_event_(telemetry::Registry::global().recorder().event_handle(\n"
-      "          \"gadget.exec\", telemetry::WideEventType::kHotExec)) {}\n"
-      "// aegis-lint: noalloc\n"
-      "void GadgetRunner::execute_once() {\n"
-      "  exec_event_.record(exec_count_, uids, unroll);\n"
-      "}\n");
-  EXPECT_TRUE(fs.empty()) << messages(fs);
 }
 
 TEST(TelemetryHandle, SuppressedWithReason) {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "trace/gaussian.hpp"
 #include "trace/mutual_information.hpp"
@@ -92,6 +93,64 @@ TEST(Trace, SortedWindowFeaturesAreBurstPositionInvariant) {
   late.samples[17][0] = 50.0;  // same burst at the end
   EXPECT_EQ(early.sorted_window_features(20), late.sorted_window_features(20));
   EXPECT_NE(early.window_features(20), late.window_features(20));
+}
+
+// Splits a set into train/validation halves by moving its traces by id,
+// the way every attack splits its runs.
+void split_set(TraceSet& set, double train_fraction, std::uint64_t seed,
+               TraceSet& train, TraceSet& val) {
+  const IdSplit split = split_by_id(set.size(), train_fraction, seed);
+  for (auto* half : {&train, &val}) half->num_classes = set.num_classes;
+  for (std::size_t id : split.train) {
+    train.traces.push_back(std::move(set.traces[id]));
+    train.labels.push_back(set.labels[id]);
+  }
+  for (std::size_t id : split.validation) {
+    val.traces.push_back(std::move(set.traces[id]));
+    val.labels.push_back(set.labels[id]);
+  }
+}
+
+TEST(TraceSet, SplitPreservesAllSamples) {
+  TraceSet set;
+  set.num_classes = 2;
+  for (int i = 0; i < 10; ++i) {
+    set.traces.push_back(make_trace(3, 1, i));
+    set.labels.push_back(i % 2);
+  }
+  TraceSet train, val;
+  split_set(set, 0.7, 5, train, val);
+  EXPECT_EQ(train.size(), 7u);
+  EXPECT_EQ(val.size(), 3u);
+  EXPECT_EQ(train.num_classes, 2);
+  // Each moved trace keeps its samples and its label.
+  for (const TraceSet* half : {&train, &val}) {
+    for (std::size_t i = 0; i < half->size(); ++i) {
+      const double base = half->traces[i].samples[0][0];
+      EXPECT_EQ(half->traces[i].samples, make_trace(3, 1, base).samples);
+      EXPECT_EQ(half->labels[i], static_cast<int>(base) % 2);
+    }
+  }
+}
+
+TEST(TraceSet, SplitByIdPreservesAllSamplesAndIsDisjoint) {
+  TraceSet set;
+  set.num_classes = 2;
+  for (int i = 0; i < 10; ++i) {
+    set.traces.push_back(make_trace(3, 1, i));
+    set.labels.push_back(i % 2);
+  }
+  TraceSet train, val;
+  split_set(set, 0.7, 5, train, val);
+  EXPECT_EQ(train.size(), 7u);
+  EXPECT_EQ(val.size(), 3u);
+  EXPECT_EQ(train.num_classes, 2);
+  // Every trace lands in exactly one half (identity = its base value).
+  std::vector<double> seen;
+  for (const auto& t : train.traces) seen.push_back(t.samples[0][0]);
+  for (const auto& t : val.traces) seen.push_back(t.samples[0][0]);
+  std::sort(seen.begin(), seen.end());
+  for (int i = 0; i < 10; ++i) EXPECT_DOUBLE_EQ(seen[i], i);
 }
 
 TEST(Trace, SplitByIdCutsTheTrainFractionAndIsDisjoint) {

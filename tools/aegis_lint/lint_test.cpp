@@ -510,16 +510,30 @@ TEST(TelemetryHandle, BothLookupKindsAreFlagged) {
 }
 
 TEST(TelemetryHandle, RecordingThroughAResolvedHandleIsFine) {
-  // The required flight-recorder idiom: event_handle() at construction
-  // (not a noalloc region, so unchecked), wait-free EventHandle::record
-  // through the member handle on the hot path.
-  const auto hot_path_only = run(
+  const auto fs = run(
       "// aegis-lint: noalloc\n"
       "void NoiseInjector::inject(double reps) {\n"
       "  inject_event_.record(window_, reps_bits(reps));\n"
       "}\n");
-  EXPECT_TRUE(hot_path_only.empty()) << messages(hot_path_only);
-  const auto with_registration = run(
+  EXPECT_TRUE(fs.empty()) << messages(fs);
+}
+
+TEST(TelemetryHandle, RegistrationOutsideTheRegionIsUnchecked) {
+  // The constructor (handle resolution site) is not a noalloc region, so its
+  // by-name lookup is not flagged; the region after it holds no lookup.
+  const auto fs = run(
+      "GadgetRunner::GadgetRunner()\n"
+      "    : exec_event_(telemetry::Registry::global().recorder().event_handle(\n"
+      "          \"gadget.exec\", telemetry::WideEventType::kHotExec)) {}\n"
+      "// aegis-lint: noalloc\n"
+      "void GadgetRunner::execute_once() { ++exec_count_; }\n");
+  EXPECT_TRUE(fs.empty()) << messages(fs);
+}
+
+TEST(TelemetryHandle, RecordingThroughAResolvedEventHandleIsFine) {
+  // The required flight-recorder idiom: event_handle() at construction,
+  // wait-free EventHandle::record through the member handle on the hot path.
+  const auto fs = run(
       "GadgetRunner::GadgetRunner()\n"
       "    : exec_event_(telemetry::Registry::global().recorder().event_handle(\n"
       "          \"gadget.exec\", telemetry::WideEventType::kHotExec)) {}\n"
@@ -527,7 +541,7 @@ TEST(TelemetryHandle, RecordingThroughAResolvedHandleIsFine) {
       "void GadgetRunner::execute_once() {\n"
       "  exec_event_.record(exec_count_, uids, unroll);\n"
       "}\n");
-  EXPECT_TRUE(with_registration.empty()) << messages(with_registration);
+  EXPECT_TRUE(fs.empty()) << messages(fs);
 }
 
 TEST(TelemetryHandle, FlightRecorderByNameLookupInNoallocRegionIsFlagged) {

@@ -106,8 +106,8 @@ int main(int argc, char** argv) {
     dp::MechanismConfig mech;
     mech.kind = kind;
     mech.epsilon = epsilon;
-    core::ObfuscatorBuildOptions options;
-    options.single_noise_stream = single_stream;
+    obf::ObfuscatorOptions options;
+    options.single_stream = single_stream;
     options.clip_sigma = clip_sigma;
     return setup.aegis.make_obfuscator(setup.result, secrets, mech, options);
   };

@@ -32,7 +32,7 @@ int main(int argc, char** argv) {
 
   auto injected_counts = [&](dp::MechanismConfig mech) {
     auto obf = setup.aegis.make_obfuscator(setup.result, youtube, mech,
-                                           core::ObfuscatorBuildOptions{}, 77);
+                                           obf::ObfuscatorOptions{}, 77);
     util::Rng rng(0xC0'57ULL);
     for (std::size_t r = 0; r < runs; ++r) {
       sim::VirtualMachine vm(sim::VmConfig{}, rng.next_u64());

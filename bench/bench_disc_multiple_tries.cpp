@@ -68,7 +68,12 @@ int main(int argc, char** argv) {
 
   // A per-secret constant noise floor: the countermeasure. Realized as a
   // fixed extra repetition count of the cover segment per slice, keyed by
-  // the secret actually running in the VM.
+  // the secret actually running in the VM. The constant stacks the cover
+  // gadgets at unit weight.
+  std::vector<obf::WeightedGadget> cover_segment;
+  for (const fuzzer::Gadget& g : setup.result.cover.gadgets) {
+    cover_segment.push_back({g, 1.0});
+  }
   auto defended_factory = [&](std::size_t secret_id, bool with_constant) {
     return [&, secret_id, with_constant]() -> sim::SliceAgent {
       sim::SliceAgent base = obf->session();
@@ -76,8 +81,8 @@ int main(int argc, char** argv) {
       const double constant_norm =
           2.0 + 1.5 * static_cast<double>((secret_id * 2654435761u) % 5);
       auto injector = std::make_shared<obf::NoiseInjector>(
-          setup.aegis.specification(), setup.result.cover,
-          obf->config().unit_reps, obf->config().clip_norm);
+          setup.aegis.specification(), cover_segment,
+          obf->config().segment.unit_reps, obf->config().options.clip_sigma);
       return [base, injector, constant_norm](sim::VirtualMachine& vm,
                                              std::size_t t) {
         base(vm, t);

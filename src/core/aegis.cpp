@@ -1,11 +1,9 @@
 #include "core/aegis.hpp"
 
-#include "dp/mechanism.hpp"
 #include "pmu/backend/backend.hpp"
 #include "util/stats.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <stdexcept>
 #include <unordered_map>
 
@@ -63,21 +61,10 @@ OfflineResult Aegis::analyze(
   return result;
 }
 
-std::unique_ptr<obf::EventObfuscator> Aegis::make_obfuscator(
+obf::CalibratedSegment Aegis::calibrate(
     const OfflineResult& analysis,
     const std::vector<std::unique_ptr<workload::Workload>>& secrets,
-    dp::MechanismConfig mechanism, ObfuscatorBuildOptions options,
     std::uint64_t seed) const {
-  // Invalid defence parameters fail here, before any calibration run, not
-  // at the first session(): a negative clip bound inverts the injector's
-  // clamp.
-  if (!(std::isfinite(options.clip_sigma) && options.clip_sigma > 0.0)) {
-    throw std::invalid_argument(
-        "Aegis::make_obfuscator: clip_sigma must be finite and > 0");
-  }
-  // The mechanism checks its own epsilon, sensitivity, bound or level.
-  (void)dp::make_mechanism(mechanism);
-
   // The protected events: every event the cover reaches, in ranking order
   // (the attacker monitors the top-ranked ones).
   const std::vector<std::uint32_t>& covered = analysis.cover.covered_events;
@@ -92,22 +79,14 @@ std::unique_ptr<obf::EventObfuscator> Aegis::make_obfuscator(
   if (protected_events.empty()) protected_events = covered;
   if (protected_events.empty()) {
     throw std::invalid_argument(
-        "Aegis::make_obfuscator: the gadget cover reaches no events, so "
-        "there is no event to calibrate or protect");
+        "Aegis::calibrate: the gadget cover reaches no events, so there is "
+        "no event to calibrate or protect");
   }
 
   const std::vector<obf::EventCalibration> calibration =
       obf::calibrate_events(database(), protected_events, secrets,
                             kCalibrationRuns, seed ^ 0xCA1ULL);
 
-  // Per-event requirement: r_e = sigma_e / delta_e segment repetitions per
-  // 1.0 units of normalized noise. One repetition knob drives every event;
-  // sizing it to the worst r_e would let a single weak-delta event inflate
-  // the noise for all (the requirement spread is an order of magnitude).
-  // Instead the knob is sized to the MEDIAN requirement, and events above
-  // it get their own highest-value-change gadget (Section VI-F) stacked
-  // into the segment with a boosted multiplicity, so every protected event
-  // still receives at least its full mechanism noise.
   // Per-gadget per-event measured deltas, from the fuzzing reports.
   std::unordered_map<fuzzer::Gadget,
                      std::unordered_map<std::uint32_t, double>,
@@ -183,22 +162,33 @@ std::unique_ptr<obf::EventObfuscator> Aegis::make_obfuscator(
     }
     if (!boosted) break;
   }
-  const double unit_reps = std::max(unit * kPoolingFactor, 1.0);
 
-  obf::ObfuscatorConfig config;
-  config.mechanism = mechanism;
-  config.reference_event = protected_events.front();
-  config.reference_sigma = std::max(calibration.front().stddev, 1.0);
-  config.unit_reps = unit_reps;
-  config.clip_norm = options.clip_sigma;
-  config.weighted_segment = std::move(segment);
-  config.single_stream = options.single_noise_stream;
-  config.rotate = options.rotate;
-  config.rotation = options.rotation;
-  config.seed = seed;
-  return std::make_unique<obf::EventObfuscator>(database(), spec_,
-                                                analysis.cover,
-                                                std::move(config));
+  obf::CalibratedSegment result;
+  result.reference_event = protected_events.front();
+  result.reference_sigma = std::max(calibration.front().stddev, 1.0);
+  result.unit_reps = std::max(unit * kPoolingFactor, 1.0);
+  result.gadgets = std::move(segment);
+  for (const auto& [event, delta] : analysis.cover.segment_effect) {
+    if (event == result.reference_event) {
+      result.reference_delta = std::max(delta, 1e-9);
+      break;
+    }
+  }
+  return result;
+}
+
+std::unique_ptr<obf::EventObfuscator> Aegis::make_obfuscator(
+    const OfflineResult& analysis,
+    const std::vector<std::unique_ptr<workload::Workload>>& secrets,
+    dp::MechanismConfig mechanism, obf::ObfuscatorOptions options,
+    std::uint64_t seed) const {
+  // Invalid defence parameters fail here, before any calibration run, not
+  // at the first session().
+  obf::validate_build(mechanism, options, "Aegis::make_obfuscator");
+  return std::make_unique<obf::EventObfuscator>(
+      database(), spec_,
+      obf::ObfuscatorConfig{calibrate(analysis, secrets, seed), mechanism,
+                            options, seed});
 }
 
 }  // namespace aegis::core

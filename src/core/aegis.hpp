@@ -4,9 +4,10 @@
 //   analyze(application, secrets) = Application Profiler (warm-up + Eq. 1
 //   ranking) -> Event Fuzzer (gadget discovery per vulnerable event) ->
 //   minimal gadget cover.
-// Online (victim VM, per protected run):
-//   make_obfuscator(result, mechanism) builds an Event Obfuscator whose
-//   session() agents inject DP-calibrated gadget noise.
+// Online (victim VM, per protected application):
+//   calibrate(result, secrets) sizes the weighted noise segment once;
+//   make_obfuscator(result, mechanism) calibrates and builds an Event
+//   Obfuscator whose session() agents inject DP-calibrated gadget noise.
 //
 // See examples/quickstart.cpp for the end-to-end flow.
 #pragma once
@@ -16,22 +17,10 @@
 #include "core/config.hpp"
 #include "fuzzer/set_cover.hpp"
 #include "isa/spec.hpp"
-#include "obf/rotating_plan.hpp"
+#include "obf/obfuscator.hpp"
 #include "pmu/backend/backend.hpp"
 
 namespace aegis::core {
-
-/// Options for sizing the injected noise (see obf/obfuscator.hpp).
-struct ObfuscatorBuildOptions {
-  double clip_sigma = 30.0;             // B_u in sigma units
-  /// Ablation: one noise stream for the whole segment (see
-  /// obf::ObfuscatorConfig::single_stream). Default: per-gadget streams.
-  bool single_noise_stream = false;
-  /// Dynamic defense: rotate the injected plan over a deterministic
-  /// schedule (Obelix-style; see obf/rotating_plan.hpp). ε-neutral.
-  bool rotate = false;
-  obf::RotatingPlanConfig rotation;
-};
 
 struct OfflineResult {
   profiler::WarmupReport warmup;
@@ -58,17 +47,33 @@ class Aegis {
       const std::vector<std::unique_ptr<workload::Workload>>& secrets,
       const OfflineConfig& config) const;
 
-  /// Online defense: an obfuscator bound to the analyzed gadget cover.
-  /// Every covered event is protected. `mechanism` picks Laplace / d* /
-  /// baseline and the privacy budget; the per-event noise units are
-  /// calibrated by running the secret set.
-  /// Throws std::invalid_argument before any calibration run for a
+  /// Sizes the noise once per protected application. The protected events
+  /// are the events the cover reaches, in ranking order; the first is the
+  /// reference event. Each is calibrated over the secret set
+  /// (obf::calibrate_events, seed ^ 0xCA1) to its per-slice spread sigma_e
+  /// and needs r_e = sigma_e / delta_e segment repetitions per 1.0 units of
+  /// normalized noise. The unit is sized to the MEDIAN r_e (the spread is an
+  /// order of magnitude), and each event above it gets its
+  /// highest-value-change gadget (Section VI-F) boosted in the segment until
+  /// its effective delta reaches sigma_e / unit, so every protected event
+  /// receives at least its full mechanism noise. unit_reps is the unit times
+  /// kPoolingFactor. Reads no mechanism, ε or build option. Throws
+  /// std::invalid_argument before any calibration run if the cover reaches
+  /// no event.
+  obf::CalibratedSegment calibrate(
+      const OfflineResult& analysis,
+      const std::vector<std::unique_ptr<workload::Workload>>& secrets,
+      std::uint64_t seed) const;
+
+  /// Online defense: an obfuscator built from calibrate(analysis, secrets,
+  /// seed). `mechanism` picks Laplace / d* / baseline and the privacy
+  /// budget. Throws std::invalid_argument before any calibration run for a
   /// non-finite or non-positive clip_sigma, or a mechanism parameter its
   /// mechanism rejects (dp::make_mechanism).
   std::unique_ptr<obf::EventObfuscator> make_obfuscator(
       const OfflineResult& analysis,
       const std::vector<std::unique_ptr<workload::Workload>>& secrets,
-      dp::MechanismConfig mechanism, ObfuscatorBuildOptions options = {},
+      dp::MechanismConfig mechanism, obf::ObfuscatorOptions options = {},
       std::uint64_t seed = 0x0B5EULL) const;
 
   const pmu::backend::PmuBackend& backend() const noexcept { return *backend_; }

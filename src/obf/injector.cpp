@@ -11,21 +11,7 @@ namespace {
 /// comment in the constructor).
 constexpr double kMaxChunkUops = 50e3;
 
-std::vector<WeightedGadget> unit_weights(const fuzzer::GadgetCover& cover) {
-  std::vector<WeightedGadget> gadgets;
-  gadgets.reserve(cover.gadgets.size());
-  for (const fuzzer::Gadget& g : cover.gadgets) {
-    gadgets.push_back(WeightedGadget{g, 1.0});
-  }
-  return gadgets;
-}
-
 }  // namespace
-
-NoiseInjector::NoiseInjector(const isa::IsaSpecification& spec,
-                             const fuzzer::GadgetCover& cover, double unit_reps,
-                             double clip_norm)
-    : NoiseInjector(spec, unit_weights(cover), unit_reps, clip_norm) {}
 
 NoiseInjector::NoiseInjector(const isa::IsaSpecification& spec,
                              const std::vector<WeightedGadget>& gadgets,
@@ -33,7 +19,7 @@ NoiseInjector::NoiseInjector(const isa::IsaSpecification& spec,
     : unit_reps_(unit_reps),
       clip_norm_(clip_norm) {
   if (gadgets.empty()) {
-    throw std::invalid_argument("NoiseInjector: empty gadget cover");
+    throw std::invalid_argument("NoiseInjector: empty gadget segment");
   }
   for (const WeightedGadget& wg : gadgets) {
     sim::InstructionBlock block =

@@ -7,7 +7,7 @@
 
 #include <span>
 
-#include "fuzzer/set_cover.hpp"
+#include "fuzzer/gadget.hpp"
 #include "isa/spec.hpp"
 #include "sim/virtual_machine.hpp"
 
@@ -20,19 +20,16 @@ namespace aegis::obf {
 struct WeightedGadget {
   fuzzer::Gadget gadget;
   double weight = 1.0;
+
+  friend bool operator==(const WeightedGadget&, const WeightedGadget&) = default;
 };
 
 class NoiseInjector {
  public:
-  /// Builds the stacked segment from the cover with unit weights.
-  /// `unit_reps` converts 1.0 units of normalized mechanism noise into
-  /// segment repetitions; `clip_norm` is the paper's B_u truncation bound
-  /// in normalized units.
-  NoiseInjector(const isa::IsaSpecification& spec,
-                const fuzzer::GadgetCover& cover, double unit_reps,
-                double clip_norm);
-
-  /// Builds the segment from an explicitly weighted gadget list.
+  /// Builds the stacked segment from a weighted gadget list. `unit_reps`
+  /// converts 1.0 units of normalized mechanism noise into segment
+  /// repetitions; `clip_norm` is the paper's B_u truncation bound in
+  /// normalized units. Throws std::invalid_argument for an empty list.
   NoiseInjector(const isa::IsaSpecification& spec,
                 const std::vector<WeightedGadget>& gadgets, double unit_reps,
                 double clip_norm);

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <span>
+#include <stdexcept>
+#include <string>
 
 #include "sim/group_sweep.hpp"
 #include "telemetry/registry.hpp"
@@ -93,30 +95,30 @@ std::vector<EventCalibration> calibrate_events(
   return calibrations;
 }
 
+void validate_build(const dp::MechanismConfig& mechanism,
+                    const ObfuscatorOptions& options, const char* caller) {
+  // A negative clip bound would invert the injector's clamp.
+  if (!(std::isfinite(options.clip_sigma) && options.clip_sigma > 0.0)) {
+    throw std::invalid_argument(std::string(caller) +
+                                ": clip_sigma must be finite and > 0");
+  }
+  (void)dp::make_mechanism(mechanism);
+}
+
 EventObfuscator::EventObfuscator(const pmu::EventDatabase& db,
                                  const isa::IsaSpecification& spec,
-                                 const fuzzer::GadgetCover& cover,
                                  ObfuscatorConfig config)
     : spec_(&spec),
-      reference_(&db.by_id(config.reference_event)),
-      noise_unit_(config.reference_sigma > 0.0 ? config.reference_sigma : 1.0),
+      reference_(&db.by_id(config.segment.reference_event)),
+      noise_unit_(config.segment.reference_sigma > 0.0
+                      ? config.segment.reference_sigma
+                      : 1.0),
       config_(std::move(config)),
       session_seeds_(config_.seed ^ 0x0BF5ULL),
       rotation_event_(telemetry::Registry::global().recorder().event_handle(
           "plan.rotation", telemetry::WideEventType::kPlanRotation)),
       rng_event_(telemetry::Registry::global().recorder().event_handle(
-          "obfuscator.rng", telemetry::WideEventType::kRngCheckpoint)) {
-  if (config_.weighted_segment.empty()) {
-    unit_segment_.reserve(cover.gadgets.size());
-    for (const auto& g : cover.gadgets) unit_segment_.push_back({g, 1.0});
-  }
-  for (const auto& [event, delta] : cover.segment_effect) {
-    if (event == config_.reference_event) {
-      reference_delta_ = std::max(delta, 1e-9);
-      break;
-    }
-  }
-}
+          "obfuscator.rng", telemetry::WideEventType::kRngCheckpoint)) {}
 
 // aegis-rng: stream(obfuscator-session)
 sim::SliceAgent EventObfuscator::session() {
@@ -126,10 +128,11 @@ sim::SliceAgent EventObfuscator::session() {
   // RNG-stream checkpoint: with the session ordinal and the derived seed a
   // dump reader can replay exactly which mechanism randomness this session
   // consumed (seed derivation itself is untouched — the record draws none).
+  const ObfuscatorOptions& options = config_.options;
   rng_event_.record(/*t_ns=*/sessions_, mech.seed, config_.seed,
-                    static_cast<std::uint64_t>(config_.rotate));
+                    static_cast<std::uint64_t>(options.rotate));
 
-  const std::vector<WeightedGadget>& base_segment = this->base_segment();
+  const CalibratedSegment& segment = config_.segment;
 
   // Fixed plan: one injector for the whole session. Rotating plan: one
   // injector per variant; the schedule picks which one realizes slice t's
@@ -138,17 +141,17 @@ sim::SliceAgent EventObfuscator::session() {
   auto injectors =
       std::make_shared<std::vector<std::unique_ptr<NoiseInjector>>>();
   std::shared_ptr<RotatingPlan> plan;
-  if (config_.rotate) {
-    RotatingPlanConfig rotation = config_.rotation;
+  if (options.rotate) {
+    RotatingPlanConfig rotation = options.rotation;
     rotation.seed = session_seeds_.next_u64() ^ rotation.seed;
-    plan = std::make_shared<RotatingPlan>(base_segment, rotation);
+    plan = std::make_shared<RotatingPlan>(segment.gadgets, rotation);
     for (std::size_t v = 0; v < plan->variants(); ++v) {
       injectors->push_back(std::make_unique<NoiseInjector>(
-          *spec_, plan->segment(v), config_.unit_reps, config_.clip_norm));
+          *spec_, plan->segment(v), segment.unit_reps, options.clip_sigma));
     }
   } else {
     injectors->push_back(std::make_unique<NoiseInjector>(
-        *spec_, base_segment, config_.unit_reps, config_.clip_norm));
+        *spec_, segment.gadgets, segment.unit_reps, options.clip_sigma));
   }
 
   // One independent noise stream per gadget: a single stream would put all
@@ -156,7 +159,7 @@ sim::SliceAgent EventObfuscator::session() {
   // defense-aware attacker could project out (see NoiseInjector::
   // inject_mixture).
   const std::size_t streams =
-      config_.single_stream ? 1 : injectors->front()->gadget_count();
+      options.single_stream ? 1 : injectors->front()->gadget_count();
   auto calculators = std::make_shared<std::vector<NoiseCalculator>>();
   for (std::size_t g = 0; g < streams; ++g) {
     dp::MechanismConfig per_gadget = mech;
@@ -215,7 +218,7 @@ double EventObfuscator::total_injected_repetitions() const noexcept {
 }
 
 double EventObfuscator::total_injected_reference_counts() const noexcept {
-  return *total_reps_ * reference_delta_;
+  return *total_reps_ * config_.segment.reference_delta;
 }
 
 }  // namespace aegis::obf

@@ -10,19 +10,15 @@
 //
 // Noise calibration. The DP mechanisms operate on *normalized* series
 // (Delta_x = 1 after normalization, Section VII-B). The normalization unit
-// of an event is its calibrated per-slice leakage spread (the standard
-// deviation of per-slice counts across secrets and visits). One repetition
-// of the stacked cover segment adds a known count delta to every covered
-// event, so the repetition count per 1.0 units of normalized noise is
-//     unit_reps = max over protected events of (sigma_e / delta_e),
-// which guarantees every protected event receives at least its full
-// mechanism noise (extra noise on the others only strengthens privacy).
+// of an event is its calibrated per-slice leakage spread; one repetition of
+// the weighted segment adds a known count delta to every covered event.
+// core::Aegis::calibrate sizes the segment once per protected application
+// into a CalibratedSegment; every obfuscator is built from that value.
 #pragma once
 
 #include <memory>
 
 #include "dp/mechanism.hpp"
-#include "fuzzer/set_cover.hpp"
 #include "obf/injector.hpp"
 #include "obf/noise_calculator.hpp"
 #include "obf/rotating_plan.hpp"
@@ -32,15 +28,26 @@
 
 namespace aegis::obf {
 
-struct ObfuscatorConfig {
-  dp::MechanismConfig mechanism;
+/// The calibration result (core::Aegis::calibrate): the weighted noise
+/// segment and its sizing. It depends on no mechanism, ε or build option,
+/// so one value serves every obfuscator built for the same analysis,
+/// secrets and seed.
+struct CalibratedSegment {
   std::uint32_t reference_event = 0;  // series the d* mechanism monitors
   double reference_sigma = 1.0;       // raw counts per 1.0 normalized units
   double unit_reps = 1.0;             // segment reps per 1.0 normalized noise
-  double clip_norm = 6.0;             // B_u in normalized units
-  /// Optional weighted segment (per-gadget multiplicities). Empty = stack
-  /// the cover gadgets with unit weight.
-  std::vector<WeightedGadget> weighted_segment;
+  /// Per-gadget multiplicities of the stacked segment (never empty).
+  std::vector<WeightedGadget> gadgets;
+  /// Reference-event count one segment repetition adds.
+  double reference_delta = 1.0;
+
+  friend bool operator==(const CalibratedSegment&,
+                         const CalibratedSegment&) = default;
+};
+
+/// Build knobs that do not change the calibration.
+struct ObfuscatorOptions {
+  double clip_sigma = 30.0;  // B_u in normalized (sigma) units
   /// Ablation switch: drive the whole segment with ONE noise stream instead
   /// of one per gadget. This places all injected counts on a fixed ray in
   /// event space, which a defense-aware attacker can project out — kept
@@ -51,8 +58,20 @@ struct ObfuscatorConfig {
   /// number of DP releases, only which gadget weights realize them.
   bool rotate = false;
   RotatingPlanConfig rotation;
+};
+
+struct ObfuscatorConfig {
+  CalibratedSegment segment;
+  dp::MechanismConfig mechanism;
+  ObfuscatorOptions options;
   std::uint64_t seed = 1;
 };
+
+/// Throws std::invalid_argument, naming `caller`, for a non-finite or
+/// non-positive clip_sigma; the mechanism checks its own parameters
+/// (dp::make_mechanism). Cheap, so builders run it before calibrating.
+void validate_build(const dp::MechanismConfig& mechanism,
+                    const ObfuscatorOptions& options, const char* caller);
 
 /// Per-event per-slice count statistics over a secret set, used to size the
 /// injected noise (sigma) and the clip bound / constant-output level (peak).
@@ -92,10 +111,8 @@ std::vector<EventCalibration> calibrate_events(
 
 class EventObfuscator {
  public:
-  /// Copies what it needs from `cover`; keeps no reference to it.
   EventObfuscator(const pmu::EventDatabase& db,
-                  const isa::IsaSpecification& spec,
-                  const fuzzer::GadgetCover& cover, ObfuscatorConfig config);
+                  const isa::IsaSpecification& spec, ObfuscatorConfig config);
 
   /// Starts one protection session (one protected application run) and
   /// returns the slice agent to install in the VM. Each session gets a
@@ -116,27 +133,18 @@ class EventObfuscator {
   const ObfuscatorConfig& config() const noexcept { return config_; }
 
  private:
-  /// The gadget list every session injects: the config's weighted segment,
-  /// or the cover's gadgets at unit weight when that is empty.
-  const std::vector<WeightedGadget>& base_segment() const noexcept {
-    return config_.weighted_segment.empty() ? unit_segment_
-                                            : config_.weighted_segment;
-  }
-
   const isa::IsaSpecification* spec_;
   /// The series the d* mechanism observes, and the raw count of 1.0
   /// normalized units on it.
   const pmu::EventDescriptor* reference_;
   double noise_unit_;
   ObfuscatorConfig config_;
-  std::vector<WeightedGadget> unit_segment_;  // empty with a weighted segment
   util::Rng session_seeds_;
   std::size_t sessions_ = 0;
   // Shared across sessions for cumulative accounting.
   std::shared_ptr<double> total_reps_ = std::make_shared<double>(0.0);
   std::shared_ptr<std::uint64_t> total_draws_ =
       std::make_shared<std::uint64_t>(0);
-  double reference_delta_ = 1.0;
   /// Flight-recorder handles, resolved once at construction (telemetry-
   /// handle rule). rotation_event_ fires on every plan-variant switch (the
   /// slice agent runs on worker threads — the record path is wait-free and

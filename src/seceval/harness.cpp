@@ -178,7 +178,7 @@ CellResult SecurityHarness::run_cell(const CellSpec& spec) const {
   mechanism.kind = is_laplace(spec.defense) ? dp::MechanismKind::kLaplace
                                             : dp::MechanismKind::kDStar;
   mechanism.epsilon = spec.epsilon;
-  core::ObfuscatorBuildOptions options;
+  obf::ObfuscatorOptions options;
   options.rotate = is_rotating(spec.defense);
   const auto obfuscator = engine_.make_obfuscator(analysis_, secrets,
                                                   mechanism, options,

@@ -37,7 +37,7 @@ std::size_t ProtectionService::register_template(
     const core::Aegis& engine, const workload::Workload& application,
     const std::vector<std::unique_ptr<workload::Workload>>& secrets,
     const core::OfflineConfig& offline, dp::MechanismConfig mechanism,
-    core::ObfuscatorBuildOptions options, std::uint64_t seed) {
+    obf::ObfuscatorOptions options, std::uint64_t seed) {
   const TemplateKey key = make_template_key(engine.cpu(), application, offline);
   telemetry::ScopedSpan span(telemetry_->spans(), "service.register_template",
                              0, key.workload_fingerprint);
@@ -59,7 +59,7 @@ std::size_t ProtectionService::register_template(
   // First registration of this key on this service instance: run the one
   // shared calibration pass. Holding mu_ makes concurrent same-key
   // registrations single-flight here too (later ones find the id above).
-  // aegis-lint: lock-ok(phantom edge: calibration's HostMonitor submits to the sim VirtualMachine, not to this service; no path back to mu_)
+  // aegis-lint: lock-ok(phantom edge: calibration's sim::sweep_groups submits to the sim VirtualMachine, not to this service; no path back to mu_)
   auto tpl = std::make_unique<ProtectionTemplate>(make_protection_template(
       engine, std::move(analysis), secrets, mechanism, options, seed));
   templates_.push_back(std::move(tpl));

@@ -85,7 +85,7 @@ class ProtectionService {
       const core::Aegis& engine, const workload::Workload& application,
       const std::vector<std::unique_ptr<workload::Workload>>& secrets,
       const core::OfflineConfig& offline, dp::MechanismConfig mechanism,
-      core::ObfuscatorBuildOptions options = {},
+      obf::ObfuscatorOptions options = {},
       std::uint64_t seed = 0x0B5EULL);
 
   const ProtectionTemplate& protection_template(std::size_t template_id) const;

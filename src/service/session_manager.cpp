@@ -29,16 +29,16 @@ ProtectionTemplate make_protection_template(
     const core::Aegis& engine,
     std::shared_ptr<const core::OfflineResult> analysis,
     const std::vector<std::unique_ptr<workload::Workload>>& secrets,
-    dp::MechanismConfig mechanism, core::ObfuscatorBuildOptions options,
+    dp::MechanismConfig mechanism, obf::ObfuscatorOptions options,
     std::uint64_t seed, std::size_t monitor_top_events) {
+  obf::validate_build(mechanism, options, "make_protection_template");
   ProtectionTemplate tpl;
   tpl.engine = &engine;
   tpl.analysis = std::move(analysis);
-  // One calibration pass (runs the secret set); its sized config is the
+  // One calibration pass (runs the secret set); its segment is the
   // template every session reuses with its own seed.
-  const auto calibrated = engine.make_obfuscator(*tpl.analysis, secrets,
-                                                 mechanism, options, seed);
-  tpl.obf_config = calibrated->config();
+  tpl.obf_config = {engine.calibrate(*tpl.analysis, secrets, seed), mechanism,
+                    options, seed};
   tpl.monitored_events = tpl.analysis->top_events(monitor_top_events);
   return tpl;
 }
@@ -55,7 +55,7 @@ SessionResult run_protected_session(const ProtectionTemplate& tpl,
   config.seed = util::split_mix64(request.seed, kObfuscatorStream);
   obf::EventObfuscator obfuscator(tpl.engine->database(),
                                   tpl.engine->specification(),
-                                  tpl.analysis->cover, std::move(config));
+                                  std::move(config));
   const sim::SliceAgent agent =
       obf::coarsen_agent(obfuscator.session(), granularity);
 

@@ -3,8 +3,8 @@
 //
 // One session = one tenant's protected run: its own sim::VirtualMachine,
 // sim::HostMonitor and obf::EventObfuscator, driven for `slices`
-// monitoring slices under the template's gadget cover. Sessions share
-// ONLY immutable state (the Aegis substrate and the cached OfflineResult);
+// monitoring slices under the template's calibrated segment. Sessions
+// share ONLY immutable state (the Aegis substrate and the template);
 // every stochastic component derives from the tenant's seed via
 // util::split_mix64(seed, stream), so a tenant's counter trace is
 // bit-identical whether it runs alone (run_protected_session) or inside a
@@ -37,8 +37,9 @@ namespace aegis::service {
 struct ProtectionTemplate {
   const core::Aegis* engine = nullptr;  // event database + ISA spec
   std::shared_ptr<const core::OfflineResult> analysis;
-  /// Calibrated obfuscator parameters (noise sizing, weighted segment).
-  /// The seed field is overridden per session from the tenant seed.
+  /// Calibrated obfuscator parameters (the Aegis::calibrate segment, the
+  /// mechanism and the build options). The seed field is overridden per
+  /// session from the tenant seed.
   obf::ObfuscatorConfig obf_config;
   /// Events the host-side monitor records for the session trace (the
   /// paper's attacks watch the top-4 ranked events).
@@ -46,13 +47,14 @@ struct ProtectionTemplate {
   sim::VmConfig vm;
 };
 
-/// Builds the shared template: one make_obfuscator calibration pass whose
-/// resulting config is reused (reseeded) by every session.
+/// Builds the shared template: one Aegis::calibrate pass whose segment is
+/// reused (reseeded) by every session. Throws std::invalid_argument before
+/// calibrating for the parameters Aegis::make_obfuscator rejects.
 ProtectionTemplate make_protection_template(
     const core::Aegis& engine,
     std::shared_ptr<const core::OfflineResult> analysis,
     const std::vector<std::unique_ptr<workload::Workload>>& secrets,
-    dp::MechanismConfig mechanism, core::ObfuscatorBuildOptions options = {},
+    dp::MechanismConfig mechanism, obf::ObfuscatorOptions options = {},
     std::uint64_t seed = 0x0B5EULL, std::size_t monitor_top_events = 4);
 
 struct SessionRequest {
@@ -82,10 +84,10 @@ struct SessionResult {
 /// Standalone reference run of ONE session at a fixed granularity — the
 /// exact computation a fleet session performs, with no fleet state at all.
 /// The fleet-determinism tests compare against this. When `telemetry` is
-/// non-null, each noise-refresh window (every `granularity`-th slice) is
-/// recorded as an "inject.window" span stamped from the session's VIRTUAL
-/// clock (slice index), so traces are deterministic and identical at any
-/// thread count; results are bit-identical with or without telemetry.
+/// non-null, the session records one "inject.window" span covering
+/// [0, slices x 1 µs) of its VIRTUAL clock (slice index), so traces are
+/// deterministic and identical at any thread count; results are
+/// bit-identical with or without telemetry.
 SessionResult run_protected_session(const ProtectionTemplate& tpl,
                                     const SessionRequest& request,
                                     std::size_t granularity = 1,

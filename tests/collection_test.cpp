@@ -38,6 +38,7 @@
 #include "sim/group_sweep.hpp"
 #include "sim/host_monitor.hpp"
 #include "sim/virtual_machine.hpp"
+#include "unit_segment.hpp"
 #include "util/hash.hpp"
 #include "util/stats.hpp"
 #include "util/thread_pool.hpp"
@@ -133,13 +134,13 @@ struct Fixture {
     cover.covered_events = {uops, refills};
     cover.segment_effect = {{uops, 14.0}, {refills, 1.0}};
     obf::ObfuscatorConfig config;
+    // unit_reps 400: large enough to split into several chunks.
+    config.segment = test::unit_segment(cover, uops, 1000.0, 400.0);
     config.mechanism.kind = dp::MechanismKind::kLaplace;
     config.mechanism.epsilon = 1.0;
-    config.reference_event = uops;
-    config.reference_sigma = 1000.0;
-    config.unit_reps = 400.0;  // large enough to split into several chunks
+    config.options.clip_sigma = 6.0;
     config.seed = seed;
-    return std::make_unique<obf::EventObfuscator>(db, spec, cover, config);
+    return std::make_unique<obf::EventObfuscator>(db, spec, config);
   }
 
   std::uint64_t monitor_digest(const workload::Workload& w, bool defended,

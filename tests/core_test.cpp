@@ -5,6 +5,8 @@
 
 #include "attack/wfa.hpp"
 #include "core/aegis.hpp"
+#include "service/session_manager.hpp"
+#include "sim/host_monitor.hpp"
 #include "workload/website.hpp"
 
 namespace aegis::core {
@@ -156,6 +158,71 @@ TEST(Aegis, SubstrateMatchesCpu) {
   EXPECT_EQ(aegis.cpu(), isa::CpuModel::kIntelXeonE5_1650);
   EXPECT_EQ(aegis.database().size(), 6166u);
   EXPECT_EQ(aegis.specification().legal_count(), 3386u);
+}
+
+TEST(Aegis, CalibrateThenBuildMatchesMakeObfuscator) {
+  // make_obfuscator is validate + calibrate + construct: an obfuscator built
+  // from the calibrated segment runs the same sessions, and a service
+  // template holds the same segment.
+  auto& p = shared_pipeline();
+  constexpr std::uint64_t kSeed = 0x5E6ULL;
+  const obf::CalibratedSegment segment =
+      p.aegis.calibrate(p.result, p.secrets, kSeed);
+  ASSERT_GT(segment.gadgets.size(), 1u);
+
+  struct Sessions {
+    std::vector<sim::MonitorResult> traces;
+    double injected_repetitions = 0.0;
+    std::uint64_t noise_draws = 0;
+  };
+  // Two sessions, so the second one's seeds are compared too.
+  const auto run = [&](obf::EventObfuscator& obf) {
+    Sessions out;
+    for (std::uint64_t s = 0; s < 2; ++s) {
+      sim::VirtualMachine vm(sim::VmConfig{}, 30 + s);
+      sim::HostMonitor monitor(p.aegis.database(), 40 + s);
+      out.traces.push_back(monitor.monitor(vm, p.secrets[s]->visit(50 + s),
+                                           p.result.top_events(4), 60,
+                                           obf.session()));
+    }
+    out.injected_repetitions = obf.total_injected_repetitions();
+    out.noise_draws = obf.total_noise_draws();
+    return out;
+  };
+
+  for (const dp::MechanismKind kind :
+       {dp::MechanismKind::kLaplace, dp::MechanismKind::kDStar}) {
+    for (const bool rotate : {false, true}) {
+      SCOPED_TRACE(std::string(dp::to_string(kind)) +
+                   (rotate ? " rotating" : " fixed"));
+      dp::MechanismConfig mechanism;
+      mechanism.kind = kind;
+      mechanism.epsilon = 0.5;
+      obf::ObfuscatorOptions options;
+      options.rotate = rotate;
+      const auto made = p.aegis.make_obfuscator(p.result, p.secrets,
+                                                mechanism, options, kSeed);
+      obf::EventObfuscator built(p.aegis.database(), p.aegis.specification(),
+                                 {segment, mechanism, options, kSeed});
+      EXPECT_EQ(made->config().segment, segment);
+      const Sessions want = run(*made);
+      const Sessions got = run(built);
+      ASSERT_EQ(got.traces.size(), want.traces.size());
+      for (std::size_t s = 0; s < want.traces.size(); ++s) {
+        EXPECT_EQ(got.traces[s].samples, want.traces[s].samples) << s;
+      }
+      EXPECT_GT(want.injected_repetitions, 0.0);
+      EXPECT_EQ(got.injected_repetitions, want.injected_repetitions);
+      EXPECT_EQ(got.noise_draws, want.noise_draws);
+    }
+  }
+
+  dp::MechanismConfig laplace;
+  laplace.kind = dp::MechanismKind::kLaplace;
+  const service::ProtectionTemplate tpl = service::make_protection_template(
+      p.aegis, std::make_shared<const OfflineResult>(p.result), p.secrets,
+      laplace, {}, kSeed);
+  EXPECT_EQ(tpl.obf_config.segment, segment);
 }
 
 TEST(Aegis, MakeObfuscatorRejectsEmptyCover) {

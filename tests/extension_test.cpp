@@ -11,6 +11,7 @@
 #include "sim/host_monitor.hpp"
 #include "obf/injector.hpp"
 #include "obf/obfuscator.hpp"
+#include "unit_segment.hpp"
 #include "workload/crypto.hpp"
 
 namespace aegis {
@@ -172,14 +173,13 @@ TEST(Obfuscator, SingleStreamFlagStillInjects) {
   cover.covered_events = {uops};
   cover.segment_effect = {{uops, 10.0}};
   obf::ObfuscatorConfig config;
+  config.segment = test::unit_segment(cover, uops, 100.0, 20.0);
   config.mechanism.kind = dp::MechanismKind::kLaplace;
   config.mechanism.epsilon = 0.5;
-  config.reference_event = uops;
-  config.reference_sigma = 100.0;
-  config.unit_reps = 20.0;
-  config.single_stream = true;
+  config.options.clip_sigma = 6.0;
+  config.options.single_stream = true;
   config.seed = 4;
-  obf::EventObfuscator obf(f.db, f.spec, cover, config);
+  obf::EventObfuscator obf(f.db, f.spec, config);
   sim::VirtualMachine vm(sim::VmConfig{}, 5);
   auto agent = obf.session();
   for (std::size_t t = 0; t < 60; ++t) {

@@ -12,6 +12,7 @@
 #include "obf/rotating_plan.hpp"
 #include "obf/noise_calculator.hpp"
 #include "obf/obfuscator.hpp"
+#include "unit_segment.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 #include "workload/website.hpp"
@@ -50,6 +51,17 @@ struct Fixture {
     cover.covered_events = {uops, refills};
     cover.segment_effect = {{uops, 14.0}, {refills, 1.0}};
     return cover;
+  }
+
+  /// The cover's gadgets at unit weight.
+  std::vector<WeightedGadget> gadgets() const {
+    return test::unit_segment(make_cover()).gadgets;
+  }
+
+  /// The unit-weight cover segment referenced to RETIRED_UOPS.
+  CalibratedSegment segment(double reference_sigma, double unit_reps) const {
+    return test::unit_segment(make_cover(), *db.find("RETIRED_UOPS"),
+                              reference_sigma, unit_reps);
   }
 };
 
@@ -96,7 +108,7 @@ TEST(NoiseCalculator, DStarUsesObservations) {
 
 TEST(Injector, BuildsStackedSegment) {
   Fixture f;
-  NoiseInjector injector(f.spec, f.make_cover(), 10.0, 6.0);
+  NoiseInjector injector(f.spec, f.gadgets(), 10.0, 6.0);
   EXPECT_EQ(injector.segment_gadgets(), 2u);
   const auto& segment = injector.segment_block();
   EXPECT_GT(segment.uops, 0.0);
@@ -106,13 +118,13 @@ TEST(Injector, BuildsStackedSegment) {
 
 TEST(Injector, RejectsEmptyCover) {
   Fixture f;
-  EXPECT_THROW(NoiseInjector(f.spec, fuzzer::GadgetCover{}, 1.0, 1.0),
+  EXPECT_THROW(NoiseInjector(f.spec, std::vector<WeightedGadget>{}, 1.0, 1.0),
                std::invalid_argument);
 }
 
 TEST(Injector, NegativeNoiseInjectsNothing) {
   Fixture f;
-  NoiseInjector injector(f.spec, f.make_cover(), 10.0, 6.0);
+  NoiseInjector injector(f.spec, f.gadgets(), 10.0, 6.0);
   sim::VirtualMachine vm(sim::VmConfig{}, 2);
   EXPECT_DOUBLE_EQ(injector.inject(vm, -3.0), 0.0);
   EXPECT_FALSE(vm.pending());
@@ -121,7 +133,7 @@ TEST(Injector, NegativeNoiseInjectsNothing) {
 
 TEST(Injector, ClipsAtUpperBound) {
   Fixture f;
-  NoiseInjector injector(f.spec, f.make_cover(), 10.0, 2.0);
+  NoiseInjector injector(f.spec, f.gadgets(), 10.0, 2.0);
   sim::VirtualMachine vm(sim::VmConfig{}, 3);
   // noise 100 >> clip 2: injected reps = 2 * 10.
   EXPECT_DOUBLE_EQ(injector.inject(vm, 100.0), 20.0);
@@ -129,7 +141,7 @@ TEST(Injector, ClipsAtUpperBound) {
 
 TEST(Injector, RepsScaleWithNoise) {
   Fixture f;
-  NoiseInjector injector(f.spec, f.make_cover(), 10.0, 100.0);
+  NoiseInjector injector(f.spec, f.gadgets(), 10.0, 100.0);
   sim::VirtualMachine vm(sim::VmConfig{}, 4);
   EXPECT_DOUBLE_EQ(injector.inject(vm, 1.5), 15.0);
   EXPECT_DOUBLE_EQ(injector.inject(vm, 3.0), 30.0);
@@ -139,7 +151,7 @@ TEST(Injector, RepsScaleWithNoise) {
 
 TEST(Injector, LargeInjectionsAreChunked) {
   Fixture f;
-  NoiseInjector injector(f.spec, f.make_cover(), 1e4, 1e9);
+  NoiseInjector injector(f.spec, f.gadgets(), 1e4, 1e9);
   sim::VirtualMachine vm(sim::VmConfig{}, 5);
   (void)injector.inject(vm, 10.0);  // 1e5 reps: far beyond one chunk
   // Multiple queued blocks rather than one monolith.
@@ -156,11 +168,10 @@ TEST(Obfuscator, SessionInjectsIntoVm) {
   ObfuscatorConfig config;
   config.mechanism.kind = dp::MechanismKind::kLaplace;
   config.mechanism.epsilon = 1.0;
-  config.reference_event = *f.db.find("RETIRED_UOPS");
-  config.reference_sigma = 1000.0;
-  config.unit_reps = 50.0;
+  config.segment = f.segment(1000.0, 50.0);
+  config.options.clip_sigma = 6.0;
   config.seed = 6;
-  EventObfuscator obf(f.db, f.spec, f.make_cover(), config);
+  EventObfuscator obf(f.db, f.spec, config);
   EXPECT_DOUBLE_EQ(obf.total_injected_repetitions(), 0.0);
 
   sim::VirtualMachine vm(sim::VmConfig{}, 7);
@@ -181,11 +192,10 @@ TEST(Obfuscator, DefenseInflatesMonitoredCounts) {
   ObfuscatorConfig config;
   config.mechanism.kind = dp::MechanismKind::kLaplace;
   config.mechanism.epsilon = 0.5;
-  config.reference_event = *f.db.find("RETIRED_UOPS");
-  config.reference_sigma = 1000.0;
-  config.unit_reps = 100.0;
+  config.segment = f.segment(1000.0, 100.0);
+  config.options.clip_sigma = 6.0;
   config.seed = 8;
-  EventObfuscator obf(f.db, f.spec, f.make_cover(), config);
+  EventObfuscator obf(f.db, f.spec, config);
 
   const std::uint32_t uops = *f.db.find("RETIRED_UOPS");
   workload::WebsiteWorkload site(0, 150);
@@ -208,13 +218,11 @@ TEST(Obfuscator, SessionObservesTheNormalizedReferenceCount) {
   // last slice divided by reference_sigma. Replayed here from the
   // session's seed derivation with one noise stream.
   Fixture f;
-  const fuzzer::GadgetCover cover = f.make_cover();
   const workload::WebsiteWorkload site(3, 60);
   ObfuscatorConfig config;
-  config.reference_event = *f.db.find("RETIRED_UOPS");
-  config.reference_sigma = 4.0e4;
-  config.unit_reps = 20.0;
-  config.single_stream = true;
+  config.segment = f.segment(4.0e4, 20.0);
+  config.options.clip_sigma = 6.0;
+  config.options.single_stream = true;
   config.seed = 21;
   config.mechanism.epsilon = 0.5;
   config.mechanism.constant_level = 6.0;
@@ -238,8 +246,10 @@ TEST(Obfuscator, SessionObservesTheNormalizedReferenceCount) {
     mech.seed = seeds.next_u64();
     auto calc = std::make_shared<NoiseCalculator>(mech);
     auto injector = std::make_shared<NoiseInjector>(
-        f.spec, cover, config.unit_reps, config.clip_norm);
-    const pmu::EventDescriptor& uops = f.db.by_id(config.reference_event);
+        f.spec, config.segment.gadgets, config.segment.unit_reps,
+        config.options.clip_sigma);
+    const pmu::EventDescriptor& uops =
+        f.db.by_id(config.segment.reference_event);
     const pmu::ExecutionStats last =
         run([&](sim::VirtualMachine& vm, std::size_t) {
           const double x_t =
@@ -254,10 +264,11 @@ TEST(Obfuscator, SessionObservesTheNormalizedReferenceCount) {
        {dp::MechanismKind::kDStar, dp::MechanismKind::kConstantOutput}) {
     SCOPED_TRACE(std::string(dp::to_string(kind)));
     config.mechanism.kind = kind;
-    EventObfuscator obf(f.db, f.spec, cover, config);
+    EventObfuscator obf(f.db, f.spec, config);
     const pmu::ExecutionStats got = run(obf.session());
     double want_reps = 0.0;
-    const pmu::ExecutionStats want = replay(config.reference_sigma, &want_reps);
+    const pmu::ExecutionStats want =
+        replay(config.segment.reference_sigma, &want_reps);
     EXPECT_GT(want_reps, 0.0);
     EXPECT_EQ(obf.total_injected_repetitions(), want_reps);
     EXPECT_EQ(got.uops, want.uops);
@@ -266,7 +277,7 @@ TEST(Obfuscator, SessionObservesTheNormalizedReferenceCount) {
       // d* noise is x_t-independent up to rounding; padding to a constant
       // level is not, so a different unit injects different noise.
       double rescaled_reps = 0.0;
-      (void)replay(2.0 * config.reference_sigma, &rescaled_reps);
+      (void)replay(2.0 * config.segment.reference_sigma, &rescaled_reps);
       EXPECT_NE(rescaled_reps, want_reps);
     }
   }
@@ -277,11 +288,10 @@ TEST(Obfuscator, SessionsAreIndependentSeries) {
   ObfuscatorConfig config;
   config.mechanism.kind = dp::MechanismKind::kDStar;
   config.mechanism.epsilon = 1.0;
-  config.reference_event = *f.db.find("RETIRED_UOPS");
-  config.reference_sigma = 1000.0;
-  config.unit_reps = 10.0;
+  config.segment = f.segment(1000.0, 10.0);
+  config.options.clip_sigma = 6.0;
   config.seed = 11;
-  EventObfuscator obf(f.db, f.spec, f.make_cover(), config);
+  EventObfuscator obf(f.db, f.spec, config);
   auto a = obf.session();
   auto b = obf.session();
   EXPECT_EQ(obf.sessions_started(), 2u);
@@ -426,8 +436,7 @@ TEST(Calibration, StreamedMomentsMatchReference) {
 
 TEST(RotatingPlan, ScheduleIsPeriodicAndCoversEveryVariant) {
   Fixture f;
-  std::vector<WeightedGadget> base;
-  for (const auto& g : f.make_cover().gadgets) base.push_back({g, 1.0});
+  const std::vector<WeightedGadget> base = f.gadgets();
   RotatingPlanConfig config;
   config.variants = 3;
   config.period = 8;
@@ -453,8 +462,7 @@ TEST(RotatingPlan, ScheduleIsPeriodicAndCoversEveryVariant) {
 
 TEST(RotatingPlan, VariantsKeepGadgetListButVaryWeights) {
   Fixture f;
-  std::vector<WeightedGadget> base;
-  for (const auto& g : f.make_cover().gadgets) base.push_back({g, 1.0});
+  const std::vector<WeightedGadget> base = f.gadgets();
   RotatingPlanConfig config;
   config.variants = 2;
   const RotatingPlan plan(base, config);
@@ -488,15 +496,14 @@ TEST(Obfuscator, RotationIsPrivacyNeutral) {
   ObfuscatorConfig config;
   config.mechanism.kind = dp::MechanismKind::kLaplace;
   config.mechanism.epsilon = 0.5;
-  config.reference_event = *f.db.find("RETIRED_UOPS");
-  config.reference_sigma = 100.0;
-  config.unit_reps = 10.0;
+  config.segment = f.segment(100.0, 10.0);
+  config.options.clip_sigma = 6.0;
   config.seed = 21;
-  EventObfuscator fixed(f.db, f.spec, f.make_cover(), config);
-  config.rotate = true;
-  config.rotation.variants = 3;
-  config.rotation.period = 8;
-  EventObfuscator rotating(f.db, f.spec, f.make_cover(), config);
+  EventObfuscator fixed(f.db, f.spec, config);
+  config.options.rotate = true;
+  config.options.rotation.variants = 3;
+  config.options.rotation.period = 8;
+  EventObfuscator rotating(f.db, f.spec, config);
 
   auto drive = [](EventObfuscator& obf) {
     sim::VirtualMachine vm(sim::VmConfig{}, 3);

@@ -11,6 +11,7 @@
 #include "sim/executor.hpp"
 #include "sim/virtual_machine.hpp"
 #include "trace/gaussian.hpp"
+#include "unit_segment.hpp"
 #include "util/stats.hpp"
 #include "workload/website.hpp"
 
@@ -225,7 +226,8 @@ TEST(InjectorProperty, RepetitionsLinearInNoiseBelowClip) {
   cover.gadgets = {{nop, div}};
   cover.covered_events = {0};
   cover.segment_effect = {{0, 1.0}};
-  obf::NoiseInjector injector(spec, cover, 10.0, 100.0);
+  obf::NoiseInjector injector(spec, test::unit_segment(cover).gadgets, 10.0,
+                              100.0);
   sim::VirtualMachine vm(sim::VmConfig{}, 1);
   double prev = 0.0;
   for (double noise : {0.5, 1.0, 2.0, 4.0}) {

@@ -183,7 +183,7 @@ TEST(Robustness, MakeObfuscatorRejectsInvalidBuildOptionsBeforeCalibrating) {
   const double nan = std::numeric_limits<double>::quiet_NaN();
   const double inf = std::numeric_limits<double>::infinity();
   for (double bad : {nan, inf, -1.0, 0.0}) {
-    core::ObfuscatorBuildOptions clip;
+    obf::ObfuscatorOptions clip;
     clip.clip_sigma = bad;
     expect_rejected_by(
         [&] { (void)aegis.make_obfuscator(analysis, secrets, {}, clip); },

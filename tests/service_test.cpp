@@ -371,10 +371,8 @@ TEST(SessionFleet, NoiseDrawsAreRefreshWindowsTimesNoiseStreams) {
   auto& f = fixture();
   // One Laplace draw per noise stream (one per segment gadget) at every
   // noise-refresh window, i.e. every granularity-th slice.
-  ASSERT_FALSE(f.tpl.obf_config.single_stream);
-  const std::size_t streams = f.tpl.obf_config.weighted_segment.empty()
-                                  ? f.tpl.analysis->cover.gadgets.size()
-                                  : f.tpl.obf_config.weighted_segment.size();
+  ASSERT_FALSE(f.tpl.obf_config.options.single_stream);
+  const std::size_t streams = f.tpl.obf_config.segment.gadgets.size();
   ASSERT_GT(streams, 1u);
   const SessionRequest req = f.request(5, 40);
   for (std::size_t granularity : {std::size_t{1}, std::size_t{3}}) {

@@ -17,13 +17,15 @@
 # Usage: scripts/check.sh [--fast]
 #   --fast   sanitizer passes run only the concurrency-relevant suites
 #            (thread pool, parallel campaign, fuzzer, profiler, queue) plus
-#            the gadget runner, the seed-7 shard digests, the warm-start
-#            parser suites and the two seeded-mutation suites of untrusted
-#            inputs (the JSON reader and the flight-recorder dump reader),
-#            the attack suites that move monitored samples (dataset, WFA,
-#            MEA, KEA, attack digests), and the obfuscator build path and
-#            the template pool workers share (obfuscator, injector,
-#            calibration, session fleet), instead of the whole test suite.
+#            the gadget runner, the gadget filter and set cover (which
+#            index into the confirmed lists), the seed-7 shard digests, the
+#            warm-start parser suites and the two seeded-mutation suites of
+#            untrusted inputs (the JSON reader and the flight-recorder dump
+#            reader), the attack suites that move monitored samples
+#            (dataset, WFA, MEA, KEA, attack digests), and the obfuscator
+#            build path and the template pool workers share (obfuscator,
+#            injector, calibration, session fleet), instead of the whole
+#            test suite.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -37,7 +39,7 @@ elif [[ -n "${1:-}" ]]; then
 fi
 
 JOBS="$(nproc 2>/dev/null || echo 2)"
-FAST_FILTER='ThreadPool|Parallel|Golden|Rng|SplitMix|Fuzzer|Confirmation|Profiler|Warmup|Cleanup|BoundedQueue|GadgetRunner|EngineEquivalence|Serialize|JsonReader|FlightRecorderDump|Obfuscator|Injector|Calibration|SessionFleet|^(Dataset|Wfa|Mea|KeyExtraction|AttackDigest)\.'
+FAST_FILTER='ThreadPool|Parallel|Golden|Rng|SplitMix|Fuzzer|Confirmation|SetCover|Filtering|Profiler|Warmup|Cleanup|BoundedQueue|GadgetRunner|EngineEquivalence|Serialize|JsonReader|FlightRecorderDump|Obfuscator|Injector|Calibration|SessionFleet|^(Dataset|Wfa|Mea|KeyExtraction|AttackDigest)\.'
 # Every ctest run executes with AEGIS_FR_DUMP armed so a crashing test
 # leaves behind a flight-recorder dump (<prefix>.<pid>.frd) with the last
 # wide events before the fault. On failure the dumps are listed so they can

@@ -87,14 +87,22 @@ obf::CalibratedSegment Aegis::calibrate(
       obf::calibrate_events(database(), protected_events, secrets,
                             kCalibrationRuns, seed ^ 0xCA1ULL);
 
-  // Per-gadget per-event measured deltas, from the fuzzing reports.
+  // Per-gadget per-event measured deltas, from the fuzzing reports, for the
+  // gadgets the segment can hold: the cover's and each event's strongest,
+  // which the boost loop below adds.
   std::unordered_map<fuzzer::Gadget,
                      std::unordered_map<std::uint32_t, double>,
                      fuzzer::GadgetHash>
       gadget_effect;
+  for (const fuzzer::Gadget& g : analysis.cover.gadgets) gadget_effect[g];
+  for (const auto& report : analysis.fuzz.reports) {
+    if (!report.confirmed.empty()) gadget_effect[report.best.gadget];
+  }
   for (const auto& report : analysis.fuzz.reports) {
     for (const auto& g : report.confirmed) {
-      auto& per_event = gadget_effect[g.gadget][report.event_id];
+      const auto it = gadget_effect.find(g.gadget);
+      if (it == gadget_effect.end()) continue;
+      double& per_event = it->second[report.event_id];
       per_event = std::max(per_event, g.median_delta);
     }
   }

@@ -276,7 +276,6 @@ OfflineResult load_offline_result(std::istream& is,
       report.best.gadget.reset_uid = parse_uid(fields[2], spec, "gadget uid");
       report.best.gadget.trigger_uid = parse_uid(fields[3], spec, "gadget uid");
       report.best.median_delta = parse_number<double>(fields[4], "gadget delta");
-      report.best.event_id = report.event_id;
       for (std::size_t g = 0; g < gadget_count; ++g) {
         const std::vector<std::string> row =
             split_row(read_line(is, "gadget row"), 3, "gadget row");
@@ -284,7 +283,6 @@ OfflineResult load_offline_result(std::istream& is,
         confirmed.gadget.reset_uid = parse_uid(row[0], spec, "gadget uid");
         confirmed.gadget.trigger_uid = parse_uid(row[1], spec, "gadget uid");
         confirmed.median_delta = parse_number<double>(row[2], "gadget delta");
-        confirmed.event_id = report.event_id;
         report.confirmed.push_back(confirmed);
       }
       report.candidates = report.confirmed.size();

@@ -10,21 +10,22 @@ FilterOutcome filter_gadgets(const std::vector<ConfirmedGadget>& confirmed,
   using ClusterKey = std::tuple<isa::Extension, isa::Category, isa::Extension,
                                 isa::Category>;
   FilterOutcome outcome;
-  std::map<ClusterKey, ConfirmedGadget> clusters;
-  for (const ConfirmedGadget& g : confirmed) {
+  std::map<ClusterKey, std::uint32_t> clusters;
+  for (std::uint32_t i = 0; i < confirmed.size(); ++i) {
+    const ConfirmedGadget& g = confirmed[i];
     const isa::InstructionVariant& reset = spec.by_uid(g.gadget.reset_uid);
     const isa::InstructionVariant& trigger = spec.by_uid(g.gadget.trigger_uid);
     const ClusterKey key{reset.extension, reset.category, trigger.extension,
                          trigger.category};
-    auto [it, inserted] = clusters.emplace(key, g);
-    if (!inserted && g.median_delta > it->second.median_delta) {
-      it->second = g;
+    auto [it, inserted] = clusters.emplace(key, i);
+    if (!inserted && g.median_delta > confirmed[it->second].median_delta) {
+      it->second = i;
     }
     if (g.median_delta > outcome.best.median_delta) outcome.best = g;
   }
   outcome.clusters = clusters.size();
   outcome.representatives.reserve(clusters.size());
-  for (auto& [key, g] : clusters) outcome.representatives.push_back(g);
+  for (const auto& [key, i] : clusters) outcome.representatives.push_back(i);
   return outcome;
 }
 

@@ -2,8 +2,10 @@
 // extension and general category of their reset and trigger instructions —
 // attributes that indicate the micro-architectural root cause — and keeps
 // one representative per cluster plus the highest-impact gadget per event.
+// Representatives are indices into the filtered list, not copies of it.
 #pragma once
 
+#include <cstdint>
 #include <vector>
 
 #include "fuzzer/gadget.hpp"
@@ -12,8 +14,10 @@
 namespace aegis::fuzzer {
 
 struct FilterOutcome {
-  std::vector<ConfirmedGadget> representatives;  // max-delta per cluster
-  ConfirmedGadget best;                          // overall max delta
+  /// Per cluster, in cluster-key order: the index in `confirmed` of its
+  /// max-delta record (the first one on a tie).
+  std::vector<std::uint32_t> representatives;
+  ConfirmedGadget best;  // overall max delta
   std::size_t clusters = 0;
 };
 

@@ -118,18 +118,18 @@ FuzzResult EventFuzzer::run(const std::vector<std::uint32_t>& event_ids) {
   // --- Step 3: confirmation, one shard per event group ---
   // aegis-lint: clock-ok(reporting-only timing field)
   t0 = std::chrono::steady_clock::now();
-  const std::vector<std::vector<ConfirmedGadget>> stable =
+  std::vector<std::vector<ConfirmedGadget>> stable =
       campaign.confirm(event_ids, generation.groups);
-  for (std::size_t e = 0; e < event_ids.size(); ++e) {
-    result.reports[e].confirmed = stable[e];
-  }
   result.timing.confirmation_seconds = seconds_since(t0);
 
   // --- Step 4: filtering / clustering, one shard per event ---
+  // The stable lists are filtered first and then moved into the reports, so
+  // each confirmed pair is held once.
   // aegis-lint: clock-ok(reporting-only timing field)
   t0 = std::chrono::steady_clock::now();
   std::vector<FilterOutcome> filtered = campaign.filter(stable);
   for (std::size_t e = 0; e < event_ids.size(); ++e) {
+    result.reports[e].confirmed = std::move(stable[e]);
     result.reports[e].representatives = std::move(filtered[e].representatives);
     result.reports[e].best = filtered[e].best;
   }

@@ -9,7 +9,8 @@
 // multiple executions, repeated-trigger cold/hot-path constraints
 // (lambda1/lambda2) and random reordering to reject C5 side effects and C6
 // dirty state; (4) gadget filtering — cluster by instruction extension and
-// category, keep representatives and the highest-impact gadget per event.
+// category, keep each cluster's representative (an index into the event's
+// confirmed list) and the highest-impact gadget per event.
 #pragma once
 
 #include <cstdint>
@@ -54,7 +55,9 @@ struct EventFuzzReport {
   std::uint32_t event_id = 0;
   std::size_t candidates = 0;                 // raw generation-step hits
   std::vector<ConfirmedGadget> confirmed;     // survived confirmation
-  std::vector<ConfirmedGadget> representatives;  // one per filter cluster
+  /// One index into `confirmed` per filter cluster (its max-delta record),
+  /// in cluster-key order.
+  std::vector<std::uint32_t> representatives;
   ConfirmedGadget best;                       // highest median delta
 };
 

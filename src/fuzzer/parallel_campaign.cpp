@@ -212,8 +212,7 @@ std::vector<std::vector<ConfirmedGadget>> ParallelCampaign::confirm(
             ratio > 1.0 / config_->reorder_tolerance) {
           continue;
         }
-        stable[g0 + s].push_back(
-            ConfirmedGadget{hit.gadget, event_ids[g0 + s], hit.delta[s]});
+        stable[g0 + s].push_back(ConfirmedGadget{hit.gadget, hit.delta[s]});
       }
     }
   });

@@ -23,7 +23,12 @@ struct GadgetCover {
   std::vector<std::pair<std::uint32_t, double>> segment_effect;
 };
 
-/// Greedy set cover over the fuzz result's confirmed gadgets.
+/// Greedy set cover over the fuzz result's confirmed gadgets. It reads the
+/// reports' confirmed lists in place, through one 4-byte index per pair,
+/// rather than copying the pairs. Ties resolve to the lowest gadget key, a
+/// gadget confirmed twice for one event counts once at its larger delta
+/// (floored at 0), and every delta sum runs in a fixed order, so the cover
+/// depends only on the set of confirmed pairs.
 GadgetCover minimal_gadget_cover(const FuzzResult& result);
 
 }  // namespace aegis::fuzzer

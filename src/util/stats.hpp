@@ -21,9 +21,11 @@ double median(std::span<const double> v);
 
 /// median() over a MUTABLE span: partitions in place instead of copying,
 /// so hot paths (fuzzer confirmation) can take the median of scratch
-/// buffers without allocating. Element order after the call is
-/// unspecified.
+/// buffers without allocating. Spans of up to kSmallMedian values are
+/// insertion-sorted instead; both paths return the same value. Element
+/// order after the call is unspecified.
 double median_inplace(std::span<double> v) noexcept;
+inline constexpr std::size_t kSmallMedian = 16;
 
 /// Linear-interpolated quantile, q in [0, 1]. Returns 0 for empty input.
 double quantile(std::span<const double> v, double q);

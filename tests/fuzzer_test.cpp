@@ -3,10 +3,13 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <cstdint>
 #include <stdexcept>
+#include <tuple>
 #include <type_traits>
 #include <unordered_set>
 
+#include "counting_allocator.hpp"
 #include "fuzzer/confirmation.hpp"
 #include "fuzzer/filtering.hpp"
 #include "fuzzer/fuzzer.hpp"
@@ -225,9 +228,9 @@ TEST(Filtering, ClustersByExtensionAndCategory) {
   ASSERT_EQ(simds.size(), 1u);
   const std::uint32_t nop = f.find_variant(InstructionClass::kNop);
   std::vector<ConfirmedGadget> confirmed = {
-      {{nop, alus[0]}, 0, 10.0},
-      {{nop, alus[1]}, 0, 20.0},  // same cluster, higher delta
-      {{nop, simds[0]}, 0, 5.0},
+      {{nop, alus[0]}, 10.0},
+      {{nop, alus[1]}, 20.0},  // same cluster, higher delta
+      {{nop, simds[0]}, 5.0},
   };
   const FilterOutcome outcome = filter_gadgets(confirmed, f.spec);
   EXPECT_EQ(outcome.clusters, 2u);
@@ -235,11 +238,55 @@ TEST(Filtering, ClustersByExtensionAndCategory) {
   EXPECT_DOUBLE_EQ(outcome.best.median_delta, 20.0);
   // The ALU cluster representative is the max-delta member.
   bool found = false;
-  for (const auto& g : outcome.representatives) {
-    if (g.gadget.trigger_uid == alus[1]) found = true;
-    EXPECT_NE(g.gadget.trigger_uid, alus[0]);
+  for (std::uint32_t i : outcome.representatives) {
+    if (confirmed.at(i).gadget.trigger_uid == alus[1]) found = true;
+    EXPECT_NE(confirmed.at(i).gadget.trigger_uid, alus[0]);
   }
   EXPECT_TRUE(found);
+}
+
+TEST(Filtering, EveryRepresentativeIndexesItsClustersMaxDeltaRecord) {
+  // Random pairs over legal variants of several extensions and categories,
+  // deltas from a few levels so that clusters hold ties. Each cluster has
+  // one representative, in cluster-key order, and it is the index of the
+  // cluster's first record with the cluster's largest delta.
+  Fixture f;
+  std::vector<std::uint32_t> uids;
+  for (const auto& v : f.spec.variants()) {
+    if (v.legal() && v.uid % 7 == 0) uids.push_back(v.uid);
+  }
+  ASSERT_GT(uids.size(), 8u);
+  util::Rng rng(0xF117E4ULL);
+  std::vector<ConfirmedGadget> confirmed(400);
+  for (ConfirmedGadget& g : confirmed) {
+    g.gadget = {rng.pick(uids), rng.pick(uids)};
+    g.median_delta = 0.5 * static_cast<double>(rng.uniform_int(1, 6));
+  }
+  const auto key = [&](const ConfirmedGadget& g) {
+    const isa::InstructionVariant& reset = f.spec.by_uid(g.gadget.reset_uid);
+    const isa::InstructionVariant& trigger = f.spec.by_uid(g.gadget.trigger_uid);
+    return std::tuple(reset.extension, reset.category, trigger.extension,
+                      trigger.category);
+  };
+
+  const FilterOutcome outcome = filter_gadgets(confirmed, f.spec);
+  ASSERT_GT(outcome.clusters, 4u);
+  ASSERT_EQ(outcome.representatives.size(), outcome.clusters);
+  for (std::size_t c = 0; c < outcome.representatives.size(); ++c) {
+    const std::uint32_t rep = outcome.representatives[c];
+    ASSERT_LT(rep, confirmed.size());
+    if (c > 0) {
+      EXPECT_LT(key(confirmed[outcome.representatives[c - 1]]),
+                key(confirmed[rep]));
+    }
+    for (std::uint32_t i = 0; i < confirmed.size(); ++i) {
+      if (key(confirmed[i]) != key(confirmed[rep])) continue;
+      EXPECT_LE(confirmed[i].median_delta, confirmed[rep].median_delta) << i;
+      if (i < rep) {
+        EXPECT_LT(confirmed[i].median_delta, confirmed[rep].median_delta) << i;
+      }
+    }
+  }
 }
 
 TEST(Filtering, EmptyInputYieldsEmptyOutcome) {
@@ -370,11 +417,11 @@ TEST(SetCover, GreedyPrefersSharedGadgets) {
   const Gadget shared{1, 2}, only_a{3, 4}, only_b{5, 6};
   EventFuzzReport ra, rb, rc;
   ra.event_id = 100;
-  ra.confirmed = {{shared, 100, 20.0}, {only_a, 100, 0.5}};
+  ra.confirmed = {{shared, 20.0}, {only_a, 0.5}};
   rb.event_id = 200;
-  rb.confirmed = {{shared, 200, 20.0}, {only_b, 200, 50.0}};
+  rb.confirmed = {{shared, 20.0}, {only_b, 50.0}};
   rc.event_id = 300;
-  rc.confirmed = {{only_a, 300, 0.25}};
+  rc.confirmed = {{only_a, 0.25}};
   result.reports = {ra, rb, rc};
   const GadgetCover cover = minimal_gadget_cover(result);
   EXPECT_EQ(cover.gadgets, (std::vector<Gadget>{shared, only_a}));
@@ -396,11 +443,9 @@ TEST(SetCover, DeterministicAcrossRunsAndInsertionOrders) {
   const Gadget tie_a{5, 9}, tie_b{2, 7}, tie_c{9, 1};
   const Gadget only_a{11, 3}, only_b{4, 12};
   const std::vector<ConfirmedGadget> base_a = {
-      {tie_a, 100, 10.0}, {tie_b, 100, 10.0}, {tie_c, 100, 10.0},
-      {only_a, 100, 3.0}};
+      {tie_a, 10.0}, {tie_b, 10.0}, {tie_c, 10.0}, {only_a, 3.0}};
   const std::vector<ConfirmedGadget> base_b = {
-      {tie_a, 200, 10.0}, {tie_b, 200, 10.0}, {tie_c, 200, 10.0},
-      {only_b, 200, 3.0}};
+      {tie_a, 10.0}, {tie_b, 10.0}, {tie_c, 10.0}, {only_b, 3.0}};
   const auto make_result = [](std::vector<ConfirmedGadget> ca,
                               std::vector<ConfirmedGadget> cb,
                               bool swap_reports) {
@@ -448,6 +493,170 @@ TEST(SetCover, DeterministicAcrossRunsAndInsertionOrders) {
     expect_same(minimal_gadget_cover(make_result(ca, cb, true)), base,
                 "rotated lists + swapped reports");
   }
+}
+
+// The cover as computed before it read the reports in place: every pair
+// copied into one flat list, sorted by (gadget key, event index), each
+// repeated (gadget, event) pair collapsed to its largest delta floored at
+// 0, then the greedy scan over per-gadget runs.
+GadgetCover flat_list_cover(const FuzzResult& result) {
+  struct Effect {
+    Gadget gadget;
+    std::uint32_t event = 0;
+    double delta = 0.0;
+  };
+  const auto less = [](const Effect& a, const Effect& b) {
+    return std::tie(a.gadget.reset_uid, a.gadget.trigger_uid, a.event) <
+           std::tie(b.gadget.reset_uid, b.gadget.trigger_uid, b.event);
+  };
+  GadgetCover cover;
+  for (const EventFuzzReport& report : result.reports) {
+    (report.confirmed.empty() ? cover.uncovered_events : cover.covered_events)
+        .push_back(report.event_id);
+  }
+  std::vector<std::uint32_t>& covered = cover.covered_events;
+  std::sort(covered.begin(), covered.end());
+  covered.erase(std::unique(covered.begin(), covered.end()), covered.end());
+  std::vector<Effect> effects;
+  for (const EventFuzzReport& report : result.reports) {
+    const auto event = static_cast<std::uint32_t>(
+        std::lower_bound(covered.begin(), covered.end(), report.event_id) -
+        covered.begin());
+    for (const ConfirmedGadget& g : report.confirmed) {
+      effects.push_back(Effect{g.gadget, event, g.median_delta});
+    }
+  }
+  std::sort(effects.begin(), effects.end(), less);
+  std::vector<std::pair<std::size_t, std::size_t>> runs;  // per gadget
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < effects.size();) {
+    Effect e = effects[i];
+    e.delta = 0.0;
+    for (; i < effects.size() && !less(e, effects[i]); ++i) {
+      e.delta = std::max(e.delta, effects[i].delta);
+    }
+    if (runs.empty() || !(effects[runs.back().first].gadget == e.gadget)) {
+      runs.emplace_back(kept, kept);
+    }
+    effects[kept++] = e;
+    runs.back().second = kept;
+  }
+  std::vector<char> uncovered(covered.size(), 1);
+  std::vector<char> chosen(runs.size(), 0);
+  for (;;) {
+    std::size_t best = runs.size();
+    std::size_t best_newly = 0;
+    double best_delta = 0.0;
+    for (std::size_t c = 0; c < runs.size(); ++c) {
+      std::size_t newly = 0;
+      double delta = 0.0;
+      for (std::size_t i = runs[c].first; i < runs[c].second; ++i) {
+        if (uncovered[effects[i].event] != 0) {
+          ++newly;
+          delta += effects[i].delta;
+        }
+      }
+      if (newly > best_newly ||
+          (newly == best_newly && newly > 0 && delta > best_delta)) {
+        best = c;
+        best_newly = newly;
+        best_delta = delta;
+      }
+    }
+    if (best_newly == 0) break;
+    chosen[best] = 1;
+    cover.gadgets.push_back(effects[runs[best].first].gadget);
+    for (std::size_t i = runs[best].first; i < runs[best].second; ++i) {
+      uncovered[effects[i].event] = 0;
+    }
+  }
+  std::vector<double> segment(covered.size(), 0.0);
+  for (std::size_t c = 0; c < runs.size(); ++c) {
+    if (chosen[c] == 0) continue;
+    for (std::size_t i = runs[c].first; i < runs[c].second; ++i) {
+      segment[effects[i].event] += effects[i].delta;
+    }
+  }
+  for (std::size_t k = 0; k < segment.size(); ++k) {
+    cover.segment_effect.emplace_back(covered[k], segment[k]);
+  }
+  return cover;
+}
+
+TEST(SetCover, MatchesTheFlatListCoverBitForBit) {
+  // Seeded random results with the cases the in-place cover must collapse
+  // exactly as the flat list did: several reports of one event, a gadget
+  // confirmed twice for an event, negative deltas, tied deltas and empty
+  // reports. Deltas are drawn with many fractional bits so that a changed
+  // summation order would show.
+  util::Rng rng(0xC0FE4ULL);
+  for (int trial = 0; trial < 200; ++trial) {
+    FuzzResult result;
+    const auto reports = static_cast<std::size_t>(rng.uniform_int(1, 12));
+    const auto grid = static_cast<std::uint32_t>(rng.uniform_int(1, 6));
+    for (std::size_t r = 0; r < reports; ++r) {
+      EventFuzzReport report;
+      report.event_id = static_cast<std::uint32_t>(rng.uniform_int(0, 9));
+      const auto records = static_cast<std::size_t>(rng.uniform_int(0, 24));
+      for (std::size_t i = 0; i < records; ++i) {
+        const Gadget g{static_cast<std::uint32_t>(rng.uniform_index(grid)),
+                       static_cast<std::uint32_t>(rng.uniform_index(grid))};
+        const double delta = trial % 2 == 0
+                                 ? rng.uniform(-1.0, 10.0)
+                                 : static_cast<double>(rng.uniform_int(0, 3));
+        report.confirmed.push_back({g, delta});
+      }
+      result.reports.push_back(std::move(report));
+    }
+    const GadgetCover got = minimal_gadget_cover(result);
+    const GadgetCover want = flat_list_cover(result);
+    EXPECT_EQ(got.gadgets, want.gadgets) << trial;
+    EXPECT_EQ(got.covered_events, want.covered_events) << trial;
+    EXPECT_EQ(got.uncovered_events, want.uncovered_events) << trial;
+    ASSERT_EQ(got.segment_effect.size(), want.segment_effect.size()) << trial;
+    for (std::size_t k = 0; k < got.segment_effect.size(); ++k) {
+      EXPECT_EQ(got.segment_effect[k].first, want.segment_effect[k].first);
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(got.segment_effect[k].second),
+                std::bit_cast<std::uint64_t>(want.segment_effect[k].second))
+          << trial << " event " << got.segment_effect[k].first;
+    }
+  }
+}
+
+TEST(SetCover, PeakLiveBytesStayBelowSixteenPerPair) {
+  // A fuzz result shaped like a paper-default analysis: every event
+  // confirms about half of one 48 x 48 reset/trigger grid. The cover reads
+  // the pairs in place, so its transient memory is a 4-byte index per pair
+  // plus per-gadget state — below the 16 bytes a copied record would take.
+  constexpr std::uint32_t kGrid = 48;
+  constexpr std::uint32_t kEvents = 96;
+  FuzzResult result;
+  util::Rng rng(0x5E7C0FULL);
+  std::size_t pairs = 0;
+  for (std::uint32_t e = 0; e < kEvents; ++e) {
+    EventFuzzReport report;
+    report.event_id = 1000 + e;
+    for (std::uint32_t reset = 0; reset < kGrid; ++reset) {
+      for (std::uint32_t trigger = 0; trigger < kGrid; ++trigger) {
+        if (rng.bernoulli(0.5)) {
+          report.confirmed.push_back({{reset, trigger}, rng.uniform(0.3, 9.0)});
+        }
+      }
+    }
+    rng.shuffle(report.confirmed);
+    pairs += report.confirmed.size();
+    result.reports.push_back(std::move(report));
+  }
+
+  g_live_bytes = 0;
+  g_peak_live_bytes = 0;
+  g_count_allocs = true;
+  const GadgetCover cover = minimal_gadget_cover(result);
+  g_count_allocs = false;
+  EXPECT_FALSE(cover.gadgets.empty());
+  EXPECT_EQ(cover.covered_events.size(), kEvents);
+  EXPECT_LT(static_cast<std::size_t>(g_peak_live_bytes.load()), pairs * 16)
+      << pairs << " pairs";
 }
 
 TEST(FuzzerConfig, UnrollsAreIntegralRepetitionCounts) {

@@ -453,17 +453,33 @@ TEST(EngineEquivalence, PinnedSimdEnginesBitIdenticalToReference) {
 constexpr std::uint64_t kSeed7FuzzDigest = 0xfec755db46fd92abULL;
 constexpr std::uint64_t kSeed7RankingDigest = 0xf0aa7d39b57c5227ULL;
 
-std::uint64_t digest_gadget(std::uint64_t h, const fuzzer::ConfirmedGadget& g) {
+// A record no longer carries its event id; the digest hashes the event id
+// of the record's report in its place (0 for a report's unset `best`), so
+// the digest is the one captured when records carried the id.
+std::uint64_t digest_gadget(std::uint64_t h, const fuzzer::ConfirmedGadget& g,
+                            std::uint32_t event_id) {
   h = util::hash_combine(h, std::uint64_t{g.gadget.reset_uid});
   h = util::hash_combine(h, std::uint64_t{g.gadget.trigger_uid});
-  h = util::hash_combine(h, std::uint64_t{g.event_id});
+  h = util::hash_combine(h, std::uint64_t{event_id});
   return util::hash_combine(h, g.median_delta);
 }
 
 std::uint64_t digest_gadgets(std::uint64_t h,
-                             const std::vector<fuzzer::ConfirmedGadget>& gs) {
-  h = util::hash_combine(h, std::uint64_t{gs.size()});
-  for (const auto& g : gs) h = digest_gadget(h, g);
+                             const fuzzer::EventFuzzReport& report) {
+  h = util::hash_combine(h, std::uint64_t{report.confirmed.size()});
+  for (const auto& g : report.confirmed) {
+    h = digest_gadget(h, g, report.event_id);
+  }
+  return h;
+}
+
+// The report's representatives, gathered through their indices.
+std::uint64_t digest_representatives(std::uint64_t h,
+                                     const fuzzer::EventFuzzReport& report) {
+  h = util::hash_combine(h, std::uint64_t{report.representatives.size()});
+  for (std::uint32_t i : report.representatives) {
+    h = digest_gadget(h, report.confirmed.at(i), report.event_id);
+  }
   return h;
 }
 
@@ -475,9 +491,9 @@ std::uint64_t digest(const fuzzer::FuzzResult& r) {
   for (const auto& rep : r.reports) {
     h = util::hash_combine(h, std::uint64_t{rep.event_id});
     h = util::hash_combine(h, std::uint64_t{rep.candidates});
-    h = digest_gadgets(h, rep.confirmed);
-    h = digest_gadgets(h, rep.representatives);
-    h = digest_gadget(h, rep.best);
+    h = digest_gadgets(h, rep);
+    h = digest_representatives(h, rep);
+    h = digest_gadget(h, rep.best, rep.confirmed.empty() ? 0 : rep.event_id);
   }
   return h;
 }

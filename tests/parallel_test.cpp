@@ -55,7 +55,6 @@ void expect_gadgets_equal(const std::vector<fuzzer::ConfirmedGadget>& a,
     EXPECT_EQ(a[i].gadget.reset_uid, b[i].gadget.reset_uid) << what << " " << i;
     EXPECT_EQ(a[i].gadget.trigger_uid, b[i].gadget.trigger_uid)
         << what << " " << i;
-    EXPECT_EQ(a[i].event_id, b[i].event_id) << what << " " << i;
     // Bit-identical, not approximately equal: both runs must execute the
     // exact same double-arithmetic sequence.
     EXPECT_EQ(a[i].median_delta, b[i].median_delta) << what << " " << i;
@@ -73,8 +72,7 @@ void expect_results_equal(const FuzzResult& a, const FuzzResult& b) {
     EXPECT_EQ(ra.event_id, rb.event_id);
     EXPECT_EQ(ra.candidates, rb.candidates);
     expect_gadgets_equal(ra.confirmed, rb.confirmed, "confirmed");
-    expect_gadgets_equal(ra.representatives, rb.representatives,
-                         "representatives");
+    EXPECT_EQ(ra.representatives, rb.representatives);
     EXPECT_EQ(ra.best.gadget.reset_uid, rb.best.gadget.reset_uid);
     EXPECT_EQ(ra.best.gadget.trigger_uid, rb.best.gadget.trigger_uid);
     EXPECT_EQ(ra.best.median_delta, rb.best.median_delta);

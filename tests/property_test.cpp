@@ -200,7 +200,7 @@ TEST_P(SetCoverSweep, CoverIsCompleteAndNeverLargerThanEventCount) {
     report.event_id = static_cast<std::uint32_t>(e);
     const std::uint32_t gadget_id = static_cast<std::uint32_t>(e / 2);
     report.confirmed.push_back(
-        {fuzzer::Gadget{gadget_id, gadget_id + 1000}, report.event_id, 5.0});
+        {fuzzer::Gadget{gadget_id, gadget_id + 1000}, 5.0});
     result.reports.push_back(report);
   }
   const fuzzer::GadgetCover cover = fuzzer::minimal_gadget_cover(result);

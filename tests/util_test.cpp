@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <sstream>
 #include <string_view>
 #include <vector>
@@ -263,6 +266,42 @@ TEST(Stats, MedianOddAndEven) {
   EXPECT_DOUBLE_EQ(median(odd), 3.0);
   std::vector<double> even{4, 1, 3, 2};
   EXPECT_DOUBLE_EQ(median(even), 2.5);
+}
+
+// The selection median_inplace used for every size before its small-span
+// insertion sort: nth_element for the upper middle value, max_element over
+// the lower half for the lower one.
+double nth_element_median(std::vector<double> v) {
+  const std::size_t mid = v.size() / 2;
+  std::nth_element(v.begin(), v.begin() + static_cast<std::ptrdiff_t>(mid),
+                   v.end());
+  const double hiv = v[mid];
+  if (v.size() % 2 == 1) return hiv;
+  const double lov =
+      *std::max_element(v.begin(), v.begin() + static_cast<std::ptrdiff_t>(mid));
+  return 0.5 * (lov + hiv);
+}
+
+TEST(Stats, SmallMedianMatchesNthElementBitForBit) {
+  // Sizes on both sides of kSmallMedian, values drawn from a few levels so
+  // that most spans repeat values, as confirmation's integer-like counter
+  // deltas do.
+  Rng rng(0x3ED1A7ULL);
+  for (std::size_t n = 1; n <= kSmallMedian + 4; ++n) {
+    for (int trial = 0; trial < 500; ++trial) {
+      const std::int64_t levels = trial % 2 == 0 ? 4 : 1000;
+      std::vector<double> v(n);
+      for (double& x : v) {
+        x = static_cast<double>(rng.uniform_int(0, levels)) * 0.37 +
+            (trial % 3 == 0 ? rng.uniform() : 0.0);
+      }
+      const double want = nth_element_median(v);
+      const double got = median_inplace(v);
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(got),
+                std::bit_cast<std::uint64_t>(want))
+          << "n=" << n << " trial=" << trial;
+    }
+  }
 }
 
 TEST(Stats, QuantileInterpolates) {
